@@ -79,15 +79,16 @@ class CurvatureReport:
 
     ``samples`` counts evaluated tangent pairs (pseudorandom pairs plus the
     deterministic coordinate-basis stress set).  ``min_margin`` is the raw
-    minimum of ``g(R(u,v)v,u) - k * area`` over all of them; the pass
-    criterion compares each margin against ``-tol * scale`` with a per-sample
-    scale ``max(1, |lhs|, |k * area|)``.
+    minimum of ``g(R(u,v)v,u) - k * area`` over all of them, or the first
+    non-finite margin if there is one; ``witness`` is the pair it belongs
+    to.  The pass criterion compares each margin against ``-tol * scale``
+    with a per-sample scale ``max(1, |lhs|, |k * area|)``.
     """
 
     k: float
     samples: int
     min_margin: float
-    witness: TangentPair | None
+    witness: TangentPair
     tol: float
     passed: bool
     seed: int = 0
@@ -263,45 +264,48 @@ def default_sampler(chart: ChartMetric) -> TangentSampler:
     return TangentSampler(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
 
 
-def _margins_at_point(chart, x, pairs_u, pairs_v, k):
-    """Margins lhs - k*area and per-sample scales for many pairs at one point."""
-    g = chart.metric_at(x)
-    rl = riemann_lowered(chart, x)
-    lhs = np.einsum("mjkl,pm,pj,pk,pl->p", rl, pairs_u, pairs_v, pairs_u, pairs_v)
-    gu = pairs_u @ g
-    gv = pairs_v @ g
+def _eval_block(chart, sampler, k, seed, block_index, count):
+    """Margins, scales and tangent pairs of one sample block, in sample order.
+
+    Each point contributes its random pair first, then the C(d, 2)
+    coordinate-basis pairs.  Margins are lhs - k * area with per-pair scales
+    max(1, |lhs|, |k * area|).
+    """
+    pts, us, vs = sampler.block(seed, block_index, count)
+    basis = np.eye(chart.dim)
+    stress = list(combinations(range(chart.dim), 2))
+    su = np.broadcast_to(basis[[i for i, _ in stress]], (count, len(stress), chart.dim))
+    sv = np.broadcast_to(basis[[j for _, j in stress]], (count, len(stress), chart.dim))
+    pu = np.concatenate([us[:, None], su], axis=1)  # (point, pair, dim)
+    pv = np.concatenate([vs[:, None], sv], axis=1)
+    # lhs stays a per-point contraction: a batched einsum sums in another
+    # order, which would change the last digits of reported margins.
+    lhs = np.array([
+        np.einsum("mjkl,pm,pj,pk,pl->p", riemann_lowered(chart, x), u, v, u, v)
+        for x, u, v in zip(pts, pu, pv)
+    ])
+    g = np.array([chart.metric_at(x) for x in pts])
+    gu = pu @ g
+    gv = pv @ g
     area = (
-        np.einsum("pi,pi->p", gu, pairs_u) * np.einsum("pi,pi->p", gv, pairs_v)
-        - np.einsum("pi,pi->p", gu, pairs_v) ** 2
+        np.einsum("npi,npi->np", gu, pu) * np.einsum("npi,npi->np", gv, pv)
+        - np.einsum("npi,npi->np", gu, pv) ** 2
     )
     margins = lhs - k * area
     scales = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(k * area)))
-    return margins, scales
+    points = np.repeat(pts, pu.shape[1], axis=0)
+    return margins.ravel(), scales.ravel(), points, pu.reshape(-1, chart.dim), pv.reshape(-1, chart.dim)
 
 
-def _eval_block(chart, sampler, k, tol, seed, block_index, count):
-    pts, us, vs = sampler.block(seed, block_index, count)
-    n = chart.dim
-    basis = np.eye(n)
-    stress = list(combinations(range(n), 2))
+def reduce_margins(margins: np.ndarray, scales: np.ndarray, tol: float) -> tuple[int, bool]:
+    """Witness index and verdict for sampled margins with per-pair scales.
 
-    best_margin = np.inf
-    best_pair: TangentPair | None = None
-    all_pass = True
-    evaluated = 0
-    for j in range(count):
-        x = pts[j]
-        pu = np.vstack([us[j]] + [basis[i] for i, _ in stress])
-        pv = np.vstack([vs[j]] + [basis[jj] for _, jj in stress])
-        margins, scales = _margins_at_point(chart, x, pu, pv, k)
-        evaluated += len(margins)
-        if np.any(margins < -tol * scales):
-            all_pass = False
-        p = int(np.argmin(margins))  # first occurrence: deterministic tie-break
-        if margins[p] < best_margin:
-            best_margin = float(margins[p])
-            best_pair = TangentPair(x.copy(), pu[p].copy(), pv[p].copy())
-    return best_margin, best_pair, all_pass, evaluated
+    The witness is the first non-finite margin, else the first minimum.  A
+    pair passes only if ``margin >= -tol * scale``, so NaN never passes.
+    """
+    bad = np.flatnonzero(~np.isfinite(margins))
+    index = int(bad[0]) if bad.size else int(np.argmin(margins))
+    return index, bool(np.all(margins >= -tol * scales))
 
 
 def check_r_ge_k(
@@ -311,60 +315,43 @@ def check_r_ge_k(
     tol: float = 1e-9,
     seed: int = 0,
     workers: int = 1,
-    sampler: TangentSampler | None = None,
 ) -> CurvatureReport:
     """Sampled certification of the curvature condition R >= k.
 
     Evaluates the margin g(R(u,v)v,u) - k * area over ``n_samples``
     pseudorandom tangent pairs plus, at each sampled point, all coordinate
-    basis pairs.  Margins are evaluated directly, with no division by the
-    area form, so lightlike-plane pairs are covered.  The report carries the
-    pair achieving the minimum margin; ties resolve to the earliest global
-    sample index, so results do not depend on ``workers``.
+    basis pairs; ``samples`` in the report counts both.  Margins are
+    evaluated directly, with no division by the area form, so lightlike-plane
+    pairs are covered.  Blocks are concatenated in block order and reduced
+    once by ``reduce_margins``: the witness is the first non-finite margin,
+    else the first minimum, so results do not depend on ``workers`` and a
+    NaN or inf margin fails the check.
     """
     if n_samples < 1:
         raise EmptySampleError("check_r_ge_k needs n_samples >= 1")
     if not np.isfinite(k):
         raise DomainError("k must be finite")
-    if sampler is None:
-        sampler = default_sampler(chart)
+    sampler = default_sampler(chart)
+    counts = [min(SAMPLE_BLOCK, n_samples - s) for s in range(0, n_samples, SAMPLE_BLOCK)]
 
-    blocks = []
-    start = 0
-    bi = 0
-    while start < n_samples:
-        count = min(SAMPLE_BLOCK, n_samples - start)
-        blocks.append((bi, count))
-        start += count
-        bi += 1
-
-    def run(args):
-        index, count = args
-        return _eval_block(chart, sampler, k, tol, seed, index, count)
+    def run(index):
+        return _eval_block(chart, sampler, k, seed, index, counts[index])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks))
+            blocks = list(pool.map(run, range(len(counts))))
     else:
-        results = [run(b) for b in blocks]
+        blocks = [run(i) for i in range(len(counts))]
 
-    min_margin = np.inf
-    witness = None
-    passed = True
-    total = 0
-    for margin, pair, ok, evaluated in results:  # block order fixes ties
-        total += evaluated
-        passed = passed and ok
-        if margin < min_margin:
-            min_margin = margin
-            witness = pair
+    margins, scales, points, us, vs = (np.concatenate(parts) for parts in zip(*blocks))
+    w, passed = reduce_margins(margins, scales, tol)
     return CurvatureReport(
         k=float(k),
-        samples=total,
-        min_margin=float(min_margin),
-        witness=witness,
+        samples=len(margins),
+        min_margin=float(margins[w]),
+        witness=TangentPair(points[w].copy(), us[w].copy(), vs[w].copy()),
         tol=float(tol),
-        passed=bool(passed),
+        passed=passed,
         seed=int(seed),
     )
 

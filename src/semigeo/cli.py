@@ -34,16 +34,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import su21 as alg
-from .charts import CurvatureReport, check_r_ge_k
+from .charts import CurvatureReport, check_r_ge_k, reduce_margins
 from .errors import SemigeoError, UnsupportedSpaceError
 from .geodesics import (
     IntegratorConfig,
-    ODESystem,
     Trajectory,
     breakdown_run,
     euler_arnold_integrate,
     incompleteness_space,
-    integrate,
     riccati_experiment,
 )
 from .spaces import build_space, parse_space
@@ -103,9 +101,7 @@ def _trajectory_csv(traj: Trajectory, header: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _witness_payload(report: CurvatureReport) -> dict | None:
-    if report.witness is None:
-        return None
+def _witness_payload(report: CurvatureReport) -> dict:
     w = report.witness
     return {
         "base_point": [float(v) for v in w.base_point],
@@ -248,7 +244,7 @@ def cmd_su21(args) -> int:
     exact = _su21_exact_checks(min(args.samples, 1000) or 100, args.seed)
     res = alg.feasible(params)
     margins, scales = alg.sample_margins(float(args.t), float(args.k), args.samples, args.seed)
-    margin_ok = bool(np.all(margins >= -args.tol * scales))
+    witness, margin_ok = reduce_margins(margins, scales, args.tol)
     interval = alg.feasible_k_interval(float(args.t))
     payload = {
         "command": "su21",
@@ -267,7 +263,7 @@ def cmd_su21(args) -> int:
         },
         "eta": alg.eta(float(args.t)),
         "feasible_k_interval": None if interval is None else list(interval),
-        "sampled_min_margin": float(margins.min()),
+        "sampled_min_margin": float(margins[witness]),
         "sampled_margin_passed": margin_ok,
     }
     _emit(_render_report(payload, args.format), args.out)
@@ -372,17 +368,13 @@ def cmd_geodesic(args) -> int:
     if args.mode == "riccati":
         report = riccati_experiment(args.k, [args.h0], args.t_max)
         run = report.runs[0]
-        # Re-run forward to emit the trajectory itself.
-        system = ODESystem(1, lambda t, y: np.array([args.k - y[0] * y[0]]), "h' = k - h^2")
-        cfg = IntegratorConfig(blowup_threshold=1e8)
-        traj = integrate(system, [args.h0], (0.0, args.t_max), cfg)
         header = {
             "command": "geodesic riccati",
             "k": float(args.k),
             "h0": run.h0,
             "t_max": float(args.t_max),
-            "rtol": cfg.rtol,
-            "atol": cfg.atol,
+            "rtol": report.config.rtol,
+            "atol": report.config.atol,
             "sup_abs_forward": run.sup_abs_forward,
             "sup_abs_backward": run.sup_abs_backward,
             "forward_status": run.forward_status,
@@ -390,7 +382,7 @@ def cmd_geodesic(args) -> int:
             "bounded": run.bounded,
             "expectation_met": run.expectation_met,
         }
-        _emit(_trajectory_csv(traj, header), args.out)
+        _emit(_trajectory_csv(run.forward, header), args.out)
         return 0 if run.expectation_met else 2
 
     raise _UsageError(f"unknown geodesic mode {args.mode!r}")

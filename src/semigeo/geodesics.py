@@ -28,7 +28,7 @@ singular at t = -C1/sqrt(k) and t = log(1/C1) / (2 sqrt(k)) respectively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -583,6 +583,7 @@ class RiccatiRun:
     backward_status: str
     bounded: bool
     expectation_met: bool
+    forward: Trajectory = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -590,6 +591,7 @@ class RiccatiReport:
     k: float
     t_max: float
     runs: tuple[RiccatiRun, ...]
+    config: IntegratorConfig
 
     @property
     def all_expectations_met(self) -> bool:
@@ -643,9 +645,10 @@ def riccati_experiment(
                 backward_status=tb.status.kind,
                 bounded=bounded,
                 expectation_met=met,
+                forward=tf,
             )
         )
-    return RiccatiReport(k=float(k), t_max=float(t_max), runs=tuple(runs))
+    return RiccatiReport(k=float(k), t_max=float(t_max), runs=tuple(runs), config=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ The sectional-curvature relations for a submersion with A = 0,
 are exposed as residual checks.  Note that on horizontal planes the ambient
 bound g(R(u,v)v,u) >= k*area forces K_* >= k, i.e. the Riemannian base
 (B, g_B) has sectional curvature <= -k; ``base_curvature_bound_check``
-verifies exactly that.
+verifies exactly that, as the area-weighted sampled check R >= k on
+(B, -g_B).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .charts import (
     ChartMetric,
     CurvatureReport,
-    TangentPair,
+    check_r_ge_k,
     christoffel,
     area_form,
     negate,
@@ -464,18 +465,15 @@ def oneill_relation_check(
     spec: WarpedProductSpec,
     point: np.ndarray,
     pair_kind: str,
-    tol: float = 1e-5,
     pair: tuple[np.ndarray, np.ndarray] | None = None,
     seed: int = 0,
 ) -> float:
     """|residual| of the A = 0 sectional-curvature relation at ``point``.
 
     horizontal: residual = K_hat(X, Y) - K_*(pi X, pi Y), with K_* evaluated
-    on (B, -g_B); vertical: residual of the T-corrected fiber relation.  The
-    ``tol`` argument is advisory only (callers compare against it); the
-    returned value is the raw residual magnitude.
+    on (B, -g_B); vertical: residual of the T-corrected fiber relation.
+    Returns the raw residual magnitude; callers compare it to their tolerance.
     """
-    del tol
     point = np.asarray(point, dtype=float)
     b, f = spec.split(point)
     chart = assemble(spec)
@@ -580,42 +578,13 @@ def conformal_scalar_torus(
 def base_curvature_bound_check(
     spec: WarpedProductSpec, k: float, n_samples: int, tol: float = 1e-6, seed: int = 0
 ) -> CurvatureReport:
-    """Verify sectional curvature of (B, g_B) <= -k + tol at sampled planes.
+    """Verify that (B, g_B) has sectional curvature <= -k at sampled pairs.
 
-    Margins are (-k) - K(plane), so the report passes when every sampled
-    plane satisfies the bound.
+    This is ``check_r_ge_k`` for R >= k on (B, -g_B): margins are the
+    area-weighted g(R(u,v)v,u) - k * area of the negated base, and
+    ``samples`` counts pairs including the coordinate-basis pairs.
     """
-    base = spec.base
-    rng = np.random.default_rng(seed)
-    lo, hi = base.sample_box
-    min_margin = np.inf
-    witness = None
-    passed = True
-    evaluated = 0
-    while evaluated < n_samples:
-        x = rng.uniform(lo, hi)
-        u = rng.standard_normal(base.dim)
-        v = rng.standard_normal(base.dim)
-        try:
-            kval = sectional(base, x, u, v)
-        except DegeneratePlaneError:
-            continue
-        evaluated += 1
-        margin = (-k) - kval
-        if margin < -tol:
-            passed = False
-        if margin < min_margin:
-            min_margin = margin
-            witness = TangentPair(x, u, v)
-    return CurvatureReport(
-        k=float(k),
-        samples=evaluated,
-        min_margin=float(min_margin),
-        witness=witness,
-        tol=float(tol),
-        passed=bool(passed),
-        seed=int(seed),
-    )
+    return check_r_ge_k(negate(spec.base), k, n_samples, tol=tol, seed=seed)
 
 
 # ---------------------------------------------------------------------------

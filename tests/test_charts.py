@@ -258,6 +258,28 @@ class TestCheckRGeK:
         assert np.array_equal(a.witness.u, b.witness.u)
         assert np.array_equal(a.witness.v, b.witness.v)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("nan_half", [False, True])
+    def test_nan_metric_fails_with_witness(self, nan_half):
+        # NaN on the whole box, or only where x_0 > 0.5.
+        def metric_at(x):
+            return np.full((2, 2), np.nan) if not nan_half or x[0] > 0.5 else np.eye(2)
+
+        chart = sg.ChartMetric(
+            dim=2,
+            signature=(2, 0),
+            metric_at=metric_at,
+            in_domain=lambda x: True,
+            sample_box=(np.zeros(2), np.ones(2)),
+            name="nan",
+        )
+        # At k = 0 the flat half has margin 0, so only the NaN half can fail.
+        report = sg.check_r_ge_k(chart, 0.0, 20, seed=0)
+        assert not report.passed
+        assert report.witness is not None
+        assert not np.isfinite(report.min_margin)
+        assert report.witness.base_point[0] > 0.5 or not nan_half
+
 
 class TestChartInvariants:
     @pytest.mark.parametrize(

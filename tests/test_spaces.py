@@ -1,6 +1,7 @@
 """Model-space builders, submersion tensors, and the conformal scalar check."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -213,6 +214,22 @@ class TestBaseCurvatureBound:
     def test_flat_base_fails(self):
         spec = sg.plain_product(sg.euclidean(2), sg.sphere(2))
         assert not sg.base_curvature_bound_check(spec, 0.1, 50, seed=0).passed
+
+    def test_one_dim_base_returns(self):
+        # Every plane of a 1-dim base is degenerate; the check must still end.
+        def timeout(signum, frame):
+            raise TimeoutError("base_curvature_bound_check did not return")
+
+        spec = sg.warped_product(sg.euclidean(1), sg.sphere(2), sg.constant_warping(0))
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            report = sg.base_curvature_bound_check(spec, 1.0, 5)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert report.samples == 5
+        assert report.passed
 
 
 class TestParseSpace:
