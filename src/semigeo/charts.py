@@ -1,8 +1,11 @@
 """Coordinate-chart tensor calculus for semi-Riemannian metrics.
 
 A space is described by a single coordinate chart carrying a matrix-valued
-metric evaluator.  From the metric we derive Christoffel symbols, the Riemann
-tensor, sectional curvatures, and a sampled certification of the curvature
+metric evaluator and, optionally, a batched evaluator of its jet (the metric
+with its first and second partials).  Christoffel symbols and the Riemann
+tensor follow from the jet in closed form; charts without one are
+differentiated by finite differences of the metric.  On top of these sit
+sectional curvatures and a sampled certification of the curvature
 condition
 
     g(R(u, v)v, u) >= k * (g(u, u) g(v, v) - g(u, v)^2)
@@ -33,9 +36,9 @@ from .errors import (
     SingularMetricError,
 )
 
-# Central-difference step factors, scaled by max(1, |x|).
-FD_STEP_METRIC = 1e-5  # metric -> Christoffel layer
-FD_STEP_GAMMA = 1e-4   # Christoffel -> Riemann layer (Richardson pair h, h/2)
+# Central-difference step of the finite-difference jet, scaled by max(1, |x|);
+# the Richardson pair (h, h/2) keeps second derivatives near 1e-9.
+FD_STEP = 1e-3
 
 # Samples per RNG block.  Block i of a run with master seed s is generated by
 # numpy's default_rng(s + i), so the sample stream is a function of the seed
@@ -53,13 +56,23 @@ class ChartMetric:
     symmetric, not merely symmetric to tolerance).  ``signature`` counts
     (positive, negative) metric eigenvalues.  ``sample_box`` is a compact box
     well inside the domain, used by the sampling checks.
+
+    ``jet(X, order)``, when given, evaluates the metric jet at the rows of an
+    ``(N, dim)`` array.  It returns ``(scale, g, dg)`` for order 1 and
+    ``(scale, g, dg, ddg)`` for order 2, where the metric at ``X[n]`` is
+    ``scale[n] * g[n]``, ``scale[n] * dg[n, k, i, j]`` is d_k g_ij and
+    ``scale[n] * ddg[n, k, l, i, j]`` is d_k d_l g_ij.  The per-point factor
+    lets conformal charts stay finite where e^{2 phi} times its derivatives
+    overflows; Christoffels and R^i_{jkl} do not depend on it.  Charts
+    without a jet are differentiated by Richardson-extrapolated central
+    differences of ``metric_at``.
     """
 
     dim: int
     signature: tuple[int, int]
     metric_at: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], bool]
-    christoffel_analytic: Callable[[np.ndarray], np.ndarray] | None = None
+    jet: Callable[[np.ndarray, int], tuple[np.ndarray, ...]] | None = None
     sample_box: tuple[np.ndarray, np.ndarray] | None = None
     name: str = ""
 
@@ -99,87 +112,100 @@ def _require_domain(chart: ChartMetric, x: np.ndarray) -> None:
         raise DomainError(f"point {x.tolist()} outside domain of chart {chart.name!r}")
 
 
-def _metric_inverse(chart: ChartMetric, g: np.ndarray) -> np.ndarray:
+def _require_nonsingular(chart: ChartMetric, g: np.ndarray) -> None:
     det = np.linalg.det(g)
     if abs(det) <= _DET_FLOOR:
         raise SingularMetricError(
             f"|det g| = {abs(det):.3e} below {_DET_FLOOR} on chart {chart.name!r}"
         )
-    return np.linalg.inv(g)
+
+
+def _fd_jet(chart: ChartMetric, x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+    """(g, dg[, ddg]) at one point by central differences of ``metric_at``,
+    Richardson-extrapolated over the steps h and h/2.  Every stencil point
+    must lie in the chart domain."""
+
+    def metric(y):
+        _require_domain(chart, y)
+        return chart.metric_at(y)
+
+    g0 = metric(x)
+    _require_nonsingular(chart, g0)
+
+    def central(h):
+        steps = h * np.eye(chart.dim)
+        gp = np.array([metric(x + e) for e in steps])
+        gm = np.array([metric(x - e) for e in steps])
+        derivs = [(gp - gm) / (2.0 * h)]
+        if order == 2:
+            dd = np.empty((chart.dim,) + derivs[0].shape)
+            for k in range(chart.dim):
+                dd[k, k] = (gp[k] - 2.0 * g0 + gm[k]) / (h * h)
+            for k, l in combinations(range(chart.dim), 2):
+                a, b = steps[k] + steps[l], steps[k] - steps[l]
+                dd[k, l] = dd[l, k] = (
+                    metric(x + a) - metric(x + b) - metric(x - b) + metric(x - a)
+                ) / (4.0 * h * h)
+            derivs.append(dd)
+        return derivs
+
+    h = FD_STEP * max(1.0, float(np.linalg.norm(x)))
+    coarse, fine = central(h), central(h / 2.0)
+    return (g0,) + tuple((4.0 * f - c) / 3.0 for c, f in zip(coarse, fine))
+
+
+def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+    """(scale, g, dg[, ddg]) at the rows of ``X``: the chart's own jet, or
+    finite differences of ``metric_at`` for charts that have none."""
+    for x in X:
+        _require_domain(chart, x)
+    if chart.jet is not None:
+        return chart.jet(X, order)
+    parts = zip(*(_fd_jet(chart, x, order) for x in X))
+    return (np.ones(len(X)),) + tuple(np.array(p) for p in parts)
+
+
+def _christoffel_from_jet(g, dg):
+    """g^{-1} and Gamma^i_{jk} = g^{il} (d_j g_lk + d_k g_lj - d_l g_jk) / 2."""
+    ginv = np.linalg.inv(g)
+    t = dg.transpose(0, 2, 1, 3)  # t[n, l, j, k] = d_j g_lk
+    lowered = 0.5 * (t + t.transpose(0, 1, 3, 2) - dg)
+    return ginv, np.einsum("nil,nljk->nijk", ginv, lowered)
 
 
 def christoffel(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma^i_{jk} at ``x`` (symmetric in j, k).
-
-    Uses the chart's analytic evaluator when present; otherwise central finite
-    differences of the metric entries with step ``FD_STEP_METRIC * max(1, |x|)``.
-    Every stencil point must lie in the chart domain.
-    """
+    """Christoffel symbols Gamma^i_{jk} at ``x`` (symmetric in j, k), from the
+    first metric jet."""
     x = np.asarray(x, dtype=float)
-    _require_domain(chart, x)
-    if chart.christoffel_analytic is not None:
-        return chart.christoffel_analytic(x)
-
-    n = chart.dim
-    h = FD_STEP_METRIC * max(1.0, float(np.linalg.norm(x)))
-    dg = np.empty((n, n, n))  # dg[k, i, j] = d_k g_ij
-    for k in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        _require_domain(chart, xp)
-        _require_domain(chart, xm)
-        dg[k] = (chart.metric_at(xp) - chart.metric_at(xm)) / (2.0 * h)
-
-    ginv = _metric_inverse(chart, chart.metric_at(x))
-    # term[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk  (symmetric in j, k)
-    term = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
-    return 0.5 * np.einsum("il,ljk->ijk", ginv, term)
+    _, g, dg = _metric_jet(chart, x[None], 1)
+    return _christoffel_from_jet(g, dg)[1][0]
 
 
-def _christoffel_jacobian(chart: ChartMetric, x: np.ndarray, h: float) -> np.ndarray:
-    """d_k Gamma^i_{ab} by Richardson-extrapolated central differences.
-
-    The extrapolation (steps h and h/2) keeps the derivative error near the
-    rounding floor, which the sampled R >= k margins need: their pass
-    tolerance is 1e-9 of scale, well below plain O(h^2) differencing error.
-    """
-    n = chart.dim
-    out = np.empty((n, n, n, n))
-    for k in range(n):
-        def diff(step: float) -> np.ndarray:
-            xp = x.copy()
-            xm = x.copy()
-            xp[k] += step
-            xm[k] -= step
-            return (christoffel(chart, xp) - christoffel(chart, xm)) / (2.0 * step)
-
-        d_h = diff(h)
-        d_h2 = diff(h / 2.0)
-        out[k] = (4.0 * d_h2 - d_h) / 3.0
-    return out
+def _curvature(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The metric and R^i_{jkl} at the rows of ``X``, in closed form from the
+    second metric jet, with d(g^{-1}) = -g^{-1} (dg) g^{-1}."""
+    scale, g, dg, ddg = _metric_jet(chart, X, 2)
+    ginv, gamma = _christoffel_from_jet(g, dg)
+    t = ddg.transpose(0, 1, 3, 2, 4)  # t[n, m, l, j, k] = d_m d_j g_lk
+    dlowered = 0.5 * (t + t.transpose(0, 1, 2, 4, 3) - ddg)
+    # dgamma[n, m, i, j, k] = d_m Gamma^i_jk
+    dgamma = np.einsum(
+        "nil,nmljk->nmijk", ginv, dlowered - np.einsum("nmlb,nbjk->nmljk", dg, gamma)
+    )
+    # R^i_{jkl} = A^i_{jkl} - A^i_{jlk},  A^i_{jkl} = d_k G^i_lj + G^i_km G^m_lj
+    a = np.einsum("nkilj->nijkl", dgamma) + np.einsum("nikm,nmlj->nijkl", gamma, gamma)
+    return scale[:, None, None] * g, a - a.swapaxes(3, 4)
 
 
 def riemann(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
     """Riemann tensor R^i_{jkl} at ``x``; exactly antisymmetric in (k, l)."""
-    x = np.asarray(x, dtype=float)
-    gamma = christoffel(chart, x)
-    h = FD_STEP_GAMMA * max(1.0, float(np.linalg.norm(x)))
-    dgamma = _christoffel_jacobian(chart, x, h)  # dgamma[k, i, a, b] = d_k Gamma^i_ab
-    # R^i_{jkl} = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj
-    da = np.einsum("kilj->ijkl", dgamma)
-    db = np.einsum("likj->ijkl", dgamma)
-    qa = np.einsum("ikm,mlj->ijkl", gamma, gamma)
-    qb = np.einsum("ilm,mkj->ijkl", gamma, gamma)
-    return da - db + qa - qb
+    return _curvature(chart, np.asarray(x, dtype=float)[None])[1][0]
 
 
 def riemann_lowered(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
     """Fully lowered tensor R_{ijkl} = g_im R^m_{jkl}."""
-    x = np.asarray(x, dtype=float)
-    g = chart.metric_at(x)
-    return np.einsum("im,mjkl->ijkl", g, riemann(chart, x))
+    g, riem = _curvature(chart, np.asarray(x, dtype=float)[None])
+    return np.einsum("im,mjkl->ijkl", g[0], riem[0])
 
 
 def area_form(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -217,21 +243,27 @@ def sectional(chart: ChartMetric, x: np.ndarray, u: np.ndarray, v: np.ndarray) -
 
 def scalar_curvature(chart: ChartMetric, x: np.ndarray) -> float:
     """Scalar curvature g^{jl} Ric_{jl} with Ric_{jl} = R^i_{lij}."""
-    x = np.asarray(x, dtype=float)
-    riem = riemann(chart, x)
-    ric = np.einsum("ilij->jl", riem)
-    ginv = _metric_inverse(chart, chart.metric_at(x))
+    g, riem = _curvature(chart, np.asarray(x, dtype=float)[None])
+    ric = np.einsum("ilij->jl", riem[0])
+    _require_nonsingular(chart, g[0])
+    ginv = np.linalg.inv(g[0])
     return float(np.einsum("jl,jl->", ginv, ric))
 
 
 def negate(chart: ChartMetric) -> ChartMetric:
     """The chart with metric -g: same Christoffels, swapped signature."""
+    jet = None
+    if chart.jet is not None:
+        def jet(X, order, _jet=chart.jet):
+            scale, *rest = _jet(X, order)
+            return (-scale, *rest)
+
     return ChartMetric(
         dim=chart.dim,
         signature=(chart.signature[1], chart.signature[0]),
         metric_at=lambda x, _m=chart.metric_at: -_m(x),
         in_domain=chart.in_domain,
-        christoffel_analytic=chart.christoffel_analytic,
+        jet=jet,
         sample_box=chart.sample_box,
         name=f"neg({chart.name})",
     )
@@ -278,13 +310,9 @@ def _eval_block(chart, sampler, k, seed, block_index, count):
     sv = np.broadcast_to(basis[[j for _, j in stress]], (count, len(stress), chart.dim))
     pu = np.concatenate([us[:, None], su], axis=1)  # (point, pair, dim)
     pv = np.concatenate([vs[:, None], sv], axis=1)
-    # lhs stays a per-point contraction: a batched einsum sums in another
-    # order, which would change the last digits of reported margins.
-    lhs = np.array([
-        np.einsum("mjkl,pm,pj,pk,pl->p", riemann_lowered(chart, x), u, v, u, v)
-        for x, u, v in zip(pts, pu, pv)
-    ])
-    g = np.array([chart.metric_at(x) for x in pts])
+    g, riem = _curvature(chart, pts)
+    rl = np.einsum("nim,nmjkl->nijkl", g, riem)
+    lhs = np.einsum("nijkl,npi,npj,npk,npl->np", rl, pu, pv, pu, pv, optimize=True)
     gu = pu @ g
     gv = pv @ g
     area = (

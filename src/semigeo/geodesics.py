@@ -299,11 +299,11 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
         acc_b = -np.einsum("ijk,j,k->i", gb, vb, vb)
         acc_f = -np.einsum("ijk,j,k->i", gf, vf, vf)
         if spec.kind == "warped":
-            alpha = spec.alpha(b, f)
+            da = spec.alpha_base_partials(b, f)
             fiber_speed_sq = float(vf @ fiber.metric_at(f) @ vf)
-            acc_b -= math.exp(2.0 * alpha) * fiber_speed_sq * spec.alpha_base_gradient(b, f)
-            dadt = float(spec.alpha_base_partials(b, f) @ vb)
-            acc_f -= 2.0 * dadt * vf
+            grad = np.linalg.solve(base.metric_at(b), da)
+            acc_b -= math.exp(2.0 * spec.alpha(b, f)) * fiber_speed_sq * grad
+            acc_f -= 2.0 * float(da @ vb) * vf
         return np.concatenate([vb, vf, acc_b, acc_f])
 
     return ODESystem(2 * n, rhs, f"warped geodesic on {spec.base.name}x{spec.fiber.name}")

@@ -60,24 +60,24 @@ _FD_ALPHA = 1e-6  # step for finite-difference warping derivatives
 # ---------------------------------------------------------------------------
 
 
-def _conformal_chart(dim, phi, dphi, in_domain, box, name) -> ChartMetric:
-    """Chart with metric e^{2 phi(x)} * I and its closed-form Christoffels.
-
-    Gamma^i_{jk} = delta_ij d_k phi + delta_ik d_j phi - delta_jk d_i phi.
-    """
+def _conformal_chart(dim, phi, phi_jet, in_domain, box, name) -> ChartMetric:
+    """Chart with metric e^{2 phi(x)} * I.  ``phi_jet(X, order)`` gives phi
+    and its partials at the rows of X in closed form; the jet is that of
+    ``_scaled_jet`` for g = I, with e^{2 phi} as its scale."""
 
     eye = np.eye(dim)
+    two_eye = 2.0 * eye
 
     def metric_at(x):
         return math.exp(2.0 * phi(x)) * eye
 
-    def gamma(x):
-        d = dphi(x)
-        return (
-            np.einsum("ij,k->ijk", eye, d)
-            + np.einsum("ik,j->ijk", eye, d)
-            - np.einsum("jk,i->ijk", eye, d)
-        )
+    def jet(X, order):
+        p, dp, *ddp = phi_jet(X, order)
+        out = (np.exp(2.0 * p), eye[None].repeat(len(X), 0), dp[:, :, None, None] * two_eye)
+        if order == 2:
+            hess = 2.0 * dp[:, :, None] * dp[:, None, :] + ddp[0]
+            out += (hess[..., None, None] * two_eye,)
+        return out
 
     lo, hi = box
     return ChartMetric(
@@ -85,7 +85,7 @@ def _conformal_chart(dim, phi, dphi, in_domain, box, name) -> ChartMetric:
         signature=(dim, 0),
         metric_at=metric_at,
         in_domain=in_domain,
-        christoffel_analytic=gamma,
+        jet=jet,
         sample_box=(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
         name=name,
     )
@@ -93,15 +93,20 @@ def _conformal_chart(dim, phi, dphi, in_domain, box, name) -> ChartMetric:
 
 def _flat_chart(dim, diag, box, name, in_domain=None) -> ChartMetric:
     g0 = np.diag(np.asarray(diag, dtype=float))
-    zero = np.zeros((dim, dim, dim))
     pos = int(np.sum(np.asarray(diag) > 0))
+
+    def jet(X, order):
+        n = len(X)
+        zeros = tuple(np.zeros((n,) + (dim,) * rank) for rank in range(3, order + 3))
+        return (np.ones(n), g0[None].repeat(n, 0)) + zeros
+
     lo, hi = box
     return ChartMetric(
         dim=dim,
         signature=(pos, dim - pos),
         metric_at=lambda x: g0.copy(),
         in_domain=in_domain if in_domain is not None else (lambda x: True),
-        christoffel_analytic=lambda x: zero.copy(),
+        jet=jet,
         sample_box=(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
         name=name,
     )
@@ -115,16 +120,21 @@ def hyperbolic(l: int) -> ChartMetric:
     def phi(x):
         return -math.log(x[-1])
 
-    def dphi(x):
-        d = np.zeros(l)
-        d[-1] = -1.0 / x[-1]
-        return d
+    def phi_jet(X, order):
+        y = X[:, -1]
+        d = np.zeros((len(X), l))
+        d[:, -1] = -1.0 / y
+        if order == 1:
+            return -np.log(y), d
+        dd = np.zeros((len(X), l, l))
+        dd[:, -1, -1] = d[:, -1] ** 2
+        return -np.log(y), d, dd
 
     lo = np.full(l, -2.0)
     hi = np.full(l, 2.0)
     lo[-1], hi[-1] = 0.5, 3.0
     return _conformal_chart(
-        l, phi, dphi, lambda x: x[-1] > 0.0, (lo, hi), f"hyperbolic({l})"
+        l, phi, phi_jet, lambda x: x[-1] > 0.0, (lo, hi), f"hyperbolic({l})"
     )
 
 
@@ -139,12 +149,17 @@ def sphere(m: int) -> ChartMetric:
     def phi(x):
         return math.log(2.0) - math.log1p(float(x @ x))
 
-    def dphi(x):
-        return -2.0 * x / (1.0 + float(x @ x))
+    def phi_jet(X, order):
+        r2 = np.einsum("ni,ni->n", X, X)
+        q = (1.0 + r2)[:, None]
+        if order == 1:
+            return math.log(2.0) - np.log1p(r2), -2.0 * X / q
+        dd = 4.0 * X[:, :, None] * X[:, None, :] / (q * q)[:, None] - 2.0 * np.eye(m) / q[:, None]
+        return math.log(2.0) - np.log1p(r2), -2.0 * X / q, dd
 
     box = (np.full(m, -2.0), np.full(m, 2.0))
     return _conformal_chart(
-        m, phi, dphi, lambda x: float(x @ x) < 100.0, box, f"sphere({m})"
+        m, phi, phi_jet, lambda x: float(x @ x) < 100.0, box, f"sphere({m})"
     )
 
 
@@ -212,23 +227,26 @@ def busemann_field(l: int) -> BusemannField:
 
 @dataclass(frozen=True)
 class Warping:
-    """Scale function alpha(b, f); ``base_partials`` are d alpha / d b^a.
+    """Scale function alpha(b, f) of a product's fiber block.
 
-    Warped-case warpings simply ignore the fiber argument.  When
-    ``base_partials`` is None the partials fall back to central differences.
+    ``jet(b, f, order)``, when given, evaluates alpha at the rows of the
+    ``(N, dim B)`` and ``(N, dim F)`` arrays with its first (and second)
+    partials in the product coordinates (b, f): ``(a, da)`` or
+    ``(a, da, dda)``.  Warped-case warpings simply ignore the fiber
+    argument.  A warping without a jet gives a product chart without one.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]
-    base_partials: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    jet: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, ...]] | None = None
     description: str = ""
 
 
 def constant_warping(c: float) -> Warping:
-    return Warping(
-        value=lambda b, f: float(c),
-        base_partials=lambda b, f: np.zeros(len(b)),
-        description=f"{c}",
-    )
+    def jet(b, f, order):
+        n, d = len(b), b.shape[1] + f.shape[1]
+        return (np.full(n, float(c)), np.zeros((n, d)), np.zeros((n, d, d)))[: order + 1]
+
+    return Warping(value=lambda b, f: float(c), jet=jet, description=f"{c}")
 
 
 def busemann_warping(scale: float) -> Warping:
@@ -237,12 +255,17 @@ def busemann_warping(scale: float) -> Warping:
     def value(b, f):
         return scale * math.log(b[-1])
 
-    def partials(b, f):
-        d = np.zeros(len(b))
-        d[-1] = scale / float(b[-1])
-        return d
+    def jet(b, f, order):
+        y, l = b[:, -1], b.shape[1] - 1
+        d = np.zeros((len(b), b.shape[1] + f.shape[1]))
+        d[:, l] = scale / y
+        if order == 1:
+            return scale * np.log(y), d
+        dd = np.zeros(d.shape + d.shape[1:])
+        dd[:, l, l] = -scale / (y * y)
+        return scale * np.log(y), d, dd
 
-    return Warping(value=value, base_partials=partials, description=f"{scale}*busemann")
+    return Warping(value=value, jet=jet, description=f"{scale}*busemann")
 
 
 @dataclass(frozen=True)
@@ -251,32 +274,29 @@ class WarpedProductSpec:
 
     ``base`` holds the Riemannian g_B (the minus sign is applied during
     assembly); ``fiber`` must be Riemannian.  ``kind`` is one of
-    "plain" (alpha = 0), "warped" (alpha base-only), "twisted".
+    "plain" (alpha = 0, a constant warping), "warped" (alpha base-only),
+    "twisted".
     """
 
     base: ChartMetric
     fiber: ChartMetric
-    warping: Warping | None
+    warping: Warping
     kind: str
 
     def __post_init__(self):
         if self.kind not in ("plain", "warped", "twisted"):
             raise UnsupportedSpaceError(f"unknown product kind {self.kind!r}")
-        if self.kind != "plain" and self.warping is None:
+        if self.warping is None:
             raise UnsupportedSpaceError(f"{self.kind} product needs a warping")
         if self.base.signature[1] or self.fiber.signature[1]:
             raise UnsupportedSpaceError("base and fiber must be Riemannian charts")
 
     def alpha(self, b: np.ndarray, f: np.ndarray) -> float:
-        if self.warping is None:
-            return 0.0
         return self.warping.value(b, f)
 
     def alpha_base_partials(self, b: np.ndarray, f: np.ndarray) -> np.ndarray:
-        if self.warping is None:
-            return np.zeros(self.base.dim)
-        if self.warping.base_partials is not None:
-            return self.warping.base_partials(b, f)
+        if self.warping.jet is not None:
+            return self.warping.jet(b[None], f[None], 1)[1][0, : self.base.dim]
         out = np.empty(self.base.dim)
         for a in range(self.base.dim):
             bp = b.copy()
@@ -295,7 +315,7 @@ class WarpedProductSpec:
 
 
 def plain_product(base: ChartMetric, fiber: ChartMetric) -> WarpedProductSpec:
-    return WarpedProductSpec(base, fiber, None, "plain")
+    return WarpedProductSpec(base, fiber, constant_warping(0.0), "plain")
 
 
 def warped_product(base: ChartMetric, fiber: ChartMetric, warping: Warping) -> WarpedProductSpec:
@@ -306,20 +326,51 @@ def twisted_product(base: ChartMetric, fiber: ChartMetric, warping: Warping) -> 
     return WarpedProductSpec(base, fiber, warping, "twisted")
 
 
+def _scaled_jet(alpha, jet):
+    """Jet of e^{2 alpha} times a metric.
+
+    ``alpha`` is (a, da[, dda]) and ``jet`` is (scale, g, dg[, ddg]), both in
+    the same derivative coordinates.  The factor e^{2 a} joins the scale, and
+    the product rule gives dg + 2 da g and
+    ddg + 2 (da dg + dg da) + (4 da da + 2 dda) g.
+    """
+    a, da, *dda = alpha
+    scale, g, dg, *ddg = jet
+    out = (scale * np.exp(2.0 * a), g, dg + 2.0 * da[:, :, None, None] * g[:, None])
+    if ddg:
+        cross = da[:, :, None, None, None] * dg[:, None]  # da_k dg_l
+        hess = 4.0 * da[:, :, None] * da[:, None, :] + 2.0 * dda[0]
+        out += (
+            ddg[0]
+            + 2.0 * (cross + cross.transpose(0, 2, 1, 3, 4))
+            + hess[..., None, None] * g[:, None, None],
+        )
+    return out
+
+
+def _embed(jet, start, d):
+    """A factor's metric jet as a jet in the d product coordinates, with
+    scale 1: its block and its derivative axes begin at ``start``."""
+    scale, *parts = jet
+    own = slice(start, start + parts[0].shape[-1])
+    out = (np.ones(len(scale)),)
+    for rank, part in enumerate(parts, 2):
+        full = np.zeros((len(scale),) + (d,) * rank)
+        full[(slice(None),) + (own,) * rank] = scale.reshape((-1,) + (1,) * rank) * part
+        out += (full,)
+    return out
+
+
 def assemble(spec: WarpedProductSpec) -> ChartMetric:
     """The block-diagonal chart diag(-g_B, e^{2 alpha} g_F).
 
-    For plain and warped products the Christoffel symbols are assembled in
-    closed form from the factors:
-
-        G^a_{bc} = G_B,  G^u_{vw} = G_F,
-        G^a_{uv} = e^{2 alpha} g_F,uv (grad_B alpha)^a,
-        G^u_{av} = d_a alpha * delta^u_v,
-
-    all other components zero.  Twisted products fall back to finite
-    differences of the assembled metric.
+    Its jet comes from the factor jets and the warping jet by one formula
+    for plain, warped and twisted products: the base block is -g_B, the
+    fiber block e^{2 alpha} g_F differentiated by the product rule (O'Neill,
+    Semi-Riemannian Geometry, ch. 7).  The chart has no jet when a factor or
+    the warping lacks one.
     """
-    base, fiber = spec.base, spec.fiber
+    base, fiber, warping = spec.base, spec.fiber, spec.warping
     db, df = base.dim, fiber.dim
     d = db + df
 
@@ -333,27 +384,15 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
     def in_domain(xy):
         return base.in_domain(xy[:db]) and fiber.in_domain(xy[db:])
 
-    gamma = None
-    if (
-        spec.kind in ("plain", "warped")
-        and base.christoffel_analytic is not None
-        and fiber.christoffel_analytic is not None
-    ):
-        def gamma(xy):
-            b, f = spec.split(xy)
-            g = np.zeros((d, d, d))
-            g[:db, :db, :db] = base.christoffel_analytic(b)
-            g[db:, db:, db:] = fiber.christoffel_analytic(f)
-            if spec.kind == "warped":
-                da = spec.alpha_base_partials(b, f)
-                grad = np.linalg.solve(base.metric_at(b), da)
-                scale = math.exp(2.0 * spec.alpha(b, f))
-                g[:db, db:, db:] = scale * np.einsum("a,uv->auv", grad, fiber.metric_at(f))
-                mixed = np.einsum("a,uv->uav", da, np.eye(df))
-                g[db:, :db, db:] = mixed
-                g[db:, db:, :db] = np.einsum("uav->uva", mixed)
-            return g
+    def jet(X, order):
+        b, f = X[:, :db], X[:, db:]
+        _, *base_parts = _embed(base.jet(b, order), 0, d)
+        w, *fiber_parts = _scaled_jet(warping.jet(b, f, order), _embed(fiber.jet(f, order), db, d))
+        return (np.ones(len(X)),) + tuple(
+            w.reshape((-1,) + (1,) * (p.ndim - 1)) * p - q for p, q in zip(fiber_parts, base_parts)
+        )
 
+    has_jet = None not in (base.jet, fiber.jet, warping.jet)
     lo = np.concatenate([base.sample_box[0], fiber.sample_box[0]])
     hi = np.concatenate([base.sample_box[1], fiber.sample_box[1]])
     tag = {"plain": "x", "warped": "x_w", "twisted": "x_t"}[spec.kind]
@@ -362,7 +401,7 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
         signature=(df, db),
         metric_at=metric_at,
         in_domain=in_domain,
-        christoffel_analytic=gamma,
+        jet=jet if has_jet else None,
         sample_box=(lo, hi),
         name=f"-{base.name} {tag} {fiber.name}",
     )
@@ -423,7 +462,7 @@ def oneill_T(spec: WarpedProductSpec, pair: VerticalPair, mode: str = "closed_fo
         coeff = math.exp(2.0 * spec.alpha(b, f)) * float(pair.U @ gf @ pair.V)
         return coeff * spec.alpha_base_gradient(b, f)
     if mode == "numeric":
-        chart = replace(assemble(spec), christoffel_analytic=None)
+        chart = replace(assemble(spec), jet=None)
         gamma = christoffel(chart, np.asarray(pair.point, dtype=float))
         db = spec.base.dim
         return np.einsum("auv,u,v->a", gamma[:db, db:, db:], pair.U, pair.V)
@@ -434,19 +473,23 @@ def fiber_chart_at(spec: WarpedProductSpec, b: np.ndarray) -> ChartMetric:
     """The fiber through base point b with its induced metric e^{2 alpha} g_F."""
     fiber = spec.fiber
     b = np.asarray(b, dtype=float)
+    db = len(b)
 
     def metric_at(f):
         return math.exp(2.0 * spec.alpha(b, f)) * fiber.metric_at(f)
 
-    # Constant conformal factors leave the Christoffels unchanged, so the
-    # fiber's analytic symbols remain valid except in the twisted case.
-    gamma = fiber.christoffel_analytic if spec.kind != "twisted" else None
+    def jet(F, order):
+        # alpha's jet is taken in the product coordinates; keep its fiber part
+        alpha = spec.warping.jet(np.broadcast_to(b, (len(F), db)), F, order)
+        fiber_part = (alpha[0], alpha[1][:, db:]) + tuple(dda[:, db:, db:] for dda in alpha[2:])
+        return _scaled_jet(fiber_part, fiber.jet(F, order))
+
     return ChartMetric(
         dim=fiber.dim,
         signature=fiber.signature,
         metric_at=metric_at,
         in_domain=fiber.in_domain,
-        christoffel_analytic=gamma,
+        jet=jet if None not in (fiber.jet, spec.warping.jet) else None,
         sample_box=fiber.sample_box,
         name=f"fiber_at({fiber.name})",
     )

@@ -38,7 +38,7 @@ class TestChristoffel:
 
     def test_fd_matches_analytic_on_sphere(self):
         chart = sg.sphere(2)
-        fd_chart = dataclasses.replace(chart, christoffel_analytic=None)
+        fd_chart = dataclasses.replace(chart, jet=None)
         x = np.array([0.7, -0.4])
         diff = np.abs(sg.christoffel(chart, x) - sg.christoffel(fd_chart, x)).max()
         assert diff <= 1e-6
@@ -46,7 +46,7 @@ class TestChristoffel:
     @pytest.mark.parametrize("builder", [sg.hyperbolic, sg.sphere])
     def test_fd_analytic_agreement_sampled(self, builder):
         chart = builder(2)
-        fd_chart = dataclasses.replace(chart, christoffel_analytic=None)
+        fd_chart = dataclasses.replace(chart, jet=None)
         for x in rand_points(chart, 20, seed=3):
             diff = np.abs(sg.christoffel(chart, x) - sg.christoffel(fd_chart, x)).max()
             assert diff <= 1e-6
@@ -111,6 +111,15 @@ class TestRiemann:
             # R^i_{jkl} + R^i_{klj} + R^i_{ljk} = 0
             cyc = riem + riem.transpose(0, 2, 3, 1) + riem.transpose(0, 3, 1, 2)
             assert np.abs(cyc).max() <= 1e-7
+
+
+    def test_fd_route_matches_jet(self):
+        # Richardson second differences of the metric, for charts that give
+        # only metric_at, against the exact jet of the same metric.
+        chart = sg.assemble(sg.plain_product(sg.hyperbolic(2), sg.sphere(2)))
+        fd_chart = dataclasses.replace(chart, jet=None)
+        for x in rand_points(chart, 20, seed=0):
+            assert np.abs(sg.riemann(chart, x) - sg.riemann(fd_chart, x)).max() <= 1e-8
 
 
 class TestQuadformAndArea:
