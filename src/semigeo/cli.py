@@ -241,7 +241,7 @@ def cmd_su21(args) -> int:
     if args.samples < 1:
         raise _UsageError("--samples must be at least 1")
     params = alg.ModelParams(args.t, args.k)  # DomainError -> exit 1
-    exact = _su21_exact_checks(min(args.samples, 1000) or 100, args.seed)
+    exact = _su21_exact_checks(min(args.samples, 1000), args.seed)
     res = alg.feasible(params)
     margins, scales = alg.sample_margins(float(args.t), float(args.k), args.samples, args.seed)
     witness, margin_ok = reduce_margins(margins, scales, args.tol)
@@ -313,12 +313,13 @@ def _geo_config(args) -> IntegratorConfig:
 
 def cmd_geodesic(args) -> int:
     _validate_common(args)
+    config = _geo_config(args)  # non-finite tolerances -> DomainError, exit 1
     if args.mode in ("warped-lightlike", "warped-timelike"):
         kind = args.mode.split("-", 1)[1]
         default_c1 = 1.0 if kind == "lightlike" else 0.5
         c1 = default_c1 if args.c1 is None else args.c1
         spec = incompleteness_space(args.l, args.m, args.k)
-        run = breakdown_run(spec, kind, args.k, c1, args.c2, _geo_config(args))
+        run = breakdown_run(spec, kind, args.k, c1, args.c2, config)
         header = {
             "command": f"geodesic {args.mode}",
             "l": args.l,
@@ -338,7 +339,7 @@ def cmd_geodesic(args) -> int:
         return 0 if ok else 2
 
     if args.mode == "euler-arnold":
-        params = alg.ModelParams(args.t, args.k if args.k is not None else Fraction(1, 10))
+        params = alg.ModelParams(args.t, args.k)
         gamma0 = (
             alg.parse_element(args.gamma0)
             if args.gamma0
@@ -348,7 +349,7 @@ def cmd_geodesic(args) -> int:
             raise _UsageError("gamma0 must have zero e1 coordinate")
         v1 = alg.project(gamma0, 1)
         v2 = alg.project(gamma0, 2)
-        traj, rep = euler_arnold_integrate(v1, v2, params, args.u_max, _geo_config(args))
+        traj, rep = euler_arnold_integrate(v1, v2, params, args.u_max, config)
         header = {
             "command": "geodesic euler-arnold",
             "t": float(args.t),

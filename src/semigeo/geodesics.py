@@ -1,8 +1,11 @@
 """ODE machinery: geodesics, parallel transport, the warped incompleteness
 constructions, the scalar comparison equation, and the reduced algebra flow.
 
-The adaptive integrator is a Dormand-Prince 5(4) pair with three termination
-statuses:
+There is one integrator: the adaptive Dormand-Prince 5(4) pair, written as a
+single FSAL ("first same as last") Butcher tableau whose 7th stage is the
+right-hand side at the accepted solution and seeds the next step.  A
+non-finite initial state or initial right-hand side raises DomainError.  A
+run ends with one of three termination statuses:
 
 * ``completed`` - reached the end of the time span;
 * ``blowup`` - the state norm crossed ``blowup_threshold`` (last accepted
@@ -67,13 +70,13 @@ class ODESystem:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integrator controls; the defaults suit all the built-in experiments.
+    """Controls of the adaptive DP5(4) integrator; the defaults suit all the
+    built-in experiments.
 
-    ``initial_step`` seeds the adaptive controller; for the fixed "rk4"
-    method it is the step size itself.
+    ``initial_step`` seeds the step-size controller.  ``rtol`` and ``atol``
+    must be finite and positive.
     """
 
-    method: str = "rk45"  # "rk45" adaptive or "rk4" fixed step
     initial_step: float = 1e-3
     rtol: float = 1e-9
     atol: float = 1e-12
@@ -82,10 +85,8 @@ class IntegratorConfig:
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise DomainError(f"unknown integrator method {self.method!r}")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise DomainError("tolerances must be positive")
+        if not all(math.isfinite(tol) and tol > 0 for tol in (self.rtol, self.atol)):
+            raise DomainError("tolerances must be finite and positive")
         if not self.min_step < self.initial_step:
             raise DomainError("min_step must be below initial_step")
 
@@ -128,33 +129,39 @@ def make_curve(times: Sequence[float], positions: np.ndarray, velocities: np.nda
     return Trajectory(times=times, states=states, status=TrajectoryStatus(COMPLETED))
 
 
-# Dormand-Prince 5(4) tableau; the propagated solution is 5th order and the
-# 7th (FSAL) stage feeds the embedded error estimate.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-)
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_SAFETY = 0.8  # conservative step controller: keeps long-run drift well under tolerance
+# Dormand-Prince 5(4) tableau in FSAL form: row i of _DP_A builds stage i,
+# and its last row holds the 5th-order weights, so the 7th stage is the
+# right-hand side at the propagated solution and seeds the next step.  _DP_E
+# is the 5th-order minus the embedded 4th-order weights.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+_SAFETY = 0.8  # conservative step controller: keeps long-run drift well under tolerance
 
 
 def _dp54_step(rhs, t, y, h, k1):
-    ks = [k1]
-    for row in _DP_A:
-        stage = y + h * sum(a * k for a, k in zip(row, ks))
-        ks.append(np.asarray(rhs(t + _DP_C[len(ks)] * h, stage), dtype=float))
-    y_new = y + h * sum(b * k for b, k in zip(_DP_B, ks))
-    k7 = np.asarray(rhs(t + h, y_new), dtype=float)
-    ks.append(k7)
-    err = h * sum(e * k for e, k in zip(_DP_E, ks))
-    return y_new, err, k7
+    """One DP5(4) trial step: (5th-order solution, error estimate, its RHS).
+
+    np.add.reduce adds the at most 7 weighted rows in order, left to right,
+    as a sequential sum would; a BLAS matrix product may reorder the
+    additions and so move trajectories in the last digits.
+    """
+    K = np.empty((7, y.size))
+    K[0] = k1
+    for i in range(1, 7):
+        stage = y + h * np.add.reduce(_DP_A[i, :i, None] * K[:i])
+        K[i] = rhs(t + _DP_C[i] * h, stage)
+    return stage, h * np.add.reduce(_DP_E[:, None] * K), K[6]
 
 
 def integrate(
@@ -166,8 +173,9 @@ def integrate(
     """Integrate ``system`` forward over ``t_span`` recording accepted steps.
 
     Deterministic for a fixed configuration.  The first right-hand-side
-    evaluation happens outside the retry loop, so genuinely bad initial data
-    raises instead of producing a bogus underflow status.
+    evaluation happens outside the retry loop, and a non-finite initial
+    state or initial right-hand side raises DomainError, so genuinely bad
+    initial data raises instead of producing a bogus underflow status.
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -176,6 +184,11 @@ def integrate(
     y = np.asarray(y0, dtype=float)
     if y.shape != (system.dim,):
         raise DomainError(f"state dimension {y.shape} != system dim {system.dim}")
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"non-finite initial state {y} for {system.description!r}")
+    k1 = np.asarray(system.rhs(t0, y), dtype=float)
+    if not np.all(np.isfinite(k1)):
+        raise DomainError(f"non-finite right-hand side at the initial state of {system.description!r}")
 
     times = [t0]
     states = [y.copy()]
@@ -192,12 +205,8 @@ def integrate(
             ),
         )
 
-    if cfg.method == "rk4":
-        return _integrate_rk4(system, y, t0, t1, cfg, times, states, finish)
-
     t = t0
     h = min(cfg.initial_step, t1 - t0)
-    k1 = np.asarray(system.rhs(t, y), dtype=float)
     steps = 0
     while t < t1:
         if t1 - t <= cfg.min_step:
@@ -218,8 +227,10 @@ def integrate(
             continue
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        # A rejected step has err_norm > 1, where the upper clamp never binds.
+        factor = 10.0 if err_norm == 0.0 else min(10.0, max(0.2, _SAFETY * err_norm ** -0.2))
         if err_norm > 1.0:
-            h *= max(0.2, _SAFETY * err_norm ** -0.2)
+            h *= factor
             continue
         t += h
         y = y_new
@@ -229,27 +240,7 @@ def integrate(
         norm = float(np.linalg.norm(y))
         if norm >= cfg.blowup_threshold:
             return finish(BLOWUP, t, h)
-        factor = 10.0 if err_norm == 0.0 else min(10.0, max(0.2, _SAFETY * err_norm ** -0.2))
         h *= factor
-    return finish(COMPLETED, t)
-
-
-def _integrate_rk4(system, y, t0, t1, cfg, times, states, finish):
-    n_steps = max(1, int(math.ceil((t1 - t0) / cfg.initial_step)))
-    h = (t1 - t0) / n_steps
-    t = t0
-    for _ in range(n_steps):
-        k1 = np.asarray(system.rhs(t, y), dtype=float)
-        k2 = np.asarray(system.rhs(t + h / 2, y + h / 2 * k1), dtype=float)
-        k3 = np.asarray(system.rhs(t + h / 2, y + h / 2 * k2), dtype=float)
-        k4 = np.asarray(system.rhs(t + h, y + h * k3), dtype=float)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        times.append(t)
-        states.append(y.copy())
-        norm = float(np.linalg.norm(y))
-        if norm >= cfg.blowup_threshold:
-            return finish(BLOWUP, t, h)
     return finish(COMPLETED, t)
 
 
@@ -616,7 +607,7 @@ def riccati_experiment(
     cfg = config or IntegratorConfig(blowup_threshold=1e8)
     sqk = math.sqrt(k)
     fwd = ODESystem(1, lambda t, y: np.array([k - y[0] * y[0]]), "h' = k - h^2")
-    bwd = ODESystem(1, lambda t, y: np.array([y[0] * y[0] - k]), "reversed h' = k - h^2")
+    bwd = _reversed_system(fwd)
     runs = []
     for h0 in h0_values:
         tf = integrate(fwd, [h0], (0.0, t_max), cfg)

@@ -454,8 +454,6 @@ def oneill_T(spec: WarpedProductSpec, pair: VerticalPair, mode: str = "closed_fo
     finite-difference Christoffels of the assembled metric, so the two modes
     are independent routes to the same tensor.
     """
-    if spec.kind == "plain" and mode == "closed_form":
-        return np.zeros(spec.base.dim)
     b, f = spec.split(np.asarray(pair.point, dtype=float))
     if mode == "closed_form":
         gf = spec.fiber.metric_at(f)

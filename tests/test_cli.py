@@ -179,6 +179,25 @@ class TestGeodesicCommand:
     def test_bad_gamma0_exit_one(self):
         assert run(["geodesic", "euler-arnold", "--gamma0", "1,2,3"]) == 1
 
+    def test_riccati_nan_h0_exit_one(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run(["geodesic", "riccati", "--h0", "nan", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["warped-lightlike", "warped-timelike"])
+    def test_warped_infinite_k_exit_one(self, tmp_path, mode):
+        out = tmp_path / "t.csv"
+        assert run(["geodesic", mode, "--k", "inf", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["warped-lightlike", "riccati"])
+    @pytest.mark.parametrize("flag", ["--rtol", "--atol"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_tolerance_exit_one(self, tmp_path, mode, flag, bad):
+        out = tmp_path / "t.csv"
+        assert run(["geodesic", mode, flag, bad, "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import semigeo as sg
+import semigeo.geodesics as geo
 from semigeo.errors import DomainError, NonTangentError, RhsDomainError
 
 
@@ -45,13 +46,6 @@ class TestIntegrate:
         # closed form (cos t, sin t)
         assert np.abs(traj.states[:, 0] - np.cos(traj.times)).max() <= 1e-6
 
-    def test_rk4_fixed_step(self):
-        rot = sg.ODESystem(2, lambda t, y: np.array([-y[1], y[0]]), "rotation")
-        cfg = sg.IntegratorConfig(method="rk4", initial_step=1e-3)
-        traj = sg.integrate(rot, [1.0, 0.0], (0.0, 1.0), cfg)
-        assert traj.status.kind == sg.COMPLETED
-        assert traj.states[-1][0] == pytest.approx(math.cos(1.0), abs=1e-9)
-
     def test_times_strictly_increasing(self):
         rot = sg.ODESystem(2, lambda t, y: np.array([-y[1], y[0]]), "rotation")
         traj = sg.integrate(rot, [1.0, 0.0], (0.0, 5.0))
@@ -69,6 +63,49 @@ class TestIntegrate:
         system = sg.geodesic_rhs(chart)
         with pytest.raises(RhsDomainError):
             sg.integrate(system, [0.0, -1.0, 0.0, 1.0], (0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_initial_state_raises(self, bad):
+        decay = sg.ODESystem(1, lambda t, y: -y, "decay")
+        with pytest.raises(DomainError):
+            sg.integrate(decay, [bad], (0.0, 1.0))
+
+    def test_nonfinite_initial_rhs_raises(self):
+        system = sg.ODESystem(1, lambda t, y: np.array([math.nan]), "nan field")
+        with pytest.raises(DomainError):
+            sg.integrate(system, [1.0], (0.0, 1.0))
+
+    @pytest.mark.parametrize("field", ["rtol", "atol"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tolerances_must_be_finite_and_positive(self, field, bad):
+        with pytest.raises(DomainError):
+            sg.IntegratorConfig(**{field: bad})
+
+
+class TestDormandPrinceTableau:
+    def test_consistency(self):
+        assert np.allclose(geo._DP_A.sum(axis=1), geo._DP_C, rtol=0.0, atol=1e-15)
+        assert geo._DP_A[-1].sum() == pytest.approx(1.0, abs=1e-15)
+        assert abs(geo._DP_E.sum()) <= 1e-15
+        assert np.all(np.triu(geo._DP_A) == 0.0)
+
+    def test_error_weights_are_fifth_minus_fourth_order(self):
+        b4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+        assert np.abs(geo._DP_E - (geo._DP_A[-1] - b4)).max() <= 1e-15
+
+    def test_step_orders_on_exponential(self):
+        # y' = y from y = 1: the local error of the 5th-order solution is
+        # O(h^6) and the embedded estimate is O(h^5).
+        def one_step(h):
+            y = np.array([1.0])
+            y_new, err, k7 = geo._dp54_step(lambda t, y: y, 0.0, y, h, y.copy())
+            assert k7[0] == y_new[0]
+            return abs(y_new[0] - math.exp(h)), abs(err[0])
+
+        sol_coarse, err_coarse = one_step(0.1)
+        sol_fine, err_fine = one_step(0.05)
+        assert 48.0 <= sol_coarse / sol_fine <= 80.0
+        assert 24.0 <= err_coarse / err_fine <= 40.0
 
 
 class TestGeodesicRhs:
