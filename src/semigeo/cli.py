@@ -12,7 +12,8 @@ Exit codes: 0 pass, 1 usage or domain error, 2 verification failure.
 Reports are JSON with a fixed key order (or flat key,value CSV); grids and
 trajectories are CSV, trajectories preceded by a single ``#``-prefixed JSON
 header line.  A run is fully determined by its flags (including --seed):
-repeated runs write byte-identical files regardless of --workers.
+repeated runs write byte-identical files, for curvature-check regardless of
+--workers.
 
 Space grammar for --space:
 
@@ -20,12 +21,14 @@ Space grammar for --space:
     product:<base>*<fiber>
     warped:<base>*<fiber>:alpha=<busemann | sqrtk*busemann | const>
 
-The default worker count comes from the SEMIGEO_WORKERS environment variable.
+Only curvature-check takes --workers; its default comes from the
+SEMIGEO_WORKERS environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -291,9 +294,7 @@ def cmd_scan(args) -> int:
     t_values = [t for t in t_values if t > -1]
     if not t_values or not k_values:
         raise _UsageError("empty scan grid")
-    grid = alg.scan_region(
-        t_values, k_values, sample_count=args.samples, seed=args.seed, workers=args.workers
-    )
+    grid = alg.scan_region(t_values, k_values, sample_count=args.samples, seed=args.seed)
     _emit(grid.to_csv(), args.out)
     feas_t = grid.feasible_t_values()
     if feas_t:
@@ -367,7 +368,9 @@ def cmd_geodesic(args) -> int:
         return 0 if ok else 2
 
     if args.mode == "riccati":
-        report = riccati_experiment(args.k, [args.h0], args.t_max)
+        report = riccati_experiment(
+            args.k, [args.h0], args.t_max, dataclasses.replace(config, blowup_threshold=1e8)
+        )
         run = report.runs[0]
         header = {
             "command": "geodesic riccati",
@@ -429,7 +432,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-max", type=_frac, default=Fraction("0.50"))
     p.add_argument("--k-step", type=_frac, default=Fraction("0.01"))
     p.add_argument("--samples", type=int, default=0, help="curvature samples per cell")
-    common(p)
+    common(p, with_workers=False)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("geodesic", help="trajectory runs with comparison metrics")

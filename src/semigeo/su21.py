@@ -6,7 +6,10 @@ maximal compact part) and (f1..f4) span h2.  Elements are stored as 8
 coordinates; brackets, the invariant form B(X, Y) = -Re tr(XY), projections,
 and the degree-4 curvature form are evaluated exactly in rational arithmetic
 whenever the inputs are rational (floats are accepted and simply degrade to
-float arithmetic).
+float arithmetic).  One sparse list of the 54 nonzero structure constants,
+all integers, drives both the exact bracket, which works on integer
+numerators over a common denominator and builds one Fraction per output
+coordinate, and the vectorized float quartic.
 
 The one-parameter family of metrics is (X, Y) = (1+t) B(X1, Y1) + B(X2, Y2)
 on h1 + h2, t > -1.  The curvature quadratic form, the Gram determinant in
@@ -169,59 +172,77 @@ def _bracket_table() -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _b_gram() -> tuple:
-    """Gram matrix of B over the basis, via exact matrix traces."""
-    gram = []
+def _bracket_terms() -> tuple:
+    """The 54 nonzero structure constants as (i, j, k, c): [basis_i, basis_j]
+    has coordinate c on basis_k.  Every c is an integer (in +-{1, 2, 3}), so
+    brackets of integer numerators stay integers.
+    """
+    terms = []
+    for i, row in enumerate(_bracket_table()):
+        for j, cell in enumerate(row):
+            for k, c in enumerate(cell):
+                if c.denominator != 1:
+                    raise SemigeoError("structure constant is not an integer")
+                if c:
+                    terms.append((i, j, k, c.numerator))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=1)
+def _b_diagonal() -> tuple:
+    """Diagonal of the Gram matrix of B over the basis as ints, via exact
+    matrix traces; the matrix must be diagonal with integer entries."""
+    diag = []
     for i in range(8):
-        row = []
         for j in range(8):
             xr, xi = basis_element(i).to_matrix()
             yr, yi = basis_element(j).to_matrix()
             prod_re = xr.dot(yr) - xi.dot(yi)
-            row.append(-sum(prod_re[d][d] for d in range(3)))
-        gram.append(tuple(row))
-    return tuple(gram)
+            entry = -sum(prod_re[d][d] for d in range(3))
+            if (i != j and entry != 0) or entry.denominator != 1:
+                raise SemigeoError("B Gram matrix is not diagonal and integral")
+            if i == j:
+                diag.append(entry.numerator)
+    return tuple(diag)
+
+
+def _numerators(x: AlgebraElement) -> tuple:
+    """Coordinates as (numerators, denominator): ints over the lcm of the
+    denominators when all are rational, else floats over 1.0."""
+    coords = x.coords
+    if all(isinstance(c, (int, Fraction)) for c in coords):
+        den = math.lcm(*(c.denominator for c in coords))
+        return [c.numerator * (den // c.denominator) for c in coords], den
+    return [float(c) for c in coords], 1.0
+
+
+def _over(num, den):
+    """num / den: an exact Fraction for an int denominator, else a float."""
+    return Fraction(num, den) if isinstance(den, int) else num / den
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket, bilinear over the structure-constant table.
+    """Lie bracket, bilinear over the sparse structure-constant terms.
 
-    Exact when both inputs have rational coordinates; antisymmetry holds
-    exactly for any inputs because the table itself is antisymmetric.
+    Exact, and so exactly antisymmetric, when both inputs have rational
+    coordinates; float inputs give float coordinates.
     """
-    table = _bracket_table()
+    (xn, dx), (yn, dy) = _numerators(x), _numerators(y)
     out = [0] * 8
-    for i, xi in enumerate(x.coords):
-        if xi == 0:
-            continue
-        row = table[i]
-        for j, yj in enumerate(y.coords):
-            if yj == 0:
-                continue
-            cell = row[j]
-            c = xi * yj
-            for k in range(8):
-                if cell[k]:
-                    out[k] = out[k] + c * cell[k]
-    return AlgebraElement(tuple(out))
+    for i, j, k, c in _bracket_terms():
+        out[k] += xn[i] * yn[j] * c
+    den = dx * dy
+    return AlgebraElement(tuple(_over(s, den) for s in out))
 
 
 def form_B(x: AlgebraElement, y: AlgebraElement):
     """The Ad-invariant form B(X, Y) = -Re tr(XY).
 
-    Contracted through the exact basis Gram matrix (which the matrix-trace
-    definition produces); exact for rational coordinates.
+    Contracted through the diagonal of the exact basis Gram matrix (which the
+    matrix-trace definition produces); exact for rational coordinates.
     """
-    gram = _b_gram()
-    total = 0
-    for i, xi in enumerate(x.coords):
-        if xi == 0:
-            continue
-        row = gram[i]
-        for j, yj in enumerate(y.coords):
-            if yj != 0 and row[j]:
-                total = total + xi * yj * row[j]
-    return total
+    (xn, dx), (yn, dy) = _numerators(x), _numerators(y)
+    return _over(sum(a * b * w for a, b, w in zip(xn, yn, _b_diagonal())), dx * dy)
 
 
 def project(x: AlgebraElement, j: int) -> AlgebraElement:
@@ -475,12 +496,7 @@ def structure_tensor_float() -> np.ndarray:
 @lru_cache(maxsize=1)
 def b_weights_float() -> np.ndarray:
     """Diagonal of the B Gram matrix as floats (the matrix is diagonal)."""
-    gram = _b_gram()
-    for i in range(8):
-        for j in range(8):
-            if i != j and gram[i][j] != 0:
-                raise SemigeoError("B Gram matrix unexpectedly non-diagonal")
-    return np.array([float(gram[i][i]) for i in range(8)])
+    return np.array(_b_diagonal(), dtype=float)
 
 
 def sample_tangent_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -493,27 +509,29 @@ def sample_tangent_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _batch_bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("ni,nj,ijk->nk", x, y, structure_tensor_float(), optimize=True)
-
-
 def _batch_b(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("nk,k,nk->n", u, b_weights_float(), v)
 
 
 def batch_quartic(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-    """Vectorized curvature_quartic over (n, 8) float coordinate arrays."""
-    m1 = np.zeros(8)
-    m1[list(H1)] = 1.0
-    m2 = np.zeros(8)
-    m2[list(H2)] = 1.0
-    m0 = np.zeros(8)
-    m0[list(H0)] = 1.0
-    b11 = _batch_bracket(x * m1, y * m1)
-    b22_1 = _batch_bracket(x * m2, y * m2) * m1
-    full = _batch_bracket(x, y)
-    f0 = full * m0
-    f2 = full * m2
+    """Vectorized curvature_quartic over (n, 8) float coordinate arrays.
+
+    One pass over the sparse structure constants, on contiguous (8, n)
+    copies, adds each product x_i y_j c into [X, Y], into [X1, Y1] when i
+    and j lie in h1, and into [X2, Y2]_1 when i, j lie in h2 and k in h1.
+    """
+    xt, yt = x.T.copy(), y.T.copy()
+    full, b11, b22_1 = np.zeros((3, 8, len(x)))
+    for i, j, k, c in _bracket_terms():
+        p = xt[i] * yt[j] * c
+        full[k] += p
+        if _BLOCK_OF[i] == _BLOCK_OF[j] == 1:
+            b11[k] += p
+        elif _BLOCK_OF[i] == _BLOCK_OF[j] == 2 and _BLOCK_OF[k] == 1:
+            b22_1[k] += p
+    full, b11, b22_1 = full.T, b11.T, b22_1.T
+    f0 = full * np.equal(_BLOCK_OF, 0)
+    f2 = full * np.equal(_BLOCK_OF, 2)
     return (
         (1 + t) / 4 * _batch_b(b11, b11)
         + (1 - 3 * t) / 4 * _batch_b(b22_1, b22_1)
@@ -596,20 +614,17 @@ def scan_region(
     k_values: Sequence,
     sample_count: int = 0,
     seed: int = 0,
-    workers: int = 1,
 ) -> FeasibilityGrid:
     """Evaluate the four inequalities (exactly for rational grid values) on a
     grid, optionally adding a sampled minimum curvature margin per cell.
 
-    Cell i (t-major order) draws its samples from default_rng(seed + i), so
-    output is identical for any worker count.
+    Cell i (t-major order) draws its samples from default_rng(seed + i).
     """
     t_values = tuple(t_values)
     k_values = tuple(k_values)
     grid = [(t, k) for t in t_values for k in k_values]
 
-    def eval_cell(args):
-        index, (t, k) = args
+    def eval_cell(index, t, k):
         res = feasible(ModelParams(t, k))
         margin = None
         if sample_count > 0:
@@ -626,14 +641,7 @@ def scan_region(
             min_margin=margin,
         )
 
-    jobs = list(enumerate(grid))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(eval_cell, jobs))
-    else:
-        cells = [eval_cell(j) for j in jobs]
+    cells = [eval_cell(index, t, k) for index, (t, k) in enumerate(grid)]
     return FeasibilityGrid(
         t_values=tuple(float(t) for t in t_values),
         k_values=tuple(float(k) for k in k_values),

@@ -110,6 +110,54 @@ class TestBracket:
                 for idx, c in enumerate(br.coords):
                     assert c == 0 or idx in allowed[key], (i, j, idx)
 
+    def test_matrix_commutator_oracle_exact(self):
+        # Integer-numerator bracket against the exact matrix commutator, on
+        # mixed denominators, plain int coordinates and the zero element.
+        rng = np.random.default_rng(3)
+
+        def rational():
+            return sg.from_coords(tuple(F(int(n), int(d)) for n, d in
+                                        zip(rng.integers(-9, 10, 8), rng.integers(1, 13, 8))))
+
+        def integer():
+            return sg.from_coords(tuple(int(n) for n in rng.integers(-5, 6, 8)))
+
+        zero = sg.zero_element()
+        pairs = [(rational(), rational()) for _ in range(40)]
+        pairs += [(integer(), rational()) for _ in range(10)]
+        pairs += [(integer(), integer()) for _ in range(10)]
+        pairs += [(zero, rational()), (integer(), zero), (zero, zero)]
+        for x, y in pairs:
+            got = sg.bracket(x, y)
+            assert got.coords == sg.from_matrix(*sg.matrix_commutator(x, y)).coords
+            assert all(isinstance(c, F) for c in got.coords)
+
+    def test_float_coordinates(self):
+        # Float inputs (alone or beside rationals) give floats within 1e-15 of
+        # the exact bracket of the same values, relative to its largest entry.
+        rng = np.random.default_rng(4)
+        for mixed in (False, True) * 15:
+            xf = sg.from_coords(tuple(float(v) for v in rng.standard_normal(8)))
+            yf = sg.from_coords(tuple(float(v) for v in rng.standard_normal(8)))
+            if mixed:
+                yf = sg.from_coords(tuple(F(c).limit_denominator(50) for c in yf.coords))
+            got = sg.bracket(xf, yf)
+            exact = sg.bracket(sg.from_coords(tuple(map(F, xf.coords))),
+                               sg.from_coords(tuple(map(F, yf.coords))))
+            scale = max(abs(c) for c in exact.coords)
+            assert all(isinstance(c, float) for c in got.coords)
+            assert all(abs(F(g) - c) <= F(1e-15) * scale for g, c in zip(got.coords, exact.coords))
+
+    def test_sparse_terms_rebuild_structure_tensor(self):
+        from semigeo.su21 import _bracket_terms, structure_tensor_float
+
+        dense = np.zeros((8, 8, 8))
+        for i, j, k, c in _bracket_terms():
+            assert type(c) is int and c != 0
+            dense[i, j, k] = c
+        assert len(_bracket_terms()) == 54
+        assert np.array_equal(dense, structure_tensor_float())
+
     def test_jacobi_all_basis_triples(self):
         for i in range(8):
             for j in range(8):
@@ -141,6 +189,21 @@ class TestFormB:
                                      zip(rng.integers(-9, 10, 8), rng.integers(1, 10, 8))))
             oracle = -np.trace(complex_matrix(x) @ complex_matrix(y)).real
             assert float(sg.form_B(x, y)) == pytest.approx(oracle, abs=1e-10)
+
+    def test_float_input(self):
+        # Float coordinates give a float within 1e-15 of the exact value of the
+        # same inputs, relative to the sum of the magnitudes of its terms.
+        rng = np.random.default_rng(1)
+        weights = (6, 2, 2, 2, -2, -2, -2, -2)
+        for _ in range(20):
+            x = sg.from_coords(tuple(float(v) for v in rng.standard_normal(8)))
+            y = sg.from_coords(tuple(float(v) for v in rng.standard_normal(8)))
+            got = sg.form_B(x, y)
+            exact = sg.form_B(sg.from_coords(tuple(map(F, x.coords))),
+                              sg.from_coords(tuple(map(F, y.coords))))
+            scale = sum(abs(w * a * b) for w, a, b in zip(weights, x.coords, y.coords))
+            assert isinstance(got, float)
+            assert abs(F(got) - exact) <= F(1e-15 * scale)
 
     def test_ad_invariance_all_triples(self):
         for i in range(8):
@@ -382,13 +445,6 @@ class TestScanRegion:
         assert not grid.cells[0].feasible
         assert grid.cells[0].min_margin < 0
 
-    def test_worker_invariance(self):
-        ts = [F(n, 10) for n in range(-9, -4)]
-        ks = [F(1, 10), F(3, 10)]
-        a = sg.scan_region(ts, ks, sample_count=500, seed=2, workers=1)
-        b = sg.scan_region(ts, ks, sample_count=500, seed=2, workers=4)
-        assert a == b
-
     def test_csv_shape(self):
         grid = sg.scan_region([F(-4, 5)], [F(1, 10)])
         lines = grid.to_csv().strip().split("\n")
@@ -439,6 +495,44 @@ class TestLowerBoundChain:
             got = batch_quartic(xf, yf, t)[0]
             want = float(sg.curvature_quartic(xe, ye, p))
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def _dense_batch_quartic(x, y, t):
+    # The dense-einsum formulation of batch_quartic: three full brackets over
+    # the (8, 8, 8) structure tensor with masked inputs.
+    from semigeo.su21 import b_weights_float, structure_tensor_float
+
+    def br(u, v):
+        return np.einsum("ni,nj,ijk->nk", u, v, structure_tensor_float(), optimize=True)
+
+    def b(u, v):
+        return np.einsum("nk,k,nk->n", u, b_weights_float(), v)
+
+    m0, m1, m2 = (np.isin(np.arange(8), blk).astype(float) for blk in ([0], H1, H2))
+    b11 = br(x * m1, y * m1)
+    b22_1 = br(x * m2, y * m2) * m1
+    full = br(x, y)
+    f0, f2 = full * m0, full * m2
+    return (
+        (1 + t) / 4 * b(b11, b11)
+        + (1 - 3 * t) / 4 * b(b22_1, b22_1)
+        + (1 - t - 2 * t * t) / 2 * b(b11, b22_1)
+        + (1 + t) ** 2 / 4 * b(f2, f2)
+        + b(f0, f0)
+    )
+
+
+class TestBatchQuartic:
+    @pytest.mark.parametrize("t", [-0.8, -0.5, 0.3])
+    def test_equals_dense_einsum(self, t):
+        # The sparse pass adds the same products in the same order as the
+        # dense contraction, so the results agree bit for bit.  (For n <= 8
+        # einsum iterates in another order and agrees to rounding only.)
+        from semigeo.su21 import batch_quartic
+
+        for seed, n in ((0, 1000), (1, 10000), (2, 9)):
+            x, y = sg.sample_tangent_pairs(n, seed)
+            assert np.array_equal(batch_quartic(x, y, t), _dense_batch_quartic(x, y, t))
 
 
 class TestReducedFlowRhs:
