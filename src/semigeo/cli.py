@@ -22,7 +22,9 @@ Space grammar for --space:
     warped:<base>*<fiber>:alpha=<busemann | sqrtk*busemann | const>
 
 Only curvature-check takes --workers; its default comes from the
-SEMIGEO_WORKERS environment variable.
+SEMIGEO_WORKERS environment variable.  A failing su21 exact check adds an
+``exact_check_witness`` object naming its first failing basis pair, triple
+or pair index; scan refuses grids of more than 10^6 cells (exit 1).
 """
 
 from __future__ import annotations
@@ -183,60 +185,27 @@ def _exact_pairs(count: int, seed: int):
         )
 
 
+def _first_failure(oks):
+    """Index of the first false entry, or None."""
+    return next((index for index, ok in enumerate(oks) if not ok), None)
+
+
 def _su21_exact_checks(n_pairs: int, seed: int) -> dict:
-    allowed = {
-        (0, 0): set(),
-        (0, 1): {1, 2, 3},
-        (0, 2): {4, 5, 6, 7},
-        (1, 1): {1, 2, 3},
-        (1, 2): {4, 5, 6, 7},
-        (2, 2): {0, 1, 2, 3},
-    }
-    containment = True
-    for i in range(8):
-        for j in range(i, 8):
-            br = alg.bracket(alg.basis_element(i), alg.basis_element(j))
-            key = tuple(sorted((alg.block_of(i), alg.block_of(j))))
-            ok = all(c == 0 or idx in allowed[key] for idx, c in enumerate(br.coords))
-            containment = containment and ok
+    """Each exact check mapped to its first failure, or to None if it holds.
 
-    jacobi = True
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                x, y, z = (alg.basis_element(w) for w in (i, j, k))
-                total = (
-                    alg.bracket(x, alg.bracket(y, z))
-                    + alg.bracket(y, alg.bracket(z, x))
-                    + alg.bracket(z, alg.bracket(x, y))
-                )
-                jacobi = jacobi and total.is_zero()
-
-    ad_invariance = True
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                z, x, y = (alg.basis_element(w) for w in (i, j, k))
-                val = alg.form_B(alg.bracket(z, x), y) + alg.form_B(x, alg.bracket(z, y))
-                ad_invariance = ad_invariance and val == 0
-
-    det_identity = all(
+    The structural identities report a basis pair or triple; the pair
+    identities report the index of the first failing seeded pair.
+    """
+    failures = alg.basis_identity_witnesses()
+    failures["determinant_identity"] = _first_failure(
         alg.det_identity_check(x, y) == 0 for x, y in _exact_pairs(n_pairs, seed)
     )
-    form_equivalence = all(
-        alg.curvature_quartic(x, y, alg.ModelParams(Fraction(-1, 2), Fraction(1, 10)))
-        == alg.curvature_quartic_first_form(
-            x, y, alg.ModelParams(Fraction(-1, 2), Fraction(1, 10))
-        )
+    params = alg.ModelParams(Fraction(-1, 2), Fraction(1, 10))
+    failures["curvature_form_equivalence"] = _first_failure(
+        alg.curvature_quartic(x, y, params) == alg.curvature_quartic_first_form(x, y, params)
         for x, y in _exact_pairs(min(n_pairs, 100), seed + 1)
     )
-    return {
-        "bracket_containments": containment,
-        "jacobi_identity": jacobi,
-        "ad_invariance": ad_invariance,
-        "determinant_identity": det_identity,
-        "curvature_form_equivalence": form_equivalence,
-    }
+    return failures
 
 
 def cmd_su21(args) -> int:
@@ -244,7 +213,8 @@ def cmd_su21(args) -> int:
     if args.samples < 1:
         raise _UsageError("--samples must be at least 1")
     params = alg.ModelParams(args.t, args.k)  # DomainError -> exit 1
-    exact = _su21_exact_checks(min(args.samples, 1000), args.seed)
+    failures = _su21_exact_checks(min(args.samples, 1000), args.seed)
+    exact = {name: where is None for name, where in failures.items()}
     res = alg.feasible(params)
     margins, scales = alg.sample_margins(float(args.t), float(args.k), args.samples, args.seed)
     witness, margin_ok = reduce_margins(margins, scales, args.tol)
@@ -269,28 +239,33 @@ def cmd_su21(args) -> int:
         "sampled_min_margin": float(margins[witness]),
         "sampled_margin_passed": margin_ok,
     }
+    if not all(exact.values()):
+        payload["exact_check_witness"] = {name: where for name, where in failures.items() if where is not None}
     _emit(_render_report(payload, args.format), args.out)
     passed = all(exact.values()) and res.overall and margin_ok
     return 0 if passed else 2
 
 
-def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
+MAX_SCAN_CELLS = 10**6
+
+
+def _grid_count(lo: Fraction, hi: Fraction, step: Fraction) -> int:
+    """Number of values lo, lo + step, ... that do not exceed hi."""
     if step <= 0:
         raise _UsageError("grid step must be positive")
-    values = []
-    v = lo
-    while v <= hi:
-        values.append(v)
-        v += step
-    return values
+    return max(0, (hi - lo) // step + 1)
 
 
 def cmd_scan(args) -> int:
     _validate_common(args)
     if args.samples < 0:
         raise _UsageError("--samples must be nonnegative")
-    t_values = _grid(args.t_min, args.t_max, args.t_step)
-    k_values = _grid(args.k_min, args.k_max, args.k_step)
+    n_t = _grid_count(args.t_min, args.t_max, args.t_step)
+    n_k = _grid_count(args.k_min, args.k_max, args.k_step)
+    if n_t * n_k > MAX_SCAN_CELLS:
+        raise _UsageError(f"scan grid of {n_t} x {n_k} cells exceeds {MAX_SCAN_CELLS} cells")
+    t_values = [args.t_min + i * args.t_step for i in range(n_t)]
+    k_values = [args.k_min + i * args.k_step for i in range(n_k)]
     t_values = [t for t in t_values if t > -1]
     if not t_values or not k_values:
         raise _UsageError("empty scan grid")

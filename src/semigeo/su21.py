@@ -7,9 +7,13 @@ coordinates; brackets, the invariant form B(X, Y) = -Re tr(XY), projections,
 and the degree-4 curvature form are evaluated exactly in rational arithmetic
 whenever the inputs are rational (floats are accepted and simply degrade to
 float arithmetic).  One sparse list of the 54 nonzero structure constants,
-all integers, drives both the exact bracket, which works on integer
-numerators over a common denominator and builds one Fraction per output
-coordinate, and the vectorized float quartic.
+all integers, drives the exact bracket, the exact pair kernel and the
+vectorized float quartic.  The exact paths work on integer numerators over a
+common denominator: the pair kernel makes one pass for [X, Y], [X1, Y1] and
+[X2, Y2]_1, and both quartic forms and the determinant identity, homogeneous
+of degree (2, 2), become one integer polynomial and one Fraction per call.
+feasible() is four integer sign tests, and the Jacobi, Ad-invariance and
+containment checks read one integer table of the 64 basis brackets.
 
 The one-parameter family of metrics is (X, Y) = (1+t) B(X1, Y1) + B(X2, Y2)
 on h1 + h2, t > -1.  The curvature quadratic form, the Gram determinant in
@@ -221,6 +225,23 @@ def _over(num, den):
     return Fraction(num, den) if isinstance(den, int) else num / den
 
 
+def _bracket_parts(xs, ys, full, b11, b22_1) -> None:
+    """Adds [X, Y], [X1, Y1] and [X2, Y2]_1 into the three accumulators.
+
+    One pass over the sparse structure constants adds each product
+    x_i y_j c into [X, Y], into [X1, Y1] when i and j lie in h1, and into
+    [X2, Y2]_1 when i, j lie in h2 and k in h1.  The coordinate rows may be
+    Python numbers (exact numerators) or numpy arrays (batches).
+    """
+    for i, j, k, c in _bracket_terms():
+        p = xs[i] * ys[j] * c
+        full[k] += p
+        if _BLOCK_OF[i] == _BLOCK_OF[j] == 1:
+            b11[k] += p
+        elif _BLOCK_OF[i] == _BLOCK_OF[j] == 2 and _BLOCK_OF[k] == 1:
+            b22_1[k] += p
+
+
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Lie bracket, bilinear over the sparse structure-constant terms.
 
@@ -235,6 +256,12 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(tuple(_over(s, den) for s in out))
 
 
+def _b_num(u, v, keep=range(8)):
+    """B(U, V) restricted to the coordinates in ``keep``, on numerators."""
+    w = _b_diagonal()
+    return sum(u[k] * v[k] * w[k] for k in keep)
+
+
 def form_B(x: AlgebraElement, y: AlgebraElement):
     """The Ad-invariant form B(X, Y) = -Re tr(XY).
 
@@ -242,7 +269,62 @@ def form_B(x: AlgebraElement, y: AlgebraElement):
     matrix-trace definition produces); exact for rational coordinates.
     """
     (xn, dx), (yn, dy) = _numerators(x), _numerators(y)
-    return _over(sum(a * b * w for a, b, w in zip(xn, yn, _b_diagonal())), dx * dy)
+    return _over(_b_num(xn, yn), dx * dy)
+
+
+_ALLOWED_BRACKET_BLOCKS = {
+    (0, 0): (),
+    (0, 1): (1,),
+    (0, 2): (2,),
+    (1, 1): (1,),
+    (1, 2): (2,),
+    (2, 2): (0, 1),
+}
+
+
+def basis_identity_witnesses() -> dict:
+    """First failure of each structural identity over the basis, or None.
+
+    Keys, in report order: "bracket_containments" (first basis pair i <= j
+    whose bracket leaves the allowed blocks, [h0, h_j] in h_j, [h1, h1] in
+    h1, [h1, h2] in h2, [h2, h2] in h0 + h1), "jacobi_identity" and
+    "ad_invariance" (first basis triple (i, j, k), lexicographically, with
+    [e_i,[e_j,e_k]] + cyclic != 0, resp. B([e_i,e_j],e_k) + B(e_j,[e_i,e_k])
+    != 0).  All three read one integer table C[i, j, :] = [e_i, e_j] built
+    from the 64 exact basis brackets; both identities are trilinear, so the
+    tensor forms below are the same 512 checks per identity.
+    """
+    table = np.array(
+        [[[int(v) for v in bracket(basis_element(i), basis_element(j)).coords] for j in range(8)] for i in range(8)],
+        dtype=np.int64,
+    )
+    jacobi = (
+        np.einsum("jkm,iml->ijkl", table, table)
+        + np.einsum("kim,jml->ijkl", table, table)
+        + np.einsum("ijm,kml->ijkl", table, table)
+    ).any(axis=3)
+    lowered = table * np.array(_b_diagonal(), dtype=np.int64)
+    return {
+        "bracket_containments": _first_containment_failure(table),
+        "jacobi_identity": _first_true(jacobi),
+        "ad_invariance": _first_true(lowered + lowered.transpose(0, 2, 1) != 0),
+    }
+
+
+def _first_containment_failure(table: np.ndarray):
+    """First basis pair (i, j), i <= j, whose bracket leaves its allowed blocks."""
+    for i in range(8):
+        for j in range(i, 8):
+            allowed = _ALLOWED_BRACKET_BLOCKS[tuple(sorted((_BLOCK_OF[i], _BLOCK_OF[j])))]
+            if any(table[i, j, m] and _BLOCK_OF[m] not in allowed for m in range(8)):
+                return i, j
+    return None
+
+
+def _first_true(mask: np.ndarray):
+    """Index tuple of the first True entry in C order, or None."""
+    hits = np.argwhere(mask)
+    return tuple(int(v) for v in hits[0]) if len(hits) else None
 
 
 def project(x: AlgebraElement, j: int) -> AlgebraElement:
@@ -276,6 +358,28 @@ def metric_t(x: AlgebraElement, y: AlgebraElement, params: ModelParams):
     return (1 + t) * form_B(project(x, 1), project(y, 1)) + form_B(project(x, 2), project(y, 2))
 
 
+def _pair_parts(x: AlgebraElement, y: AlgebraElement):
+    """The exact kernel of the pair checks: numerators of x and y, of [X, Y],
+    [X1, Y1] and [X2, Y2]_1, and the denominator of the brackets.
+
+    Rational coordinates give ints over the int denominator dx * dy; float
+    coordinates give floats over 1.0.
+    """
+    _require_tangent(x)
+    _require_tangent(y)
+    (xn, dx), (yn, dy) = _numerators(x), _numerators(y)
+    full, b11, b22_1 = [0] * 8, [0] * 8, [0] * 8
+    _bracket_parts(xn, yn, full, b11, b22_1)
+    return xn, yn, full, b11, b22_1, dx * dy
+
+
+def _t_ratio(t) -> tuple:
+    """t as (p, q): ints for a rational t, else float(t) over 1.0."""
+    if isinstance(t, (int, Fraction)):
+        return t.numerator, t.denominator
+    return float(t), 1.0
+
+
 def curvature_quartic(x: AlgebraElement, y: AlgebraElement, params: ModelParams):
     """The curvature quadratic form (R(X,Y)Y, X) of the deformed metric.
 
@@ -283,25 +387,23 @@ def curvature_quartic(x: AlgebraElement, y: AlgebraElement, params: ModelParams)
 
         (1+t)/4 B([X1,Y1],[X1,Y1]) + (1-3t)/4 B([X2,Y2]_1,[X2,Y2]_1)
         + (1-t-2t^2)/2 B([X1,Y1],[X2,Y2]_1)
-        + (1+t)^2/4 B([X,Y]_2,[X,Y]_2) + B([X,Y]_0,[X,Y]_0),
+        + (1+t)^2/4 B([X,Y]_2,[X,Y]_2) + B([X,Y]_0,[X,Y]_0)
 
-    exact in rational arithmetic when t and the coordinates are rational.
+    on the bracket numerators: with t = p/q and brackets over den, the form
+    is homogeneous of degree (2, 2), so 4 q^2 den^2 times it is a polynomial
+    in ints, and one division gives the exact value for rational t and
+    coordinates.
     """
-    _require_tangent(x)
-    _require_tangent(y)
-    t = params.t
-    b11 = bracket(project(x, 1), project(y, 1))
-    b22_1 = project(bracket(project(x, 2), project(y, 2)), 1)
-    full = bracket(x, y)
-    f0 = project(full, 0)
-    f2 = project(full, 2)
-    return (
-        (1 + t) * form_B(b11, b11) / 4
-        + (1 - 3 * t) * form_B(b22_1, b22_1) / 4
-        + (1 - t - 2 * t * t) * form_B(b11, b22_1) / 2
-        + (1 + t) * (1 + t) * form_B(f2, f2) / 4
-        + form_B(f0, f0)
+    _, _, full, b11, b22_1, den = _pair_parts(x, y)
+    p, q = _t_ratio(params.t)
+    num = (
+        q * (q + p) * _b_num(b11, b11)
+        + q * (q - 3 * p) * _b_num(b22_1, b22_1)
+        + 2 * (q * q - p * q - 2 * p * p) * _b_num(b11, b22_1)
+        + (q + p) * (q + p) * _b_num(full, full, H2)
+        + 4 * q * q * _b_num(full, full, H0)
     )
+    return _over(num, 4 * q * q * den * den)
 
 
 def curvature_quartic_first_form(x: AlgebraElement, y: AlgebraElement, params: ModelParams):
@@ -309,23 +411,18 @@ def curvature_quartic_first_form(x: AlgebraElement, y: AlgebraElement, params: M
 
     (1-3t)/4 B([X,Y]_1,[X,Y]_1) + (t-t^2) B([X1,Y1],[X,Y])
     + t^2 B([X1,Y1],[X1,Y1]) + (1+t)^2/4 B([X,Y]_2,[X,Y]_2)
-    + B([X,Y]_0,[X,Y]_0).
+    + B([X,Y]_0,[X,Y]_0), cleared of denominators as in curvature_quartic.
     """
-    _require_tangent(x)
-    _require_tangent(y)
-    t = params.t
-    b11 = bracket(project(x, 1), project(y, 1))
-    full = bracket(x, y)
-    f0 = project(full, 0)
-    f1 = project(full, 1)
-    f2 = project(full, 2)
-    return (
-        (1 - 3 * t) * form_B(f1, f1) / 4
-        + (t - t * t) * form_B(b11, full)
-        + t * t * form_B(b11, b11)
-        + (1 + t) * (1 + t) * form_B(f2, f2) / 4
-        + form_B(f0, f0)
+    _, _, full, b11, _, den = _pair_parts(x, y)
+    p, q = _t_ratio(params.t)
+    num = (
+        q * (q - 3 * p) * _b_num(full, full, H1)
+        + 4 * p * (q - p) * _b_num(b11, full)
+        + 4 * p * p * _b_num(b11, b11)
+        + (q + p) * (q + p) * _b_num(full, full, H2)
+        + 4 * q * q * _b_num(full, full, H0)
     )
+    return _over(num, 4 * q * q * den * den)
 
 
 @dataclass(frozen=True)
@@ -372,18 +469,13 @@ def xyz_and_gram(x: AlgebraElement, y: AlgebraElement, params: ModelParams):
 def det_identity_check(x: AlgebraElement, y: AlgebraElement):
     """Residual of B([X,Y]_2,[X,Y]_2) = -2 z^2 + B([X1,Y1],[X2,Y2]_1).
 
-    Exactly zero in rational arithmetic.
+    Every term is homogeneous of degree (2, 2), so the residual is one
+    polynomial in the numerators over den^2; exactly zero in rational
+    arithmetic.
     """
-    _require_tangent(x)
-    _require_tangent(y)
-    full2 = project(bracket(x, y), 2)
-    lhs = form_B(full2, full2)
-    b11 = bracket(project(x, 1), project(y, 1))
-    b22_1 = project(bracket(project(x, 2), project(y, 2)), 1)
-    a, bf = x.coords[1:4], x.coords[4:8]
-    c, df = y.coords[1:4], y.coords[4:8]
-    z_sq = sum((a[i] * df[j] - c[i] * bf[j]) ** 2 for i in range(3) for j in range(4))
-    return lhs - (-2 * z_sq + form_B(b11, b22_1))
+    xn, yn, full, b11, b22_1, den = _pair_parts(x, y)
+    z_sq = sum((xn[i] * yn[j] - yn[i] * xn[j]) ** 2 for i in H1 for j in H2)
+    return _over(_b_num(full, full, H2) + 2 * z_sq - _b_num(b11, b22_1), den * den)
 
 
 def eta(t) -> float:
@@ -427,23 +519,33 @@ class FeasibilityResult:
         return self.ineq1 and self.ineq2 and self.ineq3 and self.ineq4
 
 
+def _ratio(v) -> tuple:
+    """v as exact ints (numerator, denominator > 0); floats convert exactly."""
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, v.denominator
+    if not math.isfinite(v):
+        raise DomainError(f"feasibility needs finite t and k, got {v}")
+    return Fraction(v).as_integer_ratio()
+
+
 def feasible(params: ModelParams) -> FeasibilityResult:
     """The four strict inequalities at (t, k); exact for rational inputs.
 
         k > (1+t)/8,   k < 1/(2(1+t)),   k < (1-3t)/8,   ineq4_lhs(t, k) > 0.
 
+    With t = a/b and k = c/d (b, d > 0), each is an integer sign test:
+    the first three times 8bd or bd, and ineq4_lhs times 4 b^4 d^2.
     Boundary cases are infeasible (strict comparisons).
     """
-    t, k = params.t, params.k
-    if isinstance(t, int):
-        t = Fraction(t)
-    if isinstance(k, int):
-        k = Fraction(k)
+    a, b = _ratio(params.t)
+    c, d = _ratio(params.k)
+    s = a + b  # (1+t) b
+    u = b - 3 * a  # (1-3t) b
     return FeasibilityResult(
-        ineq1=k > (1 + t) / 8,
-        ineq2=k * 2 * (1 + t) < 1,
-        ineq3=k < (1 - 3 * t) / 8,
-        ineq4=ineq4_lhs(t, k) > 0,
+        ineq1=8 * c * b > s * d,
+        ineq2=2 * c * s < b * d,
+        ineq3=8 * c * b < u * d,
+        ineq4=4 * b * s * (b * d - 2 * c * s) * (u * d - 8 * c * b) > 9 * (d * (b * b - a * a)) ** 2,
     )
 
 
@@ -516,19 +618,10 @@ def _batch_b(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def batch_quartic(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     """Vectorized curvature_quartic over (n, 8) float coordinate arrays.
 
-    One pass over the sparse structure constants, on contiguous (8, n)
-    copies, adds each product x_i y_j c into [X, Y], into [X1, Y1] when i
-    and j lie in h1, and into [X2, Y2]_1 when i, j lie in h2 and k in h1.
+    The bracket pass of the exact kernel, run on contiguous (8, n) copies.
     """
-    xt, yt = x.T.copy(), y.T.copy()
     full, b11, b22_1 = np.zeros((3, 8, len(x)))
-    for i, j, k, c in _bracket_terms():
-        p = xt[i] * yt[j] * c
-        full[k] += p
-        if _BLOCK_OF[i] == _BLOCK_OF[j] == 1:
-            b11[k] += p
-        elif _BLOCK_OF[i] == _BLOCK_OF[j] == 2 and _BLOCK_OF[k] == 1:
-            b22_1[k] += p
+    _bracket_parts(x.T.copy(), y.T.copy(), full, b11, b22_1)
     full, b11, b22_1 = full.T, b11.T, b22_1.T
     f0 = full * np.equal(_BLOCK_OF, 0)
     f2 = full * np.equal(_BLOCK_OF, 2)

@@ -1,10 +1,13 @@
 """Command-line contract: exit codes, report formats, determinism."""
 
 import json
+import signal
 
 import pytest
 
-from semigeo.cli import main
+import semigeo as sg
+from semigeo import su21
+from semigeo.cli import _grid_count, main
 
 
 def run(args):
@@ -108,6 +111,88 @@ class TestSu21Command:
         assert run(["su21", "--t", "-1.0", "--k", "0.1"]) == 1
 
 
+def _loop_first_failure(name):
+    # The basis loops the table-based identities replace, in the same order.
+    basis = [sg.basis_element(i) for i in range(8)]
+    triples = [(i, j, k) for i in range(8) for j in range(8) for k in range(8)]
+    if name == "jacobi_identity":
+        for i, j, k in triples:
+            x, y, z = basis[i], basis[j], basis[k]
+            total = sg.bracket(x, sg.bracket(y, z)) + sg.bracket(y, sg.bracket(z, x)) + sg.bracket(z, sg.bracket(x, y))
+            if not total.is_zero():
+                return [i, j, k]
+    if name == "ad_invariance":
+        for i, j, k in triples:
+            z, x, y = basis[i], basis[j], basis[k]
+            if sg.form_B(sg.bracket(z, x), y) + sg.form_B(x, sg.bracket(z, y)) != 0:
+                return [i, j, k]
+    return None
+
+
+@pytest.fixture
+def su21_caches_cleared():
+    # monkeypatch restores the patched functions with their own caches intact;
+    # the float tables cache whatever the patched functions returned.
+    yield
+    su21.structure_tensor_float.cache_clear()
+    su21.b_weights_float.cache_clear()
+
+
+def _su21_report(tmp_path):
+    out = tmp_path / "s.json"
+    code = run(["su21", "--t", "-0.8", "--k", "0.1", "--samples", "20", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.usefixtures("su21_caches_cleared")
+class TestExactCheckMutations:
+    """A corrupted structure constant or B weight must fail the table-based
+    identities, and the witness must name the first failing triple."""
+
+    def test_passing_report_has_no_witness(self, tmp_path):
+        code, report = _su21_report(tmp_path)
+        assert code == 0 and "exact_check_witness" not in report
+
+    def test_pair_witness_is_first_failing_index(self, tmp_path, monkeypatch):
+        calls = []
+
+        def det_identity_check(x, y):
+            calls.append((x, y))
+            return 1 if len(calls) in (5, 9) else 0
+
+        monkeypatch.setattr(su21, "det_identity_check", det_identity_check)
+        code, report = _su21_report(tmp_path)
+        assert code == 2
+        assert report["exact_check_witness"] == {"determinant_identity": 4}
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("index", range(54))
+    def test_structure_constant(self, index, tmp_path, monkeypatch):
+        terms = list(su21._bracket_terms())
+        i, j, k, c = terms[index]
+        terms[index] = (i, j, k, 2 * c)
+        monkeypatch.setattr(su21, "_bracket_terms", lambda: tuple(terms))
+        code, report = _su21_report(tmp_path)
+        assert code == 2
+        checks = report["exact_checks"]
+        assert not checks["jacobi_identity"] or not checks["ad_invariance"]
+        assert sorted(report["exact_check_witness"]) == sorted(n for n, ok in checks.items() if not ok)
+        if index % 6 == 0:  # the loops cost 50 ms; nine corruptions compare them
+            for name in ("jacobi_identity", "ad_invariance"):
+                assert report["exact_check_witness"].get(name) == _loop_first_failure(name)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_b_weight(self, index, tmp_path, monkeypatch):
+        weights = list(su21._b_diagonal())
+        weights[index] *= 2
+        monkeypatch.setattr(su21, "_b_diagonal", lambda: tuple(weights))
+        code, report = _su21_report(tmp_path)
+        assert code == 2
+        assert report["exact_checks"]["ad_invariance"] is False
+        assert report["exact_checks"]["jacobi_identity"] is True
+        assert report["exact_check_witness"]["ad_invariance"] == _loop_first_failure("ad_invariance")
+
+
 class TestScanCommand:
     def test_window_detected(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
@@ -126,6 +211,35 @@ class TestScanCommand:
 
     def test_empty_grid_exit_one(self):
         assert run(["scan", "--t-min", "-0.5", "--t-max", "-0.9", "--t-step", "0.1"]) == 1
+
+    def test_huge_grid_refused_without_building_it(self, capsys):
+        # 9e11 t-values at step 1e-12; the count must be refused up front.
+        def timeout(signum, frame):
+            raise TimeoutError("scan built the grid")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            code = run(["scan", "--t-step", "1e-12"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        assert "exceeds 1000000 cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        ("-0.99", "-0.10", "0.01"), ("-0.99", "-0.10", "0.03"), ("0.01", "0.50", "0.07"),
+        ("0", "1", "1/3"), ("0.1", "0.1", "0.5"), ("0.5", "0.1", "0.1"),
+    ])
+    def test_grid_count_matches_stepping(self, lo, hi, step):
+        from fractions import Fraction as F
+
+        lo, hi, step = F(lo), F(hi), F(step)
+        values, v = [], lo
+        while v <= hi:
+            values.append(v)
+            v += step
+        assert _grid_count(lo, hi, step) == len(values)
 
     def test_single_cell_matches_feasible(self, tmp_path):
         from fractions import Fraction as F

@@ -535,6 +535,164 @@ class TestBatchQuartic:
             assert np.array_equal(batch_quartic(x, y, t), _dense_batch_quartic(x, y, t))
 
 
+# The Fraction formulations of the pair checks and of feasible(), built on
+# bracket, form_B and project; the integer-numerator kernels must equal them.
+# The quartic references return their five terms so that float comparisons
+# can scale by the sum of the term magnitudes.
+
+
+def _ref_quartic_terms(x, y, t):
+    b11 = sg.bracket(sg.project(x, 1), sg.project(y, 1))
+    b22_1 = sg.project(sg.bracket(sg.project(x, 2), sg.project(y, 2)), 1)
+    full = sg.bracket(x, y)
+    f0, f2 = sg.project(full, 0), sg.project(full, 2)
+    return (
+        (1 + t) * sg.form_B(b11, b11) / 4,
+        (1 - 3 * t) * sg.form_B(b22_1, b22_1) / 4,
+        (1 - t - 2 * t * t) * sg.form_B(b11, b22_1) / 2,
+        (1 + t) * (1 + t) * sg.form_B(f2, f2) / 4,
+        sg.form_B(f0, f0),
+    )
+
+
+def _ref_first_form_terms(x, y, t):
+    b11 = sg.bracket(sg.project(x, 1), sg.project(y, 1))
+    full = sg.bracket(x, y)
+    f0, f1, f2 = sg.project(full, 0), sg.project(full, 1), sg.project(full, 2)
+    return (
+        (1 - 3 * t) * sg.form_B(f1, f1) / 4,
+        (t - t * t) * sg.form_B(b11, full),
+        t * t * sg.form_B(b11, b11),
+        (1 + t) * (1 + t) * sg.form_B(f2, f2) / 4,
+        sg.form_B(f0, f0),
+    )
+
+
+def _ref_det_terms(x, y):
+    full2 = sg.project(sg.bracket(x, y), 2)
+    b11 = sg.bracket(sg.project(x, 1), sg.project(y, 1))
+    b22_1 = sg.project(sg.bracket(sg.project(x, 2), sg.project(y, 2)), 1)
+    a, bf = x.coords[1:4], x.coords[4:8]
+    c, df = y.coords[1:4], y.coords[4:8]
+    z_sq = sum((a[i] * df[j] - c[i] * bf[j]) ** 2 for i in range(3) for j in range(4))
+    return sg.form_B(full2, full2), 2 * z_sq, -sg.form_B(b11, b22_1)
+
+
+def _ref_feasible(t, k):
+    return (k > (1 + t) / 8, k * 2 * (1 + t) < 1, k < (1 - 3 * t) / 8, sg.ineq4_lhs(t, k) > 0)
+
+
+def _oracle_pairs():
+    # 200 tangent pairs: mixed denominators 1..12, plain int coordinates and
+    # the zero element.
+    rng = np.random.default_rng(11)
+
+    def tangent(coords):
+        return sg.from_coords((0,) + tuple(coords[1:]))
+
+    def rational():
+        return tangent([F(int(n), int(d)) for n, d in zip(rng.integers(-9, 10, 8), rng.integers(1, 13, 8))])
+
+    def integer():
+        return tangent([int(n) for n in rng.integers(-5, 6, 8)])
+
+    zero = sg.zero_element()
+    pairs = [(rational(), rational()) for _ in range(160)]
+    pairs += [(integer(), rational()) for _ in range(20)]
+    pairs += [(integer(), integer()) for _ in range(17)]
+    pairs += [(zero, rational()), (integer(), zero), (zero, zero)]
+    return pairs
+
+
+_ORACLE_T = (F(-1, 2), F(-4, 5), F(3, 7), F(-99, 100), 0, 2)
+
+
+@pytest.fixture
+def corrupt_b_weights(monkeypatch):
+    # A wrong weight on e4 breaks the identities, so the pair checks compare
+    # nonzero residuals and two unequal quartic forms.  The float weights are
+    # cached from whatever _b_diagonal returns, so clear every cache after.
+    from semigeo import su21
+
+    weights = list(su21._b_diagonal())
+    weights[3] *= 3
+    monkeypatch.setattr(su21, "_b_diagonal", lambda: tuple(weights))
+    yield
+    su21.b_weights_float.cache_clear()
+
+
+class TestExactKernelOracle:
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_pair_checks_equal_fraction_reference(self, corrupt, request):
+        if corrupt:
+            request.getfixturevalue("corrupt_b_weights")
+        pairs = _oracle_pairs()
+        for t in _ORACLE_T:
+            p = sg.ModelParams(t, F(1, 10))
+            for x, y in pairs:
+                got = sg.curvature_quartic(x, y, p)
+                assert got == sum(_ref_quartic_terms(x, y, t)) and isinstance(got, F)
+                got = sg.curvature_quartic_first_form(x, y, p)
+                assert got == sum(_ref_first_form_terms(x, y, t)) and isinstance(got, F)
+        residuals = [sg.det_identity_check(x, y) for x, y in pairs]
+        assert residuals == [sum(_ref_det_terms(x, y)) for x, y in pairs]
+        assert all(isinstance(r, F) for r in residuals)
+        assert any(residuals) == corrupt
+
+    def test_float_inputs_within_1e12(self):
+        # Float coordinates or a float t give a float within 1e-12 of the
+        # exact value of the same inputs, relative to the term magnitudes.
+        rng = np.random.default_rng(12)
+
+        def exact(v):
+            return sg.from_coords(tuple(F(c) for c in v.coords))
+
+        for case in range(60):
+            xf, yf = (sg.from_coords((0.0,) + tuple(float(c) for c in rng.standard_normal(7))) for _ in range(2))
+            t = float(rng.uniform(-0.95, 1.5))
+            if case % 3 == 1:  # rational coordinates, float t
+                xf, yf = (sg.from_coords(tuple(F(c).limit_denominator(50) for c in v.coords)) for v in (xf, yf))
+            if case % 3 == 2:  # float coordinates, rational t
+                t = F(t).limit_denominator(50)
+            xe, ye, te = exact(xf), exact(yf), F(t)
+            p = sg.ModelParams(t, F(1, 10))
+            checks = [
+                (sg.curvature_quartic(xf, yf, p), _ref_quartic_terms(xe, ye, te)),
+                (sg.curvature_quartic_first_form(xf, yf, p), _ref_first_form_terms(xe, ye, te)),
+            ]
+            if case % 3 != 1:  # the determinant identity has no t
+                checks.append((sg.det_identity_check(xf, yf), _ref_det_terms(xe, ye)))
+            for got, terms in checks:
+                assert isinstance(got, float)
+                assert abs(F(got) - sum(terms)) <= F(1e-12) * sum(abs(v) for v in terms)
+
+    def test_feasible_equals_fraction_reference(self):
+        # The default scan grid, plus the exact boundary lines of the first
+        # three inequalities, where strictness makes that inequality false,
+        # plus (1, 1/4), where ineq4_lhs vanishes.
+        ts = [F(n, 100) for n in range(-99, -9)]
+        ks = [F(n, 100) for n in range(1, 51)]
+        cells = [(t, k) for t in ts for k in ks]
+        for which, line in enumerate((lambda t: (1 + t) / 8, lambda t: 1 / (2 * (1 + t)), lambda t: (1 - 3 * t) / 8)):
+            for t in ts:
+                res = sg.feasible(sg.ModelParams(t, line(t)))
+                assert not (res.ineq1, res.ineq2, res.ineq3)[which]
+                cells.append((t, line(t)))
+        assert sg.ineq4_lhs(F(1), F(1, 4)) == 0
+        cells.append((F(1), F(1, 4)))
+        for t, k in cells:
+            res = sg.feasible(sg.ModelParams(t, k))
+            assert (res.ineq1, res.ineq2, res.ineq3, res.ineq4) == _ref_feasible(t, k), (t, k)
+
+    def test_feasible_float_inputs_exact(self):
+        # Floats are decided on their exact binary values.
+        for t, k in ((-0.8, 0.1), (-0.5, 0.2), (0.3, 0.01), (1.0, 0.25), (-0.8, (1 - 0.8) / 8)):
+            res = sg.feasible(sg.ModelParams(t, k))
+            assert (res.ineq1, res.ineq2, res.ineq3, res.ineq4) == _ref_feasible(F(t), F(k))
+        with pytest.raises(DomainError):
+            sg.feasible(sg.ModelParams(F(-4, 5), float("inf")))
+
+
 class TestReducedFlowRhs:
     def test_examples(self):
         p = sg.ModelParams(F(-4, 5), F(1, 10))
