@@ -48,6 +48,7 @@ from .geodesics import (
     AlgebraFlowReport,
     BreakdownRun,
     IncompletenessReport,
+    IntegrationStats,
     IntegratorConfig,
     ODESystem,
     RiccatiReport,

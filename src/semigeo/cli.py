@@ -11,9 +11,10 @@ Subcommands:
 Exit codes: 0 pass, 1 usage or domain error, 2 verification failure.
 Reports are JSON with a fixed key order (or flat key,value CSV); grids and
 trajectories are CSV, trajectories preceded by a single ``#``-prefixed JSON
-header line.  A run is fully determined by its flags (including --seed):
-repeated runs write byte-identical files, for curvature-check regardless of
---workers.
+header line that ends with the integrator's step, rejection and
+right-hand-side counts.  A run is fully determined by its flags (including
+--seed): repeated runs write byte-identical files, for curvature-check
+regardless of --workers.
 
 Space grammar for --space:
 
@@ -98,11 +99,17 @@ def _render_report(payload: dict, fmt: str) -> str:
 
 
 def _trajectory_csv(traj: Trajectory, header: dict) -> str:
+    """The header, with the run's integration counts appended, then the rows.
+
+    Each row goes through tolist() on its own: converting the whole states
+    array at once would hold every row as Python floats at the same time.
+    """
+    header = {**header, **dataclasses.asdict(traj.stats)}
     lines = ["# " + json.dumps(header, separators=(",", ":"))]
     ncols = traj.states.shape[1]
     lines.append("t," + ",".join(f"y{i}" for i in range(ncols)))
     for t, row in zip(traj.times, traj.states):
-        lines.append(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row))
+        lines.append(repr(float(t)) + "," + ",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

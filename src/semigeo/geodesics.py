@@ -3,7 +3,9 @@ constructions, the scalar comparison equation, and the reduced algebra flow.
 
 There is one integrator: the adaptive Dormand-Prince 5(4) pair, written as a
 single FSAL ("first same as last") Butcher tableau whose 7th stage is the
-right-hand side at the accepted solution and seeds the next step.  A
+right-hand side at the accepted solution and seeds the next step.  Each
+integrate call allocates one (7, n) stage buffer; every trial step rewrites
+rows 1-6, and row 6 is copied into row 0 only once a step is accepted.  A
 non-finite initial state or initial right-hand side raises DomainError.  A
 run ends with one of three termination statuses:
 
@@ -12,12 +14,16 @@ run ends with one of three termination statuses:
   step recorded, no extrapolation to the singular time);
 * ``step_underflow`` - the accepted step size fell below ``min_step``.
 
-Right-hand sides may raise RhsDomainError (or any DomainError); a trial step
-that does so is treated like a failed step and retried with a smaller step,
-so trajectories that leave a chart domain in finite time terminate with
-``step_underflow`` rather than an exception.  The breakdown-parameter
-estimate for a terminated run is the last accepted time plus half the final
-step.
+A trial step is rejected for one of three causes: its error norm exceeds 1
+(the step shrinks by the controller's factor), a right-hand side raised
+RhsDomainError or any DomainError, or its solution or error estimate is not
+finite (both halve the step).  So trajectories that leave a chart domain in
+finite time terminate with ``step_underflow`` rather than an exception, and
+no step with a NaN error estimate is accepted.  Every Trajectory carries
+IntegrationStats: accepted steps, rejections by cause, right-hand-side
+evaluations and the range of accepted step sizes, all deterministic.  The
+breakdown-parameter estimate for a terminated run is the last accepted time
+plus half the final step.
 
 For reporting against closed forms, the lightlike reparametrization solves
 s'' = sqrt(k) (s')^2 and the timelike one s'' = sqrt(k) ((s')^2 - 1), with
@@ -52,8 +58,8 @@ from .su21 import (
     H1,
     H2,
     ModelParams,
+    _bracket_terms,
     b_weights_float,
-    structure_tensor_float,
 )
 
 COMPLETED = "completed"
@@ -100,12 +106,32 @@ class TrajectoryStatus:
 
 
 @dataclass(frozen=True)
+class IntegrationStats:
+    """Deterministic work counts of one integrate call.
+
+    Rejected trials are split by cause: error norm above 1, a right-hand
+    side that raised DomainError, or a non-finite solution or error
+    estimate.  ``h_min`` and ``h_max`` range over accepted steps only and
+    are None when no step was accepted.
+    """
+
+    accepted_steps: int = 0
+    rejected_error_norm: int = 0
+    rejected_domain: int = 0
+    rejected_nonfinite: int = 0
+    rhs_evals: int = 0
+    h_min: float | None = None
+    h_max: float | None = None
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Accepted integration samples; times strictly increasing."""
 
     times: np.ndarray
     states: np.ndarray
     status: TrajectoryStatus
+    stats: IntegrationStats = IntegrationStats()
 
     @property
     def final_time(self) -> float:
@@ -147,21 +173,37 @@ _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 _SAFETY = 0.8  # conservative step controller: keeps long-run drift well under tolerance
+# Per-stage views of the tableau, built once: (stage index, c_i as a Python
+# float, the row slice that weights the earlier stages).
+_DP_STAGES = tuple((i, float(_DP_C[i]), _DP_A[i, :i, None]) for i in range(1, 7))
+_DP_E_COLUMN = _DP_E[:, None]
 
 
-def _dp54_step(rhs, t, y, h, k1):
-    """One DP5(4) trial step: (5th-order solution, error estimate, its RHS).
+class _StageDomainError(DomainError):
+    """A right-hand side raised DomainError during a trial step; ``evals``
+    counts that trial's evaluations, the failing one included."""
 
-    np.add.reduce adds the at most 7 weighted rows in order, left to right,
-    as a sequential sum would; a BLAS matrix product may reorder the
-    additions and so move trajectories in the last digits.
+    def __init__(self, evals: int):
+        super().__init__(f"right-hand side left its domain at stage {evals}")
+        self.evals = evals
+
+
+def _dp54_step(rhs, t, y, h, K):
+    """One DP5(4) trial step in the (7, n) stage buffer K.
+
+    K[0] must hold the right-hand side at (t, y).  Fills K[1:] and returns
+    (5th-order solution, error estimate); K[6] is then the right-hand side
+    at that solution.  np.add.reduce adds the at most 7 weighted rows in
+    order, left to right, as a sequential sum would; a BLAS matrix product
+    may reorder the additions and so move trajectories in the last digits.
     """
-    K = np.empty((7, y.size))
-    K[0] = k1
-    for i in range(1, 7):
-        stage = y + h * np.add.reduce(_DP_A[i, :i, None] * K[:i])
-        K[i] = rhs(t + _DP_C[i] * h, stage)
-    return stage, h * np.add.reduce(_DP_E[:, None] * K), K[6]
+    for i, c, a in _DP_STAGES:
+        stage = y + h * np.add.reduce(a * K[:i])
+        try:
+            K[i] = rhs(t + c * h, stage)
+        except DomainError as exc:
+            raise _StageDomainError(i) from exc
+    return stage, h * np.add.reduce(_DP_E_COLUMN * K)
 
 
 def integrate(
@@ -182,18 +224,26 @@ def integrate(
     if not np.isfinite(t0) or not np.isfinite(t1) or t1 <= t0:
         raise DomainError(f"bad time span {t_span}")
     y = np.asarray(y0, dtype=float)
-    if y.shape != (system.dim,):
-        raise DomainError(f"state dimension {y.shape} != system dim {system.dim}")
+    n = system.dim
+    if y.shape != (n,):
+        raise DomainError(f"state dimension {y.shape} != system dim {n}")
     if not np.all(np.isfinite(y)):
         raise DomainError(f"non-finite initial state {y} for {system.description!r}")
-    k1 = np.asarray(system.rhs(t0, y), dtype=float)
+    rhs = system.rhs
+    k1 = np.asarray(rhs(t0, y), dtype=float)
     if not np.all(np.isfinite(k1)):
         raise DomainError(f"non-finite right-hand side at the initial state of {system.description!r}")
+    K = np.empty((7, n))  # stage buffer, reused by every trial
+    K[0] = k1
 
     times = [t0]
     states = [y.copy()]
+    rejected_error = rejected_domain = rejected_nonfinite = 0
+    rhs_evals = 1
+    h_min, h_max = math.inf, 0.0
 
     def finish(kind, t, h=None):
+        accepted = len(times) - 1
         return Trajectory(
             times=np.asarray(times),
             states=np.asarray(states),
@@ -203,42 +253,70 @@ def integrate(
                 norm=float(np.linalg.norm(states[-1])),
                 last_step=None if h is None else float(h),
             ),
+            stats=IntegrationStats(
+                accepted_steps=accepted,
+                rejected_error_norm=rejected_error,
+                rejected_domain=rejected_domain,
+                rejected_nonfinite=rejected_nonfinite,
+                rhs_evals=rhs_evals,
+                h_min=h_min if accepted else None,
+                h_max=h_max if accepted else None,
+            ),
         )
 
+    atol, rtol, threshold = cfg.atol, cfg.rtol, cfg.blowup_threshold
+    abs_y = np.abs(y)
     t = t0
     h = min(cfg.initial_step, t1 - t0)
-    steps = 0
+    attempts = 0
     while t < t1:
         if t1 - t <= cfg.min_step:
             return finish(COMPLETED, t)
         h = min(h, t1 - t)
         if h < cfg.min_step:
             return finish(STEP_UNDERFLOW, t, h)
-        steps += 1
-        if steps > cfg.max_steps:
+        attempts += 1
+        if attempts > cfg.max_steps:
             raise RuntimeError(f"step budget exceeded integrating {system.description!r}")
         try:
-            y_new, err, k7 = _dp54_step(system.rhs, t, y, h, k1)
-        except DomainError:
+            y_new, err = _dp54_step(rhs, t, y, h, K)
+        except _StageDomainError as exc:
+            rhs_evals += exc.evals
+            rejected_domain += 1
             h *= 0.5
             continue
-        if not np.all(np.isfinite(y_new)):
+        rhs_evals += 6
+        # |y_new|^2 (as np.linalg.norm forms it) is finite unless y_new holds
+        # an inf or a NaN, or it overflows; only then is the elementwise test
+        # needed.  On acceptance it also gives the blow-up norm.
+        sq_norm = float(y_new.dot(y_new))
+        if not math.isfinite(sq_norm) and not np.isfinite(y_new).all():
+            rejected_nonfinite += 1
             h *= 0.5
             continue
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        abs_new = np.abs(y_new)
+        q = err / (atol + rtol * np.maximum(abs_y, abs_new))
+        err_norm = math.sqrt(float(np.add.reduce(q * q)) / n)
+        if not math.isfinite(err_norm):
+            rejected_nonfinite += 1
+            h *= 0.5
+            continue
         # A rejected step has err_norm > 1, where the upper clamp never binds.
         factor = 10.0 if err_norm == 0.0 else min(10.0, max(0.2, _SAFETY * err_norm ** -0.2))
         if err_norm > 1.0:
+            rejected_error += 1
             h *= factor
             continue
         t += h
-        y = y_new
-        k1 = k7
+        y, abs_y = y_new, abs_new
+        K[0] = K[6]  # FSAL: only after acceptance, since a rejected trial rewrites K[6]
         times.append(t)
-        states.append(y.copy())
-        norm = float(np.linalg.norm(y))
-        if norm >= cfg.blowup_threshold:
+        states.append(y)
+        if h < h_min:
+            h_min = h
+        if h > h_max:
+            h_max = h
+        if math.sqrt(sq_norm) >= threshold:
             return finish(BLOWUP, t, h)
         h *= factor
     return finish(COMPLETED, t)
@@ -659,6 +737,21 @@ def _coords_float(x: AlgebraElement) -> np.ndarray:
     return np.array([float(c) for c in x.coords])
 
 
+def _flow_generator(y0: np.ndarray, t: float) -> np.ndarray:
+    """The 8x8 matrix of the reduced flow from G(0) = y0: G' = gen @ G.
+
+    G1 never moves (its right-hand side rows are exactly 0), so the flow is
+    linear, with the [h1, h2] -> h2 structure constants contracted against
+    G1(0) and scaled by t.
+    """
+    gen = np.zeros((8, 8))
+    for i, j, k, c in _bracket_terms():
+        if i in H1 and j in H2 and k in H2:
+            gen[k, j] += y0[i] * c
+    gen *= t
+    return gen
+
+
 def euler_arnold_integrate(
     v1: AlgebraElement,
     v2: AlgebraElement,
@@ -677,17 +770,9 @@ def euler_arnold_integrate(
         raise NonTangentError("v1 must lie in h1")
     if any(v2.coords[i] != 0 for i in (0, 1, 2, 3)):
         raise NonTangentError("v2 must lie in h2")
-    t_param = float(params.t)
-    ctensor = structure_tensor_float()
-    sub = ctensor[1:4, 4:8, 4:8]  # [h1, h2] components landing in h2
-
-    def rhs(u, y):
-        out = np.zeros(8)
-        out[4:] = t_param * np.einsum("i,ijk,j->k", y[1:4], sub, y[4:])
-        return out
-
     y0 = _coords_float(v1) + _coords_float(v2)
-    system = ODESystem(8, rhs, "reduced geodesic flow on su(2,1)")
+    gen = _flow_generator(y0, float(params.t))
+    system = ODESystem(8, lambda u, y: gen @ y, "reduced geodesic flow on su(2,1)")
     traj = integrate(system, y0, (0.0, float(u_max)), config)
 
     g1_drift = float(np.max(np.abs(traj.states[:, list(H1)] - y0[list(H1)])))
@@ -697,9 +782,8 @@ def euler_arnold_integrate(
     norms = np.sqrt(np.einsum("nk,k,nk->n", traj.states[:, 4:], weights, traj.states[:, 4:]))
     bnorm_drift = float(np.max(np.abs(norms - norms[0])))
 
-    # Closed form via the eigendecomposition of the constant generator.
-    gen = t_param * np.einsum("i,ijk->kj", y0[1:4], sub)
-    lam, vec = np.linalg.eig(gen)
+    # Closed form via the eigendecomposition of the generator's h2 block.
+    lam, vec = np.linalg.eig(gen[4:, 4:])
     coef = np.linalg.solve(vec, y0[4:].astype(complex))
     phases = np.exp(np.outer(traj.times, lam))
     closed = np.real((phases * coef[None, :]) @ vec.T)

@@ -584,18 +584,6 @@ def lower_bound_coefficients(t, k) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def structure_tensor_float() -> np.ndarray:
-    """The bracket table as a float array C[i, j, k]."""
-    table = _bracket_table()
-    c = np.zeros((8, 8, 8))
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                c[i, j, k] = float(table[i][j][k])
-    return c
-
-
-@lru_cache(maxsize=1)
 def b_weights_float() -> np.ndarray:
     """Diagonal of the B Gram matrix as floats (the matrix is diagonal)."""
     return np.array(_b_diagonal(), dtype=float)

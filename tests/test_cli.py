@@ -132,9 +132,8 @@ def _loop_first_failure(name):
 @pytest.fixture
 def su21_caches_cleared():
     # monkeypatch restores the patched functions with their own caches intact;
-    # the float tables cache whatever the patched functions returned.
+    # the float B weights cache whatever the patched _b_diagonal returned.
     yield
-    su21.structure_tensor_float.cache_clear()
     su21.b_weights_float.cache_clear()
 
 

@@ -98,7 +98,10 @@ class TestDormandPrinceTableau:
         # O(h^6) and the embedded estimate is O(h^5).
         def one_step(h):
             y = np.array([1.0])
-            y_new, err, k7 = geo._dp54_step(lambda t, y: y, 0.0, y, h, y.copy())
+            stages = np.empty((7, 1))
+            stages[0] = y
+            y_new, err = geo._dp54_step(lambda t, y: y, 0.0, y, h, stages)
+            k7 = stages[6]
             assert k7[0] == y_new[0]
             return abs(y_new[0] - math.exp(h)), abs(err[0])
 
@@ -106,6 +109,195 @@ class TestDormandPrinceTableau:
         sol_fine, err_fine = one_step(0.05)
         assert 48.0 <= sol_coarse / sol_fine <= 80.0
         assert 24.0 <= err_coarse / err_fine <= 40.0
+
+
+def _reference_dp54_step(rhs, t, y, h, k1):
+    # Reference trial step: a fresh (7, n) stage array per trial.
+    K = np.empty((7, y.size))
+    K[0] = k1
+    for i in range(1, 7):
+        stage = y + h * np.add.reduce(geo._DP_A[i, :i, None] * K[:i])
+        K[i] = rhs(t + geo._DP_C[i] * h, stage)
+    return stage, h * np.add.reduce(geo._DP_E[:, None] * K), K[6]
+
+
+def _reference_integrate(system, y0, t_span, cfg):
+    # Reference loop with numpy step control (np.mean, np.linalg.norm,
+    # copies of accepted states) and no test of the error estimate's
+    # finiteness: the oracle integrate must match bit for bit.  Returns
+    # (times, states, status).
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y = np.asarray(y0, dtype=float)
+    k1 = np.asarray(system.rhs(t0, y), dtype=float)
+    times = [t0]
+    states = [y.copy()]
+
+    def finish(kind, t, h=None):
+        status = sg.TrajectoryStatus(kind, float(t), float(np.linalg.norm(states[-1])),
+                                     None if h is None else float(h))
+        return np.asarray(times), np.asarray(states), status
+
+    t = t0
+    h = min(cfg.initial_step, t1 - t0)
+    steps = 0
+    while t < t1:
+        if t1 - t <= cfg.min_step:
+            return finish(sg.COMPLETED, t)
+        h = min(h, t1 - t)
+        if h < cfg.min_step:
+            return finish(sg.STEP_UNDERFLOW, t, h)
+        steps += 1
+        if steps > cfg.max_steps:
+            raise RuntimeError("step budget exceeded")
+        try:
+            y_new, err, k7 = _reference_dp54_step(system.rhs, t, y, h, k1)
+        except DomainError:
+            h *= 0.5
+            continue
+        if not np.all(np.isfinite(y_new)):
+            h *= 0.5
+            continue
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        factor = 10.0 if err_norm == 0.0 else min(10.0, max(0.2, geo._SAFETY * err_norm ** -0.2))
+        if err_norm > 1.0:
+            h *= factor
+            continue
+        t += h
+        y = y_new
+        k1 = k7
+        times.append(t)
+        states.append(y.copy())
+        if float(np.linalg.norm(y)) >= cfg.blowup_threshold:
+            return finish(sg.BLOWUP, t, h)
+        h *= factor
+    return finish(sg.COMPLETED, t)
+
+
+def _riccati_case(h0):
+    system = sg.ODESystem(1, lambda t, y: np.array([1.0 - y[0] * y[0]]), "h' = 1 - h^2")
+    return system, [h0], (0.0, 50.0), sg.IntegratorConfig(blowup_threshold=1e8)
+
+
+def _warped_case(kind):
+    spec = sg.incompleteness_space(2, 2, 1.0)
+    system = sg.warped_geodesic_rhs(spec)
+    if kind == "lightlike":
+        y0 = geo._launch_state(spec, 1.0, downward=False, causal="lightlike")
+        return geo._reversed_system(system), y0, (0.0, 3.0), sg.IntegratorConfig()
+    y0 = geo._launch_state(spec, 3.0, downward=True, causal="timelike")
+    return system, y0, (0.0, math.log(2.0) + 1.0), sg.IntegratorConfig()
+
+
+def _domain_exit_case():
+    # x' = 1 on a domain that ends at x = 2.5: the run stops with underflow.
+    def rhs(t, y):
+        if y[0] > 2.5:
+            raise RhsDomainError("left x <= 2.5")
+        return np.array([1.0, -y[0]])
+
+    return sg.ODESystem(2, rhs, "domain exit"), [0.0, 1.0], (0.0, 5.0), sg.IntegratorConfig()
+
+
+def _stiff_case():
+    system = sg.ODESystem(1, lambda t, y: -2000.0 * (y - math.cos(t)), "stiff decay")
+    return system, [0.0], (0.0, 2.0), sg.IntegratorConfig()
+
+
+def _infinite_window_case():
+    # An infinite field on a time window: every trial with a stage inside it
+    # has a non-finite solution, so the run underflows at the window's edge.
+    def rhs(t, y):
+        return np.array([math.inf if 0.5 < t < 0.6 else math.cos(t)])
+
+    return sg.ODESystem(1, rhs, "infinite window"), [0.0], (0.0, 1.0), sg.IntegratorConfig()
+
+
+ORACLE_CASES = {
+    "riccati-h0-0": lambda: _riccati_case(0.0),
+    "riccati-h0-neg1.5": lambda: _riccati_case(-1.5),
+    "warped-lightlike": lambda: _warped_case("lightlike"),
+    "warped-timelike": lambda: _warped_case("timelike"),
+    "hyperbolic-geodesic": lambda: (sg.geodesic_rhs(sg.hyperbolic(2)), [0.0, 1.0, 0.3, -4.0], (0.0, 3.0),
+                                    sg.IntegratorConfig()),
+    "domain-exit": _domain_exit_case,
+    "stiff-decay": _stiff_case,
+    "infinite-window": _infinite_window_case,
+}
+
+
+def _counted(system):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return system.rhs(t, y)
+
+    return sg.ODESystem(system.dim, rhs, system.description), calls
+
+
+# The infinite-window and NaN cases compute with inf and NaN on purpose.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestStepperOracle:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        out = {}
+        for name, make in ORACLE_CASES.items():
+            system, y0, span, cfg = make()
+            counted, calls = _counted(system)
+            out[name] = (sg.integrate(counted, y0, span, cfg), len(calls),
+                         _reference_integrate(system, y0, span, cfg))
+        return out
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_bit_identical_to_reference(self, runs, name):
+        traj, _, (times, states, status) = runs[name]
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        assert traj.status == status
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_stats_count_the_work(self, runs, name):
+        traj, calls, _ = runs[name]
+        stats = traj.stats
+        assert stats.rhs_evals == calls
+        assert stats.accepted_steps == len(traj.times) - 1
+        steps = np.diff(traj.times)
+        assert stats.h_min == pytest.approx(steps.min(), rel=1e-9)
+        assert stats.h_max == pytest.approx(steps.max(), rel=1e-9)
+
+    def test_every_rejection_cause_runs(self, runs):
+        stats = [traj.stats for traj, _, _ in runs.values()]
+        assert sum(s.rejected_error_norm for s in stats) > 0
+        assert sum(s.rejected_domain for s in stats) > 0
+        assert sum(s.rejected_nonfinite for s in stats) > 0
+        assert runs["riccati-h0-neg1.5"][0].status.kind == sg.BLOWUP
+
+    def test_nonfinite_error_estimate_is_rejected(self):
+        # The 7th evaluation is the first trial's last stage: the solution is
+        # finite, the error estimate is NaN.  Accepting it would carry the NaN
+        # derivative forward and end in step underflow at t = 0.001.
+        def make():
+            calls = []
+
+            def rhs(t, y):
+                calls.append(t)
+                return np.array([math.nan]) if len(calls) == 7 else -y
+
+            return sg.ODESystem(1, rhs, "one NaN evaluation")
+
+        cfg = sg.IntegratorConfig()
+        _, _, old = _reference_integrate(make(), [1.0], (0.0, 1.0), cfg)
+        assert (old.kind, old.time) == (sg.STEP_UNDERFLOW, 0.001)
+        traj = sg.integrate(make(), [1.0], (0.0, 1.0), cfg)
+        assert traj.status.kind == sg.COMPLETED
+        assert np.all(np.isfinite(traj.states))
+        assert traj.stats.rejected_nonfinite == 1
+        assert traj.final_state[0] == pytest.approx(math.exp(-1.0), rel=1e-8)
+
+    def test_curve_without_integration_has_empty_stats(self):
+        curve = sg.make_curve([0.0, 1.0], np.zeros((2, 1)), np.ones((2, 1)))
+        assert curve.stats == sg.IntegrationStats()
 
 
 class TestGeodesicRhs:
@@ -392,3 +584,70 @@ class TestReducedFlowIntegration:
         params = sg.ModelParams(F("-0.8"), F("0.1"))
         with pytest.raises(NonTangentError):
             sg.euler_arnold_integrate(sg.basis_element("f1"), sg.basis_element("f2"), params, 1.0)
+
+
+def _reference_flow_rhs(y0, t):
+    # Reference reduced-flow right-hand side: an einsum over the dense
+    # bracket table, restricted to [h1, h2] -> h2.
+    from semigeo.su21 import _bracket_table
+
+    dense = np.array([[[float(c) for c in cell] for cell in row] for row in _bracket_table()])
+    sub = dense[1:4, 4:8, 4:8]
+
+    def rhs(u, y):
+        out = np.zeros(8)
+        out[4:] = t * np.einsum("i,ijk,j->k", y[1:4], sub, y[4:])
+        return out
+
+    return rhs
+
+
+def _unit_gamma0s():
+    for i in (1, 2, 3):
+        for j in (4, 5, 6, 7):
+            for si in (1.0, -1.0):
+                for sj in (1.0, -1.0):
+                    y0 = np.zeros(8)
+                    y0[i], y0[j] = si, sj
+                    yield y0
+
+
+class TestFlowGenerator:
+    def test_bit_identical_on_unit_gamma0(self):
+        rng = np.random.default_rng(11)
+        for y0 in _unit_gamma0s():
+            gen, ref = geo._flow_generator(y0, -0.8), _reference_flow_rhs(y0, -0.8)
+            for y in [y0] + [np.concatenate([y0[:4], rng.standard_normal(4)]) for _ in range(20)]:
+                assert np.array_equal(gen @ y, ref(0.0, y))
+
+    def test_close_on_random_gamma0(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            y0 = rng.standard_normal(8)
+            y0[0] = 0.0
+            t = rng.uniform(-1.0, 1.0)
+            got, want = geo._flow_generator(y0, t) @ y0, _reference_flow_rhs(y0, t)(0.0, y0)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_trajectories_bit_identical_on_unit_gamma0(self):
+        params = sg.ModelParams(F("-0.8"), F("0.1"))
+        cfg = sg.IntegratorConfig()
+        for y0 in _unit_gamma0s():
+            v1 = sg.from_coords(tuple(F(int(c)) if k in (1, 2, 3) else F(0) for k, c in enumerate(y0)))
+            v2 = sg.from_coords(tuple(F(int(c)) if k >= 4 else F(0) for k, c in enumerate(y0)))
+            traj, _ = sg.euler_arnold_integrate(v1, v2, params, 10.0)
+            ref = sg.ODESystem(8, _reference_flow_rhs(y0, -0.8), "reference flow")
+            times, states, status = _reference_integrate(ref, y0, (0.0, 10.0), cfg)
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, states)
+            assert traj.status == status
+
+    def test_readme_run_counts(self):
+        # The README flow: e2 + f1 at t = -0.8 to u = 1000.
+        params = sg.ModelParams(F("-0.8"), F("0.1"))
+        traj, _ = sg.euler_arnold_integrate(sg.basis_element("e2"), sg.basis_element("f1"), params, 1000.0)
+        stats = traj.stats
+        assert stats.accepted_steps == 15557 == len(traj.times) - 1
+        assert stats.rejected_domain == stats.rejected_nonfinite == 0
+        attempts = stats.accepted_steps + stats.rejected_error_norm
+        assert stats.rhs_evals == 1 + 6 * attempts

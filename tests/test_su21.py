@@ -149,14 +149,14 @@ class TestBracket:
             assert all(abs(F(g) - c) <= F(1e-15) * scale for g, c in zip(got.coords, exact.coords))
 
     def test_sparse_terms_rebuild_structure_tensor(self):
-        from semigeo.su21 import _bracket_terms, structure_tensor_float
+        from semigeo.su21 import _bracket_terms
 
         dense = np.zeros((8, 8, 8))
         for i, j, k, c in _bracket_terms():
             assert type(c) is int and c != 0
             dense[i, j, k] = c
         assert len(_bracket_terms()) == 54
-        assert np.array_equal(dense, structure_tensor_float())
+        assert np.array_equal(dense, _dense_structure_tensor())
 
     def test_jacobi_all_basis_triples(self):
         for i in range(8):
@@ -497,13 +497,22 @@ class TestLowerBoundChain:
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
+def _dense_structure_tensor():
+    # The exact bracket table as a float array C[i, j, k].
+    from semigeo.su21 import _bracket_table
+
+    return np.array([[[float(c) for c in cell] for cell in row] for row in _bracket_table()])
+
+
 def _dense_batch_quartic(x, y, t):
     # The dense-einsum formulation of batch_quartic: three full brackets over
     # the (8, 8, 8) structure tensor with masked inputs.
-    from semigeo.su21 import b_weights_float, structure_tensor_float
+    from semigeo.su21 import b_weights_float
+
+    ctensor = _dense_structure_tensor()
 
     def br(u, v):
-        return np.einsum("ni,nj,ijk->nk", u, v, structure_tensor_float(), optimize=True)
+        return np.einsum("ni,nj,ijk->nk", u, v, ctensor, optimize=True)
 
     def b(u, v):
         return np.einsum("nk,k,nk->n", u, b_weights_float(), v)
