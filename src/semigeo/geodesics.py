@@ -41,9 +41,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
-from .charts import ChartMetric, christoffel
+from .charts import ChartMetric, _christoffel_from_jet, _metric_jet, christoffel
 from .errors import DomainError, NonTangentError, RhsDomainError
 from .spaces import (
     WarpedProductSpec,
@@ -348,11 +347,14 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
         fiber: (grad_t f')^u = -2 (d alpha / dt) f'^u
 
     Solutions match geodesic_rhs on the assembled block metric; this route
-    never touches the assembled chart, so the two are independent.
+    never touches the assembled chart, so the two are independent.  Each
+    call takes one first-order metric jet per factor and one warping jet
+    (or, without one, the warping's value and finite differences); the
+    fiber's Christoffel term is skipped where its jet's dg is zero.
     """
     if spec.kind not in ("plain", "warped"):
         raise DomainError("warped_geodesic_rhs needs a base-only warping")
-    base, fiber = spec.base, spec.fiber
+    base, fiber, warping = spec.base, spec.fiber, spec.warping
     db, df = base.dim, fiber.dim
     n = db + df
 
@@ -363,15 +365,24 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
             raise RhsDomainError("warped geodesic left the base domain")
         if not fiber.in_domain(f):
             raise RhsDomainError("warped geodesic left the fiber domain")
-        gb = christoffel(base, b)
-        gf = christoffel(fiber, f)
-        acc_b = -np.einsum("ijk,j,k->i", gb, vb, vb)
-        acc_f = -np.einsum("ijk,j,k->i", gf, vf, vf)
+        scale_b, g_b, dg_b = _metric_jet(base, b[None], 1)
+        ginv_b, gamma_b = _christoffel_from_jet(g_b, dg_b)
+        acc_b = -np.einsum("ijk,j,k->i", gamma_b[0], vb, vb)
+        scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
+        if dg_f.any():
+            gamma_f = _christoffel_from_jet(g_f, dg_f)[1][0]
+            acc_f = -np.einsum("ijk,j,k->i", gamma_f, vf, vf)
+        else:
+            acc_f = np.zeros(df)
         if spec.kind == "warped":
-            da = spec.alpha_base_partials(b, f)
-            fiber_speed_sq = float(vf @ fiber.metric_at(f) @ vf)
-            grad = np.linalg.solve(base.metric_at(b), da)
-            acc_b -= math.exp(2.0 * spec.alpha(b, f)) * fiber_speed_sq * grad
+            if warping.jet is not None:
+                a, da = warping.jet(b[None], f[None], 1)
+                alpha, da = float(a[0]), da[0, :db]
+            else:
+                alpha, da = warping.value(b, f), spec.alpha_base_partials(b, f)
+            fiber_speed_sq = float(scale_f[0]) * float(vf @ g_f[0] @ vf)
+            grad = (ginv_b[0] @ da) / scale_b[0]
+            acc_b -= math.exp(2.0 * alpha) * fiber_speed_sq * grad
             acc_f -= 2.0 * float(da @ vb) * vf
         return np.concatenate([vb, vf, acc_b, acc_f])
 
@@ -593,6 +604,44 @@ def incompleteness_demo(
 # ---------------------------------------------------------------------------
 
 
+def _hermite_spline(times: np.ndarray, values: np.ndarray, slopes: np.ndarray):
+    """Piecewise cubic Hermite interpolant through ``values`` with first
+    derivatives ``slopes`` (both ``(N, n)``) at the ``N`` sample ``times``.
+
+    Returns ``spline(t, nu=0)``, the value (nu = 0) or first derivative
+    (nu = 1) at a scalar t.  On [x_i, x_{i+1}) the cubic is
+    c3 + c2 dx + c1 dx^2 + c0 dx^3 with dx = t - x_i, and its coefficients
+    and summation order are those of scipy's CubicHermiteSpline.  A t
+    outside the samples extends the end cubic, as scipy's PPoly does.
+    Needs at least 2 samples, finite data and strictly increasing times;
+    anything else raises DomainError.
+    """
+    x = np.asarray(times, dtype=float)
+    y = np.asarray(values, dtype=float)
+    m = np.asarray(slopes, dtype=float)
+    if x.ndim != 1 or len(x) < 2:
+        raise DomainError(f"cubic Hermite interpolation needs at least 2 samples, got {x.shape}")
+    h = np.diff(x)
+    if not (np.isfinite(x).all() and (h > 0).all()):
+        raise DomainError("cubic Hermite sample times must be finite and strictly increasing")
+    if not (np.isfinite(y).all() and np.isfinite(m).all()):
+        raise DomainError("cubic Hermite samples must be finite")
+    h = h[:, None]
+    slope = np.diff(y, axis=0) / h
+    tt = (m[:-1] + m[1:] - 2 * slope) / h
+    c0, c1, c2, c3 = tt / h, (slope - m[:-1]) / h - tt, m[:-1], y[:-1]
+    last = len(x) - 2
+
+    def spline(t: float, nu: int = 0) -> np.ndarray:
+        i = min(max(int(np.searchsorted(x, t, "right")) - 1, 0), last)
+        dx = t - x[i]
+        if nu == 0:
+            return c3[i] + c2[i] * dx + c1[i] * (dx * dx) + c0[i] * (dx * dx * dx)
+        return c2[i] + c1[i] * dx * 2.0 + c0[i] * (dx * dx) * 3.0
+
+    return spline
+
+
 def parallel_transport(
     chart: ChartMetric,
     base_curve: Trajectory,
@@ -603,13 +652,16 @@ def parallel_transport(
 
     ``base_curve.states`` must hold (position, velocity) pairs (the layout
     produced by geodesic_rhs and make_curve); the curve is interpolated with
-    a cubic Hermite spline, so supply samples dense enough for the target
-    accuracy.  Transport preserves g(V, V) along any curve.
+    the piecewise cubic Hermite spline of ``_hermite_spline`` through those
+    positions and velocities, so supply samples dense enough for the target
+    accuracy.  A curve with fewer than 2 samples, with non-finite samples, or
+    with times that are not strictly increasing raises DomainError.
+    Transport preserves g(V, V) along any curve.
     """
     n = chart.dim
     pos = base_curve.states[:, :n]
     vel = base_curve.states[:, n : 2 * n]
-    spline = CubicHermiteSpline(base_curve.times, pos, vel, axis=0)
+    spline = _hermite_spline(base_curve.times, pos, vel)
 
     def rhs(t, v):
         x = spline(t)

@@ -1,7 +1,11 @@
 """Command-line contract: exit codes, report formats, determinism."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -340,3 +344,16 @@ class TestDeterminism:
             assert code == 0
             files.append(read(out))
         assert files[0] == files[1] == files[2]
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test-only dependency: importing the CLI in a fresh
+        # interpreter must not load any scipy module.
+        src = str(Path(sg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import semigeo.cli, sys; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert done.stdout.strip() == "[]"

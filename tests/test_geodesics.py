@@ -3,6 +3,7 @@ parallel transport, the scalar comparison bound, and the reduced flow."""
 
 import math
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -373,6 +374,54 @@ class TestWarpedGeodesics:
             sg.warped_geodesic_rhs(spec)
 
 
+def _reference_warped_rhs(spec, y):
+    # The warped-product right-hand side as the per-factor christoffel /
+    # metric_at / solve formula, with the warping value and its partials.
+    db, df = spec.base.dim, spec.fiber.dim
+    n = db + df
+    b, f = y[:db], y[db:n]
+    vb, vf = y[n : n + db], y[n + db :]
+    acc_b = -np.einsum("ijk,j,k->i", sg.christoffel(spec.base, b), vb, vb)
+    acc_f = -np.einsum("ijk,j,k->i", sg.christoffel(spec.fiber, f), vf, vf)
+    if spec.kind == "warped":
+        da = spec.alpha_base_partials(b, f)
+        fiber_speed_sq = float(vf @ spec.fiber.metric_at(f) @ vf)
+        grad = np.linalg.solve(spec.base.metric_at(b), da)
+        acc_b -= math.exp(2.0 * spec.alpha(b, f)) * fiber_speed_sq * grad
+        acc_f -= 2.0 * float(da @ vb) * vf
+    return np.concatenate([vb, vf, acc_b, acc_f])
+
+
+WARPED_RHS_SPECS = {
+    "incompleteness": lambda: sg.incompleteness_space(2, 2, 1.0),
+    "plain": lambda: sg.plain_product(sg.hyperbolic(2), sg.flat_torus(2)),
+    # non-zero fiber dg: the fiber Christoffel term is evaluated
+    "sphere-fiber": lambda: sg.warped_product(sg.hyperbolic(2), sg.sphere(2), sg.busemann_warping(1.0)),
+    # a fiber without a jet takes the finite-difference route
+    "fd-fiber": lambda: sg.warped_product(
+        sg.hyperbolic(2), replace(sg.flat_torus(2), jet=None), sg.busemann_warping(1.0)
+    ),
+    # a warping without a jet takes its value and finite differences
+    "value-only-warping": lambda: sg.warped_product(
+        sg.hyperbolic(2), sg.flat_torus(2), sg.Warping(value=sg.busemann_warping(0.7).value)
+    ),
+}
+
+
+class TestWarpedRhsReference:
+    @pytest.mark.parametrize("name", sorted(WARPED_RHS_SPECS))
+    def test_matches_reference_formula(self, name):
+        spec = WARPED_RHS_SPECS[name]()
+        rhs = sg.warped_geodesic_rhs(spec).rhs
+        rng = np.random.default_rng(21)
+        (blo, bhi), (flo, fhi) = spec.base.sample_box, spec.fiber.sample_box
+        n = spec.base.dim + spec.fiber.dim
+        for _ in range(50):
+            y = np.concatenate([rng.uniform(blo, bhi), rng.uniform(flo, fhi), rng.standard_normal(n)])
+            got, want = rhs(0.0, y), _reference_warped_rhs(spec, y)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestClosedFormS:
     def test_lightlike_values(self):
         assert sg.lightlike_s(0.0, 1.0, 1.0, 0.0) == 0.0
@@ -486,6 +535,59 @@ class TestParallelTransport:
         geod = sg.integrate(sg.geodesic_rhs(chart), y0, (0.0, 1.0))
         out = sg.parallel_transport(chart, geod, [0.0, 0.0, 1.0, -0.5])
         assert np.abs(out.states[:, :2]).max() <= 1e-6
+
+
+class TestHermiteSpline:
+    @pytest.mark.parametrize("count", [2, 3, 50])
+    def test_matches_scipy(self, count):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(count)
+        times = np.cumsum(rng.uniform(0.05, 1.0, count)) - 0.3
+        values = rng.standard_normal((count, 3))
+        slopes = rng.standard_normal((count, 3))
+        ours = geo._hermite_spline(times, values, slopes)
+        ref = interpolate.CubicHermiteSpline(times, values, slopes, axis=0)
+        inner = rng.uniform(times[0], times[-1], 40)
+        ends = [times[0] - 1e-9, times[-1] + 1e-9]
+        for t in np.concatenate([times, inner, ends]):
+            for nu in (0, 1):
+                np.testing.assert_allclose(ours(float(t), nu), ref(float(t), nu), rtol=1e-13, atol=1e-13)
+
+    def test_reproduces_a_cubic(self):
+        # A cubic with its exact derivative is reproduced on every interval
+        # and, extended from the end intervals, outside them.
+        times = np.array([0.0, 0.4, 1.0, 2.5])
+        poly = np.polynomial.Polynomial([0.5, -1.0, 2.0, 0.75])
+        spline = geo._hermite_spline(times, poly(times)[:, None], poly.deriv()(times)[:, None])
+        for t in (-0.5, 0.0, 0.2, 0.4, 1.7, 2.5, 3.0):
+            assert spline(t)[0] == pytest.approx(poly(t), rel=1e-13, abs=1e-13)
+            assert spline(t, 1)[0] == pytest.approx(poly.deriv()(t), rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [0.0],
+            [0.0, 1.0, 1.0],
+            [0.0, 2.0, 1.0],
+            [0.0, math.nan, 2.0],
+            [0.0, 1.0, math.inf],
+            [-math.inf, 0.0, 1.0],
+        ],
+        ids=["one-sample", "repeated", "decreasing", "nan", "inf", "minus-inf"],
+    )
+    def test_bad_times_raise(self, times):
+        times = np.array(times)
+        states = np.zeros((len(times), 2))
+        with pytest.raises(DomainError):
+            geo._hermite_spline(times, states, states)
+        with pytest.raises(DomainError):
+            sg.parallel_transport(sg.euclidean(1), sg.make_curve(times, states[:, :1], states[:, 1:]), [1.0])
+
+    def test_nonfinite_states_raise(self):
+        times = np.array([0.0, 1.0, 2.0])
+        pos = np.array([[0.0], [math.nan], [2.0]])
+        with pytest.raises(DomainError):
+            sg.parallel_transport(sg.euclidean(1), sg.make_curve(times, pos, np.ones((3, 1))), [1.0])
 
 
 class TestHorizontality:
