@@ -348,13 +348,12 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
 
     Solutions match geodesic_rhs on the assembled block metric; this route
     never touches the assembled chart, so the two are independent.  Each
-    call takes one first-order metric jet per factor and one warping jet
-    (or, without one, the warping's value and finite differences); the
-    fiber's Christoffel term is skipped where its jet's dg is zero.
+    call takes one first-order metric jet per factor; the fiber's
+    Christoffel term is skipped where its jet's dg is zero.
     """
     if spec.kind not in ("plain", "warped"):
         raise DomainError("warped_geodesic_rhs needs a base-only warping")
-    base, fiber, warping = spec.base, spec.fiber, spec.warping
+    base, fiber = spec.base, spec.fiber
     db, df = base.dim, fiber.dim
     n = db + df
 
@@ -375,11 +374,7 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
         else:
             acc_f = np.zeros(df)
         if spec.kind == "warped":
-            if warping.jet is not None:
-                a, da = warping.jet(b[None], f[None], 1)
-                alpha, da = float(a[0]), da[0, :db]
-            else:
-                alpha, da = warping.value(b, f), spec.alpha_base_partials(b, f)
+            alpha, da = spec.alpha(b, f), spec.alpha_base_partials(b, f)
             fiber_speed_sq = float(scale_f[0]) * float(vf @ g_f[0] @ vf)
             grad = (ginv_b[0] @ da) / scale_b[0]
             acc_b -= math.exp(2.0 * alpha) * fiber_speed_sq * grad
@@ -608,12 +603,12 @@ def _hermite_spline(times: np.ndarray, values: np.ndarray, slopes: np.ndarray):
     """Piecewise cubic Hermite interpolant through ``values`` with first
     derivatives ``slopes`` (both ``(N, n)``) at the ``N`` sample ``times``.
 
-    Returns ``spline(t, nu=0)``, the value (nu = 0) or first derivative
-    (nu = 1) at a scalar t.  On [x_i, x_{i+1}) the cubic is
-    c3 + c2 dx + c1 dx^2 + c0 dx^3 with dx = t - x_i, and its coefficients
-    and summation order are those of scipy's CubicHermiteSpline.  A t
-    outside the samples extends the end cubic, as scipy's PPoly does.
-    Needs at least 2 samples, finite data and strictly increasing times;
+    Returns ``spline(t)``, the pair (value, first derivative) at a scalar t.
+    On [x_i, x_{i+1}) the cubic is c3 + c2 dx + c1 dx^2 + c0 dx^3 with
+    dx = t - x_i, and its coefficients and summation order are those of
+    scipy's CubicHermiteSpline.  A t outside the samples extends the end
+    cubic, as scipy's PPoly does.  Needs at least 2 samples, one row of
+    values and slopes per time, finite data and strictly increasing times;
     anything else raises DomainError.
     """
     x = np.asarray(times, dtype=float)
@@ -621,6 +616,10 @@ def _hermite_spline(times: np.ndarray, values: np.ndarray, slopes: np.ndarray):
     m = np.asarray(slopes, dtype=float)
     if x.ndim != 1 or len(x) < 2:
         raise DomainError(f"cubic Hermite interpolation needs at least 2 samples, got {x.shape}")
+    if y.ndim != 2 or y.shape != m.shape or len(y) != len(x):
+        raise DomainError(
+            f"cubic Hermite values {y.shape} and slopes {m.shape} need one row per time ({len(x)})"
+        )
     h = np.diff(x)
     if not (np.isfinite(x).all() and (h > 0).all()):
         raise DomainError("cubic Hermite sample times must be finite and strictly increasing")
@@ -632,12 +631,12 @@ def _hermite_spline(times: np.ndarray, values: np.ndarray, slopes: np.ndarray):
     c0, c1, c2, c3 = tt / h, (slope - m[:-1]) / h - tt, m[:-1], y[:-1]
     last = len(x) - 2
 
-    def spline(t: float, nu: int = 0) -> np.ndarray:
+    def spline(t: float) -> tuple[np.ndarray, np.ndarray]:
         i = min(max(int(np.searchsorted(x, t, "right")) - 1, 0), last)
         dx = t - x[i]
-        if nu == 0:
-            return c3[i] + c2[i] * dx + c1[i] * (dx * dx) + c0[i] * (dx * dx * dx)
-        return c2[i] + c1[i] * dx * 2.0 + c0[i] * (dx * dx) * 3.0
+        dx2 = dx * dx
+        value = c3[i] + c2[i] * dx + c1[i] * dx2 + c0[i] * (dx2 * dx)
+        return value, c2[i] + c1[i] * dx * 2.0 + c0[i] * dx2 * 3.0
 
     return spline
 
@@ -654,8 +653,9 @@ def parallel_transport(
     produced by geodesic_rhs and make_curve); the curve is interpolated with
     the piecewise cubic Hermite spline of ``_hermite_spline`` through those
     positions and velocities, so supply samples dense enough for the target
-    accuracy.  A curve with fewer than 2 samples, with non-finite samples, or
-    with times that are not strictly increasing raises DomainError.
+    accuracy.  A curve with fewer than 2 samples, with states that are not
+    one (position, velocity) row per time, with non-finite samples, or with
+    times that are not strictly increasing raises DomainError.
     Transport preserves g(V, V) along any curve.
     """
     n = chart.dim
@@ -664,11 +664,10 @@ def parallel_transport(
     spline = _hermite_spline(base_curve.times, pos, vel)
 
     def rhs(t, v):
-        x = spline(t)
+        x, cdot = spline(t)
         if not chart.in_domain(x):
             raise RhsDomainError("transport curve left the chart domain")
         gamma = christoffel(chart, x)
-        cdot = spline(t, 1)
         return -np.einsum("ijk,j,k->i", gamma, cdot, v)
 
     system = ODESystem(n, rhs, f"parallel transport on {chart.name}")

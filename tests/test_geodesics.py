@@ -550,8 +550,9 @@ class TestHermiteSpline:
         inner = rng.uniform(times[0], times[-1], 40)
         ends = [times[0] - 1e-9, times[-1] + 1e-9]
         for t in np.concatenate([times, inner, ends]):
-            for nu in (0, 1):
-                np.testing.assert_allclose(ours(float(t), nu), ref(float(t), nu), rtol=1e-13, atol=1e-13)
+            value, slope = ours(float(t))
+            np.testing.assert_allclose(value, ref(float(t)), rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(slope, ref(float(t), 1), rtol=1e-13, atol=1e-13)
 
     def test_reproduces_a_cubic(self):
         # A cubic with its exact derivative is reproduced on every interval
@@ -560,8 +561,9 @@ class TestHermiteSpline:
         poly = np.polynomial.Polynomial([0.5, -1.0, 2.0, 0.75])
         spline = geo._hermite_spline(times, poly(times)[:, None], poly.deriv()(times)[:, None])
         for t in (-0.5, 0.0, 0.2, 0.4, 1.7, 2.5, 3.0):
-            assert spline(t)[0] == pytest.approx(poly(t), rel=1e-13, abs=1e-13)
-            assert spline(t, 1)[0] == pytest.approx(poly.deriv()(t), rel=1e-13, abs=1e-13)
+            value, slope = spline(t)
+            assert value[0] == pytest.approx(poly(t), rel=1e-13, abs=1e-13)
+            assert slope[0] == pytest.approx(poly.deriv()(t), rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize(
         "times",
@@ -582,6 +584,22 @@ class TestHermiteSpline:
             geo._hermite_spline(times, states, states)
         with pytest.raises(DomainError):
             sg.parallel_transport(sg.euclidean(1), sg.make_curve(times, states[:, :1], states[:, 1:]), [1.0])
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 2), (1, 2), (2, 1, 2)], ids=["extra-row", "missing-row", "three-axes"]
+    )
+    def test_mismatched_samples_raise(self, shape):
+        # Two times: a (3, n) array would broadcast through np.diff and the
+        # interpolant would silently use only its first two rows.
+        times = np.array([0.0, 1.0])
+        states = np.ones(shape)
+        with pytest.raises(DomainError):
+            geo._hermite_spline(times, states, states)
+        with pytest.raises(DomainError):
+            geo._hermite_spline(times, np.ones((2, 2)), np.ones((2, 3)))
+        curve = sg.make_curve(times, np.ones((3, 1)), np.ones((3, 1)))
+        with pytest.raises(DomainError):
+            sg.parallel_transport(sg.euclidean(1), curve, [1.0])
 
     def test_nonfinite_states_raise(self):
         times = np.array([0.0, 1.0, 2.0])
