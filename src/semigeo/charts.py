@@ -11,7 +11,9 @@ condition
     g(R(u, v)v, u) >= k * (g(u, u) g(v, v) - g(u, v)^2)
 
 for all tangent pairs (u, v), including pairs spanning lightlike planes where
-the sectional curvature itself is undefined.
+the sectional curvature itself is undefined.  Both sides are quadratic forms
+in the Plücker coordinates w = u ^ v, with matrices R_{IJKL} and
+g_IK g_JL - g_IL g_JK over index pairs I = (i < j), K = (k < l).
 
 Curvature sign convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, calibrated so that the unit round sphere has sectional
@@ -156,7 +158,8 @@ def _fd_jet(chart: ChartMetric, x: np.ndarray, order: int) -> tuple[np.ndarray, 
 
 def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """(scale, g, dg[, ddg]) at the rows of ``X``: the chart's own jet, or
-    finite differences of ``metric_at`` for charts that have none."""
+    finite differences of ``metric_at`` for charts that have none.  Rows
+    outside the domain raise DomainError (the geodesic RHS's only check)."""
     for x in X:
         _require_domain(chart, x)
     if chart.jet is not None:
@@ -296,31 +299,37 @@ def default_sampler(chart: ChartMetric) -> TangentSampler:
     return TangentSampler(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
 
 
-def _eval_block(chart, sampler, k, seed, block_index, count):
-    """Margins, scales and tangent pairs of one sample block, in sample order.
+def wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Plücker coordinates u_i v_j - u_j v_i of u ^ v over the last axis,
+    for i < j in ``itertools.combinations`` order; built row i at a time,
+    so the temporaries stay near the size of the result."""
+    rows = [u[..., i, None] * v[..., i + 1 :] - v[..., i, None] * u[..., i + 1 :] for i in range(u.shape[-1])]
+    return np.concatenate(rows, axis=-1)
 
-    Each point contributes its random pair first, then the C(d, 2)
-    coordinate-basis pairs.  Margins are lhs - k * area with per-pair scales
-    max(1, |lhs|, |k * area|).
-    """
+
+def plane_margins(w: np.ndarray, curv: np.ndarray, area: np.ndarray, k: float):
+    """Margins lhs - k * area and scales max(1, |lhs|, |k * area|) of the
+    planes with Plücker coordinates ``w``, where lhs = w.curv.w and
+    area = w.area.w (the forms broadcast over the leading axes)."""
+    lhs = np.einsum("...p,...pq,...q->...", w, curv, w, optimize=True)
+    karea = k * np.einsum("...p,...pq,...q->...", w, area, w, optimize=True)
+    return lhs - karea, np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(karea)))
+
+
+def _eval_block(chart, sampler, k, seed, block_index, count):
+    """Margins, scales and tangent pairs of one sample block, in sample order:
+    each point's random pair, then its C(d, 2) coordinate-basis pairs."""
     pts, us, vs = sampler.block(seed, block_index, count)
-    basis = np.eye(chart.dim)
-    stress = list(combinations(range(chart.dim), 2))
-    su = np.broadcast_to(basis[[i for i, _ in stress]], (count, len(stress), chart.dim))
-    sv = np.broadcast_to(basis[[j for _, j in stress]], (count, len(stress), chart.dim))
-    pu = np.concatenate([us[:, None], su], axis=1)  # (point, pair, dim)
-    pv = np.concatenate([vs[:, None], sv], axis=1)
+    I, J = np.triu_indices(chart.dim, 1)
+    basis = np.broadcast_to(np.eye(chart.dim), (count, chart.dim, chart.dim))
+    pu = np.concatenate([us[:, None], basis[:, I]], axis=1)  # (point, pair, dim)
+    pv = np.concatenate([vs[:, None], basis[:, J]], axis=1)
     g, riem = _curvature(chart, pts)
     rl = np.einsum("nim,nmjkl->nijkl", g, riem)
-    lhs = np.einsum("nijkl,npi,npj,npk,npl->np", rl, pu, pv, pu, pv, optimize=True)
-    gu = pu @ g
-    gv = pv @ g
-    area = (
-        np.einsum("npi,npi->np", gu, pu) * np.einsum("npi,npi->np", gv, pv)
-        - np.einsum("npi,npi->np", gu, pv) ** 2
-    )
-    margins = lhs - k * area
-    scales = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(k * area)))
+    P, Q = I[:, None], J[:, None]
+    curv = rl[:, P, Q, I, J]  # R_{I_p J_p I_q J_q}
+    area = g[:, P, I] * g[:, Q, J] - g[:, P, J] * g[:, Q, I]
+    margins, scales = plane_margins(wedge(pu, pv), curv[:, None], area[:, None], k)
     points = np.repeat(pts, pu.shape[1], axis=0)
     return margins.ravel(), scales.ravel(), points, pu.reshape(-1, chart.dim), pv.reshape(-1, chart.dim)
 

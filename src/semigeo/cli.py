@@ -22,7 +22,8 @@ Space grammar for --space:
     product:<base>*<fiber>
     warped:<base>*<fiber>:alpha=<busemann | sqrtk*busemann | const>
 
-Only curvature-check takes --workers; its default comes from the
+Every float flag must be finite: nan or inf exits 1 before any numerics
+run.  Only curvature-check takes --workers; its default comes from the
 SEMIGEO_WORKERS environment variable.  A failing su21 exact check adds an
 ``exact_check_witness`` object naming its first failing basis pair, triple
 or pair index; scan refuses grids of more than 10^6 cells (exit 1).
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -135,6 +137,9 @@ def _frac(text: str) -> Fraction:
 
 
 def _validate_common(args) -> None:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.seed < 0:
         raise _UsageError("--seed must be a nonnegative integer")
     if getattr(args, "tol", 0.0) < 0:
@@ -177,19 +182,14 @@ def cmd_curvature_check(args) -> int:
 
 
 def _exact_pairs(count: int, seed: int):
+    """Seeded rational pairs n/d, n in [-9, 9], d in [1, 9], e1 coordinates 0."""
     rng = np.random.default_rng(seed)
-    for _ in range(count):
-        coords = []
-        for _i in range(16):
-            num = int(rng.integers(-9, 10))
-            den = int(rng.integers(1, 10))
-            coords.append(Fraction(num, den))
-        coords[0] = Fraction(0)
-        coords[8] = Fraction(0)
-        yield (
-            alg.AlgebraElement(tuple(coords[:8])),
-            alg.AlgebraElement(tuple(coords[8:])),
-        )
+    nums = rng.integers(-9, 10, (count, 16))
+    dens = rng.integers(1, 10, (count, 16))
+    nums[:, [0, 8]] = 0
+    for row_n, row_d in zip(nums.tolist(), dens.tolist()):
+        coords = tuple(map(Fraction, row_n, row_d))
+        yield alg.AlgebraElement(coords[:8]), alg.AlgebraElement(coords[8:])
 
 
 def _first_failure(oks):

@@ -332,9 +332,10 @@ def geodesic_rhs(chart: ChartMetric) -> ODESystem:
 
     def rhs(t, y):
         x, v = y[:n], y[n:]
-        if not chart.in_domain(x):
-            raise RhsDomainError(f"geodesic left domain of {chart.name!r}")
-        gamma = christoffel(chart, x)
+        try:
+            gamma = christoffel(chart, x)
+        except DomainError as exc:
+            raise RhsDomainError(f"geodesic left the domain: {exc}") from exc
         return np.concatenate([v, -np.einsum("ijk,j,k->i", gamma, v, v)])
 
     return ODESystem(2 * n, rhs, f"geodesic on {chart.name}")
@@ -360,14 +361,13 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
     def rhs(t, y):
         b, f = y[:db], y[db:n]
         vb, vf = y[n : n + db], y[n + db :]
-        if not base.in_domain(b):
-            raise RhsDomainError("warped geodesic left the base domain")
-        if not fiber.in_domain(f):
-            raise RhsDomainError("warped geodesic left the fiber domain")
-        scale_b, g_b, dg_b = _metric_jet(base, b[None], 1)
+        try:
+            scale_b, g_b, dg_b = _metric_jet(base, b[None], 1)
+            scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
+        except DomainError as exc:
+            raise RhsDomainError(f"warped geodesic left the domain: {exc}") from exc
         ginv_b, gamma_b = _christoffel_from_jet(g_b, dg_b)
         acc_b = -np.einsum("ijk,j,k->i", gamma_b[0], vb, vb)
-        scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
         if dg_f.any():
             gamma_f = _christoffel_from_jet(g_f, dg_f)[1][0]
             acc_f = -np.einsum("ijk,j,k->i", gamma_f, vf, vf)
@@ -665,9 +665,10 @@ def parallel_transport(
 
     def rhs(t, v):
         x, cdot = spline(t)
-        if not chart.in_domain(x):
-            raise RhsDomainError("transport curve left the chart domain")
-        gamma = christoffel(chart, x)
+        try:
+            gamma = christoffel(chart, x)
+        except DomainError as exc:
+            raise RhsDomainError(f"transport curve left the domain: {exc}") from exc
         return -np.einsum("ijk,j,k->i", gamma, cdot, v)
 
     system = ODESystem(n, rhs, f"parallel transport on {chart.name}")

@@ -7,8 +7,8 @@ coordinates; brackets, the invariant form B(X, Y) = -Re tr(XY), projections,
 and the degree-4 curvature form are evaluated exactly in rational arithmetic
 whenever the inputs are rational (floats are accepted and simply degrade to
 float arithmetic).  One sparse list of the 54 nonzero structure constants,
-all integers, drives the exact bracket, the exact pair kernel and the
-vectorized float quartic.  The exact paths work on integer numerators over a
+all integers, drives the exact bracket, the exact pair kernel and the float
+margin forms.  The exact paths work on integer numerators over a
 common denominator: the pair kernel makes one pass for [X, Y], [X1, Y1] and
 [X2, Y2]_1, and both quartic forms and the determinant identity, homogeneous
 of degree (2, 2), become one integer polynomial and one Fraction per call.
@@ -23,7 +23,9 @@ the reduced geodesic-flow equations
     (1+t) G1' = 0,          G2' = t [G1, G2]
 
 are all provided, together with vectorized float samplers used by the
-region scans and certification runs.
+region scans and certification runs.  Brackets are linear in X ^ Y, so the
+sampled margin quartic - k * gram is a quadratic form on the 21 Plücker
+coordinates of the pair, evaluated by ``charts.plane_margins``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .charts import plane_margins, wedge
 from .errors import (
     BasisDecompositionError,
     DomainError,
@@ -599,56 +602,42 @@ def sample_tangent_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _batch_b(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("nk,k,nk->n", u, b_weights_float(), v)
+@lru_cache(maxsize=64)
+def _margin_forms(t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q(t) and G(t): read-only 21 x 21 matrices of the quartic and the Gram
+    value on the Plücker coordinates ``wedge(x[:, 1:], y[:, 1:])``.
 
-
-def batch_quartic(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-    """Vectorized curvature_quartic over (n, 8) float coordinate arrays.
-
-    The bracket pass of the exact kernel, run on contiguous (8, n) copies.
+    A bracket pass over the unit bivectors e_i ^ e_j (1 <= i < j) gives the
+    maps X ^ Y -> [X, Y], [X1, Y1], [X2, Y2]_1 that curvature_quartic's five
+    terms combine; G is diagonal, 4 (1+t)^2 / 4 / -4 (1+t) on h1^h1 / h2^h2 / h1^h2.
     """
-    full, b11, b22_1 = np.zeros((3, 8, len(x)))
-    _bracket_parts(x.T.copy(), y.T.copy(), full, b11, b22_1)
-    full, b11, b22_1 = full.T, b11.T, b22_1.T
-    f0 = full * np.equal(_BLOCK_OF, 0)
-    f2 = full * np.equal(_BLOCK_OF, 2)
-    return (
-        (1 + t) / 4 * _batch_b(b11, b11)
-        + (1 - 3 * t) / 4 * _batch_b(b22_1, b22_1)
-        + (1 - t - 2 * t * t) / 2 * _batch_b(b11, b22_1)
-        + (1 + t) ** 2 / 4 * _batch_b(f2, f2)
-        + _batch_b(f0, f0)
-    )
+    i, j = np.triu_indices(7, 1)
+    full, b11, b22_1 = np.zeros((3, 8, len(i)))
+    _bracket_parts(np.eye(8)[:, i + 1], np.eye(8)[:, j + 1], full, b11, b22_1)
+    f0, f2 = (np.equal(_BLOCK_OF, b)[:, None] * full for b in (0, 2))
 
+    def form(a, b):  # symmetric matrix of w -> B(a w, b w)
+        m = a.T @ (b_weights_float()[:, None] * b)
+        return (m + m.T) / 2
 
-def batch_xyz_gram(x: np.ndarray, y: np.ndarray, t: float):
-    """Vectorized (x, y, z) invariants and Gram values."""
-    a, bf = x[:, 1:4], x[:, 4:8]
-    c, df = y[:, 1:4], y[:, 4:8]
-    x_sq = sum(
-        (a[:, i] * c[:, j] - a[:, j] * c[:, i]) ** 2
-        for i in range(3)
-        for j in range(i + 1, 3)
+    quartic = (
+        (1 + t) / 4 * form(b11, b11)
+        + (1 - 3 * t) / 4 * form(b22_1, b22_1)
+        + (1 - t - 2 * t * t) / 2 * form(b11, b22_1)
+        + (1 + t) ** 2 / 4 * form(f2, f2)
+        + form(f0, f0)
     )
-    y_sq = sum(
-        (bf[:, i] * df[:, j] - bf[:, j] * df[:, i]) ** 2
-        for i in range(4)
-        for j in range(i + 1, 4)
-    )
-    z_sq = sum((a[:, i] * df[:, j] - c[:, i] * bf[:, j]) ** 2 for i in range(3) for j in range(4))
-    gram = 4 * (1 + t) ** 2 * x_sq + 4 * y_sq - 4 * (1 + t) * z_sq
-    return np.sqrt(x_sq), np.sqrt(y_sq), np.sqrt(z_sq), gram
+    bi, bj = np.take(_BLOCK_OF, i + 1), np.take(_BLOCK_OF, j + 1)
+    gram = np.diag(np.where(bi != bj, -4 * (1 + t), np.where(bi == 1, 4 * (1 + t) ** 2, 4.0)))
+    quartic.flags.writeable = gram.flags.writeable = False
+    return quartic, gram
 
 
 def sample_margins(t: float, k: float, n: int, seed: int):
     """Margins quartic - k*gram and per-sample scales for n random pairs."""
     x, y = sample_tangent_pairs(n, seed)
-    quart = batch_quartic(x, y, float(t))
-    _, _, _, gram = batch_xyz_gram(x, y, float(t))
-    margins = quart - float(k) * gram
-    scales = np.maximum(1.0, np.maximum(np.abs(quart), np.abs(float(k) * gram)))
-    return margins, scales
+    quartic, gram = _margin_forms(float(t))
+    return plane_margins(wedge(x[:, 1:], y[:, 1:]), quartic, gram, float(k))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import semigeo as sg
 from semigeo.cli import main as cli_main
-from semigeo.su21 import batch_quartic, batch_xyz_gram, block_of
+from semigeo.su21 import block_of
 
 
 def report(num, description, ok):

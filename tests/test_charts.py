@@ -2,12 +2,14 @@
 and the sampled R >= k certification."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import semigeo as sg
+from semigeo import charts
 from semigeo.errors import DegeneratePlaneError, DomainError, EmptySampleError
 
 
@@ -288,6 +290,62 @@ class TestCheckRGeK:
         assert report.witness is not None
         assert not np.isfinite(report.min_margin)
         assert report.witness.base_point[0] > 0.5 or not nan_half
+
+
+def _reference_block(chart, k, seed, count):
+    # The sampled check's margin formula before the Plücker kernel: the
+    # (u, v, u, v) contraction of R_{ijkl} and the area from three metric
+    # contractions, on the same random and coordinate-basis pairs.
+    pts, us, vs = charts.default_sampler(chart).block(seed, 0, count)
+    stress = list(itertools.combinations(range(chart.dim), 2))
+    basis = np.eye(chart.dim)
+    su = np.broadcast_to(basis[[i for i, _ in stress]], (count, len(stress), chart.dim))
+    sv = np.broadcast_to(basis[[j for _, j in stress]], (count, len(stress), chart.dim))
+    pu = np.concatenate([us[:, None], su], axis=1)
+    pv = np.concatenate([vs[:, None], sv], axis=1)
+    g, riem = charts._curvature(chart, pts)
+    rl = np.einsum("nim,nmjkl->nijkl", g, riem)
+    lhs = np.einsum("nijkl,npi,npj,npk,npl->np", rl, pu, pv, pu, pv, optimize=True)
+    gu, gv = pu @ g, pv @ g
+    area = (
+        np.einsum("npi,npi->np", gu, pu) * np.einsum("npi,npi->np", gv, pv)
+        - np.einsum("npi,npi->np", gu, pv) ** 2
+    )
+    scales = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(k * area)))
+    return (lhs - k * area).ravel(), scales.ravel(), pu.reshape(-1, chart.dim), pv.reshape(-1, chart.dim)
+
+
+_TWIST = sg.Warping(value=lambda b, f: 0.1 * math.sin(f[0]) * b[-1], description="twist")
+
+
+class TestPlaneMargins:
+    def test_wedge_of_basis_pairs_is_identity(self):
+        for dim in (2, 3, 4, 7):
+            pairs = list(itertools.combinations(range(dim), 2))
+            basis = np.eye(dim)
+            w = charts.wedge(basis[[i for i, _ in pairs]], basis[[j for _, j in pairs]])
+            assert np.array_equal(w, np.eye(len(pairs)))
+
+    @pytest.mark.parametrize(
+        "chart",
+        [
+            sg.build_space(sg.parse_space("product:hyperbolic(2)*sphere(2)", k=1.0)),
+            sg.build_space(sg.parse_space("warped:hyperbolic(2)*torus(2):alpha=sqrtk*busemann", k=1.0)),
+            sg.sphere(3),
+            sg.hyperbolic(3),
+            sg.minkowski(1, 2),
+            sg.assemble(sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), _TWIST)),
+            dataclasses.replace(sg.assemble(sg.incompleteness_space(2, 2, 1.0)), jet=None),
+        ],
+        ids=["product", "warped", "sphere3", "hyperbolic3", "minkowski12", "twisted", "fd-warped"],
+    )
+    @pytest.mark.parametrize("k", [1.0, -0.5])
+    def test_block_matches_reference_formula(self, chart, k):
+        margins, scales, _, us, vs = charts._eval_block(chart, charts.default_sampler(chart), k, 3, 0, 40)
+        ref_margins, ref_scales, ref_us, ref_vs = _reference_block(chart, k, 3, 40)
+        assert np.array_equal(us, ref_us) and np.array_equal(vs, ref_vs)
+        assert np.all(np.abs(margins - ref_margins) <= 1e-12 * ref_scales)
+        assert np.all(np.abs(scales - ref_scales) <= 1e-12 * ref_scales)
 
 
 class TestChartInvariants:

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,14 @@ class TestCurvatureCheck:
         assert run(["curvature-check", "--space", "sphere(2)", "--k", "1", "--samples", "0"]) == 1
         assert run(["su21", "--t", "-0.8", "--k", "0.1", "--samples", "0"]) == 1
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    @pytest.mark.parametrize("command", [["curvature-check", "--space", "sphere(2)", "--k", "1"],
+                                         ["su21", "--t", "-0.8", "--k", "0.1"]])
+    def test_nonfinite_tol_exit_one(self, tmp_path, command, bad):
+        out = tmp_path / "r.json"
+        assert run(command + ["--samples", "50", "--tol", bad, "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
         code = run(
@@ -136,9 +145,11 @@ def _loop_first_failure(name):
 @pytest.fixture
 def su21_caches_cleared():
     # monkeypatch restores the patched functions with their own caches intact;
-    # the float B weights cache whatever the patched _b_diagonal returned.
+    # the float B weights and the margin forms cache whatever the patched
+    # _b_diagonal and _bracket_terms returned.
     yield
     su21.b_weights_float.cache_clear()
+    su21._margin_forms.cache_clear()
 
 
 def _su21_report(tmp_path):
@@ -312,7 +323,15 @@ class TestGeodesicCommand:
     @pytest.mark.parametrize("mode", ["warped-lightlike", "warped-timelike"])
     def test_warped_infinite_k_exit_one(self, tmp_path, mode):
         out = tmp_path / "t.csv"
-        assert run(["geodesic", mode, "--k", "inf", "--out", str(out)]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["geodesic", mode, "--k", "inf", "--out", str(out)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_nan_c2_exit_one(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert run(["geodesic", "warped-lightlike", "--c2", "nan", "--out", str(out)]) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["warped-lightlike", "riccati"])

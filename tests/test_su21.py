@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import semigeo as sg
 from semigeo.errors import DomainError, NonTangentError
-from semigeo.su21 import H1, H2, block_of
+from semigeo.charts import wedge
+from semigeo.su21 import H1, H2, _margin_forms, block_of
 
 
 def e(i):
@@ -454,15 +455,12 @@ class TestScanRegion:
 
 class TestLowerBoundChain:
     def test_sampled_chain(self):
-        from semigeo.su21 import batch_quartic, batch_xyz_gram
-
         t, k = -0.8, 0.1
         x, y = sg.sample_tangent_pairs(100_000, seed=1)
-        quart = batch_quartic(x, y, t)
-        xs, ys, zs, gram = batch_xyz_gram(x, y, t)
+        margins, _ = sg.sample_margins(t, k, 100_000, seed=1)
+        xs, ys, zs = np.sqrt(_xyz_sq(x, y))
         cxx, cxy, cyy, czz = sg.lower_bound_coefficients(t, k)
         bound = cxx * xs**2 + cxy * xs * ys + cyy * ys**2 + czz * zs**2
-        margins = quart - k * gram
         scale = np.maximum(1.0, np.abs(margins))
         assert np.all(margins >= bound - 1e-9 * scale)
         assert np.all(bound >= -1e-9 * scale)  # feasible (t, k): bound itself nonnegative
@@ -482,19 +480,26 @@ class TestLowerBoundChain:
         rng = np.random.default_rng(6)
         t = -0.7
         p = sg.ModelParams(F(-7, 10), F(1, 10))
+        quartic, _ = _margin_forms(t)
         for _ in range(10):
             coords = rng.standard_normal(16)
             coords[0] = 0.0
             coords[8] = 0.0
             xe = sg.from_coords(tuple(F(c).limit_denominator(10**6) for c in coords[:8]))
             ye = sg.from_coords(tuple(F(c).limit_denominator(10**6) for c in coords[8:]))
-            xf = np.array([[float(c) for c in xe.coords]])
-            yf = np.array([[float(c) for c in ye.coords]])
-            from semigeo.su21 import batch_quartic
-
-            got = batch_quartic(xf, yf, t)[0]
+            w = wedge(np.array([float(c) for c in xe.coords[1:]]), np.array([float(c) for c in ye.coords[1:]]))
+            got = w @ quartic @ w
             want = float(sg.curvature_quartic(xe, ye, p))
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def _xyz_sq(x, y):
+    # x^2, y^2 and z^2 of (n, 8) pairs: the sums of the squared Plücker
+    # coordinates over the h1 ^ h1, h2 ^ h2 and h1 ^ h2 blocks.
+    w_sq = wedge(x[:, 1:], y[:, 1:]) ** 2
+    i, j = np.triu_indices(7, 1)
+    blocks = [(block_of(a + 1), block_of(b + 1)) for a, b in zip(i, j)]
+    return np.array([w_sq[:, [bl == want for bl in blocks]].sum(axis=1) for want in ((1, 1), (2, 2), (1, 2))])
 
 
 def _dense_structure_tensor():
@@ -505,8 +510,8 @@ def _dense_structure_tensor():
 
 
 def _dense_batch_quartic(x, y, t):
-    # The dense-einsum formulation of batch_quartic: three full brackets over
-    # the (8, 8, 8) structure tensor with masked inputs.
+    # The quartic as a dense einsum: three full brackets over the (8, 8, 8)
+    # structure tensor with masked inputs.
     from semigeo.su21 import b_weights_float
 
     ctensor = _dense_structure_tensor()
@@ -531,17 +536,39 @@ def _dense_batch_quartic(x, y, t):
     )
 
 
-class TestBatchQuartic:
-    @pytest.mark.parametrize("t", [-0.8, -0.5, 0.3])
-    def test_equals_dense_einsum(self, t):
-        # The sparse pass adds the same products in the same order as the
-        # dense contraction, so the results agree bit for bit.  (For n <= 8
-        # einsum iterates in another order and agrees to rounding only.)
-        from semigeo.su21 import batch_quartic
+_ORACLE_T = (F(-1, 2), F(-4, 5), F(3, 7), F(-99, 100), 0, 2)
 
+
+class TestMarginForms:
+    @pytest.mark.parametrize("t", [-0.8, -0.5, 0.3])
+    def test_quartic_matches_dense_einsum(self, t):
+        # At k = 0 the margins are the quartic form itself.
         for seed, n in ((0, 1000), (1, 10000), (2, 9)):
             x, y = sg.sample_tangent_pairs(n, seed)
-            assert np.array_equal(batch_quartic(x, y, t), _dense_batch_quartic(x, y, t))
+            margins, scales = sg.sample_margins(t, 0.0, n, seed)
+            assert np.all(np.abs(margins - _dense_batch_quartic(x, y, t)) <= 1e-12 * scales)
+
+    @pytest.mark.parametrize("t", _ORACLE_T)
+    def test_sample_margins_equal_exact(self, t):
+        # Each float pair, t and k converted exactly: the margin must match
+        # curvature_quartic - k * gram of those rationals to 1e-12 * scale.
+        t, k = float(t), 0.3
+        p = sg.ModelParams(F(t), F(k))
+        x, y = sg.sample_tangent_pairs(40, seed=9)
+        margins, scales = sg.sample_margins(t, k, 40, seed=9)
+        for xr, yr, margin, scale in zip(x, y, margins, scales):
+            xe, ye = sg.from_coords(tuple(map(F, xr))), sg.from_coords(tuple(map(F, yr)))
+            exact = sg.curvature_quartic(xe, ye, p) - p.k * sg.xyz_and_gram(xe, ye, p)[1]
+            assert abs(F(margin) - exact) <= F(1e-12) * F(scale)
+
+    def test_xyz_blocks_match_exact(self):
+        x, y = sg.sample_tangent_pairs(20, seed=4)
+        got = _xyz_sq(x, y)
+        for n in range(20):
+            xe, ye = sg.from_coords(tuple(map(F, x[n]))), sg.from_coords(tuple(map(F, y[n])))
+            vals, _ = sg.xyz_and_gram(xe, ye, sg.ModelParams(F(0), F(1)))
+            want = (vals.x_sq, vals.y_sq, vals.z_sq)
+            assert all(abs(F(g) - w) <= F(1e-13) * (1 + w) for g, w in zip(got[:, n], want))
 
 
 # The Fraction formulations of the pair checks and of feasible(), built on
@@ -613,9 +640,6 @@ def _oracle_pairs():
     return pairs
 
 
-_ORACLE_T = (F(-1, 2), F(-4, 5), F(3, 7), F(-99, 100), 0, 2)
-
-
 @pytest.fixture
 def corrupt_b_weights(monkeypatch):
     # A wrong weight on e4 breaks the identities, so the pair checks compare
@@ -628,6 +652,7 @@ def corrupt_b_weights(monkeypatch):
     monkeypatch.setattr(su21, "_b_diagonal", lambda: tuple(weights))
     yield
     su21.b_weights_float.cache_clear()
+    su21._margin_forms.cache_clear()
 
 
 class TestExactKernelOracle:
