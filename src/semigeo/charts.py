@@ -2,18 +2,20 @@
 
 A space is described by a single coordinate chart carrying a matrix-valued
 metric evaluator and, optionally, a batched evaluator of its jet (the metric
-with its first and second partials).  Christoffel symbols and the Riemann
-tensor follow from the jet in closed form; charts without one are
-differentiated by finite differences of the metric.  On top of these sit
-sectional curvatures and a sampled certification of the curvature
-condition
+with its first and second partials).  Christoffel symbols follow from the
+jet in closed form, and so does the lowered Riemann tensor, R_ijkl = A_ijkl
+- A_ijlk with A_ijkl = (d_k d_j g_il - d_k d_i g_jl) / 2 + Gamma_{m,li}
+Gamma^m_kj (O'Neill, Semi-Riemannian Geometry, ch. 3); charts without a jet
+are differentiated by finite differences of the metric.  On top of these
+sit sectional curvatures and a sampled certification of the condition
 
     g(R(u, v)v, u) >= k * (g(u, u) g(v, v) - g(u, v)^2)
 
 for all tangent pairs (u, v), including pairs spanning lightlike planes where
 the sectional curvature itself is undefined.  Both sides are quadratic forms
-in the Plücker coordinates w = u ^ v, with matrices R_{IJKL} and
-g_IK g_JL - g_IL g_JK over index pairs I = (i < j), K = (k < l).
+in the Plücker coordinates w = u ^ v, with matrices M = R_{IJKL} and
+g_IK g_JL - g_IL g_JK over index pairs I = (i < j), K = (k < l), each
+contracted as (w @ M) . w.
 
 Curvature sign convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, calibrated so that the unit round sphere has sectional
@@ -184,20 +186,31 @@ def christoffel(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
     return _christoffel_from_jet(g, dg)[1][0]
 
 
-def _curvature(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The metric and R^i_{jkl} at the rows of ``X``, in closed form from the
-    second metric jet, with d(g^{-1}) = -g^{-1} (dg) g^{-1}."""
+def _curvature_jet(chart: ChartMetric, X: np.ndarray):
+    """``(scale, g, g^{-1}, a)`` at the rows of ``X``: the metric is
+    ``scale * g``, and ``a(i, j, k, l)`` gathers A_{ijkl} (module docstring)
+    at broadcast index arrays, so R_{ijkl} = scale (A_{ijkl} - A_{ijlk}).
+    Gamma_{m,li} = Gamma_{m,il}, so Gamma.Gamma is one (d^2, d) @ (d, d^2) product per point."""
     scale, g, dg, ddg = _metric_jet(chart, X, 2)
     ginv, gamma = _christoffel_from_jet(g, dg)
-    t = ddg.transpose(0, 1, 3, 2, 4)  # t[n, m, l, j, k] = d_m d_j g_lk
-    dlowered = 0.5 * (t + t.transpose(0, 1, 2, 4, 3) - ddg)
-    # dgamma[n, m, i, j, k] = d_m Gamma^i_jk
-    dgamma = np.einsum(
-        "nil,nmljk->nmijk", ginv, dlowered - np.einsum("nmlb,nbjk->nmljk", dg, gamma)
-    )
-    # R^i_{jkl} = A^i_{jkl} - A^i_{jlk},  A^i_{jkl} = d_k G^i_lj + G^i_km G^m_lj
-    a = np.einsum("nkilj->nijkl", dgamma) + np.einsum("nikm,nmlj->nijkl", gamma, gamma)
-    return scale[:, None, None] * g, a - a.swapaxes(3, 4)
+    n, d = gamma.shape[:2]
+    t = dg.transpose(0, 2, 1, 3)
+    lowered = 0.5 * (t + t.transpose(0, 1, 3, 2) - dg)  # as in _christoffel_from_jet
+    gg = lowered.reshape(n, d, d * d).transpose(0, 2, 1) @ gamma.reshape(n, d, d * d)
+    gg = gg.reshape(ddg.shape)  # gg[n, l, i, k, j] = Gamma_{m,li} Gamma^m_kj
+
+    def a(i, j, k, l):
+        return 0.5 * (ddg[:, k, j, i, l] - ddg[:, k, i, j, l]) + gg[:, l, i, k, j]
+
+    return scale, g, ginv, a
+
+
+def _curvature(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The metric and R^i_{jkl} = g^{im} (A_{mjkl} - A_{mjlk}) at the rows of ``X``."""
+    scale, g, ginv, a = _curvature_jet(chart, X)
+    n, d = g.shape[:2]
+    raised = (ginv @ a(*np.indices((d,) * 4)).reshape(n, d, d**3)).reshape((n,) + (d,) * 4)
+    return scale[:, None, None] * g, raised - raised.swapaxes(3, 4)
 
 
 def riemann(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
@@ -206,9 +219,22 @@ def riemann(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
 
 
 def riemann_lowered(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
-    """Fully lowered tensor R_{ijkl} = g_im R^m_{jkl}."""
-    g, riem = _curvature(chart, np.asarray(x, dtype=float)[None])
-    return np.einsum("im,mjkl->ijkl", g[0], riem[0])
+    """Fully lowered tensor R_{ijkl} = g_im R^m_{jkl}; exactly antisymmetric in (k, l)."""
+    scale, _, _, a = _curvature_jet(chart, np.asarray(x, dtype=float)[None])
+    lowered = a(*np.indices((chart.dim,) * 4))[0]
+    return scale[0] * (lowered - lowered.swapaxes(2, 3))
+
+
+def _plane_forms(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point Λ² forms on index pairs I_p < J_p: g(R(u,v)v,u) = w.curv.w
+    and the area form is w.area.w for w = wedge(u, v), with curv[n, p, q] =
+    R_{I_p J_p I_q J_q}, area[n, p, q] = g_{I_p I_q} g_{J_p J_q} - g_{I_p J_q} g_{J_p I_q}."""
+    scale, g, _, a = _curvature_jet(chart, X)
+    g = scale[:, None, None] * g
+    I, J = np.triu_indices(chart.dim, 1)
+    P, Q = I[:, None], J[:, None]
+    curv = scale[:, None, None] * (a(P, Q, I, J) - a(P, Q, J, I))
+    return curv, g[:, P, I] * g[:, Q, J] - g[:, P, J] * g[:, Q, I]
 
 
 def area_form(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -222,11 +248,10 @@ def area_form(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def curvature_quadform(chart: ChartMetric, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """The curvature quadratic form g(R(u, v)v, u)."""
-    rl = riemann_lowered(chart, x)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(np.einsum("mjkl,m,j,k,l->", rl, u, v, u, v))
+    """The curvature quadratic form g(R(u, v)v, u) = w.curv.w, w = u ^ v."""
+    curv = _plane_forms(chart, np.asarray(x, dtype=float)[None])[0][0]
+    w = wedge(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    return float(w @ curv @ w)
 
 
 def sectional(chart: ChartMetric, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -308,11 +333,12 @@ def wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def plane_margins(w: np.ndarray, curv: np.ndarray, area: np.ndarray, k: float):
-    """Margins lhs - k * area and scales max(1, |lhs|, |k * area|) of the
-    planes with Plücker coordinates ``w``, where lhs = w.curv.w and
-    area = w.area.w (the forms broadcast over the leading axes)."""
-    lhs = np.einsum("...p,...pq,...q->...", w, curv, w, optimize=True)
-    karea = k * np.einsum("...p,...pq,...q->...", w, area, w, optimize=True)
+    """Margins lhs - k * area and scales max(1, |lhs|, |k * area|) of the planes
+    with Plücker coordinates ``w``, lhs = w.curv.w and area = w.area.w: ``w``
+    is ``(n, C)`` with shared ``(C, C)`` forms or ``(n, m, C)`` with per-row
+    ``(n, C, C)`` forms, and ``w @ form`` is one matrix product."""
+    lhs = np.einsum("...q,...q->...", w @ curv, w)
+    karea = k * np.einsum("...q,...q->...", w @ area, w)
     return lhs - karea, np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(karea)))
 
 
@@ -324,12 +350,7 @@ def _eval_block(chart, sampler, k, seed, block_index, count):
     basis = np.broadcast_to(np.eye(chart.dim), (count, chart.dim, chart.dim))
     pu = np.concatenate([us[:, None], basis[:, I]], axis=1)  # (point, pair, dim)
     pv = np.concatenate([vs[:, None], basis[:, J]], axis=1)
-    g, riem = _curvature(chart, pts)
-    rl = np.einsum("nim,nmjkl->nijkl", g, riem)
-    P, Q = I[:, None], J[:, None]
-    curv = rl[:, P, Q, I, J]  # R_{I_p J_p I_q J_q}
-    area = g[:, P, I] * g[:, Q, J] - g[:, P, J] * g[:, Q, I]
-    margins, scales = plane_margins(wedge(pu, pv), curv[:, None], area[:, None], k)
+    margins, scales = plane_margins(wedge(pu, pv), *_plane_forms(chart, pts), k)
     points = np.repeat(pts, pu.shape[1], axis=0)
     return margins.ravel(), scales.ravel(), points, pu.reshape(-1, chart.dim), pv.reshape(-1, chart.dim)
 
@@ -375,7 +396,7 @@ def check_r_ge_k(
         return _eval_block(chart, sampler, k, seed, index, counts[index])
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(counts))) as pool:
             blocks = list(pool.map(run, range(len(counts))))
     else:
         blocks = [run(i) for i in range(len(counts))]

@@ -26,7 +26,9 @@ Every float flag must be finite: nan or inf exits 1 before any numerics
 run.  Only curvature-check takes --workers; its default comes from the
 SEMIGEO_WORKERS environment variable.  A failing su21 exact check adds an
 ``exact_check_witness`` object naming its first failing basis pair, triple
-or pair index; scan refuses grids of more than 10^6 cells (exit 1).
+or pair index.  Every sampling loop is bounded: grids of more than 10^6
+cells, --samples above 10^6 (per cell for scan) and --workers (or
+SEMIGEO_WORKERS) outside [1, 64] exit 1 before any array or pool exists.
 """
 
 from __future__ import annotations
@@ -64,13 +66,6 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for verification failures, so route usage errors to 1.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SEMIGEO_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -136,6 +131,11 @@ def _frac(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+MAX_SCAN_CELLS = 10**6
+MAX_SAMPLES = 10**6  # per command; per cell for scan
+MAX_WORKERS = 64
+
+
 def _validate_common(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -144,14 +144,15 @@ def _validate_common(args) -> None:
         raise _UsageError("--seed must be a nonnegative integer")
     if getattr(args, "tol", 0.0) < 0:
         raise _UsageError("--tol must be nonnegative")
-    if getattr(args, "workers", 1) < 1:
-        raise _UsageError("--workers must be at least 1")
+    bounds = {"samples": (0 if args.command == "scan" else 1, MAX_SAMPLES), "workers": (1, MAX_WORKERS)}
+    for name, (low, high) in bounds.items():
+        value = getattr(args, name, low)
+        if not low <= value <= high:
+            raise _UsageError(f"--{name} must be in [{low}, {high}], got {value}")
 
 
 def cmd_curvature_check(args) -> int:
     _validate_common(args)
-    if args.samples < 1:
-        raise _UsageError("--samples must be at least 1")
     try:
         space = parse_space(args.space, k=args.k)
         chart = build_space(space)
@@ -217,8 +218,6 @@ def _su21_exact_checks(n_pairs: int, seed: int) -> dict:
 
 def cmd_su21(args) -> int:
     _validate_common(args)
-    if args.samples < 1:
-        raise _UsageError("--samples must be at least 1")
     params = alg.ModelParams(args.t, args.k)  # DomainError -> exit 1
     failures = _su21_exact_checks(min(args.samples, 1000), args.seed)
     exact = {name: where is None for name, where in failures.items()}
@@ -253,9 +252,6 @@ def cmd_su21(args) -> int:
     return 0 if passed else 2
 
 
-MAX_SCAN_CELLS = 10**6
-
-
 def _grid_count(lo: Fraction, hi: Fraction, step: Fraction) -> int:
     """Number of values lo, lo + step, ... that do not exceed hi."""
     if step <= 0:
@@ -265,8 +261,6 @@ def _grid_count(lo: Fraction, hi: Fraction, step: Fraction) -> int:
 
 def cmd_scan(args) -> int:
     _validate_common(args)
-    if args.samples < 0:
-        raise _UsageError("--samples must be nonnegative")
     n_t = _grid_count(args.t_min, args.t_max, args.t_step)
     n_k = _grid_count(args.k_min, args.k_max, args.k_step)
     if n_t * n_k > MAX_SCAN_CELLS:
@@ -388,7 +382,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if with_workers:
-            p.add_argument("--workers", type=int, default=_default_workers())
+            # argparse applies ``type`` to a string default: a bad SEMIGEO_WORKERS exits 1
+            p.add_argument("--workers", type=int, default=os.environ.get("SEMIGEO_WORKERS", "1"))
 
     p = sub.add_parser("curvature-check", help="sampled R >= k certification")
     p.add_argument("--space", required=True)

@@ -19,6 +19,21 @@ def rand_points(chart, n, seed=0):
     return rng.uniform(lo, hi, size=(n, chart.dim))
 
 
+_TWIST = sg.Warping(value=lambda b, f: 0.1 * math.sin(f[0]) * b[-1], description="twist")
+
+# Charts of the sampled-margin tests: both README spaces, constant curvature,
+# flat, a twisted product and the finite-difference route.
+MARGIN_CHARTS = {
+    "product": sg.build_space(sg.parse_space("product:hyperbolic(2)*sphere(2)", k=1.0)),
+    "warped": sg.build_space(sg.parse_space("warped:hyperbolic(2)*torus(2):alpha=sqrtk*busemann", k=1.0)),
+    "sphere3": sg.sphere(3),
+    "hyperbolic3": sg.hyperbolic(3),
+    "minkowski12": sg.minkowski(1, 2),
+    "twisted": sg.assemble(sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), _TWIST)),
+    "fd-warped": dataclasses.replace(sg.assemble(sg.incompleteness_space(2, 2, 1.0)), jet=None),
+}
+
+
 class TestChristoffel:
     def test_euclidean_all_zero(self):
         chart = sg.euclidean(3)
@@ -71,9 +86,10 @@ class TestRiemann:
             assert np.abs(sg.riemann(chart, x)).max() <= 1e-8
 
     def test_antisymmetry_exact(self):
-        chart = sg.sphere(2)
-        riem = sg.riemann(chart, np.array([0.5, 0.2]))
-        assert np.array_equal(riem, -np.swapaxes(riem, 2, 3))
+        for chart in [sg.sphere(2), *MARGIN_CHARTS.values()]:
+            for x in rand_points(chart, 3, seed=2):
+                for riem in (sg.riemann(chart, x), sg.riemann_lowered(chart, x)):
+                    assert np.array_equal(riem, -np.swapaxes(riem, 2, 3))
 
     def test_sphere_lowered_equals_area(self):
         chart = sg.sphere(2)
@@ -113,6 +129,11 @@ class TestRiemann:
             # R^i_{jkl} + R^i_{klj} + R^i_{ljk} = 0
             cyc = riem + riem.transpose(0, 2, 3, 1) + riem.transpose(0, 3, 1, 2)
             assert np.abs(cyc).max() <= 1e-7
+            # R_ijkl = R_klij and R_ijkl = -R_jikl
+            rl = sg.riemann_lowered(chart, x)
+            bound = 1e-12 * np.abs(rl).max()
+            assert np.abs(rl - rl.transpose(2, 3, 0, 1)).max() <= bound
+            assert np.abs(rl + rl.swapaxes(0, 1)).max() <= bound
 
 
     def test_fd_route_matches_jet(self):
@@ -259,15 +280,26 @@ class TestCheckRGeK:
         with pytest.raises(EmptySampleError):
             sg.check_r_ge_k(sg.sphere(2), 1.0, 0)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(charts.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(charts, "ThreadPoolExecutor", RecordingPool)
         chart = sg.assemble(sg.plain_product(sg.hyperbolic(2), sg.sphere(2)))
         a = sg.check_r_ge_k(chart, 1.0, 600, seed=5, workers=1)
-        b = sg.check_r_ge_k(chart, 1.0, 600, seed=5, workers=3)
-        assert a.min_margin == b.min_margin
-        assert a.passed == b.passed
-        assert np.array_equal(a.witness.base_point, b.witness.base_point)
-        assert np.array_equal(a.witness.u, b.witness.u)
-        assert np.array_equal(a.witness.v, b.witness.v)
+        for workers in (3, 64):
+            b = sg.check_r_ge_k(chart, 1.0, 600, seed=5, workers=workers)
+            assert a.min_margin == b.min_margin
+            assert a.passed == b.passed
+            assert np.array_equal(a.witness.base_point, b.witness.base_point)
+            assert np.array_equal(a.witness.u, b.witness.u)
+            assert np.array_equal(a.witness.v, b.witness.v)
+        # 600 samples are three 256-sample blocks: never more threads than blocks
+        assert sizes == [3, 3]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("nan_half", [False, True])
@@ -315,9 +347,6 @@ def _reference_block(chart, k, seed, count):
     return (lhs - k * area).ravel(), scales.ravel(), pu.reshape(-1, chart.dim), pv.reshape(-1, chart.dim)
 
 
-_TWIST = sg.Warping(value=lambda b, f: 0.1 * math.sin(f[0]) * b[-1], description="twist")
-
-
 class TestPlaneMargins:
     def test_wedge_of_basis_pairs_is_identity(self):
         for dim in (2, 3, 4, 7):
@@ -326,19 +355,7 @@ class TestPlaneMargins:
             w = charts.wedge(basis[[i for i, _ in pairs]], basis[[j for _, j in pairs]])
             assert np.array_equal(w, np.eye(len(pairs)))
 
-    @pytest.mark.parametrize(
-        "chart",
-        [
-            sg.build_space(sg.parse_space("product:hyperbolic(2)*sphere(2)", k=1.0)),
-            sg.build_space(sg.parse_space("warped:hyperbolic(2)*torus(2):alpha=sqrtk*busemann", k=1.0)),
-            sg.sphere(3),
-            sg.hyperbolic(3),
-            sg.minkowski(1, 2),
-            sg.assemble(sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), _TWIST)),
-            dataclasses.replace(sg.assemble(sg.incompleteness_space(2, 2, 1.0)), jet=None),
-        ],
-        ids=["product", "warped", "sphere3", "hyperbolic3", "minkowski12", "twisted", "fd-warped"],
-    )
+    @pytest.mark.parametrize("chart", MARGIN_CHARTS.values(), ids=MARGIN_CHARTS.keys())
     @pytest.mark.parametrize("k", [1.0, -0.5])
     def test_block_matches_reference_formula(self, chart, k):
         margins, scales, _, us, vs = charts._eval_block(chart, charts.default_sampler(chart), k, 3, 0, 40)

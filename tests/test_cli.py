@@ -12,7 +12,7 @@ import pytest
 
 import semigeo as sg
 from semigeo import su21
-from semigeo.cli import _grid_count, main
+from semigeo.cli import MAX_SAMPLES, MAX_WORKERS, _grid_count, main
 
 
 def run(args):
@@ -341,6 +341,32 @@ class TestGeodesicCommand:
         out = tmp_path / "t.csv"
         assert run(["geodesic", mode, flag, bad, "--out", str(out)]) == 1
         assert not out.exists()
+
+
+class TestBounds:
+    # Just above each cap the command exits 1 before any sample array or
+    # thread pool exists: the samplers and the pool raise if reached.
+    @pytest.mark.parametrize("args, env, message", [
+        (["curvature-check", "--space", "sphere(2)", "--k", "1", "--samples", str(MAX_SAMPLES + 1)], None, "--samples must be in"),
+        (["su21", "--t", "-0.8", "--k", "0.1", "--samples", str(MAX_SAMPLES + 1)], None, "--samples must be in"),
+        (["scan", "--samples", str(MAX_SAMPLES + 1)], None, "--samples must be in"),
+        (["curvature-check", "--space", "sphere(2)", "--k", "1", "--workers", str(MAX_WORKERS + 1)], None,
+         "--workers must be in [1, 64]"),
+        (["curvature-check", "--space", "sphere(2)", "--k", "1"], str(MAX_WORKERS + 1), "--workers must be in [1, 64]"),
+        (["curvature-check", "--space", "sphere(2)", "--k", "1"], "two", "invalid int value: 'two'"),
+    ], ids=["curvature-check-samples", "su21-samples", "scan-samples", "workers", "SEMIGEO_WORKERS",
+            "SEMIGEO_WORKERS-not-int"])
+    def test_out_of_bounds_exit_one(self, args, env, message, monkeypatch, capsys):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a sampler or thread pool was started")
+
+        monkeypatch.setattr(sg.charts, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(sg.charts.TangentSampler, "block", refuse)
+        monkeypatch.setattr(su21, "sample_tangent_pairs", refuse)
+        if env is not None:
+            monkeypatch.setenv("SEMIGEO_WORKERS", env)
+        assert run(args) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@
 Each chart's ``jet`` is compared with sympy derivatives of the same metric
 written out by hand, and ``riemann`` with the symbolic Riemann tensor in the
 ``charts`` convention R^i_{jkl} = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj
-- G^i_lm G^m_kj.
+- G^i_lm G^m_kj, and ``riemann_lowered`` with the symbolic g_im R^m_{jkl}.
 """
 
 import numpy as np
@@ -140,9 +140,13 @@ def _symbolic_riemann(metric, dim):
     return sp.lambdify(x, r, "numpy")
 
 
-@pytest.mark.parametrize("name", ["sphere(2)", "hyperbolic(2)"])
+@pytest.mark.parametrize("name", ["sphere(2)", "hyperbolic(2)", "plain", "warped_busemann"])
 def test_riemann_matches_symbolic(name):
     chart, metric = CASES[name]
     exact = _symbolic_riemann(metric, chart.dim)
+    exact_metric = sp.lambdify(_coords(chart.dim), metric(_coords(chart.dim)).tolist(), "numpy")
     for x in _points(chart):
-        _assert_close(sg.riemann(chart, x), np.array(exact(*x), dtype=float))
+        want = np.array(exact(*x), dtype=float)
+        _assert_close(sg.riemann(chart, x), want)
+        lowered = np.einsum("im,mjkl->ijkl", np.array(exact_metric(*x), dtype=float), want)
+        _assert_close(sg.riemann_lowered(chart, x), lowered)
