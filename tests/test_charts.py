@@ -355,7 +355,7 @@ class TestPlaneMargins:
             w = charts.wedge(basis[[i for i, _ in pairs]], basis[[j for _, j in pairs]])
             assert np.array_equal(w, np.eye(len(pairs)))
 
-    @pytest.mark.parametrize("chart", MARGIN_CHARTS.values(), ids=MARGIN_CHARTS.keys())
+    @pytest.mark.parametrize("chart", list(MARGIN_CHARTS.values()), ids=list(MARGIN_CHARTS))
     @pytest.mark.parametrize("k", [1.0, -0.5])
     def test_block_matches_reference_formula(self, chart, k):
         margins, scales, _, us, vs = charts._eval_block(chart, charts.default_sampler(chart), k, 3, 0, 40)
