@@ -26,7 +26,6 @@ construction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -46,7 +45,7 @@ FD_STEP = 1e-3
 
 # Samples per RNG block.  Block i of a run with master seed s is generated by
 # numpy's default_rng(s + i), so the sample stream is a function of the seed
-# alone and reports are bit-identical for any worker count.
+# alone and repeated runs give bit-identical reports.
 SAMPLE_BLOCK = 256
 
 _DET_FLOOR = 1e-10
@@ -302,7 +301,7 @@ class TangentSampler:
     """Uniform base points in a box, i.i.d. standard-normal tangent components.
 
     ``block(seed, index, count)`` is a pure function of its arguments, so the
-    overall sample stream never depends on how blocks are scheduled.
+    sample stream is fixed by the seed and the block sizes.
     """
 
     lo: np.ndarray
@@ -372,7 +371,6 @@ def check_r_ge_k(
     n_samples: int,
     tol: float = 1e-9,
     seed: int = 0,
-    workers: int = 1,
 ) -> CurvatureReport:
     """Sampled certification of the curvature condition R >= k.
 
@@ -380,27 +378,20 @@ def check_r_ge_k(
     pseudorandom tangent pairs plus, at each sampled point, all coordinate
     basis pairs; ``samples`` in the report counts both.  Margins are
     evaluated directly, with no division by the area form, so lightlike-plane
-    pairs are covered.  Blocks are concatenated in block order and reduced
-    once by ``reduce_margins``: the witness is the first non-finite margin,
-    else the first minimum, so results do not depend on ``workers`` and a
-    NaN or inf margin fails the check.
+    pairs are covered.  Blocks of ``SAMPLE_BLOCK`` samples are evaluated in
+    order, concatenated and reduced once by ``reduce_margins``: the witness
+    is the first non-finite margin, else the first minimum, so a NaN or inf
+    margin fails the check.
     """
     if n_samples < 1:
         raise EmptySampleError("check_r_ge_k needs n_samples >= 1")
     if not np.isfinite(k):
         raise DomainError("k must be finite")
     sampler = default_sampler(chart)
-    counts = [min(SAMPLE_BLOCK, n_samples - s) for s in range(0, n_samples, SAMPLE_BLOCK)]
-
-    def run(index):
-        return _eval_block(chart, sampler, k, seed, index, counts[index])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(counts))) as pool:
-            blocks = list(pool.map(run, range(len(counts))))
-    else:
-        blocks = [run(i) for i in range(len(counts))]
-
+    blocks = [
+        _eval_block(chart, sampler, k, seed, index, min(SAMPLE_BLOCK, n_samples - start))
+        for index, start in enumerate(range(0, n_samples, SAMPLE_BLOCK))
+    ]
     margins, scales, points, us, vs = (np.concatenate(parts) for parts in zip(*blocks))
     w, passed = reduce_margins(margins, scales, tol)
     return CurvatureReport(

@@ -13,8 +13,7 @@ Reports are JSON with a fixed key order (or flat key,value CSV); grids and
 trajectories are CSV, trajectories preceded by a single ``#``-prefixed JSON
 header line that ends with the integrator's step, rejection and
 right-hand-side counts.  A run is fully determined by its flags (including
---seed): repeated runs write byte-identical files, for curvature-check
-regardless of --workers.
+--seed): repeated runs write byte-identical files.
 
 Space grammar for --space:
 
@@ -23,12 +22,10 @@ Space grammar for --space:
     warped:<base>*<fiber>:alpha=<busemann | sqrtk*busemann | const>
 
 Every float flag must be finite: nan or inf exits 1 before any numerics
-run.  Only curvature-check takes --workers; its default comes from the
-SEMIGEO_WORKERS environment variable.  A failing su21 exact check adds an
-``exact_check_witness`` object naming its first failing basis pair, triple
-or pair index.  Every sampling loop is bounded: grids of more than 10^6
-cells, --samples above 10^6 (per cell for scan) and --workers (or
-SEMIGEO_WORKERS) outside [1, 64] exit 1 before any array or pool exists.
+run.  A failing su21 exact check adds an ``exact_check_witness`` object
+naming its first failing basis pair, triple or pair index.  Every sampling
+loop is bounded: grids of more than 10^6 cells and --samples above 10^6
+(per cell for scan) exit 1 before any sample array exists.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -133,7 +129,6 @@ def _frac(text: str) -> Fraction:
 
 MAX_SCAN_CELLS = 10**6
 MAX_SAMPLES = 10**6  # per command; per cell for scan
-MAX_WORKERS = 64
 
 
 def _validate_common(args) -> None:
@@ -144,11 +139,9 @@ def _validate_common(args) -> None:
         raise _UsageError("--seed must be a nonnegative integer")
     if getattr(args, "tol", 0.0) < 0:
         raise _UsageError("--tol must be nonnegative")
-    bounds = {"samples": (0 if args.command == "scan" else 1, MAX_SAMPLES), "workers": (1, MAX_WORKERS)}
-    for name, (low, high) in bounds.items():
-        value = getattr(args, name, low)
-        if not low <= value <= high:
-            raise _UsageError(f"--{name} must be in [{low}, {high}], got {value}")
+    low = 0 if args.command == "scan" else 1
+    if hasattr(args, "samples") and not low <= args.samples <= MAX_SAMPLES:
+        raise _UsageError(f"--samples must be in [{low}, {MAX_SAMPLES}], got {args.samples}")
 
 
 def cmd_curvature_check(args) -> int:
@@ -158,14 +151,7 @@ def cmd_curvature_check(args) -> int:
         chart = build_space(space)
     except UnsupportedSpaceError as exc:
         raise _UsageError(str(exc)) from exc
-    report = check_r_ge_k(
-        chart,
-        args.k,
-        args.samples,
-        tol=args.tol,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    report = check_r_ge_k(chart, args.k, args.samples, tol=args.tol, seed=args.seed)
     payload = {
         "command": "curvature-check",
         "space": args.space,
@@ -377,13 +363,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="semigeo", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_workers=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        if with_workers:
-            # argparse applies ``type`` to a string default: a bad SEMIGEO_WORKERS exits 1
-            p.add_argument("--workers", type=int, default=os.environ.get("SEMIGEO_WORKERS", "1"))
 
     p = sub.add_parser("curvature-check", help="sampled R >= k certification")
     p.add_argument("--space", required=True)
@@ -398,7 +381,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=_frac, required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--tol", type=float, default=1e-9)
-    common(p, with_workers=False)
+    common(p)
     p.set_defaults(func=cmd_su21)
 
     p = sub.add_parser("scan", help="feasibility grid over (t, k)")
@@ -409,7 +392,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-max", type=_frac, default=Fraction("0.50"))
     p.add_argument("--k-step", type=_frac, default=Fraction("0.01"))
     p.add_argument("--samples", type=int, default=0, help="curvature samples per cell")
-    common(p, with_workers=False)
+    common(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("geodesic", help="trajectory runs with comparison metrics")
@@ -426,7 +409,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma0", default=None, help="8 comma-separated rationals")
     p.add_argument("--rtol", type=float, default=1e-9)
     p.add_argument("--atol", type=float, default=1e-12)
-    common(p, with_workers=False)
+    common(p)
     p.set_defaults(func=cmd_geodesic)
 
     return parser

@@ -91,7 +91,7 @@ def _conformal_chart(dim, phi, phi_jet, in_domain, box, name) -> ChartMetric:
     )
 
 
-def _flat_chart(dim, diag, box, name, in_domain=None) -> ChartMetric:
+def _flat_chart(dim, diag, box, name) -> ChartMetric:
     g0 = np.diag(np.asarray(diag, dtype=float))
     pos = int(np.sum(np.asarray(diag) > 0))
 
@@ -105,7 +105,7 @@ def _flat_chart(dim, diag, box, name, in_domain=None) -> ChartMetric:
         dim=dim,
         signature=(pos, dim - pos),
         metric_at=lambda x: g0.copy(),
-        in_domain=in_domain if in_domain is not None else (lambda x: True),
+        in_domain=lambda x: True,
         jet=jet,
         sample_box=(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
         name=name,
@@ -648,17 +648,11 @@ def _parse_atom(text: str) -> ChartMetric:
     if "(" not in text or not text.endswith(")"):
         raise UnsupportedSpaceError(f"malformed space atom {text!r}")
     name, args = text[:-1].split("(", 1)
-    name = name.strip()
-    if name not in _BUILDERS:
-        raise UnsupportedSpaceError(f"unknown space name {name!r}")
     try:
         dims = tuple(int(a) for a in args.split(",")) if args.strip() else ()
     except ValueError as exc:
         raise UnsupportedSpaceError(f"bad dimensions in {text!r}") from exc
-    try:
-        return _BUILDERS[name](*dims)
-    except TypeError as exc:
-        raise UnsupportedSpaceError(f"wrong number of dimensions in {text!r}") from exc
+    return build_space(name.strip(), *dims)
 
 
 def _parse_alpha(expr: str, k: float | None) -> Warping:

@@ -280,27 +280,6 @@ class TestCheckRGeK:
         with pytest.raises(EmptySampleError):
             sg.check_r_ge_k(sg.sphere(2), 1.0, 0)
 
-    def test_worker_count_invariance(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool(charts.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(charts, "ThreadPoolExecutor", RecordingPool)
-        chart = sg.assemble(sg.plain_product(sg.hyperbolic(2), sg.sphere(2)))
-        a = sg.check_r_ge_k(chart, 1.0, 600, seed=5, workers=1)
-        for workers in (3, 64):
-            b = sg.check_r_ge_k(chart, 1.0, 600, seed=5, workers=workers)
-            assert a.min_margin == b.min_margin
-            assert a.passed == b.passed
-            assert np.array_equal(a.witness.base_point, b.witness.base_point)
-            assert np.array_equal(a.witness.u, b.witness.u)
-            assert np.array_equal(a.witness.v, b.witness.v)
-        # 600 samples are three 256-sample blocks: never more threads than blocks
-        assert sizes == [3, 3]
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("nan_half", [False, True])
     def test_nan_metric_fails_with_witness(self, nan_half):

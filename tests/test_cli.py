@@ -12,7 +12,7 @@ import pytest
 
 import semigeo as sg
 from semigeo import su21
-from semigeo.cli import MAX_SAMPLES, MAX_WORKERS, _grid_count, main
+from semigeo.cli import MAX_SAMPLES, _grid_count, main
 
 
 def run(args):
@@ -344,27 +344,21 @@ class TestGeodesicCommand:
 
 
 class TestBounds:
-    # Just above each cap the command exits 1 before any sample array or
-    # thread pool exists: the samplers and the pool raise if reached.
-    @pytest.mark.parametrize("args, env, message", [
-        (["curvature-check", "--space", "sphere(2)", "--k", "1", "--samples", str(MAX_SAMPLES + 1)], None, "--samples must be in"),
-        (["su21", "--t", "-0.8", "--k", "0.1", "--samples", str(MAX_SAMPLES + 1)], None, "--samples must be in"),
-        (["scan", "--samples", str(MAX_SAMPLES + 1)], None, "--samples must be in"),
-        (["curvature-check", "--space", "sphere(2)", "--k", "1", "--workers", str(MAX_WORKERS + 1)], None,
-         "--workers must be in [1, 64]"),
-        (["curvature-check", "--space", "sphere(2)", "--k", "1"], str(MAX_WORKERS + 1), "--workers must be in [1, 64]"),
-        (["curvature-check", "--space", "sphere(2)", "--k", "1"], "two", "invalid int value: 'two'"),
-    ], ids=["curvature-check-samples", "su21-samples", "scan-samples", "workers", "SEMIGEO_WORKERS",
-            "SEMIGEO_WORKERS-not-int"])
-    def test_out_of_bounds_exit_one(self, args, env, message, monkeypatch, capsys):
+    # Just above each cap, or with an option that no longer exists, the
+    # command exits 1 before any sample array exists: the samplers raise if
+    # reached.
+    @pytest.mark.parametrize("args, message", [
+        (["curvature-check", "--space", "sphere(2)", "--k", "1", "--samples", str(MAX_SAMPLES + 1)], "--samples must be in"),
+        (["su21", "--t", "-0.8", "--k", "0.1", "--samples", str(MAX_SAMPLES + 1)], "--samples must be in"),
+        (["scan", "--samples", str(MAX_SAMPLES + 1)], "--samples must be in"),
+        (["curvature-check", "--space", "sphere(2)", "--k", "1", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    ], ids=["curvature-check-samples", "su21-samples", "scan-samples", "workers"])
+    def test_out_of_bounds_exit_one(self, args, message, monkeypatch, capsys):
         def refuse(*_args, **_kwargs):
-            raise AssertionError("a sampler or thread pool was started")
+            raise AssertionError("a sampler was started")
 
-        monkeypatch.setattr(sg.charts, "ThreadPoolExecutor", refuse)
         monkeypatch.setattr(sg.charts.TangentSampler, "block", refuse)
         monkeypatch.setattr(su21, "sample_tangent_pairs", refuse)
-        if env is not None:
-            monkeypatch.setenv("SEMIGEO_WORKERS", env)
         assert run(args) == 1
         assert message in capsys.readouterr().err
 
@@ -378,13 +372,13 @@ class TestDeterminism:
         assert run(args + ["--out", str(b)]) == 0
         assert read(a) == read(b)
 
-    def test_worker_counts_identical(self, tmp_path):
+    def test_product_repeats_identical(self, tmp_path):
         files = []
-        for w in (1, 2, 8):
-            out = tmp_path / f"w{w}.json"
+        for rep in (1, 2, 3):
+            out = tmp_path / f"r{rep}.json"
             code = run(
                 ["curvature-check", "--space", "product:hyperbolic(2)*sphere(2)", "--k", "1",
-                 "--samples", "520", "--seed", "3", "--workers", str(w), "--out", str(out)]
+                 "--samples", "520", "--seed", "3", "--out", str(out)]
             )
             assert code == 0
             files.append(read(out))
@@ -392,13 +386,15 @@ class TestDeterminism:
 
 
 class TestColdStart:
-    def test_cli_import_loads_no_scipy(self):
-        # scipy is a test-only dependency: importing the CLI in a fresh
-        # interpreter must not load any scipy module.
+    def test_cli_import_loads_no_scipy_pool_or_logging(self):
+        # scipy is a test-only dependency, and certification runs without a
+        # thread pool: importing the CLI in a fresh interpreter must load no
+        # scipy, concurrent.futures or logging module.
         src = str(Path(sg.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import semigeo.cli, sys; "
-                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'logging') "
+                "or m == 'concurrent.futures' or m.startswith('concurrent.futures.')))")
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                               timeout=120, check=True)
         assert done.stdout.strip() == "[]"
