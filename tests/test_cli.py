@@ -344,9 +344,8 @@ class TestGeodesicCommand:
 
 
 class TestBounds:
-    # Just above each cap, or with an option that no longer exists, the
-    # command exits 1 before any sample array exists: the samplers raise if
-    # reached.
+    # Just above each cap, or with an unknown option, the command exits 1
+    # before any sample array exists: the samplers raise if reached.
     @pytest.mark.parametrize("args, message", [
         (["curvature-check", "--space", "sphere(2)", "--k", "1", "--samples", str(MAX_SAMPLES + 1)], "--samples must be in"),
         (["su21", "--t", "-0.8", "--k", "0.1", "--samples", str(MAX_SAMPLES + 1)], "--samples must be in"),
