@@ -24,8 +24,8 @@ Space grammar for --space:
 Every float flag must be finite: nan or inf exits 1 before any numerics
 run.  A failing su21 exact check adds an ``exact_check_witness`` object
 naming its first failing basis pair, triple or pair index.  Every sampling
-loop is bounded: grids of more than 10^6 cells and --samples above 10^6
-(per cell for scan) exit 1 before any sample array exists.
+loop is bounded: grids of more than 10^6 cells, --samples above 10^6 (per
+run) and atom dimensions above 7 exit 1 before any sample array exists.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _frac(text: str) -> Fraction:
 
 
 MAX_SCAN_CELLS = 10**6
-MAX_SAMPLES = 10**6  # per command; per cell for scan
+MAX_SAMPLES = 10**6  # per run; scan's cells share one pair set
 
 
 def _validate_common(args) -> None:
@@ -391,7 +391,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-min", type=_frac, default=Fraction("0.01"))
     p.add_argument("--k-max", type=_frac, default=Fraction("0.50"))
     p.add_argument("--k-step", type=_frac, default=Fraction("0.01"))
-    p.add_argument("--samples", type=int, default=0, help="curvature samples per cell")
+    p.add_argument("--samples", type=int, default=0, help="curvature samples, one pair set shared by all cells")
     common(p)
     p.set_defaults(func=cmd_scan)
 

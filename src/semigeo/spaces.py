@@ -53,6 +53,12 @@ from .charts import (
 from .errors import DegeneratePlaneError, DomainError, UnsupportedSpaceError
 
 _FD_ALPHA = 1e-6  # step for finite-difference warping derivatives
+MAX_ATOM_DIM = 7  # so d <= 14 in products: a (256, d, d, d, d) order-2 jet block < 80 MB
+
+
+def _check_dim(atom: str, n: int, low: int) -> None:
+    if not low <= n <= MAX_ATOM_DIM:
+        raise UnsupportedSpaceError(f"{atom}: dimension must be in [{low}, {MAX_ATOM_DIM}], got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +120,7 @@ def _flat_chart(dim, diag, box, name) -> ChartMetric:
 
 def hyperbolic(l: int) -> ChartMetric:
     """Hyperbolic l-space, upper half-space model: g = (sum dx_i^2) / x_l^2."""
-    if l < 2:
-        raise UnsupportedSpaceError("hyperbolic(l) needs l >= 2")
+    _check_dim("hyperbolic(l)", l, 2)
 
     def phi(x):
         return -math.log(x[-1])
@@ -143,8 +148,7 @@ def sphere(m: int) -> ChartMetric:
 
     Metric 4 / (1 + |x|^2)^2 * I; sectional curvature +1 everywhere.
     """
-    if m < 2:
-        raise UnsupportedSpaceError("sphere(m) needs m >= 2")
+    _check_dim("sphere(m)", m, 2)
 
     def phi(x):
         return math.log(2.0) - math.log1p(float(x @ x))
@@ -165,23 +169,22 @@ def sphere(m: int) -> ChartMetric:
 
 def flat_torus(m: int) -> ChartMetric:
     """Flat m-torus: identity metric on periodic angle coordinates."""
-    if m < 1:
-        raise UnsupportedSpaceError("flat_torus(m) needs m >= 1")
+    _check_dim("flat_torus(m)", m, 1)
     return _flat_chart(
         m, np.ones(m), (np.zeros(m), np.full(m, 2.0 * math.pi)), f"flat_torus({m})"
     )
 
 
 def euclidean(n: int) -> ChartMetric:
-    if n < 1:
-        raise UnsupportedSpaceError("euclidean(n) needs n >= 1")
+    _check_dim("euclidean(n)", n, 1)
     return _flat_chart(n, np.ones(n), (np.full(n, -2.0), np.full(n, 2.0)), f"euclidean({n})")
 
 
 def minkowski(p: int, q: int) -> ChartMetric:
     """Flat metric diag(+1 x p, -1 x q)."""
-    if p < 0 or q < 0 or p + q < 1:
-        raise UnsupportedSpaceError("minkowski(p, q) needs p, q >= 0, p + q >= 1")
+    if p < 0 or q < 0:
+        raise UnsupportedSpaceError("minkowski(p, q) needs p, q >= 0")
+    _check_dim("minkowski(p, q)", p + q, 1)
     diag = np.concatenate([np.ones(p), -np.ones(q)])
     n = p + q
     return _flat_chart(n, diag, (np.full(n, -2.0), np.full(n, 2.0)), f"minkowski({p},{q})")

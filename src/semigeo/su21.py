@@ -688,30 +688,26 @@ def scan_region(
     """Evaluate the four inequalities (exactly for rational grid values) on a
     grid, optionally adding a sampled minimum curvature margin per cell.
 
-    Cell i (t-major order) draws its samples from default_rng(seed + i).
+    All cells share one pair set (common random numbers), so a cell's
+    min_margin is sample_margins(t, k, sample_count, seed)[0].min().  A t-row
+    takes its forms once and one plane_margins call per block of at most
+    21 = C(7, 2) k-values, so no margin array outgrows the Plücker array w.
     """
-    t_values = tuple(t_values)
-    k_values = tuple(k_values)
-    grid = [(t, k) for t in t_values for k in k_values]
-
-    def eval_cell(index, t, k):
+    t_values, k_values = tuple(t_values), tuple(k_values)
+    margins = [None] * (len(t_values) * len(k_values))
+    if sample_count > 0:
+        x, y = sample_tangent_pairs(sample_count, seed)
+        w = wedge(x[:, 1:], y[:, 1:])
+        ks = np.array(k_values, dtype=float)[:, None]
+        margins = []
+        for t in t_values:
+            forms = _margin_forms(float(t))
+            for lo in range(0, len(ks), w.shape[1]):
+                margins += plane_margins(w, *forms, ks[lo : lo + w.shape[1]])[0].min(axis=1).tolist()
+    cells = []
+    for (t, k), margin in zip([(t, k) for t in t_values for k in k_values], margins):
         res = feasible(ModelParams(t, k))
-        margin = None
-        if sample_count > 0:
-            margins, _ = sample_margins(float(t), float(k), sample_count, seed + index)
-            margin = float(margins.min())
-        return GridCell(
-            t=float(t),
-            k=float(k),
-            ineq1=res.ineq1,
-            ineq2=res.ineq2,
-            ineq3=res.ineq3,
-            ineq4=res.ineq4,
-            feasible=res.overall,
-            min_margin=margin,
-        )
-
-    cells = [eval_cell(index, t, k) for index, (t, k) in enumerate(grid)]
+        cells.append(GridCell(t=float(t), k=float(k), **vars(res), feasible=res.overall, min_margin=margin))
     return FeasibilityGrid(
         t_values=tuple(float(t) for t in t_values),
         k_values=tuple(float(k) for k in k_values),

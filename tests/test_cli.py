@@ -13,6 +13,7 @@ import pytest
 import semigeo as sg
 from semigeo import su21
 from semigeo.cli import MAX_SAMPLES, _grid_count, main
+from semigeo.spaces import MAX_ATOM_DIM
 
 
 def run(args):
@@ -351,7 +352,11 @@ class TestBounds:
         (["su21", "--t", "-0.8", "--k", "0.1", "--samples", str(MAX_SAMPLES + 1)], "--samples must be in"),
         (["scan", "--samples", str(MAX_SAMPLES + 1)], "--samples must be in"),
         (["curvature-check", "--space", "sphere(2)", "--k", "1", "--workers", "2"], "unrecognized arguments: --workers 2"),
-    ], ids=["curvature-check-samples", "su21-samples", "scan-samples", "workers"])
+        (["curvature-check", "--space", "torus(100000000)", "--k", "1", "--samples", "10"],
+         f"flat_torus(m): dimension must be in [1, {MAX_ATOM_DIM}], got 100000000"),
+        (["geodesic", "warped-lightlike", "--l", "100000000"],
+         f"hyperbolic(l): dimension must be in [2, {MAX_ATOM_DIM}], got 100000000"),
+    ], ids=["curvature-check-samples", "su21-samples", "scan-samples", "workers", "space-dimension", "geodesic-dimension"])
     def test_out_of_bounds_exit_one(self, args, message, monkeypatch, capsys):
         def refuse(*_args, **_kwargs):
             raise AssertionError("a sampler was started")

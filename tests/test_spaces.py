@@ -8,6 +8,7 @@ import pytest
 
 import semigeo as sg
 from semigeo.errors import UnsupportedSpaceError
+from semigeo.spaces import MAX_ATOM_DIM
 
 
 class TestBuilders:
@@ -30,6 +31,13 @@ class TestBuilders:
     def test_unknown_space(self):
         with pytest.raises(UnsupportedSpaceError):
             sg.build_space("lens_space", 3)
+
+    @pytest.mark.parametrize("name", ["hyperbolic", "sphere", "flat_torus", "euclidean", "minkowski"])
+    def test_atom_dimension_cap(self, name):
+        dims = (1, MAX_ATOM_DIM - 1) if name == "minkowski" else (MAX_ATOM_DIM,)
+        assert sg.build_space(name, *dims).dim == MAX_ATOM_DIM
+        with pytest.raises(UnsupportedSpaceError, match="dimension must be in"):
+            sg.build_space(name, *dims[:-1], dims[-1] + 1)
 
     def test_minkowski_signature(self):
         chart = sg.minkowski(1, 2)

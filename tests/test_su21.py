@@ -7,6 +7,7 @@ exactly-decomposed structure-constant table, so agreement here ties the two
 together.  Everything tagged exact is asserted with ==, no tolerance.
 """
 
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -445,6 +446,19 @@ class TestScanRegion:
         grid = sg.scan_region([F(-4, 5)], [F(1, 2)], sample_count=2000, seed=0)
         assert not grid.cells[0].feasible
         assert grid.cells[0].min_margin < 0
+
+    def test_shared_pair_set_oracle(self):
+        # 23 k-values span two 21-value margin blocks.  Every cell shares the
+        # run's pair set, so its minimum is the per-cell sample_margins one,
+        # bit for bit, and sampling leaves the exact columns as they are.
+        ts, ks = [F(-4, 5), F(-1, 2)], [F(n, 100) for n in range(1, 24)]
+        sampled = sg.scan_region(ts, ks, sample_count=300, seed=5)
+        plain = sg.scan_region(ts, ks)
+        assert len(sampled.cells) == len(plain.cells) == 46
+        for cell, exact in zip(sampled.cells, plain.cells):
+            oracle = float(sg.sample_margins(cell.t, cell.k, 300, 5)[0].min())
+            assert cell.min_margin.hex() == oracle.hex()
+            assert dataclasses.replace(cell, min_margin=None) == exact
 
     def test_csv_shape(self):
         grid = sg.scan_region([F(-4, 5)], [F(1, 10)])
