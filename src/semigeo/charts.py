@@ -331,13 +331,16 @@ def wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate(rows, axis=-1)
 
 
+def plane_values(w: np.ndarray, curv: np.ndarray, area: np.ndarray):
+    """lhs = w.curv.w and area = w.area.w of the planes with Plücker coordinates ``w``,
+    ``(n, C)`` with shared ``(C, C)`` forms or ``(n, m, C)`` with per-row ``(n, C, C)`` forms."""
+    return np.einsum("...q,...q->...", w @ curv, w), np.einsum("...q,...q->...", w @ area, w)
+
+
 def plane_margins(w: np.ndarray, curv: np.ndarray, area: np.ndarray, k: float):
-    """Margins lhs - k * area and scales max(1, |lhs|, |k * area|) of the planes
-    with Plücker coordinates ``w``, lhs = w.curv.w and area = w.area.w: ``w``
-    is ``(n, C)`` with shared ``(C, C)`` forms or ``(n, m, C)`` with per-row
-    ``(n, C, C)`` forms, and ``w @ form`` is one matrix product."""
-    lhs = np.einsum("...q,...q->...", w @ curv, w)
-    karea = k * np.einsum("...q,...q->...", w @ area, w)
+    """Margins lhs - k * area and scales max(1, |lhs|, |k * area|) of ``plane_values``."""
+    lhs, area = plane_values(w, curv, area)
+    karea = k * area
     return lhs - karea, np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(karea)))
 
 

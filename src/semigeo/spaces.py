@@ -352,14 +352,13 @@ def _scaled_jet(alpha, jet):
 
 
 def _embed(jet, start, d):
-    """A factor's metric jet as a jet in the d product coordinates, with
-    scale 1: its block and its derivative axes begin at ``start``."""
+    """The fiber's metric jet with scale 1 and its derivative axes zero-padded
+    to the d product coordinates, its own from ``start`` to d; metric axes unpadded."""
     scale, *parts = jet
-    own = slice(start, start + parts[0].shape[-1])
     out = (np.ones(len(scale)),)
-    for rank, part in enumerate(parts, 2):
-        full = np.zeros((len(scale),) + (d,) * rank)
-        full[(slice(None),) + (own,) * rank] = scale.reshape((-1,) + (1,) * rank) * part
+    for rank, part in enumerate(parts):
+        full = np.zeros((len(scale),) + (d,) * rank + part.shape[-2:])
+        full[(slice(None),) + (slice(start, d),) * rank] = scale.reshape((-1,) + (1,) * (rank + 2)) * part
         out += (full,)
     return out
 
@@ -367,11 +366,11 @@ def _embed(jet, start, d):
 def assemble(spec: WarpedProductSpec) -> ChartMetric:
     """The block-diagonal chart diag(-g_B, e^{2 alpha} g_F).
 
-    Its jet comes from the factor jets and the warping jet by one formula
-    for plain, warped and twisted products: the base block is -g_B, the
-    fiber block e^{2 alpha} g_F differentiated by the product rule (O'Neill,
-    Semi-Riemannian Geometry, ch. 7).  The chart has no jet when a factor or
-    the warping lacks one.
+    Its jet comes from the factor and warping jets by one formula for plain,
+    warped and twisted products, each block computed at its own shape and
+    written once into zeros: -g_B on the base derivative axes, and on all d of
+    them e^{2 alpha} g_F by the product rule (O'Neill, Semi-Riemannian
+    Geometry, ch. 7).  The chart has no jet when a factor or the warping lacks one.
     """
     base, fiber, warping = spec.base, spec.fiber, spec.warping
     db, df = base.dim, fiber.dim
@@ -389,11 +388,14 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
 
     def jet(X, order):
         b, f = X[:, :db], X[:, db:]
-        _, *base_parts = _embed(base.jet(b, order), 0, d)
+        scale, *base_parts = base.jet(b, order)
         w, *fiber_parts = _scaled_jet(warping.jet(b, f, order), _embed(fiber.jet(f, order), db, d))
-        return (np.ones(len(X)),) + tuple(
-            w.reshape((-1,) + (1,) * (p.ndim - 1)) * p - q for p, q in zip(fiber_parts, base_parts)
-        )
+        out = [np.zeros((len(X),) + (d,) * (q.ndim - 1)) for q in base_parts]
+        for full, p, q in zip(out, fiber_parts, base_parts):
+            col = (-1,) + (1,) * (q.ndim - 1)
+            full[(slice(None),) + (slice(db),) * (q.ndim - 1)] = -(scale.reshape(col) * q)
+            full[..., db:, db:] = w.reshape(col) * p
+        return (np.ones(len(X)), *out)
 
     has_jet = None not in (base.jet, fiber.jet, warping.jet)
     lo = np.concatenate([base.sample_box[0], fiber.sample_box[0]])

@@ -25,7 +25,7 @@ the reduced geodesic-flow equations
 are all provided, together with vectorized float samplers used by the
 region scans and certification runs.  Brackets are linear in X ^ Y, so the
 sampled margin quartic - k * gram is a quadratic form on the 21 Plücker
-coordinates of the pair, evaluated by ``charts.plane_margins``.
+coordinates of the pair, evaluated by ``charts.plane_values``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import plane_margins, wedge
+from .charts import plane_margins, plane_values, wedge
 from .errors import (
     BasisDecompositionError,
     DomainError,
@@ -690,8 +690,8 @@ def scan_region(
 
     All cells share one pair set (common random numbers), so a cell's
     min_margin is sample_margins(t, k, sample_count, seed)[0].min().  A t-row
-    takes its forms once and one plane_margins call per block of at most
-    21 = C(7, 2) k-values, so no margin array outgrows the Plücker array w.
+    evaluates its forms once (``plane_values``), then lhs - k * area per block
+    of at most 21 = C(7, 2) k-values, so no margin array outgrows the array w.
     """
     t_values, k_values = tuple(t_values), tuple(k_values)
     margins = [None] * (len(t_values) * len(k_values))
@@ -701,9 +701,9 @@ def scan_region(
         ks = np.array(k_values, dtype=float)[:, None]
         margins = []
         for t in t_values:
-            forms = _margin_forms(float(t))
+            lhs, area = plane_values(w, *_margin_forms(float(t)))
             for lo in range(0, len(ks), w.shape[1]):
-                margins += plane_margins(w, *forms, ks[lo : lo + w.shape[1]])[0].min(axis=1).tolist()
+                margins += (lhs - ks[lo : lo + w.shape[1]] * area).min(axis=1).tolist()
     cells = []
     for (t, k), margin in zip([(t, k) for t in t_values for k in k_values], margins):
         res = feasible(ModelParams(t, k))

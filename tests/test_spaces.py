@@ -7,8 +7,29 @@ import numpy as np
 import pytest
 
 import semigeo as sg
+from semigeo import spaces
 from semigeo.errors import UnsupportedSpaceError
 from semigeo.spaces import MAX_ATOM_DIM
+
+
+def _twist_warping(c=0.1):
+    """alpha(b, f) = c sin(f_0) b_l with its jet, which depends on the fiber."""
+
+    def jet(b, f, order):
+        db, y, s, co = b.shape[1], b[:, -1], np.sin(f[:, 0]), np.cos(f[:, 0])
+        da = np.zeros((len(b), db + f.shape[1]))
+        da[:, db - 1], da[:, db] = c * s, c * co * y
+        if order == 1:
+            return c * s * y, da
+        dda = np.zeros(da.shape + da.shape[1:])
+        dda[:, db - 1, db] = dda[:, db, db - 1] = c * co
+        dda[:, db, db] = -c * s * y
+        return c * s * y, da, dda
+
+    return sg.Warping(value=lambda b, f: c * math.sin(f[0]) * b[-1], jet=jet, description="twist")
+
+
+TWISTED = sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), _twist_warping())
 
 
 class TestBuilders:
@@ -97,6 +118,7 @@ class TestAssembledStructure:
             sg.incompleteness_space(2, 2, 4.0),
             sg.twisted_product(sg.hyperbolic(2), sg.sphere(2), sg.constant_warping(0)),
             sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), sg.busemann_warping(1.0)),
+            TWISTED,
         ],
     )
     def test_assembled_christoffels_match_fd(self, spec):
@@ -122,6 +144,112 @@ class TestAssembledStructure:
         report = sg.check_r_ge_k(sg.assemble(spec), 1.0, 1000, tol=1e-9, seed=0)
         assert report.passed
         assert report.min_margin >= -1e-9
+
+
+def _reference_jet(spec, X, order):
+    # The dense assembly the block-structured jet replaced: both factor jets
+    # zero-padded to (n, d, ..., d) with their scales folded in, the fiber's
+    # scaled by e^{2 alpha} over all d coordinates, then w * p - q.
+    db, d = spec.base.dim, spec.base.dim + spec.fiber.dim
+
+    def embed(jet, start):
+        scale, *parts = jet
+        own = slice(start, start + parts[0].shape[-1])
+        out = (np.ones(len(scale)),)
+        for rank, part in enumerate(parts, 2):
+            full = np.zeros((len(scale),) + (d,) * rank)
+            full[(slice(None),) + (own,) * rank] = scale.reshape((-1,) + (1,) * rank) * part
+            out += (full,)
+        return out
+
+    b, f = X[:, :db], X[:, db:]
+    _, *base_parts = embed(spec.base.jet(b, order), 0)
+    w, *fiber_parts = spaces._scaled_jet(spec.warping.jet(b, f, order), embed(spec.fiber.jet(f, order), db))
+    return (np.ones(len(X)),) + tuple(
+        w.reshape((-1,) + (1,) * (p.ndim - 1)) * p - q for p, q in zip(fiber_parts, base_parts)
+    )
+
+
+JET_SPECS = {
+    "product": sg.parse_space("product:hyperbolic(2)*sphere(2)"),
+    "warped": sg.parse_space("warped:hyperbolic(2)*torus(2):alpha=sqrtk*busemann", k=1.0),
+    "twisted": TWISTED,
+}
+
+
+def _jet_points(chart, n=64, seed=0):
+    return np.random.default_rng(seed).uniform(*chart.sample_box, size=(n, chart.dim))
+
+
+class TestAssembledJet:
+    @pytest.mark.parametrize("name", list(JET_SPECS))
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_dense_reference(self, name, order):
+        spec = JET_SPECS[name]
+        chart = sg.assemble(spec)
+        X = _jet_points(chart)
+        want = _reference_jet(spec, X, order)
+        for sign, got in ((1.0, chart.jet(X, order)), (-1.0, sg.negate(chart).jet(X, order))):
+            assert np.array_equal(got[0], sign * want[0])
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:], strict=True))
+
+    @pytest.mark.parametrize("name", ["warped", "twisted"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_fiber_chart_matches_dense_fiber_block(self, name, order):
+        # With a flat fiber (scale 1) both routes multiply the same product-rule
+        # terms by e^{2 alpha}, so the fiber slab agrees bit for bit.
+        spec = JET_SPECS[name]
+        db = spec.base.dim
+        X = _jet_points(sg.assemble(spec), n=16)
+        for x in X:
+            F = np.broadcast_to(x[db:], (3, spec.fiber.dim)) + np.arange(3)[:, None] * 0.25
+            scale, *parts = sg.fiber_chart_at(spec, x[:db]).jet(F, order)
+            _, *want = _reference_jet(spec, np.hstack([np.broadcast_to(x[:db], (3, db)), F]), order)
+            for rank, (part, full) in enumerate(zip(parts, want)):
+                slab = full[(slice(None),) + (slice(db, None),) * (rank + 2)]
+                assert np.array_equal(scale.reshape((-1,) + (1,) * (rank + 2)) * part, slab)
+
+
+JET_CHARTS = {
+    "hyperbolic(2)": sg.hyperbolic(2),
+    "hyperbolic(3)": sg.hyperbolic(3),
+    "sphere(2)": sg.sphere(2),
+    "sphere(3)": sg.sphere(3),
+    "flat_torus(2)": sg.flat_torus(2),
+    "euclidean(3)": sg.euclidean(3),
+    "minkowski(1,2)": sg.minkowski(1, 2),
+    **{name: sg.assemble(spec) for name, spec in JET_SPECS.items()},
+}
+
+
+class TestJetContract:
+    @pytest.mark.parametrize("name", list(JET_CHARTS))
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_shapes_symmetry_and_blocks(self, name, order):
+        chart, n, d = JET_CHARTS[name], 16, JET_CHARTS[name].dim
+        parts = chart.jet(_jet_points(chart, n), order)
+        assert [p.shape for p in parts] == [(n,)] + [(n,) + (d,) * r for r in range(2, order + 3)]
+        assert all(np.array_equal(p, p.swapaxes(-1, -2)) for p in parts[1:])
+        if order == 2:
+            assert np.array_equal(parts[3], parts[3].swapaxes(1, 2))
+        if name in JET_SPECS:
+            db = JET_SPECS[name].base.dim
+            assert all(np.all(p[..., :db, db:] == 0.0) for p in parts[1:])
+
+    def test_overflowing_warping_fails_the_check(self):
+        # e^{2 * 400} overflows: the fiber block is inf/NaN, so the sampled
+        # check must fail on a non-finite margin.  The base block stays -g_B.
+        spec = sg.WarpedProductSpec(sg.hyperbolic(2), sg.sphere(2), sg.constant_warping(400.0), "warped")
+        chart = sg.assemble(spec)
+        X = _jet_points(chart, 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, g, _ = chart.jet(X, 1)
+            report = sg.check_r_ge_k(chart, 1.0, 20, seed=0)
+        assert not np.all(np.isfinite(g[:, 2:, 2:]))
+        assert np.array_equal(g[:, :2, :2], -sg.hyperbolic(2).jet(X[:, :2], 1)[0][:, None, None] * np.eye(2))
+        assert not report.passed
+        assert not np.isfinite(report.min_margin)
+        assert report.witness is not None
 
 
 class TestOneillT:
