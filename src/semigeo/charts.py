@@ -97,8 +97,9 @@ class CurvatureReport:
     deterministic coordinate-basis stress set).  ``min_margin`` is the raw
     minimum of ``g(R(u,v)v,u) - k * area`` over all of them, or the first
     non-finite margin if there is one; ``witness`` is the pair it belongs
-    to.  The pass criterion compares each margin against ``-tol * scale``
-    with a per-sample scale ``max(1, |lhs|, |k * area|)``.
+    to, copied out of its sample block.  The pass criterion compares each
+    margin against ``-tol * scale`` with a per-sample scale
+    ``max(1, |lhs|, |k * area|)``; no margin array outlives its block.
     """
 
     k: float
@@ -171,7 +172,10 @@ def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarr
 
 def _christoffel_from_jet(g, dg):
     """g^{-1} and Gamma^i_{jk} = g^{il} (d_j g_lk + d_k g_lj - d_l g_jk) / 2."""
-    ginv = np.linalg.inv(g)
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError(f"metric jet not invertible: {exc}") from exc
     t = dg.transpose(0, 2, 1, 3)  # t[n, l, j, k] = d_j g_lk
     lowered = 0.5 * (t + t.transpose(0, 1, 3, 2) - dg)
     return ginv, np.einsum("nil,nljk->nijk", ginv, lowered)
@@ -344,17 +348,19 @@ def plane_margins(w: np.ndarray, curv: np.ndarray, area: np.ndarray, k: float):
     return lhs - karea, np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(karea)))
 
 
-def _eval_block(chart, sampler, k, seed, block_index, count):
-    """Margins, scales and tangent pairs of one sample block, in sample order:
-    each point's random pair, then its C(d, 2) coordinate-basis pairs."""
+def _eval_block(chart, sampler, k, tol, seed, block_index, count):
+    """One block reduced by ``reduce_margins`` over its pairs in sample order
+    (each point's random pair, then its C(d, 2) coordinate-basis pairs): the
+    witness margin, a copy of the witness pair, the verdict and the pair count."""
     pts, us, vs = sampler.block(seed, block_index, count)
     I, J = np.triu_indices(chart.dim, 1)
     basis = np.broadcast_to(np.eye(chart.dim), (count, chart.dim, chart.dim))
     pu = np.concatenate([us[:, None], basis[:, I]], axis=1)  # (point, pair, dim)
     pv = np.concatenate([vs[:, None], basis[:, J]], axis=1)
     margins, scales = plane_margins(wedge(pu, pv), *_plane_forms(chart, pts), k)
-    points = np.repeat(pts, pu.shape[1], axis=0)
-    return margins.ravel(), scales.ravel(), points, pu.reshape(-1, chart.dim), pv.reshape(-1, chart.dim)
+    w, passed = reduce_margins(margins.ravel(), scales.ravel(), tol)
+    n, p = divmod(w, pu.shape[1])
+    return margins[n, p], TangentPair(pts[n].copy(), pu[n, p].copy(), pv[n, p].copy()), passed, margins.size
 
 
 def reduce_margins(margins: np.ndarray, scales: np.ndarray, tol: float) -> tuple[int, bool]:
@@ -382,28 +388,27 @@ def check_r_ge_k(
     basis pairs; ``samples`` in the report counts both.  Margins are
     evaluated directly, with no division by the area form, so lightlike-plane
     pairs are covered.  Blocks of ``SAMPLE_BLOCK`` samples are evaluated in
-    order, concatenated and reduced once by ``reduce_margins``: the witness
-    is the first non-finite margin, else the first minimum, so a NaN or inf
-    margin fails the check.
+    order, each reduced by ``reduce_margins`` as it is evaluated, and the
+    block witnesses once more: the witness is the first non-finite margin,
+    else the first minimum, so a NaN or inf margin fails the check.
     """
     if n_samples < 1:
         raise EmptySampleError("check_r_ge_k needs n_samples >= 1")
     if not np.isfinite(k):
         raise DomainError("k must be finite")
     sampler = default_sampler(chart)
-    blocks = [
-        _eval_block(chart, sampler, k, seed, index, min(SAMPLE_BLOCK, n_samples - start))
+    margins, witnesses, verdicts, counts = zip(*(
+        _eval_block(chart, sampler, k, tol, seed, index, min(SAMPLE_BLOCK, n_samples - start))
         for index, start in enumerate(range(0, n_samples, SAMPLE_BLOCK))
-    ]
-    margins, scales, points, us, vs = (np.concatenate(parts) for parts in zip(*blocks))
-    w, passed = reduce_margins(margins, scales, tol)
+    ))
+    w, _ = reduce_margins(np.array(margins), np.ones(len(margins)), tol)
     return CurvatureReport(
         k=float(k),
-        samples=len(margins),
+        samples=sum(counts),
         min_margin=float(margins[w]),
-        witness=TangentPair(points[w].copy(), us[w].copy(), vs[w].copy()),
+        witness=witnesses[w],
         tol=float(tol),
-        passed=passed,
+        passed=all(verdicts),
         seed=int(seed),
     )
 

@@ -160,7 +160,7 @@ def cmd_curvature_check(args) -> int:
         "evaluated_pairs": int(report.samples),
         "tol": float(report.tol),
         "seed": int(report.seed),
-        "min_margin": float(report.min_margin),
+        "min_margin": float(report.min_margin) if math.isfinite(report.min_margin) else None,
         "passed": bool(report.passed),
         "witness": _witness_payload(report),
     }

@@ -669,9 +669,12 @@ def _parse_alpha(expr: str, k: float | None) -> Warping:
             raise UnsupportedSpaceError("alpha=sqrtk*busemann needs k > 0")
         return busemann_warping(math.sqrt(k))
     try:
-        return constant_warping(float(expr))
+        value = float(expr)
     except ValueError as exc:
         raise UnsupportedSpaceError(f"unknown alpha expression {expr!r}") from exc
+    if not math.isfinite(value):
+        raise UnsupportedSpaceError(f"alpha constant must be finite, got {expr!r}")
+    return constant_warping(value)
 
 
 def parse_space(text: str, k: float | None = None):

@@ -4,6 +4,7 @@ and the sampled R >= k certification."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,21 @@ class TestScalarCurvature:
         )
 
 
+def _nan_chart(cut):
+    # A metric on the unit box that is NaN where x_0 > cut and flat elsewhere.
+    def metric_at(x):
+        return np.full((2, 2), np.nan) if x[0] > cut else np.eye(2)
+
+    return sg.ChartMetric(
+        dim=2,
+        signature=(2, 0),
+        metric_at=metric_at,
+        in_domain=lambda x: True,
+        sample_box=(np.zeros(2), np.ones(2)),
+        name="nan",
+    )
+
+
 class TestCheckRGeK:
     def test_product_passes_at_one(self):
         chart = sg.assemble(sg.plain_product(sg.hyperbolic(2), sg.sphere(2)))
@@ -283,18 +299,7 @@ class TestCheckRGeK:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("nan_half", [False, True])
     def test_nan_metric_fails_with_witness(self, nan_half):
-        # NaN on the whole box, or only where x_0 > 0.5.
-        def metric_at(x):
-            return np.full((2, 2), np.nan) if not nan_half or x[0] > 0.5 else np.eye(2)
-
-        chart = sg.ChartMetric(
-            dim=2,
-            signature=(2, 0),
-            metric_at=metric_at,
-            in_domain=lambda x: True,
-            sample_box=(np.zeros(2), np.ones(2)),
-            name="nan",
-        )
+        chart = _nan_chart(0.5 if nan_half else -1.0)
         # At k = 0 the flat half has margin 0, so only the NaN half can fail.
         report = sg.check_r_ge_k(chart, 0.0, 20, seed=0)
         assert not report.passed
@@ -303,17 +308,22 @@ class TestCheckRGeK:
         assert report.witness.base_point[0] > 0.5 or not nan_half
 
 
-def _reference_block(chart, k, seed, count):
-    # The sampled check's margin formula before the Plücker kernel: the
-    # (u, v, u, v) contraction of R_{ijkl} and the area from three metric
-    # contractions, on the same random and coordinate-basis pairs.
-    pts, us, vs = charts.default_sampler(chart).block(seed, 0, count)
+def _block_pairs(chart, seed, index, count):
+    # One sample block's points and its pairs, (point, pair, dim): each
+    # point's random pair, then its coordinate-basis pairs.
+    pts, us, vs = charts.default_sampler(chart).block(seed, index, count)
     stress = list(itertools.combinations(range(chart.dim), 2))
     basis = np.eye(chart.dim)
     su = np.broadcast_to(basis[[i for i, _ in stress]], (count, len(stress), chart.dim))
     sv = np.broadcast_to(basis[[j for _, j in stress]], (count, len(stress), chart.dim))
-    pu = np.concatenate([us[:, None], su], axis=1)
-    pv = np.concatenate([vs[:, None], sv], axis=1)
+    return pts, np.concatenate([us[:, None], su], axis=1), np.concatenate([vs[:, None], sv], axis=1)
+
+
+def _reference_block(chart, k, seed, count):
+    # The sampled check's margin formula before the Plücker kernel: the
+    # (u, v, u, v) contraction of R_{ijkl} and the area from three metric
+    # contractions, on the same random and coordinate-basis pairs.
+    pts, pu, pv = _block_pairs(chart, seed, 0, count)
     g, riem = charts._curvature(chart, pts)
     rl = np.einsum("nim,nmjkl->nijkl", g, riem)
     lhs = np.einsum("nijkl,npi,npj,npk,npl->np", rl, pu, pv, pu, pv, optimize=True)
@@ -323,7 +333,23 @@ def _reference_block(chart, k, seed, count):
         - np.einsum("npi,npi->np", gu, pv) ** 2
     )
     scales = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(k * area)))
-    return (lhs - k * area).ravel(), scales.ravel(), pu.reshape(-1, chart.dim), pv.reshape(-1, chart.dim)
+    return pts, pu, pv, lhs - k * area, scales
+
+
+def _reference_check(chart, k, n_samples, tol, seed):
+    # check_r_ge_k before blocks were reduced as they are evaluated: every
+    # block's margins, scales and pairs concatenated in block order and
+    # reduced once.  Returns (samples, min_margin, witness arrays, passed).
+    parts = []
+    for index, start in enumerate(range(0, n_samples, charts.SAMPLE_BLOCK)):
+        pts, pu, pv = _block_pairs(chart, seed, index, min(charts.SAMPLE_BLOCK, n_samples - start))
+        margins, scales = charts.plane_margins(charts.wedge(pu, pv), *charts._plane_forms(chart, pts), k)
+        pairs = pu.shape[1]
+        parts.append((margins.ravel(), scales.ravel(), np.repeat(pts, pairs, axis=0),
+                      pu.reshape(-1, chart.dim), pv.reshape(-1, chart.dim)))
+    margins, scales, points, us, vs = (np.concatenate(part) for part in zip(*parts))
+    w, passed = charts.reduce_margins(margins, scales, tol)
+    return len(margins), margins[w], (points[w], us[w], vs[w]), passed
 
 
 class TestPlaneMargins:
@@ -337,11 +363,49 @@ class TestPlaneMargins:
     @pytest.mark.parametrize("chart", list(MARGIN_CHARTS.values()), ids=list(MARGIN_CHARTS))
     @pytest.mark.parametrize("k", [1.0, -0.5])
     def test_block_matches_reference_formula(self, chart, k):
-        margins, scales, _, us, vs = charts._eval_block(chart, charts.default_sampler(chart), k, 3, 0, 40)
-        ref_margins, ref_scales, ref_us, ref_vs = _reference_block(chart, k, 3, 40)
-        assert np.array_equal(us, ref_us) and np.array_equal(vs, ref_vs)
+        pts, pu, pv, ref_margins, ref_scales = _reference_block(chart, k, 3, 40)
+        margins, scales = charts.plane_margins(charts.wedge(pu, pv), *charts._plane_forms(chart, pts), k)
         assert np.all(np.abs(margins - ref_margins) <= 1e-12 * ref_scales)
         assert np.all(np.abs(scales - ref_scales) <= 1e-12 * ref_scales)
+
+
+class TestBlockReduction:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name, k", [
+        ("product", 1.0), ("product", 1.5), ("warped", 1.0), ("warped", 1.5), ("nan-half", 0.0), ("nan-corner", 0.0),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_concatenate_then_reduce(self, name, k, seed):
+        # Three blocks, the last one partial; k = 1 puts the README spaces'
+        # minimum margins near -1e-14, where ties are closest.  At both seeds
+        # only block 1 has points with x_0 > 0.998, so on "nan-corner" block 0
+        # passes and the run must still fail.
+        cuts = {"nan-half": 0.5, "nan-corner": 0.998}
+        chart = _nan_chart(cuts[name]) if name in cuts else MARGIN_CHARTS[name]
+        n_samples = 2 * charts.SAMPLE_BLOCK + 100
+        report = sg.check_r_ge_k(chart, k, n_samples, tol=1e-9, seed=seed)
+        samples, min_margin, witness, passed = _reference_check(chart, k, n_samples, 1e-9, seed)
+        assert report.samples == samples
+        assert np.float64(report.min_margin).tobytes() == min_margin.tobytes()
+        for got, want in zip((report.witness.base_point, report.witness.u, report.witness.v), witness):
+            assert got.tobytes() == want.tobytes()
+        assert report.passed == passed
+
+    def test_memory_does_not_grow_with_samples(self):
+        # Only one block's pairs are alive at a time, so ten times the
+        # samples must not raise the traced peak by half.
+        chart = MARGIN_CHARTS["product"]
+        sg.check_r_ge_k(chart, 1.0, 10)
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                sg.check_r_ge_k(chart, 1.0, n_samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10 * 1024) <= 1.5 * peak(1024)
 
 
 class TestChartInvariants:

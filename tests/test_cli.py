@@ -92,6 +92,40 @@ class TestCurvatureCheck:
         assert run(command + ["--samples", "50", "--tol", bad, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_margin_is_null(self, tmp_path):
+        # e^{2 * 400} overflows, so the witness margin is NaN; RFC 8259 JSON
+        # has no NaN, and the CSV walker prints the same null.
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        space = "warped:hyperbolic(2)*sphere(2):alpha=400"
+        js, csv = tmp_path / "r.json", tmp_path / "r.csv"
+        assert run(["curvature-check", "--space", space, "--k", "1", "--samples", "10", "--out", str(js)]) == 2
+        report = json.loads(js.read_text(), parse_constant=refuse)
+        assert report["min_margin"] is None
+        assert report["passed"] is False
+        assert len(report["witness"]["u"]) == 4
+        assert run(["curvature-check", "--space", space, "--k", "1", "--samples", "10",
+                    "--format", "csv", "--out", str(csv)]) == 2
+        assert "min_margin,null" in csv.read_text().splitlines()
+
+    def test_singular_jet_metric_exit_one(self):
+        # e^{-2 * 400} underflows to 0, so the fiber block of the jet metric
+        # is singular: one error line and exit 1, not a traceback.
+        src = str(Path(sg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "semigeo.cli", "curvature-check", "--space",
+             "warped:hyperbolic(2)*sphere(2):alpha=-400", "--k", "1", "--samples", "10"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        errors = [line for line in done.stderr.splitlines() if line.startswith("semigeo: error:")]
+        assert len(errors) == 1 and "metric jet not invertible" in errors[0]
+        assert done.stdout == ""
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
         code = run(

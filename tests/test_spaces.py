@@ -411,6 +411,10 @@ class TestParseSpace:
             "warped:hyperbolic(2)*torus(2)",
             "warped:sphere(2)*torus(2):alpha=busemann",
             "warped:hyperbolic(2)*torus(2):alpha=wavelet",
+            "warped:hyperbolic(2)*torus(2):alpha=nan",
+            "warped:hyperbolic(2)*torus(2):alpha=inf",
+            "warped:hyperbolic(2)*torus(2):alpha=-inf",
+            "warped:hyperbolic(2)*torus(2):alpha=1e400",
         ],
     )
     def test_bad_specs(self, bad):
