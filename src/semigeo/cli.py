@@ -151,7 +151,10 @@ def cmd_curvature_check(args) -> int:
         chart = build_space(space)
     except UnsupportedSpaceError as exc:
         raise _UsageError(str(exc)) from exc
-    report = check_r_ge_k(chart, args.k, args.samples, tol=args.tol, seed=args.seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite margin is reported below
+        report = check_r_ge_k(chart, args.k, args.samples, tol=args.tol, seed=args.seed)
+    if not math.isfinite(report.min_margin):
+        print("semigeo: warning: min_margin is not finite (overflow or invalid value)", file=sys.stderr)
     payload = {
         "command": "curvature-check",
         "space": args.space,
@@ -174,8 +177,9 @@ def _exact_pairs(count: int, seed: int):
     nums = rng.integers(-9, 10, (count, 16))
     dens = rng.integers(1, 10, (count, 16))
     nums[:, [0, 8]] = 0
-    for row_n, row_d in zip(nums.tolist(), dens.tolist()):
-        coords = tuple(map(Fraction, row_n, row_d))
+    table = [Fraction(n, d) for n in range(-9, 10) for d in range(1, 10)]  # the 171 possible coordinates
+    for row in ((nums + 9) * 9 + dens - 1).tolist():
+        coords = tuple(map(table.__getitem__, row))
         yield alg.AlgebraElement(coords[:8]), alg.AlgebraElement(coords[8:])
 
 

@@ -12,7 +12,8 @@ margin forms.  The exact paths work on integer numerators over a
 common denominator: the pair kernel makes one pass for [X, Y], [X1, Y1] and
 [X2, Y2]_1, and both quartic forms and the determinant identity, homogeneous
 of degree (2, 2), become one integer polynomial and one Fraction per call.
-feasible() is four integer sign tests, and the Jacobi, Ad-invariance and
+feasible() is four integer sign tests, which scan_region applies to integers
+reduced once per t and once per k.  The Jacobi, Ad-invariance and
 containment checks read one integer table of the 64 basis brackets.
 
 The one-parameter family of metrics is (X, Y) = (1+t) B(X1, Y1) + B(X2, Y2)
@@ -531,25 +532,34 @@ def _ratio(v) -> tuple:
     return Fraction(v).as_integer_ratio()
 
 
+def _t_terms(t) -> tuple:
+    """The k-free integers b, (1+t) b, (1-3t) b, 9 (b^2 - a^2)^2 at t = a/b, b > 0."""
+    a, b = _ratio(t)
+    return b, a + b, b - 3 * a, 9 * (b * b - a * a) ** 2
+
+
+def _cell_flags(terms: tuple, k: tuple) -> tuple:
+    """The four inequalities as integer sign tests, from _t_terms(t) and
+    k = c/d (d > 0): the first three times 8bd or bd, the fourth times 4 b^4 d^2."""
+    b, s, u, w = terms
+    c, d = k
+    return (
+        8 * c * b > s * d,
+        2 * c * s < b * d,
+        8 * c * b < u * d,
+        4 * b * s * (b * d - 2 * c * s) * (u * d - 8 * c * b) > w * d * d,
+    )
+
+
 def feasible(params: ModelParams) -> FeasibilityResult:
     """The four strict inequalities at (t, k); exact for rational inputs.
 
         k > (1+t)/8,   k < 1/(2(1+t)),   k < (1-3t)/8,   ineq4_lhs(t, k) > 0.
 
-    With t = a/b and k = c/d (b, d > 0), each is an integer sign test:
-    the first three times 8bd or bd, and ineq4_lhs times 4 b^4 d^2.
-    Boundary cases are infeasible (strict comparisons).
+    Each is an integer sign test (_cell_flags on _t_terms(t) and the ratio
+    of k).  Boundary cases are infeasible (strict comparisons).
     """
-    a, b = _ratio(params.t)
-    c, d = _ratio(params.k)
-    s = a + b  # (1+t) b
-    u = b - 3 * a  # (1-3t) b
-    return FeasibilityResult(
-        ineq1=8 * c * b > s * d,
-        ineq2=2 * c * s < b * d,
-        ineq3=8 * c * b < u * d,
-        ineq4=4 * b * s * (b * d - 2 * c * s) * (u * d - 8 * c * b) > 9 * (d * (b * b - a * a)) ** 2,
-    )
+    return FeasibilityResult(*_cell_flags(_t_terms(params.t), _ratio(params.k)))
 
 
 def feasible_k_interval(t) -> tuple[float, float] | None:
@@ -688,6 +698,10 @@ def scan_region(
     """Evaluate the four inequalities (exactly for rational grid values) on a
     grid, optionally adding a sampled minimum curvature margin per cell.
 
+    Each t and each k is checked and reduced to integers once, in the order
+    a cell-by-cell loop reaches them (so a bad value raises the same
+    DomainError); each cell is then four integer sign tests.
+
     All cells share one pair set (common random numbers), so a cell's
     min_margin is sample_margins(t, k, sample_count, seed)[0].min().  A t-row
     evaluates its forms once (``plane_values``), then lhs - k * area per block
@@ -704,10 +718,16 @@ def scan_region(
             lhs, area = plane_values(w, *_margin_forms(float(t)))
             for lo in range(0, len(ks), w.shape[1]):
                 margins += (lhs - ks[lo : lo + w.shape[1]] * area).min(axis=1).tolist()
-    cells = []
-    for (t, k), margin in zip([(t, k) for t in t_values for k in k_values], margins):
-        res = feasible(ModelParams(t, k))
-        cells.append(GridCell(t=float(t), k=float(k), **vars(res), feasible=res.overall, min_margin=margin))
+    cells, n_k, columns = [], len(k_values), None
+    for i, t in enumerate(t_values if k_values else ()):
+        ModelParams(t, k_values[0])  # checks t (and, in the first row, k_values[0] next)
+        terms = _t_terms(t)
+        if columns is None:
+            columns = [(_ratio(ModelParams(t, k).k), float(k)) for k in k_values]
+        t_float = float(t)
+        for (k_ratio, k_float), margin in zip(columns, margins[i * n_k : (i + 1) * n_k]):
+            flags = _cell_flags(terms, k_ratio)
+            cells.append(GridCell(t_float, k_float, *flags, all(flags), margin))
     return FeasibilityGrid(
         t_values=tuple(float(t) for t in t_values),
         k_values=tuple(float(k) for k in k_values),

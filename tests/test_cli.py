@@ -1,18 +1,21 @@
 """Command-line contract: exit codes, report formats, determinism."""
 
+import hashlib
 import json
 import os
 import signal
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semigeo as sg
 from semigeo import su21
-from semigeo.cli import MAX_SAMPLES, _grid_count, main
+from semigeo.cli import MAX_SAMPLES, _exact_pairs, _grid_count, main
 from semigeo.spaces import MAX_ATOM_DIM
 
 
@@ -126,6 +129,22 @@ class TestCurvatureCheck:
         assert len(errors) == 1 and "metric jet not invertible" in errors[0]
         assert done.stdout == ""
 
+    def test_nonfinite_margin_one_warning_line(self):
+        # e^{2 * 400} overflows: numpy's warnings are silenced and replaced
+        # by one line; the report and exit code 2 are unchanged.
+        src = str(Path(sg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "semigeo.cli", "curvature-check", "--space",
+             "warped:hyperbolic(2)*sphere(2):alpha=400", "--k", "1", "--samples", "10"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "RuntimeWarning" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("semigeo: warning:")
+        assert json.loads(done.stdout)["min_margin"] is None
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
         code = run(
@@ -157,6 +176,18 @@ class TestSu21Command:
 
     def test_domain_error_exit_one(self, capsys):
         assert run(["su21", "--t", "-1.0", "--k", "0.1"]) == 1
+
+    def test_exact_pairs_are_the_seeded_rationals(self):
+        # A failing pair index names a pair of this stream: row i of the two
+        # (count, 16) draws, coordinate j = nums[i, j] / dens[i, j].
+        rng = np.random.default_rng(4)
+        nums, dens = rng.integers(-9, 10, (300, 16)), rng.integers(1, 10, (300, 16))
+        pairs = list(_exact_pairs(300, 4))
+        assert len(pairs) == 300
+        for (x, y), row_n, row_d in zip(pairs, nums, dens):
+            coords = [Fraction(int(n), int(d)) for n, d in zip(row_n, row_d)]
+            coords[0] = coords[8] = Fraction(0)
+            assert x.coords + y.coords == tuple(coords)
 
 
 def _loop_first_failure(name):
@@ -289,6 +320,15 @@ class TestScanCommand:
             values.append(v)
             v += step
         assert _grid_count(lo, hi, step) == len(values)
+
+    def test_default_grid_bytes(self, tmp_path, capsys):
+        # The README grid, pinned by digest: the file holds exact booleans
+        # and float reprs of t and k, so it does not depend on BLAS.
+        out = tmp_path / "grid.csv"
+        assert run(["scan", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "613b96f14791a01117b047a23aebbbb8f3ebcdaad16fc36ab0e92732423b5f8c"
+        assert capsys.readouterr().out == "feasible cells at 39 t-values in [-0.99, -0.61]\n"
 
     def test_single_cell_matches_feasible(self, tmp_path):
         from fractions import Fraction as F

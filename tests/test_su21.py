@@ -460,6 +460,48 @@ class TestScanRegion:
             assert cell.min_margin.hex() == oracle.hex()
             assert dataclasses.replace(cell, min_margin=None) == exact
 
+    def test_cells_equal_fraction_oracle(self):
+        # Plain Fraction comparisons, not feasible(), which shares the cell
+        # code.  At t = -4/5 the first three boundaries are k = 1/40, 5/2 and
+        # 17/40, where strictness makes that inequality false; ineq4_lhs
+        # vanishes at (1, 1/4).  The floats -0.8 and 0.1 are decided on their
+        # exact binary values, whose denominators are 2^55-size.
+        ts = [F(-4, 5), -0.8, F(-99, 100), F(-1, 2), 0.1, F(1), -0.6]
+        ks = [F(1, 40), F(17, 40), F(5, 2), F(1, 10), 0.1, F(1, 4), 0.025, F(3, 100)]
+        grid = sg.scan_region(ts, ks)
+        assert len(grid.cells) == len(ts) * len(ks)
+        for cell, (t, k) in zip(grid.cells, [(t, k) for t in ts for k in ks]):
+            te, ke = F(t), F(k)
+            ref = (
+                ke > (1 + te) / 8,
+                ke < 1 / (2 * (1 + te)),
+                ke < (1 - 3 * te) / 8,
+                sg.ineq4_lhs(te, ke) > 0,
+            )
+            assert (cell.t, cell.k) == (float(t), float(k))
+            assert (cell.ineq1, cell.ineq2, cell.ineq3, cell.ineq4) == ref, (t, k)
+            assert cell.feasible == all(ref) and cell.min_margin is None
+        on_line = grid.cells[:3]  # t = -4/5 at k = 1/40, 17/40, 5/2
+        assert (on_line[0].ineq1, on_line[1].ineq3, on_line[2].ineq2) == (False, False, False)
+        assert any(c.feasible for c in grid.cells) and not all(c.feasible for c in grid.cells)
+        # Each value is checked in the order a cell-by-cell loop reaches it:
+        # the first t, then every k, then the other t.
+        for bad_ts, bad_ks, message in (
+            ([F(-1)], [F(1, 10)], "t must exceed -1"),
+            ([F(-1, 2), F(-4, 5), -1.5], [F(1, 10)], "t must exceed -1"),
+            ([F(-4, 5)], [F(1, 10), F(0)], "k must be positive"),
+            ([F(-4, 5), F(-2)], [F(1, 10), -0.1], "k must be positive"),
+            ([F(-4, 5), float("inf")], [F(1, 10)], "finite"),
+            ([F(-4, 5), float("nan")], [F(1, 10)], "t must exceed -1"),
+            ([F(-4, 5)], [F(1, 10), float("inf")], "finite"),
+            ([F(-4, 5)], [float("nan")], "k must be positive"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                sg.scan_region(bad_ts, bad_ks)
+        # An empty axis reaches no cell, so no value is checked.
+        for empty_ts, empty_ks in (([], [F(1, 10), F(-1)]), ([F(-4, 5), F(-2)], [])):
+            assert sg.scan_region(empty_ts, empty_ks).cells == ()
+
     def test_csv_shape(self):
         grid = sg.scan_region([F(-4, 5)], [F(1, 10)])
         lines = grid.to_csv().strip().split("\n")
