@@ -6,7 +6,8 @@ with its first and second partials).  Christoffel symbols follow from the
 jet in closed form, and so does the lowered Riemann tensor, R_ijkl = A_ijkl
 - A_ijlk with A_ijkl = (d_k d_j g_il - d_k d_i g_jl) / 2 + Gamma_{m,li}
 Gamma^m_kj (O'Neill, Semi-Riemannian Geometry, ch. 3); charts without a jet
-are differentiated by finite differences of the metric.  On top of these
+get the exact jet of their metric by second-order Taylor arithmetic, one
+evaluation of ``metric_at`` per block of points.  On top of these
 sit sectional curvatures and a sampled certification of the condition
 
     g(R(u, v)v, u) >= k * (g(u, u) g(v, v) - g(u, v)^2)
@@ -27,7 +28,6 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -37,11 +37,8 @@ from .errors import (
     DomainError,
     EmptySampleError,
     SingularMetricError,
+    UnsupportedSpaceError,
 )
-
-# Central-difference step of the finite-difference jet, scaled by max(1, |x|);
-# the Richardson pair (h, h/2) keeps second derivatives near 1e-9.
-FD_STEP = 1e-3
 
 # Samples per RNG block.  Block i of a run with master seed s is generated by
 # numpy's default_rng(s + i), so the sample stream is a function of the seed
@@ -67,8 +64,9 @@ class ChartMetric:
     ``scale[n] * ddg[n, k, l, i, j]`` is d_k d_l g_ij.  The per-point factor
     lets conformal charts stay finite where e^{2 phi} times its derivatives
     overflows; Christoffels and R^i_{jkl} do not depend on it.  Charts
-    without a jet are differentiated by Richardson-extrapolated central
-    differences of ``metric_at``.
+    without a jet get exact derivatives from one call of ``metric_at`` on
+    Taylor values, so it must use numpy arithmetic and the ufuncs exp, log,
+    log1p, sqrt, sin, cos, with no ``math.*``, ``float()`` or branching on coordinates.
     """
 
     dim: int
@@ -111,74 +109,91 @@ class CurvatureReport:
     seed: int = 0
 
 
-def _require_domain(chart: ChartMetric, x: np.ndarray) -> None:
-    if not chart.in_domain(x):
-        raise DomainError(f"point {x.tolist()} outside domain of chart {chart.name!r}")
+class _Taylor:
+    """Value ``v`` (N,), gradient ``g`` (N, d) and Hessian ``h`` (N, d, d) of
+    a function of d coordinates at N points, carried exactly by second-order
+    forward-mode arithmetic (Griewank and Walther, Evaluating Derivatives,
+    2nd ed., ch. 13).  numpy's ufuncs call ``exp`` ... ``cos`` on object
+    arrays; an array operand is left to numpy, which applies it entrywise."""
+
+    def __init__(self, v, g, h):
+        self.v, self.g, self.h = v, g, h
+
+    def _chain(self, f0, f1, f2):  # f(self), given f, f' and f'' at v
+        g = self.g
+        return _Taylor(f0, f1[:, None] * g, f1[:, None, None] * self.h + f2[:, None, None] * g[:, :, None] * g[:, None])
+
+    def __add__(self, o):
+        if isinstance(o, _Taylor):
+            return _Taylor(self.v + o.v, self.g + o.g, self.h + o.h)
+        return _Taylor(self.v + o, self.g, self.h) if np.isscalar(o) else NotImplemented
+
+    def __mul__(self, o):
+        if not isinstance(o, _Taylor):
+            return _Taylor(self.v * o, self.g * o, self.h * o) if np.isscalar(o) else NotImplemented
+        v, w, gg = self.v[:, None], o.v[:, None], self.g[:, :, None] * o.g[:, None]
+        h = v[..., None] * o.h + w[..., None] * self.h + gg + gg.transpose(0, 2, 1)
+        return _Taylor(self.v * o.v, v * o.g + w * self.g, h)
+
+    def __pow__(self, p):  # a constant exponent
+        v = self.v
+        return self._chain(v**p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2)) if np.isscalar(p) else NotImplemented
+
+    __radd__, __rmul__ = __add__, __mul__
+    __neg__ = lambda self: self * -1.0
+    __sub__ = lambda self, o: self + -o
+    __rsub__ = lambda self, o: -self + o
+    __truediv__ = lambda self, o: self * (1.0 / o)
+    __rtruediv__ = lambda self, o: self**-1 * o
+    exp = lambda self: self._chain(*[np.exp(self.v)] * 3)
+    log = lambda self: self._chain(np.log(self.v), 1.0 / self.v, -1.0 / (self.v * self.v))
+    log1p = lambda self: self._chain(np.log1p(self.v), 1.0 / (1.0 + self.v), -1.0 / (1.0 + self.v) ** 2)
+    sqrt = lambda self: self._chain(np.sqrt(self.v), 0.5 / np.sqrt(self.v), -0.25 / (self.v * np.sqrt(self.v)))
+    sin = lambda self: self._chain(np.sin(self.v), np.cos(self.v), -np.sin(self.v))
+    cos = lambda self: self._chain(np.cos(self.v), -np.sin(self.v), -np.cos(self.v))
 
 
-def _require_nonsingular(chart: ChartMetric, g: np.ndarray) -> None:
-    det = np.linalg.det(g)
-    if abs(det) <= _DET_FLOOR:
-        raise SingularMetricError(
-            f"|det g| = {abs(det):.3e} below {_DET_FLOOR} on chart {chart.name!r}"
-        )
-
-
-def _fd_jet(chart: ChartMetric, x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-    """(g, dg[, ddg]) at one point by central differences of ``metric_at``,
-    Richardson-extrapolated over the steps h and h/2.  Every stencil point
-    must lie in the chart domain."""
-
-    def metric(y):
-        _require_domain(chart, y)
-        return chart.metric_at(y)
-
-    g0 = metric(x)
-    _require_nonsingular(chart, g0)
-
-    def central(h):
-        steps = h * np.eye(chart.dim)
-        gp = np.array([metric(x + e) for e in steps])
-        gm = np.array([metric(x - e) for e in steps])
-        derivs = [(gp - gm) / (2.0 * h)]
-        if order == 2:
-            dd = np.empty((chart.dim,) + derivs[0].shape)
-            for k in range(chart.dim):
-                dd[k, k] = (gp[k] - 2.0 * g0 + gm[k]) / (h * h)
-            for k, l in combinations(range(chart.dim), 2):
-                a, b = steps[k] + steps[l], steps[k] - steps[l]
-                dd[k, l] = dd[l, k] = (
-                    metric(x + a) - metric(x + b) - metric(x - b) + metric(x - a)
-                ) / (4.0 * h * h)
-            derivs.append(dd)
-        return derivs
-
-    h = FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    coarse, fine = central(h), central(h / 2.0)
-    return (g0,) + tuple((4.0 * f - c) / 3.0 for c, f in zip(coarse, fine))
+def _taylor(fn, X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact (f, d_k f, d_k d_l f) at the rows of the (N, d) array ``X``, shaped (N,),
+    (N, d), (N, d, d) plus the output shape of ``fn``, from one call of ``fn`` on the
+    coordinates as Taylor values; constant output entries get zero derivatives."""
+    n, d = X.shape
+    zero = np.zeros((n, d, d))
+    xs = np.array([_Taylor(X[:, i], np.broadcast_to(e, (n, d)), zero) for i, e in enumerate(np.eye(d))])
+    try:
+        out = np.asarray(fn(xs), dtype=object)
+    except TypeError as exc:
+        raise UnsupportedSpaceError(
+            f"{what} is not Taylor-evaluable ({exc}): use numpy arithmetic and the ufuncs exp, log, log1p, sqrt, "
+            "sin, cos; no math.*, no float(), no branching on coordinates") from exc
+    parts = [(e.v, e.g, e.h) if isinstance(e, _Taylor) else (np.full(n, e, dtype=float), zero[:, 0], zero)
+             for e in out.flat]
+    return tuple(np.stack(p, axis=-1).reshape(p[0].shape + out.shape) for p in zip(*parts))
 
 
 def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """(scale, g, dg[, ddg]) at the rows of ``X``: the chart's own jet, or
-    finite differences of ``metric_at`` for charts that have none.  Rows
-    outside the domain raise DomainError (the geodesic RHS's only check)."""
+    the exact Taylor jet of ``metric_at`` (scale 1) for charts that have
+    none.  Rows outside the domain raise DomainError (the geodesic RHS's
+    only check)."""
     for x in X:
-        _require_domain(chart, x)
+        if not chart.in_domain(x):
+            raise DomainError(f"point {x.tolist()} outside domain of chart {chart.name!r}")
     if chart.jet is not None:
         return chart.jet(X, order)
-    parts = zip(*(_fd_jet(chart, x, order) for x in X))
-    return (np.ones(len(X)),) + tuple(np.array(p) for p in parts)
+    jet = _taylor(chart.metric_at, X, f"metric_at of chart {chart.name!r}")
+    return (np.ones(len(X)),) + jet[: order + 1]
 
 
 def _christoffel_from_jet(g, dg):
-    """g^{-1} and Gamma^i_{jk} = g^{il} (d_j g_lk + d_k g_lj - d_l g_jk) / 2."""
+    """g^{-1}, Gamma^i_{jk} = g^{il} Gamma_{l,jk} and Gamma_{l,jk} = (d_j g_lk + d_k g_lj - d_l g_jk) / 2."""
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError(f"metric jet not invertible: {exc}") from exc
     t = dg.transpose(0, 2, 1, 3)  # t[n, l, j, k] = d_j g_lk
     lowered = 0.5 * (t + t.transpose(0, 1, 3, 2) - dg)
-    return ginv, np.einsum("nil,nljk->nijk", ginv, lowered)
+    return ginv, np.einsum("nil,nljk->nijk", ginv, lowered), lowered
 
 
 def christoffel(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
@@ -195,10 +210,8 @@ def _curvature_jet(chart: ChartMetric, X: np.ndarray):
     at broadcast index arrays, so R_{ijkl} = scale (A_{ijkl} - A_{ijlk}).
     Gamma_{m,li} = Gamma_{m,il}, so Gamma.Gamma is one (d^2, d) @ (d, d^2) product per point."""
     scale, g, dg, ddg = _metric_jet(chart, X, 2)
-    ginv, gamma = _christoffel_from_jet(g, dg)
+    ginv, gamma, lowered = _christoffel_from_jet(g, dg)
     n, d = gamma.shape[:2]
-    t = dg.transpose(0, 2, 1, 3)
-    lowered = 0.5 * (t + t.transpose(0, 1, 3, 2) - dg)  # as in _christoffel_from_jet
     gg = lowered.reshape(n, d, d * d).transpose(0, 2, 1) @ gamma.reshape(n, d, d * d)
     gg = gg.reshape(ddg.shape)  # gg[n, l, i, k, j] = Gamma_{m,li} Gamma^m_kj
 
@@ -276,7 +289,9 @@ def scalar_curvature(chart: ChartMetric, x: np.ndarray) -> float:
     """Scalar curvature g^{jl} Ric_{jl} with Ric_{jl} = R^i_{lij}."""
     g, riem = _curvature(chart, np.asarray(x, dtype=float)[None])
     ric = np.einsum("ilij->jl", riem[0])
-    _require_nonsingular(chart, g[0])
+    det = np.linalg.det(g[0])
+    if abs(det) <= _DET_FLOOR:
+        raise SingularMetricError(f"|det g| = {abs(det):.3e} below {_DET_FLOOR} on chart {chart.name!r}")
     ginv = np.linalg.inv(g[0])
     return float(np.einsum("jl,jl->", ginv, ric))
 

@@ -117,9 +117,12 @@ def _witness_payload(report: CurvatureReport) -> dict:
 
 def _frac(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"expected a rational number, got {text!r}") from exc
+    if abs(value) > sys.float_info.max:
+        raise _UsageError(f"{text!r} is beyond the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------

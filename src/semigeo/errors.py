@@ -6,8 +6,7 @@ class SemigeoError(Exception):
 
 
 class DomainError(SemigeoError):
-    """A coordinate point (or a finite-difference stencil around it) left the chart domain,
-    or a parameter left its admissible range."""
+    """A coordinate point left the chart domain, or a parameter left its admissible range."""
 
 
 class RhsDomainError(DomainError):

@@ -366,7 +366,7 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
             scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
         except DomainError as exc:
             raise RhsDomainError(f"warped geodesic left the domain: {exc}") from exc
-        ginv_b, gamma_b = _christoffel_from_jet(g_b, dg_b)
+        ginv_b, gamma_b, _ = _christoffel_from_jet(g_b, dg_b)
         acc_b = -np.einsum("ijk,j,k->i", gamma_b[0], vb, vb)
         if dg_f.any():
             gamma_f = _christoffel_from_jet(g_f, dg_f)[1][0]

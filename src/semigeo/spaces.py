@@ -43,6 +43,7 @@ import numpy as np
 from .charts import (
     ChartMetric,
     CurvatureReport,
+    _taylor,
     check_r_ge_k,
     christoffel,
     area_form,
@@ -52,7 +53,6 @@ from .charts import (
 )
 from .errors import DegeneratePlaneError, DomainError, UnsupportedSpaceError
 
-_FD_ALPHA = 1e-6  # step for finite-difference warping derivatives
 MAX_ATOM_DIM = 7  # so d <= 14 in products: a (256, d, d, d, d) order-2 jet block < 80 MB
 
 
@@ -69,13 +69,14 @@ def _check_dim(atom: str, n: int, low: int) -> None:
 def _conformal_chart(dim, phi, phi_jet, in_domain, box, name) -> ChartMetric:
     """Chart with metric e^{2 phi(x)} * I.  ``phi_jet(X, order)`` gives phi
     and its partials at the rows of X in closed form; the jet is that of
-    ``_scaled_jet`` for g = I, with e^{2 phi} as its scale."""
+    ``_scaled_jet`` for g = I, with e^{2 phi} as its scale.  Without a
+    ``phi_jet`` the chart has no jet."""
 
     eye = np.eye(dim)
     two_eye = 2.0 * eye
 
     def metric_at(x):
-        return math.exp(2.0 * phi(x)) * eye
+        return np.exp(2.0 * phi(x)) * eye
 
     def jet(X, order):
         p, dp, *ddp = phi_jet(X, order)
@@ -91,7 +92,7 @@ def _conformal_chart(dim, phi, phi_jet, in_domain, box, name) -> ChartMetric:
         signature=(dim, 0),
         metric_at=metric_at,
         in_domain=in_domain,
-        jet=jet,
+        jet=jet if phi_jet else None,
         sample_box=(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
         name=name,
     )
@@ -123,7 +124,7 @@ def hyperbolic(l: int) -> ChartMetric:
     _check_dim("hyperbolic(l)", l, 2)
 
     def phi(x):
-        return -math.log(x[-1])
+        return -np.log(x[-1])
 
     def phi_jet(X, order):
         y = X[:, -1]
@@ -151,7 +152,7 @@ def sphere(m: int) -> ChartMetric:
     _check_dim("sphere(m)", m, 2)
 
     def phi(x):
-        return math.log(2.0) - math.log1p(float(x @ x))
+        return math.log(2.0) - np.log1p(x @ x)
 
     def phi_jet(X, order):
         r2 = np.einsum("ni,ni->n", X, X)
@@ -236,7 +237,8 @@ class Warping:
     ``(N, dim B)`` and ``(N, dim F)`` arrays with its first (and second)
     partials in the product coordinates (b, f): ``(a, da)`` or
     ``(a, da, dda)``.  Warped-case warpings simply ignore the fiber
-    argument.  A warping without a jet gives a product chart without one.
+    argument.  A warping without a jet gives a product chart without one,
+    and its ``value`` must follow the ``metric_at`` rules of ``ChartMetric``.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]
@@ -256,7 +258,7 @@ def busemann_warping(scale: float) -> Warping:
     """alpha(b, f) = scale * log b_l; |grad_B alpha|^2 = scale^2 on g_B."""
 
     def value(b, f):
-        return scale * math.log(b[-1])
+        return scale * np.log(b[-1])
 
     def jet(b, f, order):
         y, l = b[:, -1], b.shape[1] - 1
@@ -298,16 +300,12 @@ class WarpedProductSpec:
         return self.warping.value(b, f)
 
     def alpha_base_partials(self, b: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """d alpha / d b from the warping's jet, or else the Taylor jet of its value."""
+        db = self.base.dim
         if self.warping.jet is not None:
-            return self.warping.jet(b[None], f[None], 1)[1][0, : self.base.dim]
-        out = np.empty(self.base.dim)
-        for a in range(self.base.dim):
-            bp = b.copy()
-            bm = b.copy()
-            bp[a] += _FD_ALPHA
-            bm[a] -= _FD_ALPHA
-            out[a] = (self.warping.value(bp, f) - self.warping.value(bm, f)) / (2 * _FD_ALPHA)
-        return out
+            return self.warping.jet(b[None], f[None], 1)[1][0, :db]
+        value = self.warping.value
+        return _taylor(lambda x: value(x[:db], x[db:]), np.concatenate([b, f])[None], "warping value")[1][0, :db]
 
     def alpha_base_gradient(self, b: np.ndarray, f: np.ndarray) -> np.ndarray:
         """grad alpha with respect to g_B (indices raised with g_B^{-1})."""
@@ -378,10 +376,8 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
 
     def metric_at(xy):
         b, f = spec.split(xy)
-        g = np.zeros((d, d))
-        g[:db, :db] = -base.metric_at(b)
-        g[db:, db:] = math.exp(2.0 * spec.alpha(b, f)) * fiber.metric_at(f)
-        return g
+        zeros = np.zeros((db, df))
+        return np.block([[-base.metric_at(b), zeros], [zeros.T, np.exp(2.0 * spec.alpha(b, f)) * fiber.metric_at(f)]])
 
     def in_domain(xy):
         return base.in_domain(xy[:db]) and fiber.in_domain(xy[db:])
@@ -456,8 +452,8 @@ def oneill_T(spec: WarpedProductSpec, pair: VerticalPair, mode: str = "closed_fo
 
     closed_form evaluates e^{2 alpha} g_F(U, V) grad_B alpha; numeric computes
     the horizontal part of the connection applied to the vertical lifts using
-    finite-difference Christoffels of the assembled metric, so the two modes
-    are independent routes to the same tensor.
+    Christoffels of the assembled ``metric_at`` by Taylor arithmetic, not the
+    factor jets, so the two modes are independent routes to the same tensor.
     """
     b, f = spec.split(np.asarray(pair.point, dtype=float))
     if mode == "closed_form":
@@ -479,7 +475,7 @@ def fiber_chart_at(spec: WarpedProductSpec, b: np.ndarray) -> ChartMetric:
     db = len(b)
 
     def metric_at(f):
-        return math.exp(2.0 * spec.alpha(b, f)) * fiber.metric_at(f)
+        return np.exp(2.0 * spec.alpha(b, f)) * fiber.metric_at(f)
 
     def jet(F, order):
         # alpha's jet is taken in the product coordinates; keep its fiber part
@@ -578,39 +574,24 @@ def conformal_scalar_torus(
     derivatives); that convention is forced by the identity itself: for l = 2
     and alpha = sin(theta_1) the conformal bump at theta_1 = pi/2 is
     positively curved (+2 e^{-2}), which the numeric mode confirms.
-    Derivatives are central differences; numeric mode contracts the Riemann
-    tensor of the conformal chart.  The two routes agree to about 1e-4.
+    The gradient and Laplacian are exact Taylor derivatives of ``alpha`` (which
+    follows the ``metric_at`` rules of ``ChartMetric``); numeric mode contracts
+    the Riemann tensor of the conformal chart.  The two routes agree to rounding.
     """
     if l < 2:
         raise DomainError("conformal_scalar_torus needs l >= 2")
     x = np.asarray(x, dtype=float)
 
     if mode == "formula":
-        h = 1e-4
-        a0 = alpha(x)
-        lap = 0.0
-        grad = np.empty(l)
-        for i in range(l):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h
-            xm[i] -= h
-            ap, am = alpha(xp), alpha(xm)
-            lap -= (ap - 2.0 * a0 + am) / (h * h)
-            grad[i] = (ap - am) / (2.0 * h)
-        return math.exp(-2.0 * a0) * (
+        a, grad, hess = (part[0] for part in _taylor(alpha, x[None], "alpha"))
+        lap = -float(np.trace(hess))
+        return math.exp(-2.0 * a) * (
             2.0 * (l - 1) * lap - (l - 2) * (l - 1) * float(grad @ grad)
         )
 
     if mode == "numeric":
-        chart = ChartMetric(
-            dim=l,
-            signature=(l, 0),
-            metric_at=lambda p: math.exp(2.0 * alpha(p)) * np.eye(l),
-            in_domain=lambda p: True,
-            sample_box=(np.zeros(l), np.full(l, 2.0 * math.pi)),
-            name=f"conformal_torus({l})",
-        )
+        box = (np.zeros(l), np.full(l, 2.0 * math.pi))
+        chart = _conformal_chart(l, alpha, None, lambda p: True, box, f"conformal_torus({l})")
         return scalar_curvature(chart, x)
 
     raise ValueError(f"unknown conformal_scalar_torus mode {mode!r}")

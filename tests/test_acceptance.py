@@ -270,8 +270,8 @@ def test_c10_conformal_scalar():
     ok = True
     rng = np.random.default_rng(10)
     warpings = [
-        lambda th: math.sin(th[0]),
-        lambda th: 0.3 * math.sin(th[0]) + 0.2 * math.cos(th[1]),
+        lambda th: np.sin(th[0]),
+        lambda th: 0.3 * np.sin(th[0]) + 0.2 * np.cos(th[1]),
     ]
     for l in (2, 3):
         for alpha in warpings:

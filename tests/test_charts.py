@@ -11,7 +11,7 @@ import pytest
 
 import semigeo as sg
 from semigeo import charts
-from semigeo.errors import DegeneratePlaneError, DomainError, EmptySampleError
+from semigeo.errors import DegeneratePlaneError, DomainError, EmptySampleError, UnsupportedSpaceError
 
 
 def rand_points(chart, n, seed=0):
@@ -20,10 +20,10 @@ def rand_points(chart, n, seed=0):
     return rng.uniform(lo, hi, size=(n, chart.dim))
 
 
-_TWIST = sg.Warping(value=lambda b, f: 0.1 * math.sin(f[0]) * b[-1], description="twist")
+_TWIST = sg.Warping(value=lambda b, f: 0.1 * np.sin(f[0]) * b[-1], description="twist")
 
 # Charts of the sampled-margin tests: both README spaces, constant curvature,
-# flat, a twisted product and the finite-difference route.
+# flat, a twisted product and the Taylor route of a chart without a jet.
 MARGIN_CHARTS = {
     "product": sg.build_space(sg.parse_space("product:hyperbolic(2)*sphere(2)", k=1.0)),
     "warped": sg.build_space(sg.parse_space("warped:hyperbolic(2)*torus(2):alpha=sqrtk*busemann", k=1.0)),
@@ -54,25 +54,41 @@ class TestChristoffel:
         gamma2 = sg.christoffel(chart, np.array([0.0, 2.0]))
         assert gamma2[1, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_fd_matches_analytic_on_sphere(self):
+    def test_taylor_matches_analytic_on_sphere(self):
         chart = sg.sphere(2)
-        fd_chart = dataclasses.replace(chart, jet=None)
+        taylor_chart = dataclasses.replace(chart, jet=None)
         x = np.array([0.7, -0.4])
-        diff = np.abs(sg.christoffel(chart, x) - sg.christoffel(fd_chart, x)).max()
-        assert diff <= 1e-6
+        want = sg.christoffel(chart, x)
+        assert np.abs(sg.christoffel(taylor_chart, x) - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("builder", [sg.hyperbolic, sg.sphere])
-    def test_fd_analytic_agreement_sampled(self, builder):
+    def test_taylor_analytic_agreement_sampled(self, builder):
         chart = builder(2)
-        fd_chart = dataclasses.replace(chart, jet=None)
+        taylor_chart = dataclasses.replace(chart, jet=None)
         for x in rand_points(chart, 20, seed=3):
-            diff = np.abs(sg.christoffel(chart, x) - sg.christoffel(fd_chart, x)).max()
-            assert diff <= 1e-6
+            want = sg.christoffel(chart, x)
+            assert np.abs(sg.christoffel(taylor_chart, x) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_domain_error(self):
         chart = sg.hyperbolic(2)
         with pytest.raises(DomainError):
             sg.christoffel(chart, np.array([0.0, -1.0]))
+
+    def test_metric_outside_the_contract_is_refused(self):
+        # math.exp cannot take a Taylor value: one clear error naming the
+        # chart and the rule, not a TypeError from inside metric_at.
+        chart = sg.ChartMetric(
+            dim=2,
+            signature=(2, 0),
+            metric_at=lambda x: math.exp(x[0]) * np.eye(2),
+            in_domain=lambda x: True,
+            sample_box=(np.zeros(2), np.ones(2)),
+            name="math-exp",
+        )
+        with pytest.raises(UnsupportedSpaceError, match="'math-exp'.*no math\\.\\*, no float\\(\\), no branching"):
+            sg.christoffel(chart, np.array([0.5, 0.5]))
+        with pytest.raises(UnsupportedSpaceError, match="math-exp"):
+            sg.check_r_ge_k(chart, 0.0, 10)
 
     def test_symmetry_in_lower_indices(self):
         chart = sg.sphere(3)
@@ -137,13 +153,14 @@ class TestRiemann:
             assert np.abs(rl + rl.swapaxes(0, 1)).max() <= bound
 
 
-    def test_fd_route_matches_jet(self):
-        # Richardson second differences of the metric, for charts that give
-        # only metric_at, against the exact jet of the same metric.
+    def test_taylor_route_matches_jet(self):
+        # The Taylor jet of metric_at, for charts that give only metric_at,
+        # against the hand-written jet of the same metric.
         chart = sg.assemble(sg.plain_product(sg.hyperbolic(2), sg.sphere(2)))
-        fd_chart = dataclasses.replace(chart, jet=None)
+        taylor_chart = dataclasses.replace(chart, jet=None)
         for x in rand_points(chart, 20, seed=0):
-            assert np.abs(sg.riemann(chart, x) - sg.riemann(fd_chart, x)).max() <= 1e-8
+            want = sg.riemann(chart, x)
+            assert np.abs(sg.riemann(taylor_chart, x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestQuadformAndArea:
@@ -250,7 +267,7 @@ class TestScalarCurvature:
 def _nan_chart(cut):
     # A metric on the unit box that is NaN where x_0 > cut and flat elsewhere.
     def metric_at(x):
-        return np.full((2, 2), np.nan) if x[0] > cut else np.eye(2)
+        return np.eye(2) * (1.0 + 0.0 * np.sqrt(cut - x[0]))
 
     return sg.ChartMetric(
         dim=2,
@@ -295,6 +312,16 @@ class TestCheckRGeK:
     def test_empty_sample_error(self):
         with pytest.raises(EmptySampleError):
             sg.check_r_ge_k(sg.sphere(2), 1.0, 0)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sphere_without_jet_is_exact_at_one(self, m, seed):
+        # The unit sphere has curvature exactly 1: a chart that gives only
+        # metric_at must pass R >= 1 and fail R >= 1 + 1e-6, with no
+        # derivative error in between.
+        chart = dataclasses.replace(sg.sphere(m), jet=None)
+        assert sg.check_r_ge_k(chart, 1.0, 512, seed=seed).passed
+        assert not sg.check_r_ge_k(chart, 1.0 + 1e-6, 512, seed=seed).passed
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("nan_half", [False, True])

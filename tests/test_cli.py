@@ -292,6 +292,22 @@ class TestScanCommand:
     def test_empty_grid_exit_one(self):
         assert run(["scan", "--t-min", "-0.5", "--t-max", "-0.9", "--t-step", "0.1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["su21", "--t", "1e400", "--k", "0.1"],
+        ["su21", "--t", "-0.8", "--k", "1e400"],
+        ["scan", "--t-min", "0", "--t-max", "1e400", "--t-step", "1e399"],
+    ])
+    def test_rational_beyond_float_range_exit_one(self, argv):
+        # Such a rational would overflow float(t) later: one error line, no traceback.
+        src = str(Path(sg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "semigeo.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == ["semigeo: error: '1e400' is beyond the float range"]
+        assert done.stdout == ""
+
     def test_huge_grid_refused_without_building_it(self, capsys):
         # 9e11 t-values at step 1e-12; the count must be refused up front.
         def timeout(signum, frame):

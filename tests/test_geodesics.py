@@ -397,11 +397,11 @@ WARPED_RHS_SPECS = {
     "plain": lambda: sg.plain_product(sg.hyperbolic(2), sg.flat_torus(2)),
     # non-zero fiber dg: the fiber Christoffel term is evaluated
     "sphere-fiber": lambda: sg.warped_product(sg.hyperbolic(2), sg.sphere(2), sg.busemann_warping(1.0)),
-    # a fiber without a jet takes the finite-difference route
+    # a fiber without a jet takes the Taylor route
     "fd-fiber": lambda: sg.warped_product(
         sg.hyperbolic(2), replace(sg.flat_torus(2), jet=None), sg.busemann_warping(1.0)
     ),
-    # a warping without a jet takes its value and finite differences
+    # a warping without a jet takes the Taylor jet of its value
     "value-only-warping": lambda: sg.warped_product(
         sg.hyperbolic(2), sg.flat_torus(2), sg.Warping(value=sg.busemann_warping(0.7).value)
     ),

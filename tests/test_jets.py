@@ -6,10 +6,14 @@ written out by hand, and ``riemann`` with the symbolic Riemann tensor in the
 - G^i_lm G^m_kj, and ``riemann_lowered`` with the symbolic g_im R^m_{jkl}.
 """
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import semigeo as sg
+from semigeo import charts
 
 sp = pytest.importorskip("sympy")
 
@@ -102,6 +106,38 @@ def test_jet_matches_symbolic_derivatives(name):
         _assert_close(got, want)
     # the order-1 jet is the head of the order-2 jet
     for a, b in zip(chart.jet(pts, 1), (scale, *parts)):
+        assert np.array_equal(a, b)
+
+
+def _every_operation(m, x):
+    # each Taylor-value operation once, with the ufuncs taken from module m
+    a, b = x
+    return m.sqrt(a) * m.sin(b) / (1 + a**3) - m.log(a) * m.cos(b) + m.exp(b) * m.log1p(a) - 2.0 / b + (a - b) ** -2 - 3 * a
+
+
+def test_taylor_operations_match_symbolic_derivatives():
+    x = _coords(2)
+    ufuncs = SimpleNamespace(sqrt=sp.sqrt, sin=sp.sin, cos=sp.cos, exp=sp.exp, log=sp.log, log1p=lambda z: sp.log(1 + z))
+    f = _every_operation(ufuncs, x)
+    exact = [sp.lambdify(x, e, "numpy") for e in (f, [sp.diff(f, c) for c in x], sp.hessian(f, x).tolist())]
+    pts = np.random.default_rng(3).uniform([0.5, 1.5], [1.0, 2.0], size=(10, 2))
+    got = charts._taylor(lambda y: _every_operation(np, y), pts, "f")
+    for part, fn in zip(got, exact):
+        _assert_close(part, np.array([np.array(fn(*p), dtype=float) for p in pts]))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_taylor_jet_matches_symbolic_derivatives(name):
+    # the same chart without its jet: the Taylor jet of metric_at
+    chart, metric = CASES[name]
+    chart = dataclasses.replace(chart, jet=None)
+    exact = _symbolic_jet(metric, chart.dim)
+    pts = _points(chart)
+    scale, *parts = charts._metric_jet(chart, pts, 2)
+    assert np.array_equal(scale, np.ones(len(pts)))
+    for order, fn in enumerate(exact):
+        _assert_close(parts[order], np.array([np.array(fn(*x), dtype=float) for x in pts]))
+    for a, b in zip(charts._metric_jet(chart, pts, 1), (scale, *parts)):
         assert np.array_equal(a, b)
 
 

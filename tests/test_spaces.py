@@ -26,7 +26,7 @@ def _twist_warping(c=0.1):
         dda[:, db, db] = -c * s * y
         return c * s * y, da, dda
 
-    return sg.Warping(value=lambda b, f: c * math.sin(f[0]) * b[-1], jet=jet, description="twist")
+    return sg.Warping(value=lambda b, f: c * np.sin(f[0]) * b[-1], jet=jet, description="twist")
 
 
 TWISTED = sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), _twist_warping())
@@ -103,6 +103,18 @@ class TestAssembledStructure:
             assert np.all(g[db:, :db] == 0.0)
             assert chart.signature == (spec.fiber.dim, spec.base.dim)
 
+    def test_value_only_warping_partials_match_jet(self):
+        # a warping without a jet: the Taylor partials of its value against
+        # the Busemann warping's hand-written jet
+        warping = sg.busemann_warping(0.7)
+        with_jet = sg.warped_product(sg.hyperbolic(2), sg.flat_torus(2), warping)
+        value_only = sg.warped_product(sg.hyperbolic(2), sg.flat_torus(2), sg.Warping(value=warping.value))
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            b, f = rng.uniform([-2.0, 0.5], [2.0, 3.0]), rng.uniform(0.0, 6.0, 2)
+            want = with_jet.alpha_base_partials(b, f)
+            assert np.abs(value_only.alpha_base_partials(b, f) - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_twisted_assembles_without_analytic_christoffels(self):
         warp = sg.Warping(value=lambda b, f: 0.1 * math.sin(f[0]) * b[-1], description="twist")
         spec = sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), warp)
@@ -122,18 +134,18 @@ class TestAssembledStructure:
         ],
     )
     def test_assembled_christoffels_match_fd(self, spec):
-        # every block of the jet-assembled symbols against finite
-        # differences of the assembled metric
+        # every block of the jet-assembled symbols against the Taylor jet
+        # of the assembled metric_at
         import dataclasses
 
         chart = sg.assemble(spec)
-        fd_chart = dataclasses.replace(chart, jet=None)
+        taylor_chart = dataclasses.replace(chart, jet=None)
         rng = np.random.default_rng(7)
         lo, hi = chart.sample_box
         for _ in range(10):
             x = rng.uniform(lo, hi)
-            diff = np.abs(sg.christoffel(chart, x) - sg.christoffel(fd_chart, x)).max()
-            assert diff <= 1e-6
+            want = sg.christoffel(chart, x)
+            assert np.abs(sg.christoffel(taylor_chart, x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
     def test_twisted_constant_zero_certifies_like_plain_product(self):
@@ -321,7 +333,7 @@ class TestConformalScalar:
             assert abs(val) <= 1e-10
 
     def test_t2_sine_values(self):
-        alpha = lambda th: math.sin(th[0])
+        alpha = lambda th: np.sin(th[0])
         at0 = sg.conformal_scalar_torus(2, alpha, np.array([0.0, 0.0]), "formula")
         assert abs(at0) <= 1e-6
         # At the bump maximum theta_1 = pi/2 the surface is positively curved
@@ -332,19 +344,19 @@ class TestConformalScalar:
     def test_t3_sine_value_at_zero(self):
         # l = 3, alpha = sin(theta_1) at 0: the Laplacian term vanishes and
         # -(l-2)(l-1)|d alpha|^2 = -2.
-        alpha = lambda th: math.sin(th[0])
+        alpha = lambda th: np.sin(th[0])
         val = sg.conformal_scalar_torus(3, alpha, np.array([0.0, 0.3, 0.1]), "formula")
         assert val == pytest.approx(-2.0, abs=1e-6)
 
     @pytest.mark.parametrize("l", [2, 3])
     def test_formula_vs_numeric(self, l):
-        alpha = lambda th: 0.3 * math.sin(th[0]) + 0.2 * math.cos(th[1])
+        alpha = lambda th: 0.3 * np.sin(th[0]) + 0.2 * np.cos(th[1])
         rng = np.random.default_rng(5)
         for _ in range(5):
             x = rng.uniform(0, 2 * math.pi, l)
             a = sg.conformal_scalar_torus(l, alpha, x, "formula")
             b = sg.conformal_scalar_torus(l, alpha, x, "numeric")
-            assert a == pytest.approx(b, abs=1e-4)
+            assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestBaseCurvatureBound:
