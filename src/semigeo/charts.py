@@ -185,14 +185,19 @@ def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarr
     return (np.ones(len(X)),) + jet[: order + 1]
 
 
-def _christoffel_from_jet(g, dg):
-    """g^{-1}, Gamma^i_{jk} = g^{il} Gamma_{l,jk} and Gamma_{l,jk} = (d_j g_lk + d_k g_lj - d_l g_jk) / 2."""
+def _lowered_christoffel(g, dg):
+    """g^{-1} and Gamma_{l,jk} = (d_j g_lk + d_k g_lj - d_l g_jk) / 2."""
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError(f"metric jet not invertible: {exc}") from exc
     t = dg.transpose(0, 2, 1, 3)  # t[n, l, j, k] = d_j g_lk
-    lowered = 0.5 * (t + t.transpose(0, 1, 3, 2) - dg)
+    return ginv, 0.5 * (t + t.transpose(0, 1, 3, 2) - dg)
+
+
+def _christoffel_from_jet(g, dg):
+    """g^{-1}, Gamma^i_{jk} = g^{il} Gamma_{l,jk} and the lowered Gamma_{l,jk}."""
+    ginv, lowered = _lowered_christoffel(g, dg)
     return ginv, np.einsum("nil,nljk->nijk", ginv, lowered), lowered
 
 

@@ -315,6 +315,8 @@ def cmd_geodesic(args) -> int:
             if args.gamma0
             else alg.basis_element("e2") + alg.basis_element("f1")
         )
+        for text in args.gamma0.split(",") if args.gamma0 else ():
+            _frac(text.strip())  # a coordinate beyond the float range is refused, as in every rational flag
         if gamma0.coords[0] != 0:
             raise _UsageError("gamma0 must have zero e1 coordinate")
         v1 = alg.project(gamma0, 1)

@@ -6,6 +6,8 @@ single FSAL ("first same as last") Butcher tableau whose 7th stage is the
 right-hand side at the accepted solution and seeds the next step.  Each
 integrate call allocates one (7, n) stage buffer; every trial step rewrites
 rows 1-6, and row 6 is copied into row 0 only once a step is accepted.  A
+trial scales the tableau by its step once and forms each stage, and the
+error estimate, with one vector-matrix product (see _dp54_step).  A
 non-finite initial state or initial right-hand side raises DomainError.  A
 run ends with one of three termination statuses:
 
@@ -19,7 +21,9 @@ A trial step is rejected for one of three causes: its error norm exceeds 1
 RhsDomainError or any DomainError, or its solution or error estimate is not
 finite (both halve the step).  So trajectories that leave a chart domain in
 finite time terminate with ``step_underflow`` rather than an exception, and
-no step with a NaN error estimate is accepted.  Every Trajectory carries
+no step with a NaN error estimate is accepted.  integrate runs with numpy's
+overflow and invalid-value warnings off, since a trial they spoil is
+rejected as non-finite.  Every Trajectory carries
 IntegrationStats: accepted steps, rejections by cause, right-hand-side
 evaluations and the range of accepted step sizes, all deterministic.  The
 breakdown-parameter estimate for a terminated run is the last accepted time
@@ -42,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import ChartMetric, _christoffel_from_jet, _metric_jet, christoffel
+from .charts import ChartMetric, _lowered_christoffel, _metric_jet, christoffel
 from .errors import DomainError, NonTangentError, RhsDomainError
 from .spaces import (
     WarpedProductSpec,
@@ -172,10 +176,7 @@ _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 _SAFETY = 0.8  # conservative step controller: keeps long-run drift well under tolerance
-# Per-stage views of the tableau, built once: (stage index, c_i as a Python
-# float, the row slice that weights the earlier stages).
-_DP_STAGES = tuple((i, float(_DP_C[i]), _DP_A[i, :i, None]) for i in range(1, 7))
-_DP_E_COLUMN = _DP_E[:, None]
+_DP_STAGES = tuple((i, float(_DP_C[i])) for i in range(1, 7))  # (stage index, c_i as a Python float)
 
 
 class _StageDomainError(DomainError):
@@ -192,19 +193,24 @@ def _dp54_step(rhs, t, y, h, K):
 
     K[0] must hold the right-hand side at (t, y).  Fills K[1:] and returns
     (5th-order solution, error estimate); K[6] is then the right-hand side
-    at that solution.  np.add.reduce adds the at most 7 weighted rows in
-    order, left to right, as a sequential sum would; a BLAS matrix product
-    may reorder the additions and so move trajectories in the last digits.
+    at that solution.  The tableau is scaled by h once per trial; each stage
+    is one vector-matrix product of its scaled row with the earlier stages,
+    plus y, and the error estimate is h times one product of _DP_E with K.
+    Those products go through BLAS, whose kernels choose the order of the
+    additions, so the last bits of a trajectory can depend on the BLAS
+    build; repeated runs on one machine stay byte-identical.
     """
-    for i, c, a in _DP_STAGES:
-        stage = y + h * np.add.reduce(a * K[:i])
+    hA = h * _DP_A
+    for i, c in _DP_STAGES:
+        stage = hA[i, :i].dot(K[:i]) + y
         try:
             K[i] = rhs(t + c * h, stage)
         except DomainError as exc:
             raise _StageDomainError(i) from exc
-    return stage, h * np.add.reduce(_DP_E_COLUMN * K)
+    return stage, h * _DP_E.dot(K)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a trial spoilt by either is rejected as non-finite
 def integrate(
     system: ODESystem,
     y0: Sequence[float],
@@ -349,8 +355,11 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
 
     Solutions match geodesic_rhs on the assembled block metric; this route
     never touches the assembled chart, so the two are independent.  Each
-    call takes one first-order metric jet per factor; the fiber's
-    Christoffel term is skipped where its jet's dg is zero.
+    call takes one first-order metric jet per factor and one warping jet
+    (alpha with its base partials).  The lowered Christoffel symbols are
+    contracted with the velocity before the index is raised,
+    g^{il} (Gamma_{l,jk} v^j v^k); the fiber's term is skipped where its
+    jet's dg is zero.
     """
     if spec.kind not in ("plain", "warped"):
         raise DomainError("warped_geodesic_rhs needs a base-only warping")
@@ -366,20 +375,20 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
             scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
         except DomainError as exc:
             raise RhsDomainError(f"warped geodesic left the domain: {exc}") from exc
-        ginv_b, gamma_b, _ = _christoffel_from_jet(g_b, dg_b)
-        acc_b = -np.einsum("ijk,j,k->i", gamma_b[0], vb, vb)
+        ginv_b, lowered_b = _lowered_christoffel(g_b, dg_b)
+        acc_b = -ginv_b[0].dot(lowered_b[0].dot(vb).dot(vb))
         if dg_f.any():
-            gamma_f = _christoffel_from_jet(g_f, dg_f)[1][0]
-            acc_f = -np.einsum("ijk,j,k->i", gamma_f, vf, vf)
+            ginv_f, lowered_f = _lowered_christoffel(g_f, dg_f)
+            acc_f = -ginv_f[0].dot(lowered_f[0].dot(vf).dot(vf))
         else:
             acc_f = np.zeros(df)
         if spec.kind == "warped":
-            alpha, da = spec.alpha(b, f), spec.alpha_base_partials(b, f)
-            fiber_speed_sq = float(scale_f[0]) * float(vf @ g_f[0] @ vf)
-            grad = (ginv_b[0] @ da) / scale_b[0]
+            alpha, da = spec.alpha_base_jet(b, f)
+            fiber_speed_sq = float(scale_f[0] * vf.dot(g_f[0]).dot(vf))
+            grad = ginv_b[0].dot(da) / scale_b[0]
             acc_b -= math.exp(2.0 * alpha) * fiber_speed_sq * grad
-            acc_f -= 2.0 * float(da @ vb) * vf
-        return np.concatenate([vb, vf, acc_b, acc_f])
+            acc_f -= 2.0 * float(da.dot(vb)) * vf
+        return np.concatenate((y[n:], acc_b, acc_f))
 
     return ODESystem(2 * n, rhs, f"warped geodesic on {spec.base.name}x{spec.fiber.name}")
 

@@ -299,13 +299,20 @@ class WarpedProductSpec:
     def alpha(self, b: np.ndarray, f: np.ndarray) -> float:
         return self.warping.value(b, f)
 
-    def alpha_base_partials(self, b: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """d alpha / d b from the warping's jet, or else the Taylor jet of its value."""
+    def alpha_base_jet(self, b: np.ndarray, f: np.ndarray) -> tuple[float, np.ndarray]:
+        """alpha and d alpha / d b from one evaluation of the warping's jet, or
+        else of the Taylor jet of its value."""
         db = self.base.dim
         if self.warping.jet is not None:
-            return self.warping.jet(b[None], f[None], 1)[1][0, :db]
-        value = self.warping.value
-        return _taylor(lambda x: value(x[:db], x[db:]), np.concatenate([b, f])[None], "warping value")[1][0, :db]
+            a, da = self.warping.jet(b[None], f[None], 1)
+        else:
+            value = self.warping.value
+            a, da, _ = _taylor(lambda x: value(x[:db], x[db:]), np.concatenate([b, f])[None], "warping value")
+        return float(a[0]), da[0, :db]
+
+    def alpha_base_partials(self, b: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """d alpha / d b (see alpha_base_jet)."""
+        return self.alpha_base_jet(b, f)[1]
 
     def alpha_base_gradient(self, b: np.ndarray, f: np.ndarray) -> np.ndarray:
         """grad alpha with respect to g_B (indices raised with g_B^{-1})."""

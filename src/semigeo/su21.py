@@ -680,12 +680,16 @@ class FeasibilityGrid:
 
     def to_csv(self) -> str:
         lines = ["t,k,ineq1,ineq2,ineq3,ineq4,feasible,min_margin"]
-        for c in self.cells:
-            margin = "" if c.min_margin is None else repr(c.min_margin)
-            lines.append(
-                f"{c.t!r},{c.k!r},{int(c.ineq1)},{int(c.ineq2)},{int(c.ineq3)},"
-                f"{int(c.ineq4)},{int(c.feasible)},{margin}"
-            )
+        k_texts = [f",{k!r}," for k in self.k_values]
+        cells = iter(self.cells)
+        for t in self.t_values:
+            t_text = repr(t)
+            for k_text, c in zip(k_texts, cells):
+                margin = "" if c.min_margin is None else repr(c.min_margin)
+                lines.append(
+                    f"{t_text}{k_text}{int(c.ineq1)},{int(c.ineq2)},{int(c.ineq3)},"
+                    f"{int(c.ineq4)},{int(c.feasible)},{margin}"
+                )
         return "\n".join(lines) + "\n"
 
 

@@ -420,6 +420,31 @@ class TestGeodesicCommand:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @staticmethod
+    def _cli(argv, cwd):
+        src = str(Path(sg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "semigeo.cli", *argv], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_gamma0_beyond_float_range_exit_one(self, tmp_path):
+        # float() of the coordinate would overflow: one error line, no traceback.
+        done = self._cli(["geodesic", "euler-arnold", "--gamma0", "0,1e400,0,0,0,0,0,0", "--u-max", "1"], tmp_path)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == ["semigeo: error: '1e400' is beyond the float range"]
+        assert done.stdout == ""
+
+    def test_overflowing_riccati_without_warnings(self, tmp_path):
+        # k - h^2 overflows in every trial: all 30 trials per direction are
+        # rejected as non-finite, with no numpy warning; bytes as before.
+        done = self._cli(["geodesic", "riccati", "--k", "1e308", "--h0", "0", "--out", "r.csv"], tmp_path)
+        assert done.returncode == 2
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stderr == done.stdout == ""
+        digest = hashlib.sha256((tmp_path / "r.csv").read_bytes()).hexdigest()
+        assert digest == "0507ce945135fceb3dbc4a831e64ec1858abf2ed3a9cf85844a5d08091d51ce6"
+
     def test_nan_c2_exit_one(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run(["geodesic", "warped-lightlike", "--c2", "nan", "--out", str(out)]) == 1

@@ -111,15 +111,30 @@ class TestDormandPrinceTableau:
         assert 48.0 <= sol_coarse / sol_fine <= 80.0
         assert 24.0 <= err_coarse / err_fine <= 40.0
 
+    def test_skew_linear_system_tracks_exponential(self):
+        # y' = S y with S skew, scaled to angular frequencies 1 and 0.087:
+        # the flow exp(t S) from eigenvectors of S.  A guard on accuracy
+        # that holds for any order of the stage sums (6.3e-8 measured).
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((4, 4))
+        skew = (m - m.T) / np.abs(np.linalg.eigvals(m - m.T)).max()
+        y0 = rng.standard_normal(4)
+        traj = sg.integrate(sg.ODESystem(4, lambda t, y: skew @ y, "skew linear"), y0, (0.0, 1000.0))
+        assert traj.status.kind == sg.COMPLETED
+        lam, vec = np.linalg.eig(skew)
+        coef = np.linalg.solve(vec, y0.astype(complex))
+        exact = np.real((np.exp(np.outer(traj.times, lam)) * coef) @ vec.T)
+        assert np.abs(traj.states - exact).max() <= 1e-6
+
 
 def _reference_dp54_step(rhs, t, y, h, k1):
     # Reference trial step: a fresh (7, n) stage array per trial.
     K = np.empty((7, y.size))
     K[0] = k1
     for i in range(1, 7):
-        stage = y + h * np.add.reduce(geo._DP_A[i, :i, None] * K[:i])
+        stage = (h * geo._DP_A)[i, :i].dot(K[:i]) + y
         K[i] = rhs(t + geo._DP_C[i] * h, stage)
-    return stage, h * np.add.reduce(geo._DP_E[:, None] * K), K[6]
+    return stage, h * geo._DP_E.dot(K), K[6]
 
 
 def _reference_integrate(system, y0, t_span, cfg):
@@ -420,6 +435,17 @@ class TestWarpedRhsReference:
             y = np.concatenate([rng.uniform(blo, bhi), rng.uniform(flo, fhi), rng.standard_normal(n)])
             got, want = rhs(0.0, y), _reference_warped_rhs(spec, y)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestWarpedRunCounts:
+    # The README warped runs at k = 1, C1 = 1 and C1 = 0.5.
+    @pytest.mark.parametrize("kind, c1, steps", [("lightlike", 1.0, 560), ("timelike", 0.5, 539)])
+    def test_readme_run_counts(self, kind, c1, steps):
+        run = geo.breakdown_run(sg.incompleteness_space(2, 2, 1.0), kind, 1.0, c1)
+        stats = run.trajectory.stats
+        assert stats.accepted_steps == steps == len(run.trajectory.times) - 1
+        assert stats.rejected_error_norm == stats.rejected_domain == stats.rejected_nonfinite == 0
+        assert stats.rhs_evals == 1 + 6 * stats.accepted_steps
 
 
 class TestClosedFormS:
