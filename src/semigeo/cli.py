@@ -122,6 +122,8 @@ def _frac(text: str) -> Fraction:
         raise _UsageError(f"expected a rational number, got {text!r}") from exc
     if abs(value) > sys.float_info.max:
         raise _UsageError(f"{text!r} is beyond the float range")
+    if value and not float(value):  # reports and samplers would use 0.0 for it
+        raise _UsageError(f"{text!r} is below the float range")
     return value
 
 
@@ -174,38 +176,56 @@ def cmd_curvature_check(args) -> int:
     return 0 if report.passed else 2
 
 
-def _exact_pairs(count: int, seed: int):
-    """Seeded rational pairs n/d, n in [-9, 9], d in [1, 9], e1 coordinates 0."""
+EXACT_DEN = 2520  # lcm(1..9): every seeded coordinate n/d is a multiple of 1/2520
+
+
+def _exact_draws(count: int, seed: int):
+    """The (count, 16) numerator and denominator draws behind the seeded
+    pairs: n in [-9, 9], d in [1, 9], e1 numerators (columns 0 and 8) 0."""
     rng = np.random.default_rng(seed)
     nums = rng.integers(-9, 10, (count, 16))
     dens = rng.integers(1, 10, (count, 16))
     nums[:, [0, 8]] = 0
+    return nums, dens
+
+
+def _exact_pairs(count: int, seed: int):
+    """Seeded rational pairs: pair i is row i of _exact_draws, coordinate n/d."""
+    nums, dens = _exact_draws(count, seed)
     table = [Fraction(n, d) for n in range(-9, 10) for d in range(1, 10)]  # the 171 possible coordinates
     for row in ((nums + 9) * 9 + dens - 1).tolist():
         coords = tuple(map(table.__getitem__, row))
         yield alg.AlgebraElement(coords[:8]), alg.AlgebraElement(coords[8:])
 
 
-def _first_failure(oks):
-    """Index of the first false entry, or None."""
-    return next((index for index, ok in enumerate(oks) if not ok), None)
+def _exact_rows(count: int, seed: int):
+    """The pairs of _exact_pairs as (8, count) rows of x and y numerators over
+    EXACT_DEN, Python ints (|n * 2520 / d| <= 22680, so the int64 product is exact)."""
+    nums, dens = _exact_draws(count, seed)
+    rows = (nums * (EXACT_DEN // dens)).T.astype(object)
+    return rows[:8], rows[8:]
+
+
+def _first_nonzero(values):
+    """Index of the first nonzero entry of a row, or None."""
+    hits = np.flatnonzero(values != 0)
+    return int(hits[0]) if len(hits) else None
 
 
 def _su21_exact_checks(n_pairs: int, seed: int) -> dict:
     """Each exact check mapped to its first failure, or to None if it holds.
 
     The structural identities report a basis pair or triple; the pair
-    identities report the index of the first failing seeded pair.
+    identities report the index of the first failing seeded pair.  Each pair
+    identity is one pass over all its pairs at once: coordinates are integer
+    numerators over EXACT_DEN, and every residual is homogeneous of degree
+    (2, 2), so it is zero exactly when the residual of the rational pair is.
     """
     failures = alg.basis_identity_witnesses()
-    failures["determinant_identity"] = _first_failure(
-        alg.det_identity_check(x, y) == 0 for x, y in _exact_pairs(n_pairs, seed)
-    )
+    failures["determinant_identity"] = _first_nonzero(alg.det_residuals(*_exact_rows(n_pairs, seed)))
     params = alg.ModelParams(Fraction(-1, 2), Fraction(1, 10))
-    failures["curvature_form_equivalence"] = _first_failure(
-        alg.curvature_quartic(x, y, params) == alg.curvature_quartic_first_form(x, y, params)
-        for x, y in _exact_pairs(min(n_pairs, 100), seed + 1)
-    )
+    quartic, first_form = alg.quartic_numerators(*_exact_rows(min(n_pairs, 100), seed + 1), params)
+    failures["curvature_form_equivalence"] = _first_nonzero(quartic - first_form)
     return failures
 
 

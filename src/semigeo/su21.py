@@ -8,10 +8,13 @@ and the degree-4 curvature form are evaluated exactly in rational arithmetic
 whenever the inputs are rational (floats are accepted and simply degrade to
 float arithmetic).  One sparse list of the 54 nonzero structure constants,
 all integers, drives the exact bracket, the exact pair kernel and the float
-margin forms.  The exact paths work on integer numerators over a
-common denominator: the pair kernel makes one pass for [X, Y], [X1, Y1] and
+margin forms.  The exact paths work on integer numerators over a common
+denominator: the pair kernel makes one pass for [X, Y], [X1, Y1] and
 [X2, Y2]_1, and both quartic forms and the determinant identity, homogeneous
-of degree (2, 2), become one integer polynomial and one Fraction per call.
+of degree (2, 2), are each one integer polynomial (det_residuals,
+quartic_numerators).  The coordinates may be 8 numbers (one pair; the
+scalar functions divide once into a Fraction) or 8 rows of Python ints (a
+batch of pairs in one array pass, as the CLI's seeded pair checks use).
 feasible() is four integer sign tests, which scan_region applies to integers
 reduced once per t and once per k.  The Jacobi, Ad-invariance and
 containment checks read one integer table of the 64 basis brackets.
@@ -362,19 +365,21 @@ def metric_t(x: AlgebraElement, y: AlgebraElement, params: ModelParams):
     return (1 + t) * form_B(project(x, 1), project(y, 1)) + form_B(project(x, 2), project(y, 2))
 
 
-def _pair_parts(x: AlgebraElement, y: AlgebraElement):
-    """The exact kernel of the pair checks: numerators of x and y, of [X, Y],
-    [X1, Y1] and [X2, Y2]_1, and the denominator of the brackets.
-
-    Rational coordinates give ints over the int denominator dx * dy; float
-    coordinates give floats over 1.0.
-    """
+def _pair_numerators(x: AlgebraElement, y: AlgebraElement):
+    """Numerators of tangent x and y, and the denominator dx * dy of their
+    brackets: ints over an int for rational coordinates, else floats over 1.0."""
     _require_tangent(x)
     _require_tangent(y)
     (xn, dx), (yn, dy) = _numerators(x), _numerators(y)
+    return xn, yn, dx * dy
+
+
+def _pair_brackets(xs, ys) -> tuple:
+    """Numerators of [X, Y], [X1, Y1] and [X2, Y2]_1 from coordinate
+    numerators: 8 numbers, or 8 rows of a batch of pairs."""
     full, b11, b22_1 = [0] * 8, [0] * 8, [0] * 8
-    _bracket_parts(xn, yn, full, b11, b22_1)
-    return xn, yn, full, b11, b22_1, dx * dy
+    _bracket_parts(xs, ys, full, b11, b22_1)
+    return full, b11, b22_1
 
 
 def _t_ratio(t) -> tuple:
@@ -382,6 +387,37 @@ def _t_ratio(t) -> tuple:
     if isinstance(t, (int, Fraction)):
         return t.numerator, t.denominator
     return float(t), 1.0
+
+
+def quartic_numerators(xs, ys, params: ModelParams) -> tuple:
+    """4 q^2 den^2 times curvature_quartic and curvature_quartic_first_form,
+    t = p/q, from coordinate numerators xs and ys over denominators whose
+    product is den: 8 numbers for one pair, or (8, N) rows for a batch
+    (Python-int rows keep the batch exact)."""
+    p, q = _t_ratio(params.t)
+    full, b11, b22_1 = _pair_brackets(xs, ys)
+    quartic = (
+        q * (q + p) * _b_num(b11, b11)
+        + q * (q - 3 * p) * _b_num(b22_1, b22_1)
+        + 2 * (q * q - p * q - 2 * p * p) * _b_num(b11, b22_1)
+        + (q + p) * (q + p) * _b_num(full, full, H2)
+        + 4 * q * q * _b_num(full, full, H0)
+    )
+    first_form = (
+        q * (q - 3 * p) * _b_num(full, full, H1)
+        + 4 * p * (q - p) * _b_num(b11, full)
+        + 4 * p * p * _b_num(b11, b11)
+        + (q + p) * (q + p) * _b_num(full, full, H2)
+        + 4 * q * q * _b_num(full, full, H0)
+    )
+    return quartic, first_form
+
+
+def _quartic_value(x: AlgebraElement, y: AlgebraElement, params: ModelParams, form: int):
+    """One of the quartic_numerators of the pair, divided once."""
+    xn, yn, den = _pair_numerators(x, y)
+    q = _t_ratio(params.t)[1]
+    return _over(quartic_numerators(xn, yn, params)[form], 4 * q * q * den * den)
 
 
 def curvature_quartic(x: AlgebraElement, y: AlgebraElement, params: ModelParams):
@@ -395,19 +431,10 @@ def curvature_quartic(x: AlgebraElement, y: AlgebraElement, params: ModelParams)
 
     on the bracket numerators: with t = p/q and brackets over den, the form
     is homogeneous of degree (2, 2), so 4 q^2 den^2 times it is a polynomial
-    in ints, and one division gives the exact value for rational t and
-    coordinates.
+    in ints (quartic_numerators), and one division gives the exact value for
+    rational t and coordinates.
     """
-    _, _, full, b11, b22_1, den = _pair_parts(x, y)
-    p, q = _t_ratio(params.t)
-    num = (
-        q * (q + p) * _b_num(b11, b11)
-        + q * (q - 3 * p) * _b_num(b22_1, b22_1)
-        + 2 * (q * q - p * q - 2 * p * p) * _b_num(b11, b22_1)
-        + (q + p) * (q + p) * _b_num(full, full, H2)
-        + 4 * q * q * _b_num(full, full, H0)
-    )
-    return _over(num, 4 * q * q * den * den)
+    return _quartic_value(x, y, params, 0)
 
 
 def curvature_quartic_first_form(x: AlgebraElement, y: AlgebraElement, params: ModelParams):
@@ -417,16 +444,7 @@ def curvature_quartic_first_form(x: AlgebraElement, y: AlgebraElement, params: M
     + t^2 B([X1,Y1],[X1,Y1]) + (1+t)^2/4 B([X,Y]_2,[X,Y]_2)
     + B([X,Y]_0,[X,Y]_0), cleared of denominators as in curvature_quartic.
     """
-    _, _, full, b11, _, den = _pair_parts(x, y)
-    p, q = _t_ratio(params.t)
-    num = (
-        q * (q - 3 * p) * _b_num(full, full, H1)
-        + 4 * p * (q - p) * _b_num(b11, full)
-        + 4 * p * p * _b_num(b11, b11)
-        + (q + p) * (q + p) * _b_num(full, full, H2)
-        + 4 * q * q * _b_num(full, full, H0)
-    )
-    return _over(num, 4 * q * q * den * den)
+    return _quartic_value(x, y, params, 1)
 
 
 @dataclass(frozen=True)
@@ -474,12 +492,20 @@ def det_identity_check(x: AlgebraElement, y: AlgebraElement):
     """Residual of B([X,Y]_2,[X,Y]_2) = -2 z^2 + B([X1,Y1],[X2,Y2]_1).
 
     Every term is homogeneous of degree (2, 2), so the residual is one
-    polynomial in the numerators over den^2; exactly zero in rational
-    arithmetic.
+    polynomial in the numerators over den^2 (det_residuals); exactly zero in
+    rational arithmetic.
     """
-    xn, yn, full, b11, b22_1, den = _pair_parts(x, y)
-    z_sq = sum((xn[i] * yn[j] - yn[i] * xn[j]) ** 2 for i in H1 for j in H2)
-    return _over(_b_num(full, full, H2) + 2 * z_sq - _b_num(b11, b22_1), den * den)
+    xn, yn, den = _pair_numerators(x, y)
+    return _over(det_residuals(xn, yn), den * den)
+
+
+def det_residuals(xs, ys):
+    """den^2 times det_identity_check, from coordinate numerators xs and ys
+    over denominators whose product is den: 8 numbers for one pair, or (8, N)
+    rows for a batch (Python-int rows keep the batch exact)."""
+    full, b11, b22_1 = _pair_brackets(xs, ys)
+    z_sq = sum((xs[i] * ys[j] - ys[i] * xs[j]) ** 2 for i in H1 for j in H2)
+    return _b_num(full, full, H2) + 2 * z_sq - _b_num(b11, b22_1)
 
 
 def eta(t) -> float:

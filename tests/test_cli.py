@@ -189,6 +189,16 @@ class TestSu21Command:
             coords[0] = coords[8] = Fraction(0)
             assert x.coords + y.coords == tuple(coords)
 
+    def test_readme_report_bytes(self, tmp_path):
+        # The README su21 report, pinned by digest.  Its exact checks and
+        # feasibility are integers; sampled_min_margin goes through a BLAS
+        # matrix product, so its last bits may depend on the BLAS build.
+        out = tmp_path / "s.json"
+        code = run(["su21", "--t", "-0.8", "--k", "0.1", "--samples", "10000", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "06ba6fe6120282d9b5b284d18e2e3506671611de8e7c0f32cc423154cc01a47b"
+
 
 def _loop_first_failure(name):
     # The basis loops the table-based identities replace, in the same order.
@@ -218,10 +228,29 @@ def su21_caches_cleared():
     su21._margin_forms.cache_clear()
 
 
-def _su21_report(tmp_path):
+def _su21_report(tmp_path, samples=20):
     out = tmp_path / "s.json"
-    code = run(["su21", "--t", "-0.8", "--k", "0.1", "--samples", "20", "--out", str(out)])
+    code = run(["su21", "--t", "-0.8", "--k", "0.1", "--samples", str(samples), "--out", str(out)])
     return code, json.loads(out.read_text())
+
+
+def _pair_loop_first_failure(name, n_pairs, seed=0):
+    # The per-pair scalar loop the batched pair checks replace, in the same order.
+    if name == "determinant_identity":
+        oks = (su21.det_identity_check(x, y) == 0 for x, y in _exact_pairs(n_pairs, seed))
+    else:
+        p = su21.ModelParams(Fraction(-1, 2), Fraction(1, 10))
+        oks = (su21.curvature_quartic(x, y, p) == su21.curvature_quartic_first_form(x, y, p)
+               for x, y in _exact_pairs(min(n_pairs, 100), seed + 1))
+    return next((index for index, ok in enumerate(oks) if not ok), None)
+
+
+def _leave_h2(terms):
+    # Moves the first [h1, h2] term into h1, out of its block: the two quartic
+    # expansions agree only while [X, Y]_1 = [X1, Y1] + [X2, Y2]_1.
+    index = next(n for n, (i, j, k, c) in enumerate(terms) if (su21.block_of(i), su21.block_of(j)) == (1, 2))
+    i, j, k, c = terms[index]
+    terms[index] = (i, j, 1, c)
 
 
 @pytest.mark.usefixtures("su21_caches_cleared")
@@ -236,15 +265,38 @@ class TestExactCheckMutations:
     def test_pair_witness_is_first_failing_index(self, tmp_path, monkeypatch):
         calls = []
 
-        def det_identity_check(x, y):
-            calls.append((x, y))
-            return 1 if len(calls) in (5, 9) else 0
+        def det_residuals(xs, ys):
+            calls.append((xs.shape, ys.shape))
+            return np.isin(np.arange(xs.shape[1]), (4, 8)).astype(object)
 
-        monkeypatch.setattr(su21, "det_identity_check", det_identity_check)
+        monkeypatch.setattr(su21, "det_residuals", det_residuals)
         code, report = _su21_report(tmp_path)
         assert code == 2
         assert report["exact_check_witness"] == {"determinant_identity": 4}
-        assert len(calls) == 5
+        assert calls == [((8, 20), (8, 20))]  # one batch over min(samples, 1000) pairs
+
+    @pytest.mark.parametrize("corruption", [*(("constant", n) for n in range(0, 54, 6)), ("weight", 3), ("leave_h2", 0)])
+    def test_pair_witnesses_match_scalar_loop(self, corruption, tmp_path, monkeypatch):
+        kind, index = corruption
+        if kind == "weight":
+            weights = list(su21._b_diagonal())
+            weights[index] *= 2
+            monkeypatch.setattr(su21, "_b_diagonal", lambda: tuple(weights))
+        else:
+            terms = list(su21._bracket_terms())
+            if kind == "constant":
+                i, j, k, c = terms[index]
+                terms[index] = (i, j, k, 2 * c)
+            else:
+                _leave_h2(terms)
+            monkeypatch.setattr(su21, "_bracket_terms", lambda: tuple(terms))
+        code, report = _su21_report(tmp_path, samples=300)
+        assert code == 2
+        witness = report["exact_check_witness"]
+        for name in ("determinant_identity", "curvature_form_equivalence"):
+            assert witness.get(name) == _pair_loop_first_failure(name, 300)
+        if kind == "leave_h2":
+            assert witness.get("curvature_form_equivalence") is not None
 
     @pytest.mark.parametrize("index", range(54))
     def test_structure_constant(self, index, tmp_path, monkeypatch):
@@ -307,6 +359,27 @@ class TestScanCommand:
         assert "Traceback" not in done.stderr
         assert done.stderr.splitlines() == ["semigeo: error: '1e400' is beyond the float range"]
         assert done.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["su21", "--t", "-0.8", "--k", "1e-400", "--samples", "5"],
+        ["scan", "--k-min", "1e-400", "--k-max", "0.1", "--k-step", "0.05"],
+    ])
+    def test_rational_below_float_range_exit_one(self, argv):
+        # Its float would be 0.0: reports and samplers would use k = 0 while
+        # the exact checks use the rational.  One error line, no traceback.
+        src = str(Path(sg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "semigeo.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == ["semigeo: error: '1e-400' is below the float range"]
+        assert done.stdout == ""
+
+    def test_subnormal_rational_accepted(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert run(["su21", "--t", "-0.8", "--k", "1e-310", "--samples", "5", "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["k"] == 1e-310
 
     def test_huge_grid_refused_without_building_it(self, capsys):
         # 9e11 t-values at step 1e-12; the count must be refused up front.

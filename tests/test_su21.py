@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import semigeo as sg
 from semigeo.errors import DomainError, NonTangentError
 from semigeo.charts import wedge
-from semigeo.su21 import H1, H2, _margin_forms, block_of
+from semigeo.cli import EXACT_DEN, _exact_pairs, _exact_rows, _su21_exact_checks
+from semigeo.su21 import H1, H2, _margin_forms, block_of, det_residuals, quartic_numerators
 
 
 def e(i):
@@ -781,6 +782,43 @@ class TestExactKernelOracle:
             assert (res.ineq1, res.ineq2, res.ineq3, res.ineq4) == _ref_feasible(F(t), F(k))
         with pytest.raises(DomainError):
             sg.feasible(sg.ModelParams(F(-4, 5), float("inf")))
+
+
+class TestBatchPairChecks:
+    """The batched pair checks against the scalar functions, value for value.
+
+    The batch takes the seeded pairs as numerators over EXACT_DEN = 2520, so
+    its residuals are the scalar values times 2520^4 (degree (2, 2))."""
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("seed", [0, 3, 9])
+    def test_batch_equals_scalar(self, seed, corrupt, request):
+        if corrupt:
+            request.getfixturevalue("corrupt_b_weights")
+        p = sg.ModelParams(F(-1, 2), F(1, 10))
+        xs, ys = _exact_rows(300, seed)
+        assert xs.shape == ys.shape == (8, 300)
+        assert all(type(v) is int for v in xs.flat) and all(type(v) is int for v in ys.flat)
+        residuals = det_residuals(xs, ys)
+        quartic, first_form = quartic_numerators(xs, ys, p)
+        scale = 4 * 2**2 * EXACT_DEN**4  # 4 q^2 den^2 at t = -1/2
+        pairs = list(_exact_pairs(300, seed))
+        for i, (x, y) in enumerate(pairs):
+            assert F(residuals[i], EXACT_DEN**4) == sg.det_identity_check(x, y)
+            assert F(quartic[i], scale) == sg.curvature_quartic(x, y, p)
+            assert F(first_form[i], scale) == sg.curvature_quartic_first_form(x, y, p)
+        assert any(residuals) == corrupt
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_zero_and_one_pair(self, count):
+        xs, ys = _exact_rows(count, 2)
+        residuals = det_residuals(xs, ys)
+        quartic, first_form = quartic_numerators(xs, ys, sg.ModelParams(F(-1, 2), F(1, 10)))
+        assert len(residuals) == len(quartic) == len(first_form) == count
+        assert [F(r, EXACT_DEN**4) for r in residuals] == [sg.det_identity_check(x, y) for x, y in _exact_pairs(count, 2)]
+        checks = _su21_exact_checks(count, 2)
+        assert checks["determinant_identity"] is None
+        assert checks["curvature_form_equivalence"] is None
 
 
 class TestReducedFlowRhs:
