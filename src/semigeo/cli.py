@@ -122,9 +122,13 @@ def _frac(text: str) -> Fraction:
         raise _UsageError(f"expected a rational number, got {text!r}") from exc
     if abs(value) > sys.float_info.max:
         raise _UsageError(f"{text!r} is beyond the float range")
-    if value and not float(value):  # reports and samplers would use 0.0 for it
-        raise _UsageError(f"{text!r} is below the float range")
+    _refuse_underflow(value, repr(text))
     return value
+
+
+def _refuse_underflow(value: Fraction, name: str) -> None:
+    if value and not float(value):  # reports and samplers would use 0.0 for it
+        raise _UsageError(f"{name} is below the float range")
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +284,11 @@ def cmd_scan(args) -> int:
         raise _UsageError(f"scan grid of {n_t} x {n_k} cells exceeds {MAX_SCAN_CELLS} cells")
     t_values = [args.t_min + i * args.t_step for i in range(n_t)]
     k_values = [args.k_min + i * args.k_step for i in range(n_k)]
+    # A grid value lies between its range flags, so only its float can leave
+    # the float range, by falling to 0.
+    for name, values in (("t", t_values), ("k", k_values)):
+        for value in values:
+            _refuse_underflow(value, f"--{name} grid value {value}")
     t_values = [t for t in t_values if t > -1]
     if not t_values or not k_values:
         raise _UsageError("empty scan grid")

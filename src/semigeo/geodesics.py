@@ -3,11 +3,23 @@ constructions, the scalar comparison equation, and the reduced algebra flow.
 
 There is one integrator: the adaptive Dormand-Prince 5(4) pair, written as a
 single FSAL ("first same as last") Butcher tableau whose 7th stage is the
-right-hand side at the accepted solution and seeds the next step.  Each
-integrate call allocates one (7, n) stage buffer; every trial step rewrites
-rows 1-6, and row 6 is copied into row 0 only once a step is accepted.  A
-trial scales the tableau by its step once and forms each stage, and the
-error estimate, with one vector-matrix product (see _dp54_step).  A
+right-hand side at the accepted solution and seeds the next step.  One loop
+does the step control; a trial is computed in one of two ways:
+
+* any system: each integrate call allocates one (7, n) stage buffer; every
+  trial rewrites rows 1-6, and row 6 is copied into row 0 only once a step
+  is accepted.  A trial scales the tableau by its step once and forms each
+  stage, and the error estimate, with one vector-matrix product
+  (_dp54_step);
+* a linear system y' = G y (``ODESystem.linear``): the same tableau applied
+  to y is R(hG) y, with its error estimate E(hG) y, for the stability
+  polynomials R and E derived from the tableau (_dp54_polynomials).  The
+  powers I, S, ..., S^7 of S = G / s, s a power of two near the size of G,
+  are stacked once per call, [y, S y, ..., S^7 y] once per accepted step,
+  and a trial is two products of (hs)^m-scaled coefficient rows with it
+  (_power_stack, _dp54_linear_step).
+
+The two ways sum in different orders, so they differ in the last bits.  A
 non-finite initial state or initial right-hand side raises DomainError.  A
 run ends with one of three termination statuses:
 
@@ -42,6 +54,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,9 +86,28 @@ STEP_UNDERFLOW = "step_underflow"
 
 @dataclass(frozen=True)
 class ODESystem:
+    """y' = rhs(t, y) on R^dim.  ``matrix`` is set only by ``linear`` and
+    marks a linear autonomous system y' = matrix @ y; integrate then computes
+    its trials from the matrix and calls rhs only at the initial state."""
+
     dim: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     description: str = ""
+    matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def linear(cls, matrix, description: str = "") -> ODESystem:
+        """The system y' = matrix @ y, whose right-hand side is built from
+        the stored (read-only copy of the) matrix.  A matrix that is not
+        square or not finite raises DomainError.
+        """
+        gen = np.array(matrix, dtype=float)
+        if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
+            raise DomainError(f"a linear system needs a square matrix, got shape {gen.shape}")
+        if not np.isfinite(gen).all():
+            raise DomainError(f"non-finite matrix for {description!r}")
+        gen.flags.writeable = False
+        return cls(gen.shape[0], lambda t, y: gen @ y, description, gen)
 
 
 @dataclass(frozen=True)
@@ -114,8 +147,11 @@ class IntegrationStats:
 
     Rejected trials are split by cause: error norm above 1, a right-hand
     side that raised DomainError, or a non-finite solution or error
-    estimate.  ``h_min`` and ``h_max`` range over accepted steps only and
-    are None when no step was accepted.
+    estimate.  ``rhs_evals`` counts the method's stage evaluations, 1 + 6
+    per trial (fewer in a trial cut short by DomainError), also for a linear
+    system, whose trials do not call its right-hand side.  ``h_min`` and
+    ``h_max`` range over accepted steps only and are None when no step was
+    accepted.
     """
 
     accepted_steps: int = 0
@@ -198,7 +234,8 @@ def _dp54_step(rhs, t, y, h, K):
     plus y, and the error estimate is h times one product of _DP_E with K.
     Those products go through BLAS, whose kernels choose the order of the
     additions, so the last bits of a trajectory can depend on the BLAS
-    build; repeated runs on one machine stay byte-identical.
+    build; repeated runs on one machine stay byte-identical.  Linear systems
+    take _dp54_linear_step instead, whose last bits differ from this one's.
     """
     hA = h * _DP_A
     for i, c in _DP_STAGES:
@@ -208,6 +245,68 @@ def _dp54_step(rhs, t, y, h, K):
         except DomainError as exc:
             raise _StageDomainError(i) from exc
     return stage, h * _DP_E.dot(K)
+
+
+@lru_cache(maxsize=1)
+def _dp54_polynomials() -> np.ndarray:
+    """Rows R and E of a (2, 8) read-only array: the coefficients of z^0..z^7
+    in the DP5(4) solution and error estimate of y' = G y, z = hG.
+
+    Stage i is s_i(z) y with s_i = 1 + sum_j a_ij z s_j, so the solution is
+    s_6(z) y (the FSAL row holds the 5th-order weights) and the estimate
+    sum_j e_j z s_j(z) y.  The recursion runs exactly on the float tableau
+    and each coefficient is rounded once.
+    """
+    a = [[Fraction(x) for x in row] for row in _DP_A.tolist()]
+    stages = []
+    for i in range(7):
+        s = [Fraction(1)] + [Fraction(0)] * 7
+        for j in range(i):
+            for m in range(7):
+                s[m + 1] += a[i][j] * stages[j][m]
+        stages.append(s)
+    e = [Fraction(0)] * 8
+    for ej, s in zip(_DP_E.tolist(), stages):
+        for m in range(7):
+            e[m + 1] += Fraction(ej) * s[m]
+    out = np.array([[float(c) for c in stages[6]], [float(c) for c in e]])
+    out.flags.writeable = False
+    return out
+
+
+_POWERS = np.arange(8.0)
+
+
+def _power_stack(gen: np.ndarray) -> tuple[np.ndarray, float]:
+    """(P, s): the powers [I, S, ..., S^7] of S = G / s stacked into an
+    (8n, n) array P, so that (P @ y).reshape(8, n) is [y, S y, ..., S^7 y].
+
+    s is the power of two at or above G's largest absolute row sum, so no
+    entry of S^m y exceeds the largest of |y|, whatever the size of G (G^7
+    itself overflows from about 1e44); a power of two scales exactly, so
+    hG = (hs) S.
+    """
+    n = len(gen)
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(gen).sum(axis=1).max(initial=0.0)))[1])
+    powers = np.empty((8, n, n))
+    powers[0] = np.eye(n)
+    for m in range(1, 8):
+        powers[m] = (gen / scale) @ powers[m - 1]
+    return powers.reshape(8 * n, n), scale
+
+
+def _dp54_linear_step(W, hs):
+    """One DP5(4) trial step of y' = G y from W = [y, S y, ..., S^7 y],
+    where hG = hs S (see _power_stack).
+
+    The same tableau as _dp54_step, taken through its stability polynomials
+    (_dp54_polynomials): returns (R(hG) y, E(hG) y) as two products of the
+    hs^m-scaled coefficient rows with W.  The sums run in another order than
+    the stage sums, so the two trials differ in the last bits.
+    """
+    powers = hs ** _POWERS
+    R, E = _dp54_polynomials()
+    return (R * powers).dot(W), (E * powers).dot(W)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a trial spoilt by either is rejected as non-finite
@@ -238,8 +337,12 @@ def integrate(
     k1 = np.asarray(rhs(t0, y), dtype=float)
     if not np.all(np.isfinite(k1)):
         raise DomainError(f"non-finite right-hand side at the initial state of {system.description!r}")
-    K = np.empty((7, n))  # stage buffer, reused by every trial
-    K[0] = k1
+    if system.matrix is None:
+        K = np.empty((7, n))  # stage buffer, reused by every trial
+        K[0] = k1
+    else:  # linear: W = [y, S y, ..., S^7 y], rebuilt once per accepted step
+        P, scale = _power_stack(system.matrix)
+        W = (P @ y).reshape(8, n)
 
     times = [t0]
     states = [y.copy()]
@@ -283,14 +386,17 @@ def integrate(
         attempts += 1
         if attempts > cfg.max_steps:
             raise RuntimeError(f"step budget exceeded integrating {system.description!r}")
-        try:
-            y_new, err = _dp54_step(rhs, t, y, h, K)
-        except _StageDomainError as exc:
-            rhs_evals += exc.evals
-            rejected_domain += 1
-            h *= 0.5
-            continue
-        rhs_evals += 6
+        if system.matrix is None:
+            try:
+                y_new, err = _dp54_step(rhs, t, y, h, K)
+            except _StageDomainError as exc:
+                rhs_evals += exc.evals
+                rejected_domain += 1
+                h *= 0.5
+                continue
+        else:
+            y_new, err = _dp54_linear_step(W, h * scale)
+        rhs_evals += 6  # the method's stage evaluations, on either trial route
         # |y_new|^2 (as np.linalg.norm forms it) is finite unless y_new holds
         # an inf or a NaN, or it overflows; only then is the elementwise test
         # needed.  On acceptance it also gives the blow-up norm.
@@ -314,7 +420,10 @@ def integrate(
             continue
         t += h
         y, abs_y = y_new, abs_new
-        K[0] = K[6]  # FSAL: only after acceptance, since a rejected trial rewrites K[6]
+        if system.matrix is None:
+            K[0] = K[6]  # FSAL: only after acceptance, since a rejected trial rewrites K[6]
+        else:
+            W = (P @ y).reshape(8, n)
         times.append(t)
         states.append(y)
         if h < h_min:
@@ -833,7 +942,7 @@ def euler_arnold_integrate(
         raise NonTangentError("v2 must lie in h2")
     y0 = _coords_float(v1) + _coords_float(v2)
     gen = _flow_generator(y0, float(params.t))
-    system = ODESystem(8, lambda u, y: gen @ y, "reduced geodesic flow on su(2,1)")
+    system = ODESystem.linear(gen, "reduced geodesic flow on su(2,1)")
     traj = integrate(system, y0, (0.0, float(u_max)), config)
 
     g1_drift = float(np.max(np.abs(traj.states[:, list(H1)] - y0[list(H1)])))

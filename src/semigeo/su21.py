@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -297,14 +297,14 @@ def basis_identity_witnesses() -> dict:
     h1, [h1, h2] in h2, [h2, h2] in h0 + h1), "jacobi_identity" and
     "ad_invariance" (first basis triple (i, j, k), lexicographically, with
     [e_i,[e_j,e_k]] + cyclic != 0, resp. B([e_i,e_j],e_k) + B(e_j,[e_i,e_k])
-    != 0).  All three read one integer table C[i, j, :] = [e_i, e_j] built
-    from the 64 exact basis brackets; both identities are trilinear, so the
-    tensor forms below are the same 512 checks per identity.
+    != 0).  All three read one integer table C[i, j, :] = [e_i, e_j], summed
+    from the structure-constant terms as ``bracket`` sums them; both
+    identities are trilinear, so the tensor forms below are the same 512
+    checks per identity.
     """
-    table = np.array(
-        [[[int(v) for v in bracket(basis_element(i), basis_element(j)).coords] for j in range(8)] for i in range(8)],
-        dtype=np.int64,
-    )
+    table = np.zeros((8, 8, 8), dtype=np.int64)
+    for i, j, k, c in _bracket_terms():
+        table[i, j, k] += c
     jacobi = (
         np.einsum("jkm,iml->ijkl", table, table)
         + np.einsum("kim,jml->ijkl", table, table)
@@ -681,8 +681,7 @@ def sample_margins(t: float, k: float, n: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     t: float
     k: float
     ineq1: bool

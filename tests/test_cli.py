@@ -376,6 +376,28 @@ class TestScanCommand:
         assert done.stderr.splitlines() == ["semigeo: error: '1e-400' is below the float range"]
         assert done.stdout == ""
 
+    def test_grid_value_below_float_range_exit_one(self, tmp_path):
+        # -0.1 + (0.1 - 1e-401) is a nonzero t whose float is -0.0; its row
+        # would carry other flags than the row of t = 0, which stays accepted.
+        src = str(Path(sg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        ks = ["--k-min", "0.125", "--k-max", "0.125", "--k-step", "1"]
+        step = "0.0" + "9" * 400
+        done = subprocess.run([sys.executable, "-m", "semigeo.cli", "scan", "--t-min", "-0.1", "--t-max", "0.05",
+                               "--t-step", step, *ks], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("semigeo: error: --t grid value -1/1")
+        assert line.endswith(" is below the float range")
+        assert done.stdout == ""
+        out = tmp_path / "zero.csv"
+        done = subprocess.run([sys.executable, "-m", "semigeo.cli", "scan", "--t-min", "0", "--t-max", "0",
+                               "--t-step", "1", *ks, "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0
+        assert out.read_text().splitlines()[1] == "0.0,0.125,0,1,0,0,0,"
+
     def test_subnormal_rational_accepted(self, tmp_path):
         out = tmp_path / "s.json"
         assert run(["su21", "--t", "-0.8", "--k", "1e-310", "--samples", "5", "--out", str(out)]) == 2

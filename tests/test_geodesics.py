@@ -114,17 +114,88 @@ class TestDormandPrinceTableau:
     def test_skew_linear_system_tracks_exponential(self):
         # y' = S y with S skew, scaled to angular frequencies 1 and 0.087:
         # the flow exp(t S) from eigenvectors of S.  A guard on accuracy
-        # that holds for any order of the stage sums (6.3e-8 measured).
+        # that holds for any order of the stage sums (6.3e-8 measured), on
+        # the stage route and on the matrix-polynomial route alike; the two
+        # take the same numbers of accepted and rejected steps.
         rng = np.random.default_rng(5)
         m = rng.standard_normal((4, 4))
         skew = (m - m.T) / np.abs(np.linalg.eigvals(m - m.T)).max()
         y0 = rng.standard_normal(4)
-        traj = sg.integrate(sg.ODESystem(4, lambda t, y: skew @ y, "skew linear"), y0, (0.0, 1000.0))
-        assert traj.status.kind == sg.COMPLETED
         lam, vec = np.linalg.eig(skew)
         coef = np.linalg.solve(vec, y0.astype(complex))
-        exact = np.real((np.exp(np.outer(traj.times, lam)) * coef) @ vec.T)
-        assert np.abs(traj.states - exact).max() <= 1e-6
+        runs = []
+        for system in (sg.ODESystem(4, lambda t, y: skew @ y, "skew linear"),
+                       sg.ODESystem.linear(skew, "skew linear")):
+            traj = sg.integrate(system, y0, (0.0, 1000.0))
+            assert traj.status.kind == sg.COMPLETED
+            exact = np.real((np.exp(np.outer(traj.times, lam)) * coef) @ vec.T)
+            assert np.abs(traj.states - exact).max() <= 1e-6
+            runs.append(traj.stats)
+        stage, linear = runs
+        assert (linear.accepted_steps, linear.rejected_error_norm) == (stage.accepted_steps, stage.rejected_error_norm)
+        assert linear.rhs_evals == stage.rhs_evals
+
+    def test_stability_polynomials(self):
+        # R is exp(z) to 5th order plus z^6/600; E vanishes to 4th order
+        # (the 5th- and 4th-order solutions agree there).
+        R, E = geo._dp54_polynomials()
+        want = np.array([1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0])
+        assert np.abs(R - want).max() <= 1e-15
+        assert np.abs(E[:5]).max() <= 1e-16
+        assert np.array_equal(geo._dp54_polynomials(), np.stack(_reference_polynomials()))
+
+    def test_linear_trial_matches_stage_trial(self):
+        # Random G, y and h with |hG| <= 2, inside DP5(4)'s stability region.
+        rng = np.random.default_rng(21)
+        for n in (1, 3, 8):
+            for _ in range(20):
+                gen = rng.standard_normal((n, n))
+                gen /= np.abs(np.linalg.eigvals(gen)).max()
+                y = rng.standard_normal(n)
+                h = rng.uniform(0.01, 2.0)
+                stages = np.empty((7, n))
+                stages[0] = gen @ y
+                y_stage, err_stage = geo._dp54_step(lambda t, v: gen @ v, 0.0, y, h, stages)
+                P, scale = geo._power_stack(gen)
+                y_lin, err_lin = geo._dp54_linear_step((P @ y).reshape(8, n), h * scale)
+                size = np.abs(y).max()
+                assert np.abs(y_lin - y_stage).max() <= 1e-14 * size
+                assert np.abs(err_lin - err_stage).max() <= 1e-14 * size
+
+    @pytest.mark.parametrize("size", [1e-60, 1e60])
+    def test_linear_route_at_extreme_matrix_scales(self, size):
+        # G^7 underflows or overflows.  The powers are taken of G over a
+        # power of two, so the linear route takes the stage route's steps;
+        # without that scaling every trial at 1e60 is non-finite and the run
+        # ends in step underflow.
+        rotation = np.array([[0.0, 1.0], [-1.0, 0.0]]) * size
+        cfg = sg.IntegratorConfig(initial_step=1e-3 / size, min_step=1e-6 / size)
+        stats = []
+        for system in (sg.ODESystem(2, lambda t, y: rotation @ y, "rotation"),
+                       sg.ODESystem.linear(rotation, "rotation")):
+            traj = sg.integrate(system, [1.0, 0.0], (0.0, 10.0 / size), cfg)
+            assert traj.status.kind == sg.COMPLETED
+            angle = traj.times * size
+            assert np.abs(traj.states - np.stack([np.cos(angle), -np.sin(angle)], axis=1)).max() <= 1e-8
+            stats.append(replace(traj.stats, h_min=None, h_max=None))
+        assert stats[0] == stats[1]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2)), [[1.0, math.nan], [0.0, 1.0]], [[math.inf]]],
+        ids=["wide", "vector", "three-axes", "nan", "inf"],
+    )
+    def test_linear_system_refuses_bad_matrix(self, matrix):
+        with pytest.raises(DomainError):
+            sg.ODESystem.linear(matrix, "bad")
+
+    def test_linear_system_rhs_is_its_matrix(self):
+        gen = np.array([[0.0, 1.0], [-2.0, 0.5]])
+        system = sg.ODESystem.linear(gen, "oscillator")
+        gen[0, 0] = 7.0  # the system keeps its own copy
+        assert system.dim == 2
+        assert np.array_equal(system.rhs(0.0, np.array([1.0, 2.0])), [2.0, -1.0])
+        assert np.array_equal(system.matrix, [[0.0, 1.0], [-2.0, 0.5]])
 
 
 def _reference_dp54_step(rhs, t, y, h, k1):
@@ -137,14 +208,44 @@ def _reference_dp54_step(rhs, t, y, h, k1):
     return stage, h * geo._DP_E.dot(K), K[6]
 
 
-def _reference_integrate(system, y0, t_span, cfg):
+def _reference_polynomials():
+    # The reference stage formula run exactly on coefficient vectors of
+    # polynomials in z = hG, with h = 1 and a right-hand side that
+    # multiplies by z (a shift; no stage reaches degree 7, so np.roll loses
+    # nothing).  Returns the float (R, E) of the solution and error estimate.
+    a = [[F(x) for x in row] for row in geo._DP_A.tolist()]
+    one = np.array([F(1)] + [F(0)] * 7, dtype=object)
+    K = [np.roll(one, 1)]
+    for i in range(1, 7):
+        stage = one + sum(a[i][j] * K[j] for j in range(i))
+        K.append(np.roll(stage, 1))
+    err = sum(F(e) * k for e, k in zip(geo._DP_E.tolist(), K))
+    return np.array([float(c) for c in stage]), np.array([float(c) for c in err])
+
+
+def _reference_linear_step(matrix, y, h, R, E):
+    # Reference trial step of y' = matrix @ y through the stability
+    # polynomials R and E: the powers and W = [y, Gy, ..., G^7 y] are
+    # rebuilt per trial.
+    n = y.size
+    powers = [np.eye(n)]
+    for _ in range(7):
+        powers.append(matrix @ powers[-1])
+    W = (np.concatenate(powers) @ y).reshape(8, n)
+    hm = h ** np.arange(8.0)
+    return (R * hm).dot(W), (E * hm).dot(W)
+
+
+def _reference_integrate(system, y0, t_span, cfg, matrix=None):
     # Reference loop with numpy step control (np.mean, np.linalg.norm,
     # copies of accepted states) and no test of the error estimate's
-    # finiteness: the oracle integrate must match bit for bit.  Returns
-    # (times, states, status).
+    # finiteness: the oracle integrate must match bit for bit.  Given a
+    # matrix, trials take the linear route.  Returns (times, states, status).
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float)
     k1 = np.asarray(system.rhs(t0, y), dtype=float)
+    if matrix is not None:
+        R, E = _reference_polynomials()
     times = [t0]
     states = [y.copy()]
 
@@ -165,11 +266,15 @@ def _reference_integrate(system, y0, t_span, cfg):
         steps += 1
         if steps > cfg.max_steps:
             raise RuntimeError("step budget exceeded")
-        try:
-            y_new, err, k7 = _reference_dp54_step(system.rhs, t, y, h, k1)
-        except DomainError:
-            h *= 0.5
-            continue
+        if matrix is not None:
+            y_new, err = _reference_linear_step(matrix, y, h, R, E)
+            k7 = None
+        else:
+            try:
+                y_new, err, k7 = _reference_dp54_step(system.rhs, t, y, h, k1)
+            except DomainError:
+                h *= 0.5
+                continue
         if not np.all(np.isfinite(y_new)):
             h *= 0.5
             continue
@@ -782,8 +887,13 @@ class TestFlowGenerator:
             v1 = sg.from_coords(tuple(F(int(c)) if k in (1, 2, 3) else F(0) for k, c in enumerate(y0)))
             v2 = sg.from_coords(tuple(F(int(c)) if k >= 4 else F(0) for k, c in enumerate(y0)))
             traj, _ = sg.euler_arnold_integrate(v1, v2, params, 10.0)
-            ref = sg.ODESystem(8, _reference_flow_rhs(y0, -0.8), "reference flow")
-            times, states, status = _reference_integrate(ref, y0, (0.0, 10.0), cfg)
+            rhs = _reference_flow_rhs(y0, -0.8)
+            matrix = np.zeros((8, 8))
+            for j in range(4, 8):
+                y = np.concatenate([y0[:4], np.eye(4)[j - 4]])
+                matrix[:, j] = rhs(0.0, y)
+            ref = sg.ODESystem(8, rhs, "reference flow")
+            times, states, status = _reference_integrate(ref, y0, (0.0, 10.0), cfg, matrix)
             assert np.array_equal(traj.times, times)
             assert np.array_equal(traj.states, states)
             assert traj.status == status

@@ -7,7 +7,6 @@ exactly-decomposed structure-constant table, so agreement here ties the two
 together.  Everything tagged exact is asserted with ==, no tolerance.
 """
 
-import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -459,7 +458,7 @@ class TestScanRegion:
         for cell, exact in zip(sampled.cells, plain.cells):
             oracle = float(sg.sample_margins(cell.t, cell.k, 300, 5)[0].min())
             assert cell.min_margin.hex() == oracle.hex()
-            assert dataclasses.replace(cell, min_margin=None) == exact
+            assert cell._replace(min_margin=None) == exact
 
     def test_cells_equal_fraction_oracle(self):
         # Plain Fraction comparisons, not feasible(), which shares the cell
