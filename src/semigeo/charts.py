@@ -153,22 +153,49 @@ class _Taylor:
     cos = lambda self: self._chain(np.cos(self.v), -np.sin(self.v), -np.cos(self.v))
 
 
+def _taylor_values(fn, X: np.ndarray, what: str) -> np.ndarray:
+    """``fn`` called once on the coordinates of the rows of the (N, d) array ``X``
+    as Taylor values: an object array whose coordinate-dependent entries are
+    ``_Taylor`` values and whose constant entries are plain numbers."""
+    n, d = X.shape
+    zero = np.zeros((n, d, d))
+    xs = np.array([_Taylor(X[:, i], np.broadcast_to(e, (n, d)), zero) for i, e in enumerate(np.eye(d))])
+    try:
+        return np.asarray(fn(xs), dtype=object)
+    except TypeError as exc:
+        raise UnsupportedSpaceError(
+            f"{what} is not Taylor-evaluable ({exc}): use numpy arithmetic and the ufuncs exp, log, log1p, sqrt, "
+            "sin, cos; no math.*, no float(), no branching on coordinates") from exc
+
+
 def _taylor(fn, X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact (f, d_k f, d_k d_l f) at the rows of the (N, d) array ``X``, shaped (N,),
     (N, d), (N, d, d) plus the output shape of ``fn``, from one call of ``fn`` on the
     coordinates as Taylor values; constant output entries get zero derivatives."""
     n, d = X.shape
+    out = _taylor_values(fn, X, what)
     zero = np.zeros((n, d, d))
-    xs = np.array([_Taylor(X[:, i], np.broadcast_to(e, (n, d)), zero) for i, e in enumerate(np.eye(d))])
-    try:
-        out = np.asarray(fn(xs), dtype=object)
-    except TypeError as exc:
-        raise UnsupportedSpaceError(
-            f"{what} is not Taylor-evaluable ({exc}): use numpy arithmetic and the ufuncs exp, log, log1p, sqrt, "
-            "sin, cos; no math.*, no float(), no branching on coordinates") from exc
     parts = [(e.v, e.g, e.h) if isinstance(e, _Taylor) else (np.full(n, e, dtype=float), zero[:, 0], zero)
              for e in out.flat]
     return tuple(np.stack(p, axis=-1).reshape(p[0].shape + out.shape) for p in zip(*parts))
+
+
+def _constant_metric(chart: ChartMetric) -> np.ndarray | None:
+    """The metric of a chart whose ``metric_at`` has no coordinate-dependent
+    entry, else None: one call on Taylor coordinates at the middle of the
+    sample box, constant when no output entry is a Taylor value, which under
+    the ``metric_at`` rules (no branching on coordinates) holds at every
+    point.  No sample box, or a ``metric_at`` that is not Taylor-evaluable, gives None."""
+    if chart.sample_box is None:
+        return None
+    lo, hi = chart.sample_box
+    try:
+        out = _taylor_values(chart.metric_at, (0.5 * (lo + hi))[None], f"metric_at of chart {chart.name!r}")
+    except UnsupportedSpaceError:
+        return None
+    if any(isinstance(e, _Taylor) for e in out.flat):
+        return None
+    return out.astype(float)
 
 
 def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
@@ -185,19 +212,15 @@ def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarr
     return (np.ones(len(X)),) + jet[: order + 1]
 
 
-def _lowered_christoffel(g, dg):
-    """g^{-1} and Gamma_{l,jk} = (d_j g_lk + d_k g_lj - d_l g_jk) / 2."""
+def _christoffel_from_jet(g, dg):
+    """g^{-1}, Gamma^i_{jk} = g^{il} Gamma_{l,jk} and the lowered
+    Gamma_{l,jk} = (d_j g_lk + d_k g_lj - d_l g_jk) / 2."""
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError(f"metric jet not invertible: {exc}") from exc
     t = dg.transpose(0, 2, 1, 3)  # t[n, l, j, k] = d_j g_lk
-    return ginv, 0.5 * (t + t.transpose(0, 1, 3, 2) - dg)
-
-
-def _christoffel_from_jet(g, dg):
-    """g^{-1}, Gamma^i_{jk} = g^{il} Gamma_{l,jk} and the lowered Gamma_{l,jk}."""
-    ginv, lowered = _lowered_christoffel(g, dg)
+    lowered = 0.5 * (t + t.transpose(0, 1, 3, 2) - dg)
     return ginv, np.einsum("nil,nljk->nijk", ginv, lowered), lowered
 
 

@@ -60,8 +60,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import ChartMetric, _lowered_christoffel, _metric_jet, christoffel
-from .errors import DomainError, NonTangentError, RhsDomainError
+from .charts import ChartMetric, _constant_metric, _metric_jet
+from .errors import DomainError, NonTangentError, RhsDomainError, SingularMetricError
 from .spaces import (
     WarpedProductSpec,
     busemann_warping,
@@ -441,17 +441,59 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 
+def _spray(dg: np.ndarray, u: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Gamma_{l,jk} u^j w^k (w defaults to u) from one point's metric partials
+    dg[k, i, j] = d_k g_ij, with no (d, d, d) Christoffel tensor: for a = dg.u,
+    Gamma_l(u, u) = (u.a)_l - (a.u)_l / 2, and with b = dg.w,
+    Gamma_l(u, w) = ((u.b)_l + (w.a)_l - (b.u)_l) / 2.  Any jet scale is
+    left on dg; the raised form g^{-1} Gamma_l does not depend on it."""
+    a = dg.dot(u)
+    if w is None:
+        return u.dot(a) - 0.5 * a.dot(u)
+    b = dg.dot(w)
+    return 0.5 * (u.dot(b) + w.dot(a) - b.dot(u))
+
+
+def _raise_index(g: np.ndarray, lowered: np.ndarray) -> np.ndarray:
+    """g^{-1} lowered by one solve; a singular g raises SingularMetricError."""
+    try:
+        return np.linalg.solve(g, lowered)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError(f"metric jet not invertible: {exc}") from exc
+
+
+def _inverse_memo() -> Callable[[np.ndarray], np.ndarray]:
+    """g -> g^{-1}, remembering the last g by its exact bytes: a jet that
+    returns one g everywhere (the conformal charts carry e^{2 phi} in the
+    scale) is inverted once, any other g afresh.  A singular g raises
+    SingularMetricError."""
+    key, inverse = None, None
+
+    def inv(g):
+        nonlocal key, inverse
+        g_key = g.tobytes()
+        if g_key != key:
+            inverse, key = _raise_index(g, np.eye(len(g))), g_key
+        return inverse
+
+    return inv
+
+
 def geodesic_rhs(chart: ChartMetric) -> ODESystem:
-    """State (x, v): x' = v, v'^i = -Gamma^i_{jk} v^j v^k."""
+    """State (x, v): x' = v, v'^i = -Gamma^i_{jk} v^j v^k.  Each call takes
+    one first-order metric jet, contracts it with v into the lowered form
+    Gamma_l(v, v) (_spray) and raises the index with one solve.  A point
+    outside the domain raises RhsDomainError, a singular metric
+    SingularMetricError."""
     n = chart.dim
 
     def rhs(t, y):
         x, v = y[:n], y[n:]
         try:
-            gamma = christoffel(chart, x)
+            _, g, dg = _metric_jet(chart, x[None], 1)
         except DomainError as exc:
             raise RhsDomainError(f"geodesic left the domain: {exc}") from exc
-        return np.concatenate([v, -np.einsum("ijk,j,k->i", gamma, v, v)])
+        return np.concatenate((v, -_raise_index(g[0], _spray(dg[0], v))))
 
     return ODESystem(2 * n, rhs, f"geodesic on {chart.name}")
 
@@ -464,40 +506,47 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
 
     Solutions match geodesic_rhs on the assembled block metric; this route
     never touches the assembled chart, so the two are independent.  Each
-    call takes one first-order metric jet per factor and one warping jet
-    (alpha with its base partials).  The lowered Christoffel symbols are
-    contracted with the velocity before the index is raised,
-    g^{il} (Gamma_{l,jk} v^j v^k); the fiber's term is skipped where its
-    jet's dg is zero.
+    call takes one first-order base jet and one warping jet (alpha with its
+    base partials), and contracts the jet with the velocity (_spray).  The
+    base force Gamma_B(v_b, v_b) + e^{2 alpha} g_F(v_f, v_f) d alpha / scale
+    is raised once with g_B^{-1}, kept from the previous call while g_B's
+    jet returns the same matrix (_inverse_memo).  A fiber whose metric_at
+    has no coordinate-dependent entry (_constant_metric) is evaluated once,
+    here: its metric stays in the closure, its Christoffel term is dropped,
+    and each call checks only its domain.  Any other fiber takes its own
+    jet per call.  Leaving either factor's domain raises RhsDomainError.
     """
     if spec.kind not in ("plain", "warped"):
         raise DomainError("warped_geodesic_rhs needs a base-only warping")
     base, fiber = spec.base, spec.fiber
     db, df = base.dim, fiber.dim
     n = db + df
+    g_fiber = _constant_metric(fiber)
+    base_inverse = _inverse_memo()
 
     def rhs(t, y):
         b, f = y[:db], y[db:n]
         vb, vf = y[n : n + db], y[n + db :]
         try:
             scale_b, g_b, dg_b = _metric_jet(base, b[None], 1)
-            scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
+            if g_fiber is None:
+                scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
+            elif not fiber.in_domain(f):
+                raise DomainError(f"point {f.tolist()} outside domain of chart {fiber.name!r}")
         except DomainError as exc:
             raise RhsDomainError(f"warped geodesic left the domain: {exc}") from exc
-        ginv_b, lowered_b = _lowered_christoffel(g_b, dg_b)
-        acc_b = -ginv_b[0].dot(lowered_b[0].dot(vb).dot(vb))
-        if dg_f.any():
-            ginv_f, lowered_f = _lowered_christoffel(g_f, dg_f)
-            acc_f = -ginv_f[0].dot(lowered_f[0].dot(vf).dot(vf))
+        force = _spray(dg_b[0], vb)
+        if g_fiber is None:
+            acc_f = -_raise_index(g_f[0], _spray(dg_f[0], vf))
+            scale_f, g_f = scale_f[0], g_f[0]
         else:
-            acc_f = np.zeros(df)
+            acc_f, scale_f, g_f = np.zeros(df), 1.0, g_fiber
         if spec.kind == "warped":
             alpha, da = spec.alpha_base_jet(b, f)
-            fiber_speed_sq = float(scale_f[0] * vf.dot(g_f[0]).dot(vf))
-            grad = ginv_b[0].dot(da) / scale_b[0]
-            acc_b -= math.exp(2.0 * alpha) * fiber_speed_sq * grad
+            fiber_speed_sq = float(scale_f * vf.dot(g_f).dot(vf))
+            force += math.exp(2.0 * alpha) * fiber_speed_sq / scale_b[0] * da
             acc_f -= 2.0 * float(da.dot(vb)) * vf
-        return np.concatenate((y[n:], acc_b, acc_f))
+        return np.concatenate((y[n:], -base_inverse(g_b[0]).dot(force), acc_f))
 
     return ODESystem(2 * n, rhs, f"warped geodesic on {spec.base.name}x{spec.fiber.name}")
 
@@ -621,8 +670,11 @@ def _launch_state(spec: WarpedProductSpec, base_speed: float, downward: bool, ca
 
 
 def _reversed_system(system: ODESystem) -> ODESystem:
-    return ODESystem(system.dim, lambda t, y: -np.asarray(system.rhs(-t, y), dtype=float),
-                     f"time-reversed {system.description}")
+    """y' = -rhs(-t, y), the system run backwards in time.  Its callers, all
+    in this module, pass right-hand sides that return float arrays, so the
+    result is negated as it comes."""
+    rhs = system.rhs
+    return ODESystem(system.dim, lambda t, y: -rhs(-t, y), f"time-reversed {system.description}")
 
 
 def breakdown_run(
@@ -784,10 +836,10 @@ def parallel_transport(
     def rhs(t, v):
         x, cdot = spline(t)
         try:
-            gamma = christoffel(chart, x)
+            _, g, dg = _metric_jet(chart, x[None], 1)
         except DomainError as exc:
             raise RhsDomainError(f"transport curve left the domain: {exc}") from exc
-        return -np.einsum("ijk,j,k->i", gamma, cdot, v)
+        return -_raise_index(g[0], _spray(dg[0], cdot, v))
 
     system = ODESystem(n, rhs, f"parallel transport on {chart.name}")
     t0, t1 = float(base_curve.times[0]), float(base_curve.times[-1])

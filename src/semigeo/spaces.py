@@ -51,7 +51,7 @@ from .charts import (
     scalar_curvature,
     sectional,
 )
-from .errors import DegeneratePlaneError, DomainError, UnsupportedSpaceError
+from .errors import DegeneratePlaneError, DomainError, SingularMetricError, UnsupportedSpaceError
 
 MAX_ATOM_DIM = 7  # so d <= 14 in products: a (256, d, d, d, d) order-2 jet block < 80 MB
 
@@ -315,8 +315,12 @@ class WarpedProductSpec:
         return self.alpha_base_jet(b, f)[1]
 
     def alpha_base_gradient(self, b: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """grad alpha with respect to g_B (indices raised with g_B^{-1})."""
-        return np.linalg.solve(self.base.metric_at(b), self.alpha_base_partials(b, f))
+        """grad alpha with respect to g_B (indices raised with g_B^{-1}); a
+        singular g_B raises SingularMetricError."""
+        try:
+            return np.linalg.solve(self.base.metric_at(b), self.alpha_base_partials(b, f))
+        except np.linalg.LinAlgError as exc:
+            raise SingularMetricError(f"base metric not invertible at {b.tolist()}: {exc}") from exc
 
     def split(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return xy[: self.base.dim], xy[self.base.dim :]

@@ -11,7 +11,8 @@ import pytest
 
 import semigeo as sg
 import semigeo.geodesics as geo
-from semigeo.errors import DomainError, NonTangentError, RhsDomainError
+from semigeo.charts import _constant_metric
+from semigeo.errors import DomainError, NonTangentError, RhsDomainError, SingularMetricError
 
 
 class TestIntegrate:
@@ -494,6 +495,11 @@ class TestWarpedGeodesics:
             sg.warped_geodesic_rhs(spec)
 
 
+def _math_sphere():
+    # sphere(2) with its jet and a metric_at written with math.*
+    return replace(sg.sphere(2), metric_at=lambda x: (2.0 / (1.0 + math.fsum(x * x))) ** 2 * np.eye(2))
+
+
 def _reference_warped_rhs(spec, y):
     # The warped-product right-hand side as the per-factor christoffel /
     # metric_at / solve formula, with the warping value and its partials.
@@ -525,6 +531,12 @@ WARPED_RHS_SPECS = {
     "value-only-warping": lambda: sg.warped_product(
         sg.hyperbolic(2), sg.flat_torus(2), sg.Warping(value=sg.busemann_warping(0.7).value)
     ),
+    # a fiber whose metric_at is not Taylor-evaluable takes its jet per call
+    "math-fiber": lambda: sg.warped_product(sg.hyperbolic(2), _math_sphere(), sg.busemann_warping(1.0)),
+    # a base whose jet's g varies misses the inverse memo on every call
+    "varying-base": lambda: sg.warped_product(
+        replace(sg.hyperbolic(2), jet=None), sg.flat_torus(2), sg.busemann_warping(1.0)
+    ),
 }
 
 
@@ -540,6 +552,60 @@ class TestWarpedRhsReference:
             y = np.concatenate([rng.uniform(blo, bhi), rng.uniform(flo, fhi), rng.standard_normal(n)])
             got, want = rhs(0.0, y), _reference_warped_rhs(spec, y)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestConstantFiber:
+    @pytest.mark.parametrize("chart", [sg.flat_torus(2), sg.euclidean(3), sg.minkowski(1, 2),
+                                       replace(sg.flat_torus(2), jet=None)],
+                             ids=["flat_torus", "euclidean", "minkowski", "jetless-flat_torus"])
+    def test_flat_charts_are_constant(self, chart):
+        assert np.array_equal(_constant_metric(chart), chart.metric_at(chart.sample_box[0]))
+
+    @pytest.mark.parametrize("chart", [sg.hyperbolic(2), sg.sphere(2), _math_sphere()],
+                             ids=["hyperbolic", "sphere", "math-sphere"])
+    def test_other_charts_are_evaluated_per_call(self, chart):
+        # sphere(2) has dg = 0 at the middle of its box: the decision is by
+        # type, not by value; the math.* metric_at is not Taylor-evaluable
+        assert _constant_metric(chart) is None
+
+    def test_constant_fiber_is_evaluated_once(self):
+        torus, calls = sg.flat_torus(2), {"metric_at": 0, "jet": 0}
+
+        def metric_at(x):
+            calls["metric_at"] += 1
+            return torus.metric_at(x)
+
+        def jet(X, order):
+            calls["jet"] += 1
+            return torus.jet(X, order)
+
+        fiber = replace(torus, metric_at=metric_at, jet=jet)
+        rhs = sg.warped_geodesic_rhs(sg.warped_product(sg.hyperbolic(2), fiber, sg.busemann_warping(1.0))).rhs
+        assert calls == {"metric_at": 1, "jet": 0}
+        y = np.array([0.1, 1.2, 0.3, 0.4, 0.2, 0.5, 0.6, -0.1])
+        for _ in range(20):
+            rhs(0.0, y)
+        assert calls == {"metric_at": 1, "jet": 0}
+
+    def test_constant_fiber_keeps_its_domain(self):
+        fiber = replace(sg.flat_torus(2), in_domain=lambda x: x[0] < 1.0)
+        assert _constant_metric(fiber) is not None
+        system = sg.warped_geodesic_rhs(sg.plain_product(sg.hyperbolic(2), fiber))
+        with pytest.raises(RhsDomainError):
+            system.rhs(0.0, np.array([0.0, 1.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        traj = sg.integrate(system, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0], (0.0, 2.0))
+        assert traj.status.kind == sg.STEP_UNDERFLOW
+        assert traj.stats.rejected_domain > 0
+        assert traj.final_state[2] < 1.0
+
+    def test_singular_base_metric_raises(self):
+        # g = b_0 I is singular at b_0 = 0, on both right-hand sides
+        base = replace(sg.hyperbolic(2), jet=None, metric_at=lambda x: x[0] * np.eye(2))
+        y = np.array([0.0, 1.0, 0.3, 0.4, 0.2, 0.5, 0.6, -0.1])
+        with pytest.raises(SingularMetricError):
+            sg.warped_geodesic_rhs(sg.warped_product(base, sg.flat_torus(2), sg.busemann_warping(1.0))).rhs(0.0, y)
+        with pytest.raises(SingularMetricError):
+            sg.geodesic_rhs(base).rhs(0.0, y[[0, 1, 4, 5]])
 
 
 class TestWarpedRunCounts:

@@ -2,13 +2,14 @@
 
 import math
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import semigeo as sg
 from semigeo import spaces
-from semigeo.errors import UnsupportedSpaceError
+from semigeo.errors import SingularMetricError, UnsupportedSpaceError
 from semigeo.spaces import MAX_ATOM_DIM
 
 
@@ -292,6 +293,14 @@ class TestOneillT:
             numeric = sg.oneill_T(spec, pair, "numeric")
             scale = max(1.0, float(np.abs(closed).max()))
             assert np.abs(closed - numeric).max() / scale <= 1e-5
+
+    def test_closed_form_singular_base_metric(self):
+        # g_B = b_0 I is singular at b_0 = 0: the gradient cannot be raised.
+        base = replace(sg.hyperbolic(2), metric_at=lambda x: x[0] * np.eye(2))
+        spec = sg.warped_product(base, sg.flat_torus(2), sg.busemann_warping(1.0))
+        pair = sg.VerticalPair(np.array([0.0, 1.0, 0.5, 0.5]), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(SingularMetricError):
+            sg.oneill_T(spec, pair)
 
 
 class TestOneillRelations:
