@@ -39,6 +39,7 @@ from .errors import (
     RhsDomainError,
     SemigeoError,
     SingularMetricError,
+    StepBudgetError,
     UnsupportedSpaceError,
 )
 from .geodesics import (

@@ -13,6 +13,10 @@ class RhsDomainError(DomainError):
     """An ODE right-hand side was evaluated outside its stated domain."""
 
 
+class StepBudgetError(SemigeoError):
+    """An integration used up its step budget (``IntegratorConfig.max_steps``)."""
+
+
 class SingularMetricError(SemigeoError):
     """Metric matrix inversion failed (|det| below threshold)."""
 

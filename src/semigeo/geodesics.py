@@ -35,7 +35,9 @@ finite (both halve the step).  So trajectories that leave a chart domain in
 finite time terminate with ``step_underflow`` rather than an exception, and
 no step with a NaN error estimate is accepted.  integrate runs with numpy's
 overflow and invalid-value warnings off, since a trial they spoil is
-rejected as non-finite.  Every Trajectory carries
+rejected as non-finite; the right-hand sides here turn an overflowing
+``math.exp`` into inf for the same reason.  A run that uses up
+``max_steps`` trials raises StepBudgetError.  Every Trajectory carries
 IntegrationStats: accepted steps, rejections by cause, right-hand-side
 evaluations and the range of accepted step sizes, all deterministic.  The
 breakdown-parameter estimate for a terminated run is the last accepted time
@@ -61,9 +63,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .charts import ChartMetric, _constant_metric, _metric_jet
-from .errors import DomainError, NonTangentError, RhsDomainError, SingularMetricError
+from .errors import DomainError, NonTangentError, RhsDomainError, SingularMetricError, StepBudgetError
 from .spaces import (
     WarpedProductSpec,
+    _ConformalJet,
     busemann_warping,
     flat_torus,
     hyperbolic,
@@ -295,18 +298,19 @@ def _power_stack(gen: np.ndarray) -> tuple[np.ndarray, float]:
     return powers.reshape(8 * n, n), scale
 
 
-def _dp54_linear_step(W, hs):
+def _dp54_linear_step(W, hs, rows=None):
     """One DP5(4) trial step of y' = G y from W = [y, S y, ..., S^7 y],
     where hG = hs S (see _power_stack).
 
     The same tableau as _dp54_step, taken through its stability polynomials
     (_dp54_polynomials): returns (R(hG) y, E(hG) y) as two products of the
-    hs^m-scaled coefficient rows with W.  The sums run in another order than
-    the stage sums, so the two trials differ in the last bits.
+    hs^m-scaled coefficient rows with W, the rows scaled by one multiply
+    into ``rows`` (a (2, 8) buffer, or a new array if None).  The sums run
+    in another order than the stage sums, so the two trials differ in the
+    last bits.
     """
-    powers = hs ** _POWERS
-    R, E = _dp54_polynomials()
-    return (R * powers).dot(W), (E * powers).dot(W)
+    rows = np.multiply(_dp54_polynomials(), hs ** _POWERS, out=rows)
+    return rows[0].dot(W), rows[1].dot(W)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a trial spoilt by either is rejected as non-finite
@@ -322,6 +326,7 @@ def integrate(
     evaluation happens outside the retry loop, and a non-finite initial
     state or initial right-hand side raises DomainError, so genuinely bad
     initial data raises instead of producing a bogus underflow status.
+    More than ``max_steps`` trials raise StepBudgetError.
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -337,12 +342,16 @@ def integrate(
     k1 = np.asarray(rhs(t0, y), dtype=float)
     if not np.all(np.isfinite(k1)):
         raise DomainError(f"non-finite right-hand side at the initial state of {system.description!r}")
-    if system.matrix is None:
+    linear = system.matrix is not None
+    if not linear:
         K = np.empty((7, n))  # stage buffer, reused by every trial
         K[0] = k1
-    else:  # linear: W = [y, S y, ..., S^7 y], rebuilt once per accepted step
+    else:  # linear: W = [y, S y, ..., S^7 y], refilled once per accepted step
         P, scale = _power_stack(system.matrix)
-        W = (P @ y).reshape(8, n)
+        W = np.empty((8, n))
+        W_flat = W.reshape(8 * n)  # a view: np.dot writes W through it
+        np.dot(P, y, out=W_flat)
+        rows = np.empty((2, 8))  # the scaled R and E rows of each trial
 
     times = [t0]
     states = [y.copy()]
@@ -372,21 +381,25 @@ def integrate(
             ),
         )
 
-    atol, rtol, threshold = cfg.atol, cfg.rtol, cfg.blowup_threshold
-    abs_y = np.abs(y)
+    # tolerances as 0-d arrays: a ufunc takes them faster than Python floats
+    atol, rtol, threshold = np.array(cfg.atol), np.array(cfg.rtol), cfg.blowup_threshold
+    min_step, max_steps = cfg.min_step, cfg.max_steps
+    # |y|, |y_new| and the error-norm terms, in buffers reused by every trial
+    abs_y, abs_new, q = np.abs(y), np.empty(n), np.empty(n)
     t = t0
     h = min(cfg.initial_step, t1 - t0)
     attempts = 0
     while t < t1:
-        if t1 - t <= cfg.min_step:
+        if t1 - t <= min_step:
             return finish(COMPLETED, t)
         h = min(h, t1 - t)
-        if h < cfg.min_step:
+        if h < min_step:
             return finish(STEP_UNDERFLOW, t, h)
         attempts += 1
-        if attempts > cfg.max_steps:
-            raise RuntimeError(f"step budget exceeded integrating {system.description!r}")
-        if system.matrix is None:
+        if attempts > max_steps:
+            raise StepBudgetError(
+                f"step budget of {max_steps} trials exceeded at t = {t!r} integrating {system.description!r}")
+        if not linear:
             try:
                 y_new, err = _dp54_step(rhs, t, y, h, K)
             except _StageDomainError as exc:
@@ -395,7 +408,7 @@ def integrate(
                 h *= 0.5
                 continue
         else:
-            y_new, err = _dp54_linear_step(W, h * scale)
+            y_new, err = _dp54_linear_step(W, h * scale, rows)
         rhs_evals += 6  # the method's stage evaluations, on either trial route
         # |y_new|^2 (as np.linalg.norm forms it) is finite unless y_new holds
         # an inf or a NaN, or it overflows; only then is the elementwise test
@@ -405,9 +418,14 @@ def integrate(
             rejected_nonfinite += 1
             h *= 0.5
             continue
-        abs_new = np.abs(y_new)
-        q = err / (atol + rtol * np.maximum(abs_y, abs_new))
-        err_norm = math.sqrt(float(np.add.reduce(q * q)) / n)
+        # q = (err / (atol + rtol max(|y|, |y_new|)))^2, one operation at a time
+        np.abs(y_new, out=abs_new)
+        np.maximum(abs_y, abs_new, out=q)
+        np.multiply(q, rtol, out=q)
+        np.add(q, atol, out=q)
+        np.divide(err, q, out=q)
+        np.square(q, out=q)
+        err_norm = math.sqrt(float(np.add.reduce(q)) / n)
         if not math.isfinite(err_norm):
             rejected_nonfinite += 1
             h *= 0.5
@@ -419,11 +437,11 @@ def integrate(
             h *= factor
             continue
         t += h
-        y, abs_y = y_new, abs_new
-        if system.matrix is None:
+        y, abs_y, abs_new = y_new, abs_new, abs_y
+        if not linear:
             K[0] = K[6]  # FSAL: only after acceptance, since a rejected trial rewrites K[6]
         else:
-            W = (P @ y).reshape(8, n)
+            np.dot(P, y, out=W_flat)
         times.append(t)
         states.append(y)
         if h < h_min:
@@ -462,38 +480,50 @@ def _raise_index(g: np.ndarray, lowered: np.ndarray) -> np.ndarray:
         raise SingularMetricError(f"metric jet not invertible: {exc}") from exc
 
 
-def _inverse_memo() -> Callable[[np.ndarray], np.ndarray]:
-    """g -> g^{-1}, remembering the last g by its exact bytes: a jet that
-    returns one g everywhere (the conformal charts carry e^{2 phi} in the
-    scale) is inverted once, any other g afresh.  A singular g raises
-    SingularMetricError."""
-    key, inverse = None, None
+def _exp(x: float) -> float:
+    """math.exp, but an overflow gives inf: the trial it spoils is rejected
+    as non-finite."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
-    def inv(g):
-        nonlocal key, inverse
-        g_key = g.tobytes()
-        if g_key != key:
-            inverse, key = _raise_index(g, np.eye(len(g))), g_key
-        return inverse
 
-    return inv
+def _outside(chart: ChartMetric, x: np.ndarray) -> DomainError:
+    return DomainError(f"point {x.tolist()} outside domain of chart {chart.name!r}")
 
 
 def geodesic_rhs(chart: ChartMetric) -> ODESystem:
-    """State (x, v): x' = v, v'^i = -Gamma^i_{jk} v^j v^k.  Each call takes
-    one first-order metric jet, contracts it with v into the lowered form
+    """State (x, v): x' = v, v'^i = -Gamma^i_{jk} v^j v^k.
+
+    A built-in conformal chart, g = e^{2 phi} I with a _ConformalJet, takes
+    the closed form v' = |v|^2 d phi - 2 (d phi . v) v from one first-order
+    jet of phi (O'Neill, Semi-Riemannian Geometry, ch. 7).  Any other chart,
+    a negated or re-jetted conformal one included, takes one first-order
+    metric jet per call, contracts it with v into the lowered form
     Gamma_l(v, v) (_spray) and raises the index with one solve.  A point
     outside the domain raises RhsDomainError, a singular metric
     SingularMetricError."""
     n = chart.dim
+    if isinstance(chart.jet, _ConformalJet):
+        phi_jet, in_domain = chart.jet.phi_jet, chart.in_domain
 
-    def rhs(t, y):
-        x, v = y[:n], y[n:]
-        try:
-            _, g, dg = _metric_jet(chart, x[None], 1)
-        except DomainError as exc:
-            raise RhsDomainError(f"geodesic left the domain: {exc}") from exc
-        return np.concatenate((v, -_raise_index(g[0], _spray(dg[0], v))))
+        def rhs(t, y):
+            x, v = y[:n], y[n:]
+            if not in_domain(x):
+                raise RhsDomainError(f"geodesic left the domain: {_outside(chart, x)}")
+            dp = phi_jet(x[None], 1)[1][0]
+            return np.concatenate((v, v.dot(v) * dp - 2.0 * dp.dot(v) * v))
+
+    else:
+
+        def rhs(t, y):
+            x, v = y[:n], y[n:]
+            try:
+                _, g, dg = _metric_jet(chart, x[None], 1)
+            except DomainError as exc:
+                raise RhsDomainError(f"geodesic left the domain: {exc}") from exc
+            return np.concatenate((v, -_raise_index(g[0], _spray(dg[0], v))))
 
     return ODESystem(2 * n, rhs, f"geodesic on {chart.name}")
 
@@ -506,47 +536,69 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
 
     Solutions match geodesic_rhs on the assembled block metric; this route
     never touches the assembled chart, so the two are independent.  Each
-    call takes one first-order base jet and one warping jet (alpha with its
-    base partials), and contracts the jet with the velocity (_spray).  The
-    base force Gamma_B(v_b, v_b) + e^{2 alpha} g_F(v_f, v_f) d alpha / scale
-    is raised once with g_B^{-1}, kept from the previous call while g_B's
-    jet returns the same matrix (_inverse_memo).  A fiber whose metric_at
-    has no coordinate-dependent entry (_constant_metric) is evaluated once,
-    here: its metric stays in the closure, its Christoffel term is dropped,
-    and each call checks only its domain.  Any other fiber takes its own
-    jet per call.  Leaving either factor's domain raises RhsDomainError.
+    call takes one warping jet (alpha with its base partials).  A built-in
+    conformal base, g_B = e^{2 phi} I, takes one first-order jet of phi and
+    the closed form
+
+        b'' = |v_b|^2 d phi - 2 (d phi . v_b) v_b - e^{2 alpha - 2 phi} |v_f|^2_F d alpha,
+
+    with no metric jet and no solve.  Any other base takes one first-order
+    metric jet, contracts it with the velocity (_spray) and raises the force
+    Gamma_B(v_b, v_b) + e^{2 alpha} g_F(v_f, v_f) d alpha / scale with one
+    solve per call.  A fiber whose metric_at has no coordinate-dependent
+    entry (_constant_metric) is evaluated once, here: its metric stays in
+    the closure, its Christoffel term is dropped, and each call checks only
+    its domain.  Any other fiber takes its own jet per call.  Both choices
+    are made once per system.  Leaving either factor's domain raises
+    RhsDomainError; an e^{2 alpha} that overflows gives inf, so integrate
+    rejects the trial as non-finite.
     """
     if spec.kind not in ("plain", "warped"):
         raise DomainError("warped_geodesic_rhs needs a base-only warping")
     base, fiber = spec.base, spec.fiber
     db, df = base.dim, fiber.dim
     n = db + df
+    warped = spec.kind == "warped"
     g_fiber = _constant_metric(fiber)
-    base_inverse = _inverse_memo()
+    conformal = isinstance(base.jet, _ConformalJet)
+    phi_jet = base.jet.phi_jet if conformal else None
 
     def rhs(t, y):
         b, f = y[:db], y[db:n]
         vb, vf = y[n : n + db], y[n + db :]
         try:
-            scale_b, g_b, dg_b = _metric_jet(base, b[None], 1)
+            if not conformal:
+                scale_b, g_b, dg_b = _metric_jet(base, b[None], 1)
+            elif base.in_domain(b):
+                p, dp = phi_jet(b[None], 1)
+            else:
+                raise _outside(base, b)
             if g_fiber is None:
                 scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
             elif not fiber.in_domain(f):
-                raise DomainError(f"point {f.tolist()} outside domain of chart {fiber.name!r}")
+                raise _outside(fiber, f)
         except DomainError as exc:
             raise RhsDomainError(f"warped geodesic left the domain: {exc}") from exc
-        force = _spray(dg_b[0], vb)
         if g_fiber is None:
             acc_f = -_raise_index(g_f[0], _spray(dg_f[0], vf))
             scale_f, g_f = scale_f[0], g_f[0]
         else:
             acc_f, scale_f, g_f = np.zeros(df), 1.0, g_fiber
-        if spec.kind == "warped":
+        if warped:
             alpha, da = spec.alpha_base_jet(b, f)
             fiber_speed_sq = float(scale_f * vf.dot(g_f).dot(vf))
-            force += math.exp(2.0 * alpha) * fiber_speed_sq / scale_b[0] * da
             acc_f -= 2.0 * float(da.dot(vb)) * vf
-        return np.concatenate((y[n:], -base_inverse(g_b[0]).dot(force), acc_f))
+        if conformal:
+            dp = dp[0]
+            acc_b = vb.dot(vb) * dp - 2.0 * dp.dot(vb) * vb
+            if warped:
+                acc_b -= _exp(2.0 * (alpha - float(p[0]))) * fiber_speed_sq * da
+        else:
+            force = _spray(dg_b[0], vb)
+            if warped:
+                force += _exp(2.0 * alpha) * fiber_speed_sq / scale_b[0] * da
+            acc_b = -_raise_index(g_b[0], force)
+        return np.concatenate((y[n:], acc_b, acc_f))
 
     return ODESystem(2 * n, rhs, f"warped geodesic on {spec.base.name}x{spec.fiber.name}")
 

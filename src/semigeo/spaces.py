@@ -66,25 +66,36 @@ def _check_dim(atom: str, n: int, low: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _conformal_chart(dim, phi, phi_jet, in_domain, box, name) -> ChartMetric:
-    """Chart with metric e^{2 phi(x)} * I.  ``phi_jet(X, order)`` gives phi
-    and its partials at the rows of X in closed form; the jet is that of
-    ``_scaled_jet`` for g = I, with e^{2 phi} as its scale.  Without a
-    ``phi_jet`` the chart has no jet."""
+class _ConformalJet:
+    """The jet of e^{2 phi(x)} * I from ``phi_jet(X, order)``, which gives phi
+    and its partials at the rows of X in closed form: that of ``_scaled_jet``
+    for g = I, with e^{2 phi} as its scale.  A class, not a closure, so the
+    geodesic right-hand sides can recognise a conformal chart and take its
+    acceleration from phi_jet alone (O'Neill, Semi-Riemannian Geometry, ch. 7)."""
 
-    eye = np.eye(dim)
-    two_eye = 2.0 * eye
+    def __init__(self, dim, phi_jet):
+        self.phi_jet = phi_jet
+        self._eye = np.eye(dim)
+        self._two_eye = 2.0 * self._eye
 
-    def metric_at(x):
-        return np.exp(2.0 * phi(x)) * eye
-
-    def jet(X, order):
-        p, dp, *ddp = phi_jet(X, order)
-        out = (np.exp(2.0 * p), eye[None].repeat(len(X), 0), dp[:, :, None, None] * two_eye)
+    def __call__(self, X, order):
+        p, dp, *ddp = self.phi_jet(X, order)
+        two_eye = self._two_eye
+        out = (np.exp(2.0 * p), self._eye[None].repeat(len(X), 0), dp[:, :, None, None] * two_eye)
         if order == 2:
             hess = 2.0 * dp[:, :, None] * dp[:, None, :] + ddp[0]
             out += (hess[..., None, None] * two_eye,)
         return out
+
+
+def _conformal_chart(dim, phi, phi_jet, in_domain, box, name) -> ChartMetric:
+    """Chart with metric e^{2 phi(x)} * I, whose jet is a _ConformalJet of
+    ``phi_jet``; without a ``phi_jet`` the chart has no jet."""
+
+    eye = np.eye(dim)
+
+    def metric_at(x):
+        return np.exp(2.0 * phi(x)) * eye
 
     lo, hi = box
     return ChartMetric(
@@ -92,7 +103,7 @@ def _conformal_chart(dim, phi, phi_jet, in_domain, box, name) -> ChartMetric:
         signature=(dim, 0),
         metric_at=metric_at,
         in_domain=in_domain,
-        jet=jet if phi_jet else None,
+        jet=_ConformalJet(dim, phi_jet) if phi_jet else None,
         sample_box=(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
         name=name,
     )

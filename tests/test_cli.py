@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import semigeo as sg
-from semigeo import su21
+from semigeo import cli, su21
 from semigeo.cli import MAX_SAMPLES, _exact_pairs, _grid_count, main
 from semigeo.spaces import MAX_ATOM_DIM
 
@@ -539,6 +539,24 @@ class TestGeodesicCommand:
         assert done.stderr == done.stdout == ""
         digest = hashlib.sha256((tmp_path / "r.csv").read_bytes()).hexdigest()
         assert digest == "0507ce945135fceb3dbc4a831e64ec1858abf2ed3a9cf85844a5d08091d51ce6"
+
+    @pytest.mark.parametrize("mode", ["warped-lightlike", "warped-timelike"])
+    def test_warped_huge_k_ends_in_a_status(self, tmp_path, mode, capsys):
+        # e^{2 alpha} overflows near the singularity: the trial is rejected
+        # as non-finite, and the run ends with a status, not a traceback
+        out = tmp_path / "t.csv"
+        assert run(["geodesic", mode, "--k", "1e6", "--out", str(out)]) in (0, 2)
+        header = json.loads(out.read_text().split("\n", 1)[0].lstrip("# "))
+        assert header["status"] in ("blowup", "step_underflow")
+        assert capsys.readouterr().err == ""
+
+    def test_step_budget_exit_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_geo_config", lambda args: sg.IntegratorConfig(max_steps=100))
+        out = tmp_path / "r.csv"
+        assert run(["geodesic", "riccati", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("semigeo: error: step budget of 100 trials exceeded")
+        assert not out.exists()
 
     def test_nan_c2_exit_one(self, tmp_path):
         out = tmp_path / "t.csv"

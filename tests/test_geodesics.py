@@ -12,7 +12,7 @@ import pytest
 import semigeo as sg
 import semigeo.geodesics as geo
 from semigeo.charts import _constant_metric
-from semigeo.errors import DomainError, NonTangentError, RhsDomainError, SingularMetricError
+from semigeo.errors import DomainError, NonTangentError, RhsDomainError, SemigeoError, SingularMetricError
 
 
 class TestIntegrate:
@@ -76,6 +76,17 @@ class TestIntegrate:
         system = sg.ODESystem(1, lambda t, y: np.array([math.nan]), "nan field")
         with pytest.raises(DomainError):
             sg.integrate(system, [1.0], (0.0, 1.0))
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["stages", "linear"])
+    def test_step_budget_raises(self, linear):
+        # 25 trials cannot cover 50 units of a rotation: the 26th raises
+        gen = np.array([[0.0, -1.0], [1.0, 0.0]])
+        rot = sg.ODESystem.linear(gen, "rotation") if linear else sg.ODESystem(2, lambda t, y: gen @ y, "rotation")
+        with pytest.raises(sg.StepBudgetError, match="step budget of 25 trials") as caught:
+            sg.integrate(rot, [1.0, 0.0], (0.0, 50.0), sg.IntegratorConfig(max_steps=25))
+        assert isinstance(caught.value, SemigeoError)
+        traj = sg.integrate(rot, [1.0, 0.0], (0.0, 0.01), sg.IntegratorConfig(max_steps=25))
+        assert traj.status.kind == sg.COMPLETED
 
     @pytest.mark.parametrize("field", ["rtol", "atol"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
@@ -533,7 +544,7 @@ WARPED_RHS_SPECS = {
     ),
     # a fiber whose metric_at is not Taylor-evaluable takes its jet per call
     "math-fiber": lambda: sg.warped_product(sg.hyperbolic(2), _math_sphere(), sg.busemann_warping(1.0)),
-    # a base whose jet's g varies misses the inverse memo on every call
+    # a jet-less base takes the general route: one solve per call
     "varying-base": lambda: sg.warped_product(
         replace(sg.hyperbolic(2), jet=None), sg.flat_torus(2), sg.busemann_warping(1.0)
     ),
@@ -606,6 +617,92 @@ class TestConstantFiber:
             sg.warped_geodesic_rhs(sg.warped_product(base, sg.flat_torus(2), sg.busemann_warping(1.0))).rhs(0.0, y)
         with pytest.raises(SingularMetricError):
             sg.geodesic_rhs(base).rhs(0.0, y[[0, 1, 4, 5]])
+
+
+def _rejetted(chart):
+    # the same jet behind a plain function, which takes the general route
+    jet = chart.jet
+    return replace(chart, jet=lambda X, order: jet(X, order))
+
+
+CONFORMAL_CHARTS = {f"{b.__name__}({d})": (b, d) for b, dims in ((sg.hyperbolic, (2, 3, 4)), (sg.sphere, (2, 3)))
+                    for d in dims}
+
+
+def _random_states(rng, charts, count=50):
+    boxes = [chart.sample_box for chart in charts]
+    n = sum(chart.dim for chart in charts)
+    for _ in range(count):
+        yield np.concatenate([rng.uniform(lo, hi) for lo, hi in boxes] + [rng.standard_normal(n)])
+
+
+class TestConformalClosedForm:
+    # The built-in conformal charts take v' = |v|^2 d phi - 2 (d phi . v) v;
+    # the same jet behind a plain function takes _spray and a solve.
+    @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
+    def test_geodesic_rhs_matches_general_route(self, name):
+        builder, d = CONFORMAL_CHARTS[name]
+        chart = builder(d)
+        fast, general = sg.geodesic_rhs(chart).rhs, sg.geodesic_rhs(_rejetted(chart)).rhs
+        for y in _random_states(np.random.default_rng(22), [chart]):
+            got, want = fast(0.0, y), general(0.0, y)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["plain", "warped"])
+    @pytest.mark.parametrize("fiber", ["flat_torus(2)", "sphere(2)"])
+    @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
+    def test_warped_rhs_matches_general_route(self, name, fiber, kind):
+        builder, d = CONFORMAL_CHARTS[name]
+        base, fib = builder(d), sg.flat_torus(2) if fiber == "flat_torus(2)" else sg.sphere(2)
+        # alpha linear in the base coordinates: finite on every base box
+        warping = sg.Warping(value=lambda b, f: 0.4 * b[0] - 0.3 * b[-1])
+
+        def system(b):
+            spec = sg.plain_product(b, fib) if kind == "plain" else sg.warped_product(b, fib, warping)
+            return sg.warped_geodesic_rhs(spec).rhs
+
+        fast, general = system(base), system(_rejetted(base))
+        for y in _random_states(np.random.default_rng(23), [base, fib]):
+            got, want = fast(0.0, y), general(0.0, y)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_only_the_conformal_jet_takes_the_closed_form(self, monkeypatch):
+        calls = []
+
+        def counted(chart, X, order):
+            calls.append(chart.name)
+            return metric_jet(chart, X, order)
+
+        metric_jet = geo._metric_jet
+        monkeypatch.setattr(geo, "_metric_jet", counted)
+        hyp = sg.hyperbolic(2)
+        y = np.array([0.1, 1.2, 0.3, -0.4])
+        want = sg.geodesic_rhs(hyp).rhs(0.0, y)
+        assert calls == []
+        for chart in (sg.negate(hyp), replace(hyp, jet=None), _rejetted(hyp)):
+            got = sg.geodesic_rhs(chart).rhs(0.0, y)
+            assert calls.pop() == chart.name and calls == []
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        spec = sg.incompleteness_space(2, 2, 1.0)
+        sg.warped_geodesic_rhs(spec).rhs(0.0, np.array([0.1, 1.2, 0.3, 0.4, 0.2, 0.5, 0.6, -0.1]))
+        assert calls == []
+
+    @pytest.mark.parametrize("warped", [False, True])
+    def test_closed_form_leaves_the_domain(self, warped):
+        if warped:
+            rhs = sg.warped_geodesic_rhs(sg.incompleteness_space(2, 2, 1.0)).rhs
+            y = np.array([0.0, -1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+        else:
+            rhs, y = sg.geodesic_rhs(sg.hyperbolic(2)).rhs, np.array([0.0, -1.0, 0.0, 1.0])
+        with pytest.raises(RhsDomainError, match="outside domain of chart 'hyperbolic\\(2\\)'"):
+            rhs(0.0, y)
+
+    def test_overflowing_warp_is_infinite(self):
+        # e^{2 alpha - 2 phi} = y^{2 (sqrt(k) + 1)} overflows at k = 1e6, y = 2
+        rhs = sg.warped_geodesic_rhs(sg.incompleteness_space(2, 2, 1e6)).rhs
+        with np.errstate(invalid="ignore"):  # inf * 0 in d alpha's zero entry, as inside integrate
+            out = rhs(0.0, np.array([0.0, 2.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
+        assert not np.isfinite(out).all()
 
 
 class TestWarpedRunCounts:
