@@ -114,14 +114,16 @@ class _Taylor:
     a function of d coordinates at N points, carried exactly by second-order
     forward-mode arithmetic (Griewank and Walther, Evaluating Derivatives,
     2nd ed., ch. 13).  numpy's ufuncs call ``exp`` ... ``cos`` on object
-    arrays; an array operand is left to numpy, which applies it entrywise."""
+    arrays; an array operand is left to numpy, which applies it entrywise.
+    Each symmetric term (g_k g_l, gg + gg^T) is formed before it is scaled or
+    added, so every Hessian is exactly symmetric."""
 
     def __init__(self, v, g, h):
         self.v, self.g, self.h = v, g, h
 
     def _chain(self, f0, f1, f2):  # f(self), given f, f' and f'' at v
         g = self.g
-        return _Taylor(f0, f1[:, None] * g, f1[:, None, None] * self.h + f2[:, None, None] * g[:, :, None] * g[:, None])
+        return _Taylor(f0, f1[:, None] * g, f1[:, None, None] * self.h + f2[:, None, None] * (g[:, :, None] * g[:, None]))
 
     def __add__(self, o):
         if isinstance(o, _Taylor):
@@ -132,7 +134,7 @@ class _Taylor:
         if not isinstance(o, _Taylor):
             return _Taylor(self.v * o, self.g * o, self.h * o) if np.isscalar(o) else NotImplemented
         v, w, gg = self.v[:, None], o.v[:, None], self.g[:, :, None] * o.g[:, None]
-        h = v[..., None] * o.h + w[..., None] * self.h + gg + gg.transpose(0, 2, 1)
+        h = v[..., None] * o.h + w[..., None] * self.h + (gg + gg.transpose(0, 2, 1))
         return _Taylor(self.v * o.v, v * o.g + w * self.g, h)
 
     def __pow__(self, p):  # a constant exponent

@@ -67,6 +67,7 @@ from .errors import DomainError, NonTangentError, RhsDomainError, SingularMetric
 from .spaces import (
     WarpedProductSpec,
     _ConformalJet,
+    _exp,
     busemann_warping,
     flat_torus,
     hyperbolic,
@@ -480,15 +481,6 @@ def _raise_index(g: np.ndarray, lowered: np.ndarray) -> np.ndarray:
         raise SingularMetricError(f"metric jet not invertible: {exc}") from exc
 
 
-def _exp(x: float) -> float:
-    """math.exp, but an overflow gives inf: the trial it spoils is rejected
-    as non-finite."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _outside(chart: ChartMetric, x: np.ndarray) -> DomainError:
     return DomainError(f"point {x.tolist()} outside domain of chart {chart.name!r}")
 
@@ -900,16 +892,18 @@ def parallel_transport(
 
 def horizontality_check(spec: WarpedProductSpec, trajectory: Trajectory) -> float:
     """Max fiber-block velocity norm (in the e^{2 alpha} g_F metric) along a
-    geodesic of the assembled product; near zero for horizontal launches."""
+    geodesic of the assembled product; near zero for horizontal launches.
+    A non-finite norm (an overflowing e^{2 alpha}) is the result, never
+    dropped as if the state were horizontal."""
     db, df = spec.base.dim, spec.fiber.dim
     n = db + df
-    worst = 0.0
+    norms = [0.0]
     for state in trajectory.states:
         b, f = state[:db], state[db:n]
         vf = state[n + db :]
-        gfib = math.exp(2.0 * spec.alpha(b, f)) * spec.fiber.metric_at(f)
-        worst = max(worst, math.sqrt(max(float(vf @ gfib @ vf), 0.0)))
-    return worst
+        gfib = _exp(2.0 * spec.alpha(b, f)) * spec.fiber.metric_at(f)
+        norms.append(math.sqrt(max(float(vf @ gfib @ vf), 0.0)))
+    return float(np.max(norms))  # unlike Python's max, np.max keeps a NaN
 
 
 # ---------------------------------------------------------------------------

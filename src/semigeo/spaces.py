@@ -35,7 +35,7 @@ verifies exactly that, as the area-weighted sampled check R >= k on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,6 +61,15 @@ def _check_dim(atom: str, n: int, low: int) -> None:
         raise UnsupportedSpaceError(f"{atom}: dimension must be in [{low}, {MAX_ATOM_DIM}], got {n}")
 
 
+def _exp(x: float) -> float:
+    """math.exp, but an overflow gives inf, so an overflowing e^{2 alpha}
+    yields a non-finite result instead of an OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 # ---------------------------------------------------------------------------
 # Elementary charts
 # ---------------------------------------------------------------------------
@@ -68,8 +77,10 @@ def _check_dim(atom: str, n: int, low: int) -> None:
 
 class _ConformalJet:
     """The jet of e^{2 phi(x)} * I from ``phi_jet(X, order)``, which gives phi
-    and its partials at the rows of X in closed form: that of ``_scaled_jet``
-    for g = I, with e^{2 phi} as its scale.  A class, not a closure, so the
+    and its partials at the rows of X in closed form: e^{2 phi} is the scale,
+    g = I, dg = 2 d phi I and ddg = (4 d phi d phi + 2 dd phi) I.  The jet
+    stays finite where e^{2 phi} times its derivatives would overflow, and it
+    is the one-point fast path of the atom charts.  A class, not a closure, so the
     geodesic right-hand sides can recognise a conformal chart and take its
     acceleration from phi_jet alone (O'Neill, Semi-Riemannian Geometry, ch. 7)."""
 
@@ -244,25 +255,21 @@ def busemann_field(l: int) -> BusemannField:
 class Warping:
     """Scale function alpha(b, f) of a product's fiber block.
 
-    ``jet(b, f, order)``, when given, evaluates alpha at the rows of the
-    ``(N, dim B)`` and ``(N, dim F)`` arrays with its first (and second)
-    partials in the product coordinates (b, f): ``(a, da)`` or
-    ``(a, da, dda)``.  Warped-case warpings simply ignore the fiber
-    argument.  A warping without a jet gives a product chart without one,
-    and its ``value`` must follow the ``metric_at`` rules of ``ChartMetric``.
+    ``value`` enters the assembled ``metric_at``, whose Taylor jet gives the
+    product's derivatives, so it must follow the ``metric_at`` rules of
+    ``ChartMetric``.  ``jet(b, f)``, when given, returns alpha and
+    d alpha / d b at one point: the warped geodesic right-hand side calls it
+    once per evaluation (``WarpedProductSpec.alpha_base_jet``), and without
+    it takes the Taylor jet of ``value`` there instead.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]
-    jet: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, ...]] | None = None
+    jet: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]] | None = None
     description: str = ""
 
 
 def constant_warping(c: float) -> Warping:
-    def jet(b, f, order):
-        n, d = len(b), b.shape[1] + f.shape[1]
-        return (np.full(n, float(c)), np.zeros((n, d)), np.zeros((n, d, d)))[: order + 1]
-
-    return Warping(value=lambda b, f: float(c), jet=jet, description=f"{c}")
+    return Warping(value=lambda b, f: float(c), jet=lambda b, f: (float(c), np.zeros(len(b))), description=f"{c}")
 
 
 def busemann_warping(scale: float) -> Warping:
@@ -271,15 +278,10 @@ def busemann_warping(scale: float) -> Warping:
     def value(b, f):
         return scale * np.log(b[-1])
 
-    def jet(b, f, order):
-        y, l = b[:, -1], b.shape[1] - 1
-        d = np.zeros((len(b), b.shape[1] + f.shape[1]))
-        d[:, l] = scale / y
-        if order == 1:
-            return scale * np.log(y), d
-        dd = np.zeros(d.shape + d.shape[1:])
-        dd[:, l, l] = -scale / (y * y)
-        return scale * np.log(y), d, dd
+    def jet(b, f):
+        d = np.zeros(len(b))
+        d[-1] = scale / b[-1]
+        return value(b, f), d
 
     return Warping(value=value, jet=jet, description=f"{scale}*busemann")
 
@@ -311,14 +313,12 @@ class WarpedProductSpec:
         return self.warping.value(b, f)
 
     def alpha_base_jet(self, b: np.ndarray, f: np.ndarray) -> tuple[float, np.ndarray]:
-        """alpha and d alpha / d b from one evaluation of the warping's jet, or
-        else of the Taylor jet of its value."""
-        db = self.base.dim
+        """alpha and d alpha / d b at one point: the warping's own jet, or
+        else the Taylor jet of its value."""
         if self.warping.jet is not None:
-            a, da = self.warping.jet(b[None], f[None], 1)
-        else:
-            value = self.warping.value
-            a, da, _ = _taylor(lambda x: value(x[:db], x[db:]), np.concatenate([b, f])[None], "warping value")
+            return self.warping.jet(b, f)
+        db, value = self.base.dim, self.warping.value
+        a, da, _ = _taylor(lambda x: value(x[:db], x[db:]), np.concatenate([b, f])[None], "warping value")
         return float(a[0]), da[0, :db]
 
     def alpha_base_partials(self, b: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -349,50 +349,16 @@ def twisted_product(base: ChartMetric, fiber: ChartMetric, warping: Warping) -> 
     return WarpedProductSpec(base, fiber, warping, "twisted")
 
 
-def _scaled_jet(alpha, jet):
-    """Jet of e^{2 alpha} times a metric.
-
-    ``alpha`` is (a, da[, dda]) and ``jet`` is (scale, g, dg[, ddg]), both in
-    the same derivative coordinates.  The factor e^{2 a} joins the scale, and
-    the product rule gives dg + 2 da g and
-    ddg + 2 (da dg + dg da) + (4 da da + 2 dda) g.
-    """
-    a, da, *dda = alpha
-    scale, g, dg, *ddg = jet
-    out = (scale * np.exp(2.0 * a), g, dg + 2.0 * da[:, :, None, None] * g[:, None])
-    if ddg:
-        cross = da[:, :, None, None, None] * dg[:, None]  # da_k dg_l
-        hess = 4.0 * da[:, :, None] * da[:, None, :] + 2.0 * dda[0]
-        out += (
-            ddg[0]
-            + 2.0 * (cross + cross.transpose(0, 2, 1, 3, 4))
-            + hess[..., None, None] * g[:, None, None],
-        )
-    return out
-
-
-def _embed(jet, start, d):
-    """The fiber's metric jet with scale 1 and its derivative axes zero-padded
-    to the d product coordinates, its own from ``start`` to d; metric axes unpadded."""
-    scale, *parts = jet
-    out = (np.ones(len(scale)),)
-    for rank, part in enumerate(parts):
-        full = np.zeros((len(scale),) + (d,) * rank + part.shape[-2:])
-        full[(slice(None),) + (slice(start, d),) * rank] = scale.reshape((-1,) + (1,) * (rank + 2)) * part
-        out += (full,)
-    return out
-
-
 def assemble(spec: WarpedProductSpec) -> ChartMetric:
-    """The block-diagonal chart diag(-g_B, e^{2 alpha} g_F).
+    """The block-diagonal chart diag(-g_B, e^{2 alpha} g_F), for plain,
+    warped and twisted products alike.
 
-    Its jet comes from the factor and warping jets by one formula for plain,
-    warped and twisted products, each block computed at its own shape and
-    written once into zeros: -g_B on the base derivative axes, and on all d of
-    them e^{2 alpha} g_F by the product rule (O'Neill, Semi-Riemannian
-    Geometry, ch. 7).  The chart has no jet when a factor or the warping lacks one.
+    The chart has no jet: its derivatives are the Taylor jet of ``metric_at``
+    (``charts._metric_jet``), so the factors' ``metric_at`` and the warping's
+    ``value`` must follow the ``metric_at`` rules of ``ChartMetric``.  The
+    mixed base-fiber blocks are constant zeros and get exact zero derivatives.
     """
-    base, fiber, warping = spec.base, spec.fiber, spec.warping
+    base, fiber = spec.base, spec.fiber
     db, df = base.dim, fiber.dim
     d = db + df
 
@@ -404,18 +370,6 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
     def in_domain(xy):
         return base.in_domain(xy[:db]) and fiber.in_domain(xy[db:])
 
-    def jet(X, order):
-        b, f = X[:, :db], X[:, db:]
-        scale, *base_parts = base.jet(b, order)
-        w, *fiber_parts = _scaled_jet(warping.jet(b, f, order), _embed(fiber.jet(f, order), db, d))
-        out = [np.zeros((len(X),) + (d,) * (q.ndim - 1)) for q in base_parts]
-        for full, p, q in zip(out, fiber_parts, base_parts):
-            col = (-1,) + (1,) * (q.ndim - 1)
-            full[(slice(None),) + (slice(db),) * (q.ndim - 1)] = -(scale.reshape(col) * q)
-            full[..., db:, db:] = w.reshape(col) * p
-        return (np.ones(len(X)), *out)
-
-    has_jet = None not in (base.jet, fiber.jet, warping.jet)
     lo = np.concatenate([base.sample_box[0], fiber.sample_box[0]])
     hi = np.concatenate([base.sample_box[1], fiber.sample_box[1]])
     tag = {"plain": "x", "warped": "x_w", "twisted": "x_t"}[spec.kind]
@@ -424,7 +378,6 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
         signature=(df, db),
         metric_at=metric_at,
         in_domain=in_domain,
-        jet=jet if has_jet else None,
         sample_box=(lo, hi),
         name=f"-{base.name} {tag} {fiber.name}",
     )
@@ -472,45 +425,47 @@ class VerticalPair:
 def oneill_T(spec: WarpedProductSpec, pair: VerticalPair, mode: str = "closed_form") -> np.ndarray:
     """Second fundamental form T_U V of the fiber, as a base-direction vector.
 
-    closed_form evaluates e^{2 alpha} g_F(U, V) grad_B alpha; numeric computes
-    the horizontal part of the connection applied to the vertical lifts using
-    Christoffels of the assembled ``metric_at`` by Taylor arithmetic, not the
-    factor jets, so the two modes are independent routes to the same tensor.
+    closed_form evaluates e^{2 alpha} g_F(U, V) grad_B alpha from the
+    warping's base partials; numeric computes the horizontal part of the
+    connection applied to the vertical lifts using Christoffels of the
+    assembled chart, the Taylor jet of its ``metric_at``.  Both refuse a
+    point outside the domain with DomainError, and an e^{2 alpha} that
+    overflows gives a non-finite result in both.
     """
-    b, f = spec.split(np.asarray(pair.point, dtype=float))
+    point = np.asarray(pair.point, dtype=float)
+    b, f = spec.split(point)
     if mode == "closed_form":
+        if not (spec.base.in_domain(b) and spec.fiber.in_domain(f)):
+            raise DomainError(f"point {point.tolist()} outside domain of {spec.base.name} x {spec.fiber.name}")
         gf = spec.fiber.metric_at(f)
-        coeff = math.exp(2.0 * spec.alpha(b, f)) * float(pair.U @ gf @ pair.V)
+        coeff = _exp(2.0 * spec.alpha(b, f)) * float(pair.U @ gf @ pair.V)
         return coeff * spec.alpha_base_gradient(b, f)
     if mode == "numeric":
-        chart = replace(assemble(spec), jet=None)
-        gamma = christoffel(chart, np.asarray(pair.point, dtype=float))
+        gamma = christoffel(assemble(spec), point)
         db = spec.base.dim
         return np.einsum("auv,u,v->a", gamma[:db, db:, db:], pair.U, pair.V)
     raise ValueError(f"unknown oneill_T mode {mode!r}")
 
 
 def fiber_chart_at(spec: WarpedProductSpec, b: np.ndarray) -> ChartMetric:
-    """The fiber through base point b with its induced metric e^{2 alpha} g_F."""
+    """The fiber through base point b with its induced metric e^{2 alpha} g_F.
+
+    Like ``assemble``, the chart has no jet: its derivatives are the Taylor
+    jet of ``metric_at``.  A base point outside the base's domain raises
+    DomainError."""
     fiber = spec.fiber
     b = np.asarray(b, dtype=float)
-    db = len(b)
+    if not spec.base.in_domain(b):
+        raise DomainError(f"base point {b.tolist()} outside domain of chart {spec.base.name!r}")
 
     def metric_at(f):
         return np.exp(2.0 * spec.alpha(b, f)) * fiber.metric_at(f)
-
-    def jet(F, order):
-        # alpha's jet is taken in the product coordinates; keep its fiber part
-        alpha = spec.warping.jet(np.broadcast_to(b, (len(F), db)), F, order)
-        fiber_part = (alpha[0], alpha[1][:, db:]) + tuple(dda[:, db:, db:] for dda in alpha[2:])
-        return _scaled_jet(fiber_part, fiber.jet(F, order))
 
     return ChartMetric(
         dim=fiber.dim,
         signature=fiber.signature,
         metric_at=metric_at,
         in_domain=fiber.in_domain,
-        jet=jet if None not in (fiber.jet, spec.warping.jet) else None,
         sample_box=fiber.sample_box,
         name=f"fiber_at({fiber.name})",
     )
@@ -566,7 +521,7 @@ def oneill_relation_check(
         # Horizontal vectors carry the ambient sign: g(H, H') = -g_B(H, H').
         g_tvv_tww = -float(tvv @ gb @ tww)
         g_tvw_tvw = -float(tvw @ gb @ tvw)
-        gfib = math.exp(2.0 * spec.alpha(b, f)) * spec.fiber.metric_at(f)
+        gfib = _exp(2.0 * spec.alpha(b, f)) * spec.fiber.metric_at(f)
         area = area_form(gfib, uf, vf)
         if abs(area) <= 1e-12:
             raise DegeneratePlaneError("vertical pair spans a degenerate plane")

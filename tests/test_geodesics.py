@@ -924,6 +924,16 @@ class TestHorizontality:
         traj = sg.integrate(sg.geodesic_rhs(chart), y0, (0.0, 1.0))
         assert sg.horizontality_check(spec, traj) > 0.1
 
+    @pytest.mark.parametrize("vf", [[0.0, 0.0], [0.4, 0.1]])
+    def test_overflowing_warping_is_not_finite(self, vf):
+        # e^{2 * 400} overflows: no OverflowError, and a NaN fiber norm is
+        # not read as horizontal
+        spec = sg.warped_product(sg.hyperbolic(2), sg.flat_torus(2), sg.constant_warping(400.0))
+        states = np.array([[0.0, 1.0, 0.5, 0.5, 0.3, 0.4] + vf] * 2)
+        traj = sg.Trajectory(np.array([0.0, 1.0]), states, sg.TrajectoryStatus(sg.COMPLETED))
+        with np.errstate(invalid="ignore"):
+            assert not math.isfinite(sg.horizontality_check(spec, traj))
+
 
 class TestRiccati:
     def test_tanh_oracle(self):

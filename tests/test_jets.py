@@ -1,7 +1,8 @@
 """Metric jets and curvature against a symbolic oracle (sympy, test-only).
 
-Each chart's ``jet`` is compared with sympy derivatives of the same metric
-written out by hand, and ``riemann`` with the symbolic Riemann tensor in the
+Each chart's metric jet (``charts._metric_jet``: its own ``jet``, or the
+Taylor jet of ``metric_at`` for the jet-less product and fiber charts) is
+compared with sympy derivatives of the same metric written out by hand, and ``riemann`` with the symbolic Riemann tensor in the
 ``charts`` convention R^i_{jkl} = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj
 - G^i_lm G^m_kj, and ``riemann_lowered`` with the symbolic g_im R^m_{jkl}.
 """
@@ -99,13 +100,13 @@ def test_jet_matches_symbolic_derivatives(name):
     chart, metric = CASES[name]
     exact = _symbolic_jet(metric, chart.dim)
     pts = _points(chart)
-    scale, *parts = chart.jet(pts, 2)
+    scale, *parts = charts._metric_jet(chart, pts, 2)
     for order, fn in enumerate(exact):
         want = np.array([np.array(fn(*x), dtype=float) for x in pts])
         got = scale.reshape((-1,) + (1,) * (parts[order].ndim - 1)) * parts[order]
         _assert_close(got, want)
     # the order-1 jet is the head of the order-2 jet
-    for a, b in zip(chart.jet(pts, 1), (scale, *parts)):
+    for a, b in zip(charts._metric_jet(chart, pts, 1), (scale, *parts)):
         assert np.array_equal(a, b)
 
 

@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["certify", "algebra"])
+@pytest.mark.parametrize("workload", ["certify", "algebra", "flow"])
 def test_traced_run_exits_zero_and_correct(workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",

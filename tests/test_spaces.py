@@ -8,26 +8,14 @@ import numpy as np
 import pytest
 
 import semigeo as sg
-from semigeo import spaces
-from semigeo.errors import SingularMetricError, UnsupportedSpaceError
+from semigeo import charts
+from semigeo.errors import DomainError, SingularMetricError, UnsupportedSpaceError
 from semigeo.spaces import MAX_ATOM_DIM
 
 
 def _twist_warping(c=0.1):
-    """alpha(b, f) = c sin(f_0) b_l with its jet, which depends on the fiber."""
-
-    def jet(b, f, order):
-        db, y, s, co = b.shape[1], b[:, -1], np.sin(f[:, 0]), np.cos(f[:, 0])
-        da = np.zeros((len(b), db + f.shape[1]))
-        da[:, db - 1], da[:, db] = c * s, c * co * y
-        if order == 1:
-            return c * s * y, da
-        dda = np.zeros(da.shape + da.shape[1:])
-        dda[:, db - 1, db] = dda[:, db, db - 1] = c * co
-        dda[:, db, db] = -c * s * y
-        return c * s * y, da, dda
-
-    return sg.Warping(value=lambda b, f: c * np.sin(f[0]) * b[-1], jet=jet, description="twist")
+    """alpha(b, f) = c sin(f_0) b_l, which depends on the fiber."""
+    return sg.Warping(value=lambda b, f: c * np.sin(f[0]) * b[-1], description="twist")
 
 
 TWISTED = sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), _twist_warping())
@@ -159,10 +147,23 @@ class TestAssembledStructure:
         assert report.min_margin >= -1e-9
 
 
+def _scaled(alpha, jet):
+    # e^{2 a} times a metric jet by the product rule: the factor joins the
+    # scale, dg + 2 da g and ddg + 2 (da dg + dg da) + (4 da da + 2 dda) g
+    a, da, dda = alpha
+    scale, g, dg, ddg = jet
+    cross = da[:, :, None, None, None] * dg[:, None]  # da_k dg_l
+    hess = 4.0 * da[:, :, None] * da[:, None, :] + 2.0 * dda
+    return (scale * np.exp(2.0 * a), g, dg + 2.0 * da[:, :, None, None] * g[:, None],
+            ddg + 2.0 * (cross + cross.transpose(0, 2, 1, 3, 4)) + hess[..., None, None] * g[:, None, None])
+
+
 def _reference_jet(spec, X, order):
-    # The dense assembly the block-structured jet replaced: both factor jets
+    # An independent route to the product chart's jet: the factors' own jets
     # zero-padded to (n, d, ..., d) with their scales folded in, the fiber's
-    # scaled by e^{2 alpha} over all d coordinates, then w * p - q.
+    # scaled by e^{2 alpha} over all d coordinates by the product rule (alpha
+    # and its partials from Taylor arithmetic on the warping value alone),
+    # then w * p - q.
     db, d = spec.base.dim, spec.base.dim + spec.fiber.dim
 
     def embed(jet, start):
@@ -176,11 +177,16 @@ def _reference_jet(spec, X, order):
         return out
 
     b, f = X[:, :db], X[:, db:]
-    _, *base_parts = embed(spec.base.jet(b, order), 0)
-    w, *fiber_parts = spaces._scaled_jet(spec.warping.jet(b, f, order), embed(spec.fiber.jet(f, order), db))
-    return (np.ones(len(X)),) + tuple(
-        w.reshape((-1,) + (1,) * (p.ndim - 1)) * p - q for p, q in zip(fiber_parts, base_parts)
-    )
+    value = spec.warping.value
+    alpha = charts._taylor(lambda x: value(x[:db], x[db:]), X, "warping value")
+    _, *base_parts = embed(spec.base.jet(b, 2), 0)
+    w, *fiber_parts = _scaled(alpha, embed(spec.fiber.jet(f, 2), db))
+    parts = tuple(w.reshape((-1,) + (1,) * (p.ndim - 1)) * p - q for p, q in zip(fiber_parts, base_parts))
+    return (np.ones(len(X)),) + parts[: order + 1]
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 JET_SPECS = {
@@ -195,32 +201,37 @@ def _jet_points(chart, n=64, seed=0):
 
 
 class TestAssembledJet:
+    # The product and fiber charts have no jet of their own: their Taylor
+    # jet against the product-rule assembly of the factor jets.
     @pytest.mark.parametrize("name", list(JET_SPECS))
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_dense_reference(self, name, order):
         spec = JET_SPECS[name]
         chart = sg.assemble(spec)
+        assert chart.jet is None
         X = _jet_points(chart)
         want = _reference_jet(spec, X, order)
-        for sign, got in ((1.0, chart.jet(X, order)), (-1.0, sg.negate(chart).jet(X, order))):
-            assert np.array_equal(got[0], sign * want[0])
-            assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:], strict=True))
+        for sign, c in ((1.0, chart), (-1.0, sg.negate(chart))):
+            got = charts._metric_jet(c, X, order)
+            assert len(got) == len(want) and np.array_equal(got[0], want[0])
+            for a, b in zip(got[1:], want[1:]):
+                _assert_close(a, sign * b)
 
     @pytest.mark.parametrize("name", ["warped", "twisted"])
     @pytest.mark.parametrize("order", [1, 2])
     def test_fiber_chart_matches_dense_fiber_block(self, name, order):
-        # With a flat fiber (scale 1) both routes multiply the same product-rule
-        # terms by e^{2 alpha}, so the fiber slab agrees bit for bit.
         spec = JET_SPECS[name]
         db = spec.base.dim
         X = _jet_points(sg.assemble(spec), n=16)
         for x in X:
             F = np.broadcast_to(x[db:], (3, spec.fiber.dim)) + np.arange(3)[:, None] * 0.25
-            scale, *parts = sg.fiber_chart_at(spec, x[:db]).jet(F, order)
+            fiber = sg.fiber_chart_at(spec, x[:db])
+            assert fiber.jet is None
+            scale, *parts = charts._metric_jet(fiber, F, order)
             _, *want = _reference_jet(spec, np.hstack([np.broadcast_to(x[:db], (3, db)), F]), order)
-            for rank, (part, full) in enumerate(zip(parts, want)):
-                slab = full[(slice(None),) + (slice(db, None),) * (rank + 2)]
-                assert np.array_equal(scale.reshape((-1,) + (1,) * (rank + 2)) * part, slab)
+            for rank, (part, full) in enumerate(zip(parts, want, strict=True)):
+                _assert_close(scale.reshape((-1,) + (1,) * (rank + 2)) * part,
+                              full[(slice(None),) + (slice(db, None),) * (rank + 2)])
 
 
 JET_CHARTS = {
@@ -240,7 +251,7 @@ class TestJetContract:
     @pytest.mark.parametrize("order", [1, 2])
     def test_shapes_symmetry_and_blocks(self, name, order):
         chart, n, d = JET_CHARTS[name], 16, JET_CHARTS[name].dim
-        parts = chart.jet(_jet_points(chart, n), order)
+        parts = charts._metric_jet(chart, _jet_points(chart, n), order)
         assert [p.shape for p in parts] == [(n,)] + [(n,) + (d,) * r for r in range(2, order + 3)]
         assert all(np.array_equal(p, p.swapaxes(-1, -2)) for p in parts[1:])
         if order == 2:
@@ -250,13 +261,14 @@ class TestJetContract:
             assert all(np.all(p[..., :db, db:] == 0.0) for p in parts[1:])
 
     def test_overflowing_warping_fails_the_check(self):
-        # e^{2 * 400} overflows: the fiber block is inf/NaN, so the sampled
-        # check must fail on a non-finite margin.  The base block stays -g_B.
+        # e^{2 * 400} overflows: the fiber block of the Taylor jet is inf/NaN,
+        # so the sampled check must fail on a non-finite margin.  The base
+        # block stays -g_B.
         spec = sg.WarpedProductSpec(sg.hyperbolic(2), sg.sphere(2), sg.constant_warping(400.0), "warped")
         chart = sg.assemble(spec)
         X = _jet_points(chart, 8)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, g, _ = chart.jet(X, 1)
+            _, g, _ = charts._metric_jet(chart, X, 1)
             report = sg.check_r_ge_k(chart, 1.0, 20, seed=0)
         assert not np.all(np.isfinite(g[:, 2:, 2:]))
         assert np.array_equal(g[:, :2, :2], -sg.hyperbolic(2).jet(X[:, :2], 1)[0][:, None, None] * np.eye(2))
@@ -302,6 +314,32 @@ class TestOneillT:
         with pytest.raises(SingularMetricError):
             sg.oneill_T(spec, pair)
 
+    @pytest.mark.parametrize("mode", ["closed_form", "numeric"])
+    def test_point_outside_the_base_domain_is_refused(self, mode):
+        # b = (0, -1) is below the upper half-plane; the closed form used to
+        # return [nan, nan] there
+        spec = sg.incompleteness_space(2, 2, 1.0)
+        pair = sg.VerticalPair(np.array([0.0, -1.0, 0.5, 0.5]), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            sg.oneill_T(spec, pair, mode)
+
+    @pytest.mark.parametrize("mode", ["closed_form", "numeric"])
+    def test_overflowing_warping_is_not_finite(self, mode):
+        # e^{2 * 400} overflows: no OverflowError, and no finite tensor
+        spec = sg.warped_product(sg.hyperbolic(2), sg.sphere(2), sg.constant_warping(400.0))
+        pair = sg.VerticalPair(np.array([0.1, 1.2, 0.3, -0.4]), np.array([1.0, 0.2]), np.array([0.3, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = sg.oneill_T(spec, pair, mode)
+        assert not np.isfinite(out).all()
+
+
+class TestFiberChart:
+    def test_base_point_outside_the_domain_is_refused(self):
+        # it used to build an all-NaN metric whose sectional curvature was nan
+        spec = sg.incompleteness_space(2, 2, 1.0)
+        with pytest.raises(DomainError, match="hyperbolic"):
+            sg.fiber_chart_at(spec, np.array([0.0, -1.0]))
+
 
 class TestOneillRelations:
     PRODUCT = sg.plain_product(sg.hyperbolic(2), sg.sphere(2))
@@ -318,6 +356,13 @@ class TestOneillRelations:
         pt = np.array([0.3, 1.2, 1.0, 2.0])
         for seed in range(5):
             assert sg.oneill_relation_check(self.WARPED, pt, kind, seed=seed) <= 1e-5
+
+    def test_overflowing_warping_vertical_residual_is_not_finite(self):
+        spec = sg.warped_product(sg.hyperbolic(2), sg.sphere(2), sg.constant_warping(400.0))
+        pt = np.array([0.3, 1.2, 0.4, -0.2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = sg.oneill_relation_check(spec, pt, "vertical", seed=0)
+        assert not math.isfinite(residual)
 
     def test_fiber_curvature_nonnegative(self):
         # Vertical planes of both model spaces have curvature >= 0.
