@@ -36,7 +36,11 @@ finite time terminate with ``step_underflow`` rather than an exception, and
 no step with a NaN error estimate is accepted.  integrate runs with numpy's
 overflow and invalid-value warnings off, since a trial they spoil is
 rejected as non-finite; the right-hand sides here turn an overflowing
-``math.exp`` into inf for the same reason.  A run that uses up
+``math.exp`` into inf for the same reason.  The geodesic right-hand sides
+evaluate one point per call: on the built-in conformal charts they convert
+the state to Python floats once and take the closed-form spray there
+(``_ConformalJet.phi_point``), since numpy's per-call cost dominates arrays
+of two to eight entries; every right-hand side returns one float64 array.  A run that uses up
 ``max_steps`` trials raises StepBudgetError.  Every Trajectory carries
 IntegrationStats: accepted steps, rejections by cause, right-hand-side
 evaluations and the range of accepted step sizes, all deterministic.  The
@@ -67,6 +71,7 @@ from .errors import DomainError, NonTangentError, RhsDomainError, SingularMetric
 from .spaces import (
     WarpedProductSpec,
     _ConformalJet,
+    _dot,
     _exp,
     busemann_warping,
     flat_torus,
@@ -481,6 +486,18 @@ def _raise_index(g: np.ndarray, lowered: np.ndarray) -> np.ndarray:
         raise SingularMetricError(f"metric jet not invertible: {exc}") from exc
 
 
+def _conformal_spray(dp: list, v: list) -> list:
+    """|v|^2 d phi - 2 (d phi . v) v on Python floats: the geodesic
+    acceleration of g = e^{2 phi} I (O'Neill, Semi-Riemannian Geometry,
+    ch. 7), from the partials d phi at one point."""
+    vv = dpv = 0.0
+    for u, d in zip(v, dp):
+        vv += u * u
+        dpv += d * u
+    c = 2.0 * dpv
+    return [vv * d - c * u for d, u in zip(dp, v)]
+
+
 def _outside(chart: ChartMetric, x: np.ndarray) -> DomainError:
     return DomainError(f"point {x.tolist()} outside domain of chart {chart.name!r}")
 
@@ -489,33 +506,35 @@ def geodesic_rhs(chart: ChartMetric) -> ODESystem:
     """State (x, v): x' = v, v'^i = -Gamma^i_{jk} v^j v^k.
 
     A built-in conformal chart, g = e^{2 phi} I with a _ConformalJet, takes
-    the closed form v' = |v|^2 d phi - 2 (d phi . v) v from one first-order
-    jet of phi (O'Neill, Semi-Riemannian Geometry, ch. 7).  Any other chart,
-    a negated or re-jetted conformal one included, takes one first-order
-    metric jet per call, contracts it with v into the lowered form
-    Gamma_l(v, v) (_spray) and raises the index with one solve.  A point
-    outside the domain raises RhsDomainError, a singular metric
-    SingularMetricError."""
+    the closed form v' = |v|^2 d phi - 2 (d phi . v) v from its one-point
+    phi_point on Python floats (O'Neill, Semi-Riemannian Geometry, ch. 7).
+    Any other chart, a negated or re-jetted conformal one included, takes
+    one first-order metric jet per call, contracts it with v into the
+    lowered form Gamma_l(v, v) (_spray) and raises the index with one solve.
+    The choice is made once per system.  The state is converted to floats
+    once per call, and the result is one float64 array of shape (2n,).  A
+    point outside the domain (the chart's in_domain on the position slice)
+    raises RhsDomainError, a singular metric SingularMetricError."""
     n = chart.dim
-    if isinstance(chart.jet, _ConformalJet):
-        phi_jet, in_domain = chart.jet.phi_jet, chart.in_domain
+    in_domain = chart.in_domain
+    phi_point = chart.jet.phi_point if isinstance(chart.jet, _ConformalJet) else None
 
-        def rhs(t, y):
-            x, v = y[:n], y[n:]
-            if not in_domain(x):
-                raise RhsDomainError(f"geodesic left the domain: {_outside(chart, x)}")
-            dp = phi_jet(x[None], 1)[1][0]
-            return np.concatenate((v, v.dot(v) * dp - 2.0 * dp.dot(v) * v))
-
-    else:
-
-        def rhs(t, y):
-            x, v = y[:n], y[n:]
-            try:
+    def rhs(t, y):
+        x = y[:n]
+        try:
+            if phi_point is None:
                 _, g, dg = _metric_jet(chart, x[None], 1)
-            except DomainError as exc:
-                raise RhsDomainError(f"geodesic left the domain: {exc}") from exc
-            return np.concatenate((v, -_raise_index(g[0], _spray(dg[0], v))))
+            elif not in_domain(x):
+                raise _outside(chart, x)
+        except DomainError as exc:
+            raise RhsDomainError(f"geodesic left the domain: {exc}") from exc
+        s = y.tolist()
+        v = s[n:]
+        if phi_point is None:
+            acc = (-_raise_index(g[0], _spray(dg[0], y[n:]))).tolist()
+        else:
+            acc = _conformal_spray(phi_point(s[:n])[1], v)
+        return np.array(v + acc)
 
     return ODESystem(2 * n, rhs, f"geodesic on {chart.name}")
 
@@ -528,20 +547,24 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
 
     Solutions match geodesic_rhs on the assembled block metric; this route
     never touches the assembled chart, so the two are independent.  Each
-    call takes one warping jet (alpha with its base partials).  A built-in
-    conformal base, g_B = e^{2 phi} I, takes one first-order jet of phi and
-    the closed form
+    call converts the state to Python floats once and takes one warping jet
+    (alpha with its base partials, any float sequence).  A built-in
+    conformal base, g_B = e^{2 phi} I, takes phi and d phi from its one-point
+    phi_point and the closed form
 
         b'' = |v_b|^2 d phi - 2 (d phi . v_b) v_b - e^{2 alpha - 2 phi} |v_f|^2_F d alpha,
 
-    with no metric jet and no solve.  Any other base takes one first-order
-    metric jet, contracts it with the velocity (_spray) and raises the force
-    Gamma_B(v_b, v_b) + e^{2 alpha} g_F(v_f, v_f) d alpha / scale with one
-    solve per call.  A fiber whose metric_at has no coordinate-dependent
-    entry (_constant_metric) is evaluated once, here: its metric stays in
-    the closure, its Christoffel term is dropped, and each call checks only
-    its domain.  Any other fiber takes its own jet per call.  Both choices
-    are made once per system.  Leaving either factor's domain raises
+    on floats, with no metric jet and no solve.  Any other base takes one
+    first-order metric jet, contracts it with the velocity (_spray) and
+    raises the force Gamma_B(v_b, v_b) + e^{2 alpha} g_F(v_f, v_f) d alpha / scale
+    with one solve per call.  A fiber whose metric_at has no
+    coordinate-dependent entry (_constant_metric) is evaluated once, here:
+    its metric stays in the closure as a flat list of floats, its Christoffel term is
+    dropped, and each call checks only its domain.  Any other fiber takes
+    its own jet, _spray and solve per call.  Both choices are made once per
+    system, and the array results of either general route are converted to
+    floats once.  The result is one float64 array of shape (2n,).  Leaving
+    either factor's domain (its in_domain on the position slice) raises
     RhsDomainError; an e^{2 alpha} that overflows gives inf, so integrate
     rejects the trial as non-finite.
     """
@@ -552,45 +575,49 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
     n = db + df
     warped = spec.kind == "warped"
     g_fiber = _constant_metric(fiber)
-    conformal = isinstance(base.jet, _ConformalJet)
-    phi_jet = base.jet.phi_jet if conformal else None
+    g_flat = None if g_fiber is None else g_fiber.ravel().tolist()
+    phi_point = base.jet.phi_point if isinstance(base.jet, _ConformalJet) else None
 
     def rhs(t, y):
         b, f = y[:db], y[db:n]
-        vb, vf = y[n : n + db], y[n + db :]
         try:
-            if not conformal:
+            if phi_point is None:
                 scale_b, g_b, dg_b = _metric_jet(base, b[None], 1)
-            elif base.in_domain(b):
-                p, dp = phi_jet(b[None], 1)
-            else:
+            elif not base.in_domain(b):
                 raise _outside(base, b)
-            if g_fiber is None:
+            if g_flat is None:
                 scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
             elif not fiber.in_domain(f):
                 raise _outside(fiber, f)
         except DomainError as exc:
             raise RhsDomainError(f"warped geodesic left the domain: {exc}") from exc
-        if g_fiber is None:
-            acc_f = -_raise_index(g_f[0], _spray(dg_f[0], vf))
-            scale_f, g_f = scale_f[0], g_f[0]
+        s = y.tolist()
+        vb, vf = s[n : n + db], s[n + db :]
+        if g_flat is None:
+            vf_array = y[n + db :]
+            acc_f = (-_raise_index(g_f[0], _spray(dg_f[0], vf_array))).tolist()
         else:
-            acc_f, scale_f, g_f = np.zeros(df), 1.0, g_fiber
+            acc_f = [0.0] * df
         if warped:
             alpha, da = spec.alpha_base_jet(b, f)
-            fiber_speed_sq = float(scale_f * vf.dot(g_f).dot(vf))
-            acc_f -= 2.0 * float(da.dot(vb)) * vf
-        if conformal:
-            dp = dp[0]
-            acc_b = vb.dot(vb) * dp - 2.0 * dp.dot(vb) * vb
+            if g_flat is None:
+                fiber_speed_sq = float(scale_f[0] * vf_array.dot(g_f[0]).dot(vf_array))
+            else:  # sum_uw G_uw v^u v^w
+                fiber_speed_sq = _dot(g_flat, [u * w for u in vf for w in vf])
+            c = 2.0 * _dot(da, vb)
+            acc_f = [a - c * u for a, u in zip(acc_f, vf)]
+        if phi_point is None:
+            force = _spray(dg_b[0], y[n : n + db])
             if warped:
-                acc_b -= _exp(2.0 * (alpha - float(p[0]))) * fiber_speed_sq * da
+                force += _exp(2.0 * alpha) * fiber_speed_sq / float(scale_b[0]) * np.array(da)
+            acc_b = (-_raise_index(g_b[0], force)).tolist()
         else:
-            force = _spray(dg_b[0], vb)
+            p, dp = phi_point(s[:db])
+            acc_b = _conformal_spray(dp, vb)
             if warped:
-                force += _exp(2.0 * alpha) * fiber_speed_sq / scale_b[0] * da
-            acc_b = -_raise_index(g_b[0], force)
-        return np.concatenate((y[n:], acc_b, acc_f))
+                w = _exp(2.0 * (alpha - p)) * fiber_speed_sq
+                acc_b = [a - w * d for a, d in zip(acc_b, da)]
+        return np.array(s[n:] + acc_b + acc_f)
 
     return ODESystem(2 * n, rhs, f"warped geodesic on {spec.base.name}x{spec.fiber.name}")
 
@@ -715,8 +742,9 @@ def _launch_state(spec: WarpedProductSpec, base_speed: float, downward: bool, ca
 
 def _reversed_system(system: ODESystem) -> ODESystem:
     """y' = -rhs(-t, y), the system run backwards in time.  Its callers, all
-    in this module, pass right-hand sides that return float arrays, so the
-    result is negated as it comes."""
+    in this module, pass right-hand sides that return float64 arrays (the
+    geodesic ones build theirs from Python floats), so the result is negated
+    as it comes and stays a float64 array of the same shape."""
     rhs = system.rhs
     return ODESystem(system.dim, lambda t, y: -rhs(-t, y), f"time-reversed {system.description}")
 
@@ -890,11 +918,13 @@ def parallel_transport(
     return integrate(system, np.asarray(v0, dtype=float), (t0, t1), config)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing e^{2 alpha} is reported, not warned about
 def horizontality_check(spec: WarpedProductSpec, trajectory: Trajectory) -> float:
     """Max fiber-block velocity norm (in the e^{2 alpha} g_F metric) along a
     geodesic of the assembled product; near zero for horizontal launches.
     A non-finite norm (an overflowing e^{2 alpha}) is the result, never
-    dropped as if the state were horizontal."""
+    dropped as if the state were horizontal, and numpy's overflow and
+    invalid-value warnings are off."""
     db, df = spec.base.dim, spec.fiber.dim
     n = db + df
     norms = [0.0]

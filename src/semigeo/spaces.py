@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from operator import mul
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,6 +71,11 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _dot(a, b) -> float:
+    """sum_i a_i b_i over two float sequences, left to right."""
+    return sum(map(mul, a, b))
+
+
 # ---------------------------------------------------------------------------
 # Elementary charts
 # ---------------------------------------------------------------------------
@@ -80,12 +86,16 @@ class _ConformalJet:
     and its partials at the rows of X in closed form: e^{2 phi} is the scale,
     g = I, dg = 2 d phi I and ddg = (4 d phi d phi + 2 dd phi) I.  The jet
     stays finite where e^{2 phi} times its derivatives would overflow, and it
-    is the one-point fast path of the atom charts.  A class, not a closure, so the
-    geodesic right-hand sides can recognise a conformal chart and take its
-    acceleration from phi_jet alone (O'Neill, Semi-Riemannian Geometry, ch. 7)."""
+    is the one-point fast path of the atom charts.  ``phi_point(x)`` gives
+    (phi, d phi) at one point as Python floats, for x a list of floats inside
+    the domain; it is the same closed form as ``phi_jet`` at order 1, to
+    rounding.  A class, not a closure, so the geodesic right-hand sides can
+    recognise a conformal chart and take its acceleration from phi_point
+    alone (O'Neill, Semi-Riemannian Geometry, ch. 7)."""
 
-    def __init__(self, dim, phi_jet):
+    def __init__(self, dim, phi_jet, phi_point):
         self.phi_jet = phi_jet
+        self.phi_point = phi_point
         self._eye = np.eye(dim)
         self._two_eye = 2.0 * self._eye
 
@@ -99,9 +109,9 @@ class _ConformalJet:
         return out
 
 
-def _conformal_chart(dim, phi, phi_jet, in_domain, box, name) -> ChartMetric:
+def _conformal_chart(dim, phi, phi_jet, phi_point, in_domain, box, name) -> ChartMetric:
     """Chart with metric e^{2 phi(x)} * I, whose jet is a _ConformalJet of
-    ``phi_jet``; without a ``phi_jet`` the chart has no jet."""
+    ``phi_jet`` and ``phi_point``; without a ``phi_jet`` the chart has no jet."""
 
     eye = np.eye(dim)
 
@@ -114,7 +124,7 @@ def _conformal_chart(dim, phi, phi_jet, in_domain, box, name) -> ChartMetric:
         signature=(dim, 0),
         metric_at=metric_at,
         in_domain=in_domain,
-        jet=_ConformalJet(dim, phi_jet) if phi_jet else None,
+        jet=_ConformalJet(dim, phi_jet, phi_point) if phi_jet else None,
         sample_box=(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
         name=name,
     )
@@ -158,11 +168,17 @@ def hyperbolic(l: int) -> ChartMetric:
         dd[:, -1, -1] = d[:, -1] ** 2
         return -np.log(y), d, dd
 
+    def phi_point(x):
+        y = x[-1]
+        d = [0.0] * l
+        d[-1] = -1.0 / y
+        return -math.log(y), d
+
     lo = np.full(l, -2.0)
     hi = np.full(l, 2.0)
     lo[-1], hi[-1] = 0.5, 3.0
     return _conformal_chart(
-        l, phi, phi_jet, lambda x: x[-1] > 0.0, (lo, hi), f"hyperbolic({l})"
+        l, phi, phi_jet, phi_point, lambda x: x[-1] > 0.0, (lo, hi), f"hyperbolic({l})"
     )
 
 
@@ -184,9 +200,14 @@ def sphere(m: int) -> ChartMetric:
         dd = 4.0 * X[:, :, None] * X[:, None, :] / (q * q)[:, None] - 2.0 * np.eye(m) / q[:, None]
         return math.log(2.0) - np.log1p(r2), -2.0 * X / q, dd
 
+    def phi_point(x):
+        r2 = _dot(x, x)
+        q = 1.0 + r2
+        return math.log(2.0) - math.log1p(r2), [-2.0 * c / q for c in x]
+
     box = (np.full(m, -2.0), np.full(m, 2.0))
     return _conformal_chart(
-        m, phi, phi_jet, lambda x: float(x @ x) < 100.0, box, f"sphere({m})"
+        m, phi, phi_jet, phi_point, lambda x: float(x @ x) < 100.0, box, f"sphere({m})"
     )
 
 
@@ -257,31 +278,37 @@ class Warping:
 
     ``value`` enters the assembled ``metric_at``, whose Taylor jet gives the
     product's derivatives, so it must follow the ``metric_at`` rules of
-    ``ChartMetric``.  ``jet(b, f)``, when given, returns alpha and
-    d alpha / d b at one point: the warped geodesic right-hand side calls it
-    once per evaluation (``WarpedProductSpec.alpha_base_jet``), and without
-    it takes the Taylor jet of ``value`` there instead.
+    ``ChartMetric``.  ``jet(b, f)``, when given, takes the base and fiber
+    coordinates of one point as float arrays and returns alpha and
+    d alpha / d b there, the latter as any length-``db`` sequence of floats
+    (a list or an array): the warped geodesic right-hand side calls it once
+    per evaluation (``WarpedProductSpec.alpha_base_jet``), and without it
+    takes the Taylor jet of ``value`` there instead.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]
-    jet: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]] | None = None
+    jet: Callable[[np.ndarray, np.ndarray], tuple[float, Sequence[float]]] | None = None
     description: str = ""
 
 
 def constant_warping(c: float) -> Warping:
-    return Warping(value=lambda b, f: float(c), jet=lambda b, f: (float(c), np.zeros(len(b))), description=f"{c}")
+    return Warping(value=lambda b, f: float(c), jet=lambda b, f: (float(c), [0.0] * len(b)), description=f"{c}")
 
 
 def busemann_warping(scale: float) -> Warping:
-    """alpha(b, f) = scale * log b_l; |grad_B alpha|^2 = scale^2 on g_B."""
+    """alpha(b, f) = scale * log b_l; |grad_B alpha|^2 = scale^2 on g_B.
+
+    The jet is written with ``math`` on Python floats and is defined where
+    the hyperbolic base is, b_l > 0."""
 
     def value(b, f):
         return scale * np.log(b[-1])
 
     def jet(b, f):
-        d = np.zeros(len(b))
-        d[-1] = scale / b[-1]
-        return value(b, f), d
+        y = float(b[-1])
+        d = [0.0] * len(b)
+        d[-1] = scale / y
+        return scale * math.log(y), d
 
     return Warping(value=value, jet=jet, description=f"{scale}*busemann")
 
@@ -312,7 +339,7 @@ class WarpedProductSpec:
     def alpha(self, b: np.ndarray, f: np.ndarray) -> float:
         return self.warping.value(b, f)
 
-    def alpha_base_jet(self, b: np.ndarray, f: np.ndarray) -> tuple[float, np.ndarray]:
+    def alpha_base_jet(self, b: np.ndarray, f: np.ndarray) -> tuple[float, Sequence[float]]:
         """alpha and d alpha / d b at one point: the warping's own jet, or
         else the Taylor jet of its value."""
         if self.warping.jet is not None:
@@ -322,8 +349,8 @@ class WarpedProductSpec:
         return float(a[0]), da[0, :db]
 
     def alpha_base_partials(self, b: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """d alpha / d b (see alpha_base_jet)."""
-        return self.alpha_base_jet(b, f)[1]
+        """d alpha / d b as a float array (see alpha_base_jet)."""
+        return np.asarray(self.alpha_base_jet(b, f)[1], dtype=float)
 
     def alpha_base_gradient(self, b: np.ndarray, f: np.ndarray) -> np.ndarray:
         """grad alpha with respect to g_B (indices raised with g_B^{-1}); a
@@ -422,6 +449,7 @@ class VerticalPair:
     V: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing e^{2 alpha} gives a non-finite result
 def oneill_T(spec: WarpedProductSpec, pair: VerticalPair, mode: str = "closed_form") -> np.ndarray:
     """Second fundamental form T_U V of the fiber, as a base-direction vector.
 
@@ -430,7 +458,8 @@ def oneill_T(spec: WarpedProductSpec, pair: VerticalPair, mode: str = "closed_fo
     connection applied to the vertical lifts using Christoffels of the
     assembled chart, the Taylor jet of its ``metric_at``.  Both refuse a
     point outside the domain with DomainError, and an e^{2 alpha} that
-    overflows gives a non-finite result in both.
+    overflows gives a non-finite result in both, with numpy's overflow and
+    invalid-value warnings off.
     """
     point = np.asarray(pair.point, dtype=float)
     b, f = spec.split(point)
@@ -480,6 +509,7 @@ def _lift(spec: WarpedProductSpec, base_vec=None, fiber_vec=None) -> np.ndarray:
     return v
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in oneill_T
 def oneill_relation_check(
     spec: WarpedProductSpec,
     point: np.ndarray,
@@ -492,6 +522,8 @@ def oneill_relation_check(
     horizontal: residual = K_hat(X, Y) - K_*(pi X, pi Y), with K_* evaluated
     on (B, -g_B); vertical: residual of the T-corrected fiber relation.
     Returns the raw residual magnitude; callers compare it to their tolerance.
+    An e^{2 alpha} that overflows gives a non-finite residual, with numpy's
+    overflow and invalid-value warnings off.
     """
     point = np.asarray(point, dtype=float)
     b, f = spec.split(point)
@@ -568,7 +600,7 @@ def conformal_scalar_torus(
 
     if mode == "numeric":
         box = (np.zeros(l), np.full(l, 2.0 * math.pi))
-        chart = _conformal_chart(l, alpha, None, lambda p: True, box, f"conformal_torus({l})")
+        chart = _conformal_chart(l, alpha, None, None, lambda p: True, box, f"conformal_torus({l})")
         return scalar_curvature(chart, x)
 
     raise ValueError(f"unknown conformal_scalar_torus mode {mode!r}")

@@ -467,6 +467,17 @@ class TestGeodesicCommand:
         assert header["status"] in ("blowup", "step_underflow")
         assert abs(header["observed_breakdown"] - header["predicted_breakdown"]) <= 1e-2
 
+    @pytest.mark.parametrize("mode, c1, steps, evals", [("warped-lightlike", "1", 560, 3361),
+                                                         ("warped-timelike", "0.5", 539, 3235)])
+    def test_readme_warped_counts(self, tmp_path, mode, c1, steps, evals):
+        # the README warped runs: their header counts are pinned
+        out = tmp_path / "w.csv"
+        assert run(["geodesic", mode, "--k", "1", "--c1", c1, "--out", str(out)]) == 0
+        header = json.loads(out.read_text().split("\n", 1)[0].lstrip("# "))
+        assert (header["accepted_steps"], header["rhs_evals"]) == (steps, evals)
+        assert header["rejected_error_norm"] == header["rejected_domain"] == header["rejected_nonfinite"] == 0
+        assert header["relative_error"] <= 1e-2
+
     def test_euler_arnold(self, tmp_path):
         out = tmp_path / "ea.csv"
         code = run(["geodesic", "euler-arnold", "--t", "-0.8", "--u-max", "50", "--out", str(out)])

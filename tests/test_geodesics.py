@@ -2,6 +2,7 @@
 parallel transport, the scalar comparison bound, and the reduced flow."""
 
 import math
+import warnings
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -716,6 +717,85 @@ class TestWarpedRunCounts:
         assert stats.rhs_evals == 1 + 6 * stats.accepted_steps
 
 
+def _busemann_jets(scale):
+    # The Busemann warping's jet written by a user, returning an ndarray (the
+    # README contract) or a tuple: any length-db float sequence.
+    def ndarray_jet(b, f):
+        d = np.zeros(len(b))
+        d[-1] = scale / b[-1]
+        return scale * np.log(b[-1]), d
+
+    def tuple_jet(b, f):
+        return scale * math.log(b[-1]), (0.0,) * (len(b) - 1) + (scale / b[-1],)
+
+    value = sg.busemann_warping(scale).value
+    return {"ndarray-jet": sg.Warping(value, ndarray_jet), "tuple-jet": sg.Warping(value, tuple_jet),
+            "value-only": sg.Warping(value)}
+
+
+FLOAT_ROUTE_SYSTEMS = {
+    **{f"geodesic-{name}": (lambda b=b, d=d: (sg.geodesic_rhs(b(d)), [b(d)])) for name, (b, d) in CONFORMAL_CHARTS.items()},
+    "geodesic-rejetted": lambda: (sg.geodesic_rhs(_rejetted(sg.sphere(3))), [sg.sphere(3)]),
+    **{f"warped-{name}": (lambda make=make: (sg.warped_geodesic_rhs(make()), [make().base, make().fiber]))
+       for name, make in WARPED_RHS_SPECS.items()},
+}
+
+# Built-in systems whose right-hand side runs on Python floats alone, with
+# the state that each test spoils.
+BUILTIN_FLOAT_STATES = {
+    "hyperbolic": (lambda: sg.geodesic_rhs(sg.hyperbolic(2)), [0.1, 1.2, 0.3, -0.4]),
+    "sphere": (lambda: sg.geodesic_rhs(sg.sphere(3)), [0.1, 1.2, -0.5, 0.3, -0.4, 0.7]),
+    "warped": (lambda: sg.warped_geodesic_rhs(sg.incompleteness_space(2, 2, 1.0)),
+               [0.1, 1.2, 0.3, 0.4, 0.2, 0.5, 0.6, -0.1]),
+}
+
+
+class TestFloatRoute:
+    # The one-point right-hand sides convert the state to Python floats once
+    # and return one float64 array.
+    @pytest.mark.parametrize("name", sorted(FLOAT_ROUTE_SYSTEMS))
+    def test_float64_array_of_the_state_shape(self, name):
+        system, charts = FLOAT_ROUTE_SYSTEMS[name]()
+        y = next(_random_states(np.random.default_rng(24), charts, 1))
+        for rhs in (system.rhs, geo._reversed_system(system).rhs):
+            out = rhs(0.5, y)
+            assert type(out) is np.ndarray and out.dtype == np.float64
+            assert out.shape == y.shape == (system.dim,)
+
+    @pytest.mark.parametrize("base", ["conformal", "jet-less"])
+    @pytest.mark.parametrize("warping", ["ndarray-jet", "tuple-jet", "value-only"])
+    def test_user_warping_matches_reference_formula(self, warping, base):
+        hyp = sg.hyperbolic(2)
+        spec = sg.warped_product(hyp if base == "conformal" else replace(hyp, jet=None), sg.flat_torus(2),
+                                 _busemann_jets(0.7)[warping])
+        rhs = sg.warped_geodesic_rhs(spec).rhs
+        for y in _random_states(np.random.default_rng(25), [spec.base, spec.fiber]):
+            got, want = rhs(0.0, y), _reference_warped_rhs(spec, y)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FLOAT_STATES))
+    def test_nan_position_leaves_the_domain(self, name):
+        make, y = BUILTIN_FLOAT_STATES[name]
+        # hyperbolic's in_domain reads x_l; the sphere's reads |x|^2
+        y = np.array(y)
+        y[1] = math.nan
+        with pytest.raises(RhsDomainError, match="outside domain"):
+            make().rhs(0.0, y)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FLOAT_STATES))
+    def test_nonfinite_velocity_gives_nonfinite_acceleration(self, name, value):
+        make, y = BUILTIN_FLOAT_STATES[name]
+        rhs, n = make().rhs, len(y) // 2
+        for i in range(n, 2 * n):
+            state = np.array(y)
+            state[i] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no exception and no numpy warning either
+                out = rhs(0.0, state)
+            assert out.shape == state.shape and not np.isfinite(out[n:]).all()
+
+
 class TestClosedFormS:
     def test_lightlike_values(self):
         assert sg.lightlike_s(0.0, 1.0, 1.0, 0.0) == 0.0
@@ -931,7 +1011,8 @@ class TestHorizontality:
         spec = sg.warped_product(sg.hyperbolic(2), sg.flat_torus(2), sg.constant_warping(400.0))
         states = np.array([[0.0, 1.0, 0.5, 0.5, 0.3, 0.4] + vf] * 2)
         traj = sg.Trajectory(np.array([0.0, 1.0]), states, sg.TrajectoryStatus(sg.COMPLETED))
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check turns numpy's warnings off itself
             assert not math.isfinite(sg.horizontality_check(spec, traj))
 
 

@@ -2,6 +2,7 @@
 
 import math
 import signal
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,22 @@ class TestBuilders:
         chart = sg.minkowski(1, 2)
         assert chart.signature == (1, 2)
         assert np.array_equal(chart.metric_at(np.zeros(3)), np.diag([1.0, -1.0, -1.0]))
+
+
+class TestPhiPoint:
+    # Each conformal atom's one-point float closed form against its batch jet
+    # at order 1.  The sphere's phi = log 2 - log1p(|x|^2) cancels near
+    # |x| = 1, so phi is compared relative to max(1, |phi|).
+    @pytest.mark.parametrize("dim", range(2, MAX_ATOM_DIM + 1))
+    @pytest.mark.parametrize("builder", [sg.hyperbolic, sg.sphere])
+    def test_matches_phi_jet(self, builder, dim):
+        chart = builder(dim)
+        X = np.random.default_rng(dim).uniform(*chart.sample_box, (50, dim))
+        for x, want_p, want_dp in zip(X, *chart.jet.phi_jet(X, 1)):
+            p, dp = chart.jet.phi_point(x.tolist())
+            assert type(p) is float and len(dp) == dim and all(type(c) is float for c in dp)
+            assert abs(p - want_p) <= 1e-15 * max(1.0, abs(want_p))
+            assert np.abs(np.array(dp) - want_dp).max() <= 1e-15 * np.abs(want_dp).max()
 
 
 class TestBusemann:
@@ -328,7 +345,8 @@ class TestOneillT:
         # e^{2 * 400} overflows: no OverflowError, and no finite tensor
         spec = sg.warped_product(sg.hyperbolic(2), sg.sphere(2), sg.constant_warping(400.0))
         pair = sg.VerticalPair(np.array([0.1, 1.2, 0.3, -0.4]), np.array([1.0, 0.2]), np.array([0.3, 1.0]))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # oneill_T turns numpy's warnings off itself
             out = sg.oneill_T(spec, pair, mode)
         assert not np.isfinite(out).all()
 
@@ -360,7 +378,8 @@ class TestOneillRelations:
     def test_overflowing_warping_vertical_residual_is_not_finite(self):
         spec = sg.warped_product(sg.hyperbolic(2), sg.sphere(2), sg.constant_warping(400.0))
         pt = np.array([0.3, 1.2, 0.4, -0.2])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check turns numpy's warnings off itself
             residual = sg.oneill_relation_check(spec, pt, "vertical", seed=0)
         assert not math.isfinite(residual)
 
