@@ -16,6 +16,7 @@ The ``semigeo`` console script exposes the verification suites.
 
 from .charts import (
     ChartMetric,
+    Conformal,
     CurvatureReport,
     TangentPair,
     TangentSampler,

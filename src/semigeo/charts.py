@@ -1,13 +1,14 @@
 """Coordinate-chart tensor calculus for semi-Riemannian metrics.
 
 A space is described by a single coordinate chart carrying a matrix-valued
-metric evaluator and, optionally, a batched evaluator of its jet (the metric
-with its first and second partials).  Christoffel symbols follow from the
-jet in closed form, and so does the lowered Riemann tensor, R_ijkl = A_ijkl
-- A_ijlk with A_ijkl = (d_k d_j g_il - d_k d_i g_jl) / 2 + Gamma_{m,li}
-Gamma^m_kj (O'Neill, Semi-Riemannian Geometry, ch. 3); charts without a jet
-get the exact jet of their metric by second-order Taylor arithmetic, one
-evaluation of ``metric_at`` per block of points.  On top of these
+metric evaluator and, optionally, the declaration that the metric is
+conformally flat, g = e^{2 phi} diag(eta).  Christoffel symbols follow from
+the metric jet (the metric with its first and second partials) in closed
+form, and so does the lowered Riemann tensor, R_ijkl = A_ijkl - A_ijlk with
+A_ijkl = (d_k d_j g_il - d_k d_i g_jl) / 2 + Gamma_{m,li} Gamma^m_kj
+(O'Neill, Semi-Riemannian Geometry, ch. 3).  The jet is exact: second-order
+Taylor arithmetic on ``metric_at``, one evaluation per block of points, or
+for a declared chart on the scalar phi alone.  On top of these
 sit sectional curvatures and a sampled certification of the condition
 
     g(R(u, v)v, u) >= k * (g(u, u) g(v, v) - g(u, v)^2)
@@ -27,8 +28,8 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,31 +50,45 @@ _DET_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
+class Conformal:
+    """The declaration g = e^{2 phi(x)} diag(eta) of a conformally flat chart.
+
+    ``phi`` follows the ``metric_at`` rules of ``ChartMetric``.
+    ``phi_point(x)`` gives (phi, d phi) at one point as Python floats, for x
+    a list of floats inside the domain, and must agree with ``phi`` to
+    rounding.  ``eta`` is a tuple of +-1.0.
+    """
+
+    phi: Callable[[np.ndarray], object]
+    phi_point: Callable[[list], tuple[float, Sequence[float]]]
+    eta: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class ChartMetric:
     """A semi-Riemannian metric in a single coordinate chart.
 
     ``metric_at`` must return a symmetric ``dim x dim`` matrix (constructed
     symmetric, not merely symmetric to tolerance).  ``signature`` counts
     (positive, negative) metric eigenvalues.  ``sample_box`` is a compact box
-    well inside the domain, used by the sampling checks.
+    well inside the domain, used by the sampling checks.  ``in_domain``
+    takes points as an ``(..., dim)`` array and returns booleans
+    broadcastable to its leading shape (``x[..., i]``, not ``x[i]``).
 
-    ``jet(X, order)``, when given, evaluates the metric jet at the rows of an
-    ``(N, dim)`` array.  It returns ``(scale, g, dg)`` for order 1 and
-    ``(scale, g, dg, ddg)`` for order 2, where the metric at ``X[n]`` is
-    ``scale[n] * g[n]``, ``scale[n] * dg[n, k, i, j]`` is d_k g_ij and
-    ``scale[n] * ddg[n, k, l, i, j]`` is d_k d_l g_ij.  The per-point factor
-    lets conformal charts stay finite where e^{2 phi} times its derivatives
-    overflows; Christoffels and R^i_{jkl} do not depend on it.  Charts
-    without a jet get exact derivatives from one call of ``metric_at`` on
-    Taylor values, so it must use numpy arithmetic and the ufuncs exp, log,
-    log1p, sqrt, sin, cos, with no ``math.*``, ``float()`` or branching on coordinates.
+    Derivatives are exact.  An undeclared chart gets them from one call of
+    ``metric_at`` on Taylor values, so it must use numpy arithmetic and the
+    ufuncs exp, log, log1p, sqrt, sin, cos, with no ``math.*``, ``float()``
+    or branching on coordinates.  A chart with a ``conformal`` declaration
+    gets them from the Taylor jet of its scalar ``phi`` in closed form, and
+    the geodesic right-hand sides take its spray from ``phi_point``; its
+    ``metric_at`` must be e^{2 phi} diag(eta).
     """
 
     dim: int
     signature: tuple[int, int]
     metric_at: Callable[[np.ndarray], np.ndarray]
-    in_domain: Callable[[np.ndarray], bool]
-    jet: Callable[[np.ndarray, int], tuple[np.ndarray, ...]] | None = None
+    in_domain: Callable[[np.ndarray], object]
+    conformal: Conformal | None = None
     sample_box: tuple[np.ndarray, np.ndarray] | None = None
     name: str = ""
 
@@ -155,63 +170,51 @@ class _Taylor:
     cos = lambda self: self._chain(np.cos(self.v), -np.sin(self.v), -np.cos(self.v))
 
 
-def _taylor_values(fn, X: np.ndarray, what: str) -> np.ndarray:
-    """``fn`` called once on the coordinates of the rows of the (N, d) array ``X``
-    as Taylor values: an object array whose coordinate-dependent entries are
-    ``_Taylor`` values and whose constant entries are plain numbers."""
+def _taylor(fn, X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact (f, d_k f, d_k d_l f) at the rows of the (N, d) array ``X``, shaped (N,),
+    (N, d), (N, d, d) plus the output shape of ``fn``, from one call of ``fn`` on the
+    coordinates as Taylor values (an object array of ``_Taylor`` values); constant
+    output entries get zero derivatives."""
     n, d = X.shape
     zero = np.zeros((n, d, d))
     xs = np.array([_Taylor(X[:, i], np.broadcast_to(e, (n, d)), zero) for i, e in enumerate(np.eye(d))])
     try:
-        return np.asarray(fn(xs), dtype=object)
+        out = np.asarray(fn(xs), dtype=object)
     except TypeError as exc:
         raise UnsupportedSpaceError(
             f"{what} is not Taylor-evaluable ({exc}): use numpy arithmetic and the ufuncs exp, log, log1p, sqrt, "
             "sin, cos; no math.*, no float(), no branching on coordinates") from exc
-
-
-def _taylor(fn, X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact (f, d_k f, d_k d_l f) at the rows of the (N, d) array ``X``, shaped (N,),
-    (N, d), (N, d, d) plus the output shape of ``fn``, from one call of ``fn`` on the
-    coordinates as Taylor values; constant output entries get zero derivatives."""
-    n, d = X.shape
-    out = _taylor_values(fn, X, what)
-    zero = np.zeros((n, d, d))
     parts = [(e.v, e.g, e.h) if isinstance(e, _Taylor) else (np.full(n, e, dtype=float), zero[:, 0], zero)
              for e in out.flat]
     return tuple(np.stack(p, axis=-1).reshape(p[0].shape + out.shape) for p in zip(*parts))
 
 
-def _constant_metric(chart: ChartMetric) -> np.ndarray | None:
-    """The metric of a chart whose ``metric_at`` has no coordinate-dependent
-    entry, else None: one call on Taylor coordinates at the middle of the
-    sample box, constant when no output entry is a Taylor value, which under
-    the ``metric_at`` rules (no branching on coordinates) holds at every
-    point.  No sample box, or a ``metric_at`` that is not Taylor-evaluable, gives None."""
-    if chart.sample_box is None:
-        return None
-    lo, hi = chart.sample_box
-    try:
-        out = _taylor_values(chart.metric_at, (0.5 * (lo + hi))[None], f"metric_at of chart {chart.name!r}")
-    except UnsupportedSpaceError:
-        return None
-    if any(isinstance(e, _Taylor) for e in out.flat):
-        return None
-    return out.astype(float)
-
-
 def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-    """(scale, g, dg[, ddg]) at the rows of ``X``: the chart's own jet, or
-    the exact Taylor jet of ``metric_at`` (scale 1) for charts that have
-    none.  Rows outside the domain raise DomainError (the geodesic RHS's
-    only check)."""
-    for x in X:
-        if not chart.in_domain(x):
-            raise DomainError(f"point {x.tolist()} outside domain of chart {chart.name!r}")
-    if chart.jet is not None:
-        return chart.jet(X, order)
-    jet = _taylor(chart.metric_at, X, f"metric_at of chart {chart.name!r}")
-    return (np.ones(len(X)),) + jet[: order + 1]
+    """(scale, g, dg[, ddg]) at the rows of ``X``: the metric at ``X[n]`` is
+    ``scale[n] * g[n]``, ``scale[n] * dg[n, k, i, j]`` is d_k g_ij and
+    ``scale[n] * ddg[n, k, l, i, j]`` is d_k d_l g_ij.  A declared chart
+    g = e^{2 phi} diag(eta) takes the scalar Taylor jet (p, dp, ddp) of phi
+    and the closed form scale = e^{2 p}, g = diag(eta), dg = 2 dp (x) eta and
+    ddg = (4 dp dp + 2 ddp) (x) eta, which stays finite where e^{2 p} times
+    its derivatives overflows; any other chart takes the Taylor jet of
+    ``metric_at`` with scale 1.  Christoffels and R^i_{jkl} do not depend on
+    the scale.  One ``in_domain`` call checks the block: a row outside the
+    domain, or with a non-finite coordinate, raises DomainError naming the
+    first such row (the geodesic right-hand sides' only check)."""
+    ok = np.isfinite(X).all(axis=-1) & chart.in_domain(X)
+    if not ok.all():
+        raise DomainError(f"point {X[np.argmin(ok)].tolist()} outside domain of chart {chart.name!r}")
+    conformal = chart.conformal
+    if conformal is None:
+        return (np.ones(len(X)),) + _taylor(chart.metric_at, X, f"metric_at of chart {chart.name!r}")[: order + 1]
+    p, dp, ddp = _taylor(conformal.phi, X, f"phi of chart {chart.name!r}")
+    eta = np.diag(conformal.eta)
+    two_eta = 2.0 * eta
+    out = (np.exp(2.0 * p), eta[None].repeat(len(X), 0), dp[:, :, None, None] * two_eta)
+    if order == 2:
+        hess = 2.0 * dp[:, :, None] * dp[:, None, :] + ddp
+        out += (hess[..., None, None] * two_eta,)
+    return out
 
 
 def _christoffel_from_jet(g, dg):
@@ -327,20 +330,14 @@ def scalar_curvature(chart: ChartMetric, x: np.ndarray) -> float:
 
 
 def negate(chart: ChartMetric) -> ChartMetric:
-    """The chart with metric -g: same Christoffels, swapped signature."""
-    jet = None
-    if chart.jet is not None:
-        def jet(X, order, _jet=chart.jet):
-            scale, *rest = _jet(X, order)
-            return (-scale, *rest)
-
-    return ChartMetric(
-        dim=chart.dim,
+    """The chart with metric -g: same Christoffels, swapped signature; a
+    conformal declaration keeps phi and flips eta."""
+    conformal = chart.conformal
+    return replace(
+        chart,
         signature=(chart.signature[1], chart.signature[0]),
         metric_at=lambda x, _m=chart.metric_at: -_m(x),
-        in_domain=chart.in_domain,
-        jet=jet,
-        sample_box=chart.sample_box,
+        conformal=None if conformal is None else replace(conformal, eta=tuple(-e for e in conformal.eta)),
         name=f"neg({chart.name})",
     )
 
@@ -461,11 +458,20 @@ def check_r_ge_k(
 def verify_chart(chart: ChartMetric, n_points: int = 100, seed: int = 0) -> None:
     """Assert the ChartMetric invariants on sampled domain points.
 
-    Checks symmetry (exact), |det g| > 1e-10, and that eigenvalue sign counts
-    match the declared signature.  Raises on violation.
+    Checks symmetry (exact), |det g| > 1e-10, that eigenvalue sign counts
+    match the declared signature, and that ``in_domain`` on the block of
+    points equals its per-row results (a chart that indexes ``x[i]`` instead
+    of ``x[..., i]`` fails here).  Raises on violation.
     """
     sampler = default_sampler(chart)
     pts, _, _ = sampler.block(seed, 0, n_points)
+    rows = [bool(chart.in_domain(x)) for x in pts]
+    try:
+        block = np.broadcast_to(chart.in_domain(pts), len(pts))
+    except (TypeError, ValueError, IndexError) as exc:
+        raise UnsupportedSpaceError(f"in_domain of chart {chart.name!r} fails on a block of points: {exc}") from exc
+    if block.tolist() != rows:
+        raise UnsupportedSpaceError(f"in_domain of chart {chart.name!r} differs on a block from its per-row results")
     for x in pts:
         g = chart.metric_at(x)
         if not np.array_equal(g, g.T):

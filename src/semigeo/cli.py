@@ -26,6 +26,8 @@ run.  A failing su21 exact check adds an ``exact_check_witness`` object
 naming its first failing basis pair, triple or pair index.  Every sampling
 loop is bounded: grids of more than 10^6 cells, --samples above 10^6 (per
 run) and atom dimensions above 7 exit 1 before any sample array exists.
+So is the riccati span, whose work grows with sqrt(k) * t_max: above 10^4
+it exits 1 before any step is taken.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ def _refuse_underflow(value: Fraction, name: str) -> None:
 
 MAX_SCAN_CELLS = 10**6
 MAX_SAMPLES = 10**6  # per run; scan's cells share one pair set
+MAX_RICCATI_SPAN = 1e4  # sqrt(k) * t_max; a riccati run takes about 700 steps per 10^3 of it
 
 
 def _validate_common(args) -> None:
@@ -368,6 +371,9 @@ def cmd_geodesic(args) -> int:
         return 0 if ok else 2
 
     if args.mode == "riccati":
+        span = math.sqrt(max(args.k, 0.0)) * args.t_max  # k <= 0 is refused by riccati_experiment
+        if span > MAX_RICCATI_SPAN:
+            raise _UsageError(f"sqrt(--k) * --t-max must be at most {MAX_RICCATI_SPAN:g}, got {span:g}")
         report = riccati_experiment(
             args.k, [args.h0], args.t_max, dataclasses.replace(config, blowup_threshold=1e8)
         )

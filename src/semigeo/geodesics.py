@@ -37,10 +37,11 @@ no step with a NaN error estimate is accepted.  integrate runs with numpy's
 overflow and invalid-value warnings off, since a trial they spoil is
 rejected as non-finite; the right-hand sides here turn an overflowing
 ``math.exp`` into inf for the same reason.  The geodesic right-hand sides
-evaluate one point per call: on the built-in conformal charts they convert
-the state to Python floats once and take the closed-form spray there
-(``_ConformalJet.phi_point``), since numpy's per-call cost dominates arrays
-of two to eight entries; every right-hand side returns one float64 array.  A run that uses up
+evaluate one point per call: on charts declared conformally flat
+(``ChartMetric.conformal``) they convert the state to Python floats once
+and take the closed-form spray there from ``phi_point``, since numpy's
+per-call cost dominates arrays of two to eight entries; every right-hand
+side returns one float64 array.  A run that uses up
 ``max_steps`` trials raises StepBudgetError.  Every Trajectory carries
 IntegrationStats: accepted steps, rejections by cause, right-hand-side
 evaluations and the range of accepted step sizes, all deterministic.  The
@@ -66,11 +67,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import ChartMetric, _constant_metric, _metric_jet
+from .charts import ChartMetric, _metric_jet
 from .errors import DomainError, NonTangentError, RhsDomainError, SingularMetricError, StepBudgetError
 from .spaces import (
     WarpedProductSpec,
-    _ConformalJet,
     _dot,
     _exp,
     busemann_warping,
@@ -486,16 +486,17 @@ def _raise_index(g: np.ndarray, lowered: np.ndarray) -> np.ndarray:
         raise SingularMetricError(f"metric jet not invertible: {exc}") from exc
 
 
-def _conformal_spray(dp: list, v: list) -> list:
-    """|v|^2 d phi - 2 (d phi . v) v on Python floats: the geodesic
-    acceleration of g = e^{2 phi} I (O'Neill, Semi-Riemannian Geometry,
-    ch. 7), from the partials d phi at one point."""
-    vv = dpv = 0.0
-    for u, d in zip(v, dp):
-        vv += u * u
-        dpv += d * u
-    c = 2.0 * dpv
-    return [vv * d - c * u for d, u in zip(dp, v)]
+def _conformal_spray(dp, v: list, eta, pull: float = 0.0) -> tuple[list, float]:
+    """(v . eta v) eta d phi - 2 (d phi . v + pull) v on Python floats, and
+    v . eta v: the geodesic acceleration of g = e^{2 phi} diag(eta) (O'Neill,
+    Semi-Riemannian Geometry, ch. 7) from the partials d phi at one point,
+    with the term -2 pull v of a warping on a fiber (pull = d alpha / dt)."""
+    vv = 0.0
+    for u, d, e in zip(v, dp, eta):
+        vv += e * u * u
+        pull += d * u
+    c = 2.0 * pull
+    return [vv * e * d - c * u for d, u, e in zip(dp, v, eta)], vv
 
 
 def _outside(chart: ChartMetric, x: np.ndarray) -> DomainError:
@@ -505,24 +506,24 @@ def _outside(chart: ChartMetric, x: np.ndarray) -> DomainError:
 def geodesic_rhs(chart: ChartMetric) -> ODESystem:
     """State (x, v): x' = v, v'^i = -Gamma^i_{jk} v^j v^k.
 
-    A built-in conformal chart, g = e^{2 phi} I with a _ConformalJet, takes
-    the closed form v' = |v|^2 d phi - 2 (d phi . v) v from its one-point
-    phi_point on Python floats (O'Neill, Semi-Riemannian Geometry, ch. 7).
-    Any other chart, a negated or re-jetted conformal one included, takes
-    one first-order metric jet per call, contracts it with v into the
+    A chart declared conformally flat, g = e^{2 phi} diag(eta), takes the
+    closed form v' = (v . eta v) eta d phi - 2 (d phi . v) v from its
+    one-point ``phi_point`` on Python floats (O'Neill, Semi-Riemannian
+    Geometry, ch. 7); a flat chart is the case phi = 0.  Any other chart
+    takes one first-order metric jet per call, contracts it with v into the
     lowered form Gamma_l(v, v) (_spray) and raises the index with one solve.
-    The choice is made once per system.  The state is converted to floats
-    once per call, and the result is one float64 array of shape (2n,).  A
-    point outside the domain (the chart's in_domain on the position slice)
-    raises RhsDomainError, a singular metric SingularMetricError."""
+    The choice reads ``chart.conformal`` once per system.  The state is
+    converted to floats once per call, and the result is one float64 array
+    of shape (2n,).  A point outside the domain (the chart's in_domain on
+    the position slice) raises RhsDomainError, a singular metric
+    SingularMetricError."""
     n = chart.dim
-    in_domain = chart.in_domain
-    phi_point = chart.jet.phi_point if isinstance(chart.jet, _ConformalJet) else None
+    in_domain, conformal = chart.in_domain, chart.conformal
 
     def rhs(t, y):
         x = y[:n]
         try:
-            if phi_point is None:
+            if conformal is None:
                 _, g, dg = _metric_jet(chart, x[None], 1)
             elif not in_domain(x):
                 raise _outside(chart, x)
@@ -530,10 +531,10 @@ def geodesic_rhs(chart: ChartMetric) -> ODESystem:
             raise RhsDomainError(f"geodesic left the domain: {exc}") from exc
         s = y.tolist()
         v = s[n:]
-        if phi_point is None:
+        if conformal is None:
             acc = (-_raise_index(g[0], _spray(dg[0], y[n:]))).tolist()
         else:
-            acc = _conformal_spray(phi_point(s[:n])[1], v)
+            acc = _conformal_spray(conformal.phi_point(s[:n])[1], v, conformal.eta)[0]
         return np.array(v + acc)
 
     return ODESystem(2 * n, rhs, f"geodesic on {chart.name}")
@@ -548,25 +549,27 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
     Solutions match geodesic_rhs on the assembled block metric; this route
     never touches the assembled chart, so the two are independent.  Each
     call converts the state to Python floats once and takes one warping jet
-    (alpha with its base partials, any float sequence).  A built-in
-    conformal base, g_B = e^{2 phi} I, takes phi and d phi from its one-point
-    phi_point and the closed form
+    (alpha with its base partials, any float sequence).  A factor declared
+    conformally flat, g = e^{2 phi} diag(eta), takes phi and d phi from its
+    one-point ``phi_point`` and the closed forms (_conformal_spray) on
+    floats, with no metric jet and no solve; both factors are Riemannian,
+    so eta = +1 and
 
-        b'' = |v_b|^2 d phi - 2 (d phi . v_b) v_b - e^{2 alpha - 2 phi} |v_f|^2_F d alpha,
+        b'' = |v_b|^2 d phi_B - 2 (d phi_B . v_b) v_b - e^{2 alpha - 2 phi_B} g_F(v_f, v_f) d alpha,
+        f'' = |v_f|^2 d phi_F - 2 (d phi_F . v_f + d alpha / dt) v_f,
+        g_F(v_f, v_f) = e^{2 phi_F} |v_f|^2.
 
-    on floats, with no metric jet and no solve.  Any other base takes one
-    first-order metric jet, contracts it with the velocity (_spray) and
-    raises the force Gamma_B(v_b, v_b) + e^{2 alpha} g_F(v_f, v_f) d alpha / scale
-    with one solve per call.  A fiber whose metric_at has no
-    coordinate-dependent entry (_constant_metric) is evaluated once, here:
-    its metric stays in the closure as a flat list of floats, its Christoffel term is
-    dropped, and each call checks only its domain.  Any other fiber takes
-    its own jet, _spray and solve per call.  Both choices are made once per
-    system, and the array results of either general route are converted to
-    floats once.  The result is one float64 array of shape (2n,).  Leaving
-    either factor's domain (its in_domain on the position slice) raises
-    RhsDomainError; an e^{2 alpha} that overflows gives inf, so integrate
-    rejects the trial as non-finite.
+    A flat fiber is the case phi = 0: its Christoffel term is zero and no
+    ``metric_at`` is called.  Any other factor takes one first-order metric
+    jet per call, contracts it with the velocity (_spray) and raises the
+    index with one solve; for the base the force is
+    Gamma_B(v_b, v_b) + e^{2 alpha} g_F(v_f, v_f) d alpha / scale.  Both
+    choices read the factors' ``conformal`` once per system, and the array
+    results of either general route are converted to floats once.  The
+    result is one float64 array of shape (2n,).  Leaving either factor's
+    domain (its in_domain on the position slice) raises RhsDomainError; an
+    e^{2 alpha} that overflows gives inf, so integrate rejects the trial as
+    non-finite.
     """
     if spec.kind not in ("plain", "warped"):
         raise DomainError("warped_geodesic_rhs needs a base-only warping")
@@ -574,18 +577,16 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
     db, df = base.dim, fiber.dim
     n = db + df
     warped = spec.kind == "warped"
-    g_fiber = _constant_metric(fiber)
-    g_flat = None if g_fiber is None else g_fiber.ravel().tolist()
-    phi_point = base.jet.phi_point if isinstance(base.jet, _ConformalJet) else None
+    conf_b, conf_f = base.conformal, fiber.conformal
 
     def rhs(t, y):
         b, f = y[:db], y[db:n]
         try:
-            if phi_point is None:
+            if conf_b is None:
                 scale_b, g_b, dg_b = _metric_jet(base, b[None], 1)
             elif not base.in_domain(b):
                 raise _outside(base, b)
-            if g_flat is None:
+            if conf_f is None:
                 scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
             elif not fiber.in_domain(f):
                 raise _outside(fiber, f)
@@ -593,27 +594,28 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
             raise RhsDomainError(f"warped geodesic left the domain: {exc}") from exc
         s = y.tolist()
         vb, vf = s[n : n + db], s[n + db :]
-        if g_flat is None:
-            vf_array = y[n + db :]
-            acc_f = (-_raise_index(g_f[0], _spray(dg_f[0], vf_array))).tolist()
-        else:
-            acc_f = [0.0] * df
+        pull = 0.0
         if warped:
             alpha, da = spec.alpha_base_jet(b, f)
-            if g_flat is None:
+            pull = _dot(da, vb)  # d alpha / dt
+        if conf_f is None:
+            vf_array = y[n + db :]
+            acc_f = (-_raise_index(g_f[0], _spray(dg_f[0], vf_array))).tolist()
+            if warped:
                 fiber_speed_sq = float(scale_f[0] * vf_array.dot(g_f[0]).dot(vf_array))
-            else:  # sum_uw G_uw v^u v^w
-                fiber_speed_sq = _dot(g_flat, [u * w for u in vf for w in vf])
-            c = 2.0 * _dot(da, vb)
-            acc_f = [a - c * u for a, u in zip(acc_f, vf)]
-        if phi_point is None:
+                acc_f = [a - 2.0 * pull * u for a, u in zip(acc_f, vf)]
+        else:
+            p_f, dp_f = conf_f.phi_point(s[db:n])
+            acc_f, vv_f = _conformal_spray(dp_f, vf, conf_f.eta, pull)
+            fiber_speed_sq = _exp(2.0 * p_f) * vv_f
+        if conf_b is None:
             force = _spray(dg_b[0], y[n : n + db])
             if warped:
                 force += _exp(2.0 * alpha) * fiber_speed_sq / float(scale_b[0]) * np.array(da)
             acc_b = (-_raise_index(g_b[0], force)).tolist()
-        else:
-            p, dp = phi_point(s[:db])
-            acc_b = _conformal_spray(dp, vb)
+        else:  # a Riemannian base: eta = +1
+            p, dp = conf_b.phi_point(s[:db])
+            acc_b = _conformal_spray(dp, vb, conf_b.eta)[0]
             if warped:
                 w = _exp(2.0 * (alpha - p)) * fiber_speed_sq
                 acc_b = [a - w * d for a, d in zip(acc_b, da)]

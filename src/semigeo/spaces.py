@@ -35,7 +35,7 @@ verifies exactly that, as the area-weighted sampled check R >= k on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 from typing import Callable, Sequence
 
@@ -43,6 +43,7 @@ import numpy as np
 
 from .charts import (
     ChartMetric,
+    Conformal,
     CurvatureReport,
     _taylor,
     check_r_ge_k,
@@ -71,6 +72,13 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _last(x: np.ndarray):
+    """x[..., -1]; for one point (a 1-D x) a numpy scalar, which a
+    comparison takes about ten times faster than the 0-d array of x[..., -1]
+    (the one-point domain checks of the geodesic right-hand sides)."""
+    return x[-1] if x.ndim == 1 else x[..., -1]
+
+
 def _dot(a, b) -> float:
     """sum_i a_i b_i over two float sequences, left to right."""
     return sum(map(mul, a, b))
@@ -81,71 +89,26 @@ def _dot(a, b) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _ConformalJet:
-    """The jet of e^{2 phi(x)} * I from ``phi_jet(X, order)``, which gives phi
-    and its partials at the rows of X in closed form: e^{2 phi} is the scale,
-    g = I, dg = 2 d phi I and ddg = (4 d phi d phi + 2 dd phi) I.  The jet
-    stays finite where e^{2 phi} times its derivatives would overflow, and it
-    is the one-point fast path of the atom charts.  ``phi_point(x)`` gives
-    (phi, d phi) at one point as Python floats, for x a list of floats inside
-    the domain; it is the same closed form as ``phi_jet`` at order 1, to
-    rounding.  A class, not a closure, so the geodesic right-hand sides can
-    recognise a conformal chart and take its acceleration from phi_point
-    alone (O'Neill, Semi-Riemannian Geometry, ch. 7)."""
-
-    def __init__(self, dim, phi_jet, phi_point):
-        self.phi_jet = phi_jet
-        self.phi_point = phi_point
-        self._eye = np.eye(dim)
-        self._two_eye = 2.0 * self._eye
-
-    def __call__(self, X, order):
-        p, dp, *ddp = self.phi_jet(X, order)
-        two_eye = self._two_eye
-        out = (np.exp(2.0 * p), self._eye[None].repeat(len(X), 0), dp[:, :, None, None] * two_eye)
-        if order == 2:
-            hess = 2.0 * dp[:, :, None] * dp[:, None, :] + ddp[0]
-            out += (hess[..., None, None] * two_eye,)
-        return out
-
-
-def _conformal_chart(dim, phi, phi_jet, phi_point, in_domain, box, name) -> ChartMetric:
-    """Chart with metric e^{2 phi(x)} * I, whose jet is a _ConformalJet of
-    ``phi_jet`` and ``phi_point``; without a ``phi_jet`` the chart has no jet."""
-
-    eye = np.eye(dim)
+def _conformal_chart(eta, box, name, phi=None, phi_point=None, in_domain=lambda x: True) -> ChartMetric:
+    """Chart declared conformally flat, g = e^{2 phi(x)} diag(eta), with phi = 0
+    (the flat metric diag(eta)) when no phi is given; ``metric_at`` and the
+    signature follow from the declaration."""
+    dim, g0 = len(eta), np.diag(eta)
+    if phi is None:
+        zeros = (0.0,) * dim
+        phi, phi_point = (lambda x: 0.0), (lambda x: (0.0, zeros))
 
     def metric_at(x):
-        return np.exp(2.0 * phi(x)) * eye
+        return np.exp(2.0 * phi(x)) * g0
 
     lo, hi = box
-    return ChartMetric(
-        dim=dim,
-        signature=(dim, 0),
-        metric_at=metric_at,
-        in_domain=in_domain,
-        jet=_ConformalJet(dim, phi_jet, phi_point) if phi_jet else None,
-        sample_box=(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
-        name=name,
-    )
-
-
-def _flat_chart(dim, diag, box, name) -> ChartMetric:
-    g0 = np.diag(np.asarray(diag, dtype=float))
-    pos = int(np.sum(np.asarray(diag) > 0))
-
-    def jet(X, order):
-        n = len(X)
-        zeros = tuple(np.zeros((n,) + (dim,) * rank) for rank in range(3, order + 3))
-        return (np.ones(n), g0[None].repeat(n, 0)) + zeros
-
-    lo, hi = box
+    pos = sum(e > 0 for e in eta)
     return ChartMetric(
         dim=dim,
         signature=(pos, dim - pos),
-        metric_at=lambda x: g0.copy(),
-        in_domain=lambda x: True,
-        jet=jet,
+        metric_at=metric_at,
+        in_domain=in_domain,
+        conformal=Conformal(phi, phi_point, tuple(eta)),
         sample_box=(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
         name=name,
     )
@@ -154,19 +117,6 @@ def _flat_chart(dim, diag, box, name) -> ChartMetric:
 def hyperbolic(l: int) -> ChartMetric:
     """Hyperbolic l-space, upper half-space model: g = (sum dx_i^2) / x_l^2."""
     _check_dim("hyperbolic(l)", l, 2)
-
-    def phi(x):
-        return -np.log(x[-1])
-
-    def phi_jet(X, order):
-        y = X[:, -1]
-        d = np.zeros((len(X), l))
-        d[:, -1] = -1.0 / y
-        if order == 1:
-            return -np.log(y), d
-        dd = np.zeros((len(X), l, l))
-        dd[:, -1, -1] = d[:, -1] ** 2
-        return -np.log(y), d, dd
 
     def phi_point(x):
         y = x[-1]
@@ -177,9 +127,8 @@ def hyperbolic(l: int) -> ChartMetric:
     lo = np.full(l, -2.0)
     hi = np.full(l, 2.0)
     lo[-1], hi[-1] = 0.5, 3.0
-    return _conformal_chart(
-        l, phi, phi_jet, phi_point, lambda x: x[-1] > 0.0, (lo, hi), f"hyperbolic({l})"
-    )
+    return _conformal_chart((1.0,) * l, (lo, hi), f"hyperbolic({l})", lambda x: -np.log(x[-1]), phi_point,
+                            lambda x: _last(x) > 0.0)
 
 
 def sphere(m: int) -> ChartMetric:
@@ -189,39 +138,25 @@ def sphere(m: int) -> ChartMetric:
     """
     _check_dim("sphere(m)", m, 2)
 
-    def phi(x):
-        return math.log(2.0) - np.log1p(x @ x)
-
-    def phi_jet(X, order):
-        r2 = np.einsum("ni,ni->n", X, X)
-        q = (1.0 + r2)[:, None]
-        if order == 1:
-            return math.log(2.0) - np.log1p(r2), -2.0 * X / q
-        dd = 4.0 * X[:, :, None] * X[:, None, :] / (q * q)[:, None] - 2.0 * np.eye(m) / q[:, None]
-        return math.log(2.0) - np.log1p(r2), -2.0 * X / q, dd
-
     def phi_point(x):
         r2 = _dot(x, x)
         q = 1.0 + r2
         return math.log(2.0) - math.log1p(r2), [-2.0 * c / q for c in x]
 
     box = (np.full(m, -2.0), np.full(m, 2.0))
-    return _conformal_chart(
-        m, phi, phi_jet, phi_point, lambda x: float(x @ x) < 100.0, box, f"sphere({m})"
-    )
+    return _conformal_chart((1.0,) * m, box, f"sphere({m})", lambda x: math.log(2.0) - np.log1p(x @ x), phi_point,
+                            lambda x: (x * x).sum(-1) < 100.0)
 
 
 def flat_torus(m: int) -> ChartMetric:
     """Flat m-torus: identity metric on periodic angle coordinates."""
     _check_dim("flat_torus(m)", m, 1)
-    return _flat_chart(
-        m, np.ones(m), (np.zeros(m), np.full(m, 2.0 * math.pi)), f"flat_torus({m})"
-    )
+    return _conformal_chart((1.0,) * m, (np.zeros(m), np.full(m, 2.0 * math.pi)), f"flat_torus({m})")
 
 
 def euclidean(n: int) -> ChartMetric:
     _check_dim("euclidean(n)", n, 1)
-    return _flat_chart(n, np.ones(n), (np.full(n, -2.0), np.full(n, 2.0)), f"euclidean({n})")
+    return _conformal_chart((1.0,) * n, (np.full(n, -2.0), np.full(n, 2.0)), f"euclidean({n})")
 
 
 def minkowski(p: int, q: int) -> ChartMetric:
@@ -229,9 +164,8 @@ def minkowski(p: int, q: int) -> ChartMetric:
     if p < 0 or q < 0:
         raise UnsupportedSpaceError("minkowski(p, q) needs p, q >= 0")
     _check_dim("minkowski(p, q)", p + q, 1)
-    diag = np.concatenate([np.ones(p), -np.ones(q)])
     n = p + q
-    return _flat_chart(n, diag, (np.full(n, -2.0), np.full(n, 2.0)), f"minkowski({p},{q})")
+    return _conformal_chart((1.0,) * p + (-1.0,) * q, (np.full(n, -2.0), np.full(n, 2.0)), f"minkowski({p},{q})")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +314,7 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
     """The block-diagonal chart diag(-g_B, e^{2 alpha} g_F), for plain,
     warped and twisted products alike.
 
-    The chart has no jet: its derivatives are the Taylor jet of ``metric_at``
+    The chart is undeclared: its derivatives are the Taylor jet of ``metric_at``
     (``charts._metric_jet``), so the factors' ``metric_at`` and the warping's
     ``value`` must follow the ``metric_at`` rules of ``ChartMetric``.  The
     mixed base-fiber blocks are constant zeros and get exact zero derivatives.
@@ -395,7 +329,7 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
         return np.block([[-base.metric_at(b), zeros], [zeros.T, np.exp(2.0 * spec.alpha(b, f)) * fiber.metric_at(f)]])
 
     def in_domain(xy):
-        return base.in_domain(xy[:db]) and fiber.in_domain(xy[db:])
+        return base.in_domain(xy[..., :db]) & fiber.in_domain(xy[..., db:])
 
     lo = np.concatenate([base.sample_box[0], fiber.sample_box[0]])
     hi = np.concatenate([base.sample_box[1], fiber.sample_box[1]])
@@ -479,8 +413,8 @@ def oneill_T(spec: WarpedProductSpec, pair: VerticalPair, mode: str = "closed_fo
 def fiber_chart_at(spec: WarpedProductSpec, b: np.ndarray) -> ChartMetric:
     """The fiber through base point b with its induced metric e^{2 alpha} g_F.
 
-    Like ``assemble``, the chart has no jet: its derivatives are the Taylor
-    jet of ``metric_at``.  A base point outside the base's domain raises
+    Like ``assemble``, the chart is undeclared: its derivatives are the
+    Taylor jet of ``metric_at``.  A base point outside the base's domain raises
     DomainError."""
     fiber = spec.fiber
     b = np.asarray(b, dtype=float)
@@ -598,10 +532,10 @@ def conformal_scalar_torus(
             2.0 * (l - 1) * lap - (l - 2) * (l - 1) * float(grad @ grad)
         )
 
-    if mode == "numeric":
+    if mode == "numeric":  # undeclared: the Taylor jet of metric_at, a route independent of formula mode
         box = (np.zeros(l), np.full(l, 2.0 * math.pi))
-        chart = _conformal_chart(l, alpha, None, None, lambda p: True, box, f"conformal_torus({l})")
-        return scalar_curvature(chart, x)
+        chart = _conformal_chart((1.0,) * l, box, f"conformal_torus({l})", alpha)
+        return scalar_curvature(replace(chart, conformal=None), x)
 
     raise ValueError(f"unknown conformal_scalar_torus mode {mode!r}")
 

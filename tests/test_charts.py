@@ -3,6 +3,7 @@ and the sampled R >= k certification."""
 
 import dataclasses
 import itertools
+import re
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ def rand_points(chart, n, seed=0):
 _TWIST = sg.Warping(value=lambda b, f: 0.1 * np.sin(f[0]) * b[-1], description="twist")
 
 # Charts of the sampled-margin tests: both README spaces, constant curvature,
-# flat, a twisted product and the Taylor route of a chart without a jet.
+# flat, a twisted product and the Taylor route of an undeclared chart.
 MARGIN_CHARTS = {
     "product": sg.build_space(sg.parse_space("product:hyperbolic(2)*sphere(2)", k=1.0)),
     "warped": sg.build_space(sg.parse_space("warped:hyperbolic(2)*torus(2):alpha=sqrtk*busemann", k=1.0)),
@@ -31,7 +32,7 @@ MARGIN_CHARTS = {
     "hyperbolic3": sg.hyperbolic(3),
     "minkowski12": sg.minkowski(1, 2),
     "twisted": sg.assemble(sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), _TWIST)),
-    "fd-warped": dataclasses.replace(sg.assemble(sg.incompleteness_space(2, 2, 1.0)), jet=None),
+    "fd-warped": dataclasses.replace(sg.assemble(sg.incompleteness_space(2, 2, 1.0)), conformal=None),
 }
 
 
@@ -56,7 +57,7 @@ class TestChristoffel:
 
     def test_taylor_matches_analytic_on_sphere(self):
         chart = sg.sphere(2)
-        taylor_chart = dataclasses.replace(chart, jet=None)
+        taylor_chart = dataclasses.replace(chart, conformal=None)
         x = np.array([0.7, -0.4])
         want = sg.christoffel(chart, x)
         assert np.abs(sg.christoffel(taylor_chart, x) - want).max() <= 1e-12 * np.abs(want).max()
@@ -64,7 +65,7 @@ class TestChristoffel:
     @pytest.mark.parametrize("builder", [sg.hyperbolic, sg.sphere])
     def test_taylor_analytic_agreement_sampled(self, builder):
         chart = builder(2)
-        taylor_chart = dataclasses.replace(chart, jet=None)
+        taylor_chart = dataclasses.replace(chart, conformal=None)
         for x in rand_points(chart, 20, seed=3):
             want = sg.christoffel(chart, x)
             assert np.abs(sg.christoffel(taylor_chart, x) - want).max() <= 1e-12 * np.abs(want).max()
@@ -73,6 +74,24 @@ class TestChristoffel:
         chart = sg.hyperbolic(2)
         with pytest.raises(DomainError):
             sg.christoffel(chart, np.array([0.0, -1.0]))
+
+    @pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf, 1.0], [0.0, math.nan]])
+    def test_nonfinite_point_is_outside(self, x):
+        # hyperbolic's in_domain reads only x_l; a non-finite coordinate
+        # anywhere is refused by the block check itself
+        with pytest.raises(DomainError, match="outside domain of chart 'hyperbolic\\(2\\)'"):
+            sg.christoffel(sg.hyperbolic(2), np.array(x))
+
+    @pytest.mark.parametrize("name", ["product", "sphere3", "minkowski12"])
+    def test_block_domain_check_names_the_first_bad_row(self, name):
+        chart = MARGIN_CHARTS[name]
+        X = rand_points(chart, 6, seed=5)
+        X[2, 0], X[4, -1] = math.nan, math.inf
+        with pytest.raises(DomainError, match=re.escape(str(X[2].tolist()))):
+            charts._metric_jet(chart, X, 1)
+        X[2] = X[0]
+        with pytest.raises(DomainError, match=re.escape(str(X[4].tolist()))):
+            charts._metric_jet(chart, X, 2)
 
     def test_metric_outside_the_contract_is_refused(self):
         # math.exp cannot take a Taylor value: one clear error naming the
@@ -157,7 +176,7 @@ class TestRiemann:
         # The Taylor jet of metric_at, for charts that give only metric_at,
         # against the hand-written jet of the same metric.
         chart = sg.assemble(sg.plain_product(sg.hyperbolic(2), sg.sphere(2)))
-        taylor_chart = dataclasses.replace(chart, jet=None)
+        taylor_chart = dataclasses.replace(chart, conformal=None)
         for x in rand_points(chart, 20, seed=0):
             want = sg.riemann(chart, x)
             assert np.abs(sg.riemann(taylor_chart, x) - want).max() <= 1e-12 * np.abs(want).max()
@@ -319,7 +338,7 @@ class TestCheckRGeK:
         # The unit sphere has curvature exactly 1: a chart that gives only
         # metric_at must pass R >= 1 and fail R >= 1 + 1e-6, with no
         # derivative error in between.
-        chart = dataclasses.replace(sg.sphere(m), jet=None)
+        chart = dataclasses.replace(sg.sphere(m), conformal=None)
         assert sg.check_r_ge_k(chart, 1.0, 512, seed=seed).passed
         assert not sg.check_r_ge_k(chart, 1.0 + 1e-6, 512, seed=seed).passed
 
@@ -450,6 +469,18 @@ class TestChartInvariants:
     )
     def test_builtin_chart_invariants(self, chart):
         sg.verify_chart(chart, n_points=50, seed=0)
+
+    @pytest.mark.parametrize("in_domain", [lambda x: x[-1] > 0.0, lambda x: float(x @ x) < 100.0,
+                                           lambda x: bool(np.all(x[..., -1] > 0.0))],
+                             ids=["row-index", "float", "whole-block"])
+    def test_in_domain_written_per_row_is_caught(self, in_domain):
+        # in_domain takes (..., d): a chart written for one point at a time
+        # fails on the block, or differs there from its per-row results
+        chart = dataclasses.replace(sg.hyperbolic(2), in_domain=in_domain)
+        lo, hi = chart.sample_box
+        chart = dataclasses.replace(chart, sample_box=(lo - np.array([0.0, 1.0]), hi))  # some rows outside
+        with pytest.raises(UnsupportedSpaceError, match="in_domain of chart 'hyperbolic\\(2\\)'"):
+            sg.verify_chart(chart, n_points=50, seed=0)
 
     def test_assembled_signature(self):
         chart = sg.assemble(sg.plain_product(sg.hyperbolic(2), sg.sphere(3)))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -541,15 +542,39 @@ class TestGeodesicCommand:
         assert done.stderr.splitlines() == ["semigeo: error: '1e400' is beyond the float range"]
         assert done.stdout == ""
 
-    def test_overflowing_riccati_without_warnings(self, tmp_path):
+    def test_overflowing_riccati_without_warnings(self, tmp_path, monkeypatch, capsys):
         # k - h^2 overflows in every trial: all 30 trials per direction are
         # rejected as non-finite, with no numpy warning; bytes as before.
-        done = self._cli(["geodesic", "riccati", "--k", "1e308", "--h0", "0", "--out", "r.csv"], tmp_path)
-        assert done.returncode == 2
-        assert "RuntimeWarning" not in done.stderr
-        assert done.stderr == done.stdout == ""
-        digest = hashlib.sha256((tmp_path / "r.csv").read_bytes()).hexdigest()
+        # The span bound refuses k = 1e308 up front, so it is lifted here to
+        # reach the overflow, which riccati_experiment still meets.
+        monkeypatch.setattr(cli, "MAX_RICCATI_SPAN", math.inf)
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["geodesic", "riccati", "--k", "1e308", "--h0", "0", "--out", str(out)]) == 2
+        assert not caught
+        assert capsys.readouterr() == ("", "")
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "0507ce945135fceb3dbc4a831e64ec1858abf2ed3a9cf85844a5d08091d51ce6"
+
+    @pytest.mark.parametrize("k, t_max", [("1", "10001"), ("1e4", "100.01"), ("1e308", "50"), ("1", "1e300")])
+    def test_riccati_span_bound_exit_one(self, tmp_path, monkeypatch, capsys, k, t_max):
+        # The work grows with sqrt(k) * t_max: above 1e4, one error line and
+        # exit 1 before any integration starts.
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an integration was started")
+
+        monkeypatch.setattr(cli, "riccati_experiment", refuse)
+        out = tmp_path / "r.csv"
+        assert run(["geodesic", "riccati", "--k", k, "--t-max", t_max, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("semigeo: error: sqrt(--k) * --t-max must be at most 10000")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0.8", "1", "1.25"])
+    def test_riccati_span_bound_keeps_the_documented_runs(self, tmp_path, k):
+        # the README run and the benchmark's range of k, at t-max 50
+        assert run(["geodesic", "riccati", "--k", k, "--h0", "0", "--t-max", "50", "--out", str(tmp_path / "r.csv")]) == 0
 
     @pytest.mark.parametrize("mode", ["warped-lightlike", "warped-timelike"])
     def test_warped_huge_k_ends_in_a_status(self, tmp_path, mode, capsys):

@@ -12,7 +12,7 @@ import pytest
 
 import semigeo as sg
 import semigeo.geodesics as geo
-from semigeo.charts import _constant_metric
+from semigeo import charts
 from semigeo.errors import DomainError, NonTangentError, RhsDomainError, SemigeoError, SingularMetricError
 
 
@@ -508,7 +508,7 @@ class TestWarpedGeodesics:
 
 
 def _math_sphere():
-    # sphere(2) with its jet and a metric_at written with math.*
+    # sphere(2) with its declaration and a metric_at written with math.*
     return replace(sg.sphere(2), metric_at=lambda x: (2.0 / (1.0 + math.fsum(x * x))) ** 2 * np.eye(2))
 
 
@@ -535,19 +535,19 @@ WARPED_RHS_SPECS = {
     "plain": lambda: sg.plain_product(sg.hyperbolic(2), sg.flat_torus(2)),
     # non-zero fiber dg: the fiber Christoffel term is evaluated
     "sphere-fiber": lambda: sg.warped_product(sg.hyperbolic(2), sg.sphere(2), sg.busemann_warping(1.0)),
-    # a fiber without a jet takes the Taylor route
+    # an undeclared fiber takes the Taylor route
     "fd-fiber": lambda: sg.warped_product(
-        sg.hyperbolic(2), replace(sg.flat_torus(2), jet=None), sg.busemann_warping(1.0)
+        sg.hyperbolic(2), replace(sg.flat_torus(2), conformal=None), sg.busemann_warping(1.0)
     ),
     # a warping without a jet takes the Taylor jet of its value
     "value-only-warping": lambda: sg.warped_product(
         sg.hyperbolic(2), sg.flat_torus(2), sg.Warping(value=sg.busemann_warping(0.7).value)
     ),
-    # a fiber whose metric_at is not Taylor-evaluable takes its jet per call
+    # a declared fiber whose metric_at is not Taylor-evaluable: only phi is used
     "math-fiber": lambda: sg.warped_product(sg.hyperbolic(2), _math_sphere(), sg.busemann_warping(1.0)),
-    # a jet-less base takes the general route: one solve per call
+    # an undeclared base takes the general route: one solve per call
     "varying-base": lambda: sg.warped_product(
-        replace(sg.hyperbolic(2), jet=None), sg.flat_torus(2), sg.busemann_warping(1.0)
+        replace(sg.hyperbolic(2), conformal=None), sg.flat_torus(2), sg.busemann_warping(1.0)
     ),
 }
 
@@ -566,42 +566,63 @@ class TestWarpedRhsReference:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _count_metric_jet(monkeypatch):
+    # the names of the charts whose metric jet the right-hand sides take
+    calls, metric_jet = [], geo._metric_jet
+
+    def counted(chart, X, order):
+        calls.append(chart.name)
+        return metric_jet(chart, X, order)
+
+    monkeypatch.setattr(geo, "_metric_jet", counted)
+    return calls
+
+
 class TestConstantFiber:
-    @pytest.mark.parametrize("chart", [sg.flat_torus(2), sg.euclidean(3), sg.minkowski(1, 2),
-                                       replace(sg.flat_torus(2), jet=None)],
-                             ids=["flat_torus", "euclidean", "minkowski", "jetless-flat_torus"])
+    # The flat atoms are declared conformal with phi = 0: as a fiber they
+    # take the closed form, with no metric_at and no metric jet per call.
+    @pytest.mark.parametrize("chart", [sg.flat_torus(2), sg.euclidean(3), sg.minkowski(1, 2)],
+                             ids=["flat_torus", "euclidean", "minkowski"])
     def test_flat_charts_are_constant(self, chart):
-        assert np.array_equal(_constant_metric(chart), chart.metric_at(chart.sample_box[0]))
+        X = np.random.default_rng(0).uniform(*chart.sample_box, (8, chart.dim))
+        scale, g, dg, ddg = charts._metric_jet(chart, X, 2)
+        assert np.array_equal(scale[:, None, None] * g, np.broadcast_to(chart.metric_at(X[0]), g.shape))
+        assert not dg.any() and not ddg.any()
+        p, dp = chart.conformal.phi_point(X[0].tolist())
+        assert p == 0.0 and list(dp) == [0.0] * chart.dim
 
-    @pytest.mark.parametrize("chart", [sg.hyperbolic(2), sg.sphere(2), _math_sphere()],
-                             ids=["hyperbolic", "sphere", "math-sphere"])
-    def test_other_charts_are_evaluated_per_call(self, chart):
-        # sphere(2) has dg = 0 at the middle of its box: the decision is by
-        # type, not by value; the math.* metric_at is not Taylor-evaluable
-        assert _constant_metric(chart) is None
+    @pytest.mark.parametrize("chart", [sg.hyperbolic(2), sg.sphere(2), _math_sphere(),
+                                       replace(sg.flat_torus(2), conformal=None)],
+                             ids=["hyperbolic", "sphere", "math-sphere", "undeclared-flat_torus"])
+    def test_other_charts_are_evaluated_per_call(self, chart, monkeypatch):
+        # sphere(2) has d phi = 0 at the middle of its box and the undeclared
+        # torus is flat: the route follows the declaration, not the values.
+        # A declared fiber takes phi_point per call, any other its metric jet.
+        calls = _count_metric_jet(monkeypatch)
+        if chart.conformal is not None:
+            point = chart.conformal.phi_point
+            chart = replace(chart, conformal=replace(chart.conformal,
+                                                     phi_point=lambda x: calls.append("phi_point") or point(x)))
+        rhs = sg.warped_geodesic_rhs(sg.warped_product(sg.hyperbolic(2), chart, sg.busemann_warping(1.0))).rhs
+        y = np.concatenate([[0.1, 1.2], 0.5 * sum(chart.sample_box), [0.3, 0.4, 0.5, -0.1]])
+        for _ in range(3):
+            rhs(0.0, y)
+        assert calls == ["phi_point" if chart.conformal else chart.name] * 3
 
-    def test_constant_fiber_is_evaluated_once(self):
-        torus, calls = sg.flat_torus(2), {"metric_at": 0, "jet": 0}
-
-        def metric_at(x):
-            calls["metric_at"] += 1
-            return torus.metric_at(x)
-
-        def jet(X, order):
-            calls["jet"] += 1
-            return torus.jet(X, order)
-
-        fiber = replace(torus, metric_at=metric_at, jet=jet)
+    def test_constant_fiber_is_evaluated_once(self, monkeypatch):
+        # its declaration is read once per system; metric_at and the metric
+        # jet are never called
+        torus, calls = sg.flat_torus(2), _count_metric_jet(monkeypatch)
+        fiber = replace(torus, metric_at=lambda x: calls.append("metric_at") or torus.metric_at(x))
         rhs = sg.warped_geodesic_rhs(sg.warped_product(sg.hyperbolic(2), fiber, sg.busemann_warping(1.0))).rhs
-        assert calls == {"metric_at": 1, "jet": 0}
         y = np.array([0.1, 1.2, 0.3, 0.4, 0.2, 0.5, 0.6, -0.1])
         for _ in range(20):
             rhs(0.0, y)
-        assert calls == {"metric_at": 1, "jet": 0}
+        assert calls == []
 
     def test_constant_fiber_keeps_its_domain(self):
-        fiber = replace(sg.flat_torus(2), in_domain=lambda x: x[0] < 1.0)
-        assert _constant_metric(fiber) is not None
+        fiber = replace(sg.flat_torus(2), in_domain=lambda x: x[..., 0] < 1.0)
+        assert fiber.conformal is not None
         system = sg.warped_geodesic_rhs(sg.plain_product(sg.hyperbolic(2), fiber))
         with pytest.raises(RhsDomainError):
             system.rhs(0.0, np.array([0.0, 1.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0]))
@@ -612,18 +633,12 @@ class TestConstantFiber:
 
     def test_singular_base_metric_raises(self):
         # g = b_0 I is singular at b_0 = 0, on both right-hand sides
-        base = replace(sg.hyperbolic(2), jet=None, metric_at=lambda x: x[0] * np.eye(2))
+        base = replace(sg.hyperbolic(2), conformal=None, metric_at=lambda x: x[0] * np.eye(2))
         y = np.array([0.0, 1.0, 0.3, 0.4, 0.2, 0.5, 0.6, -0.1])
         with pytest.raises(SingularMetricError):
             sg.warped_geodesic_rhs(sg.warped_product(base, sg.flat_torus(2), sg.busemann_warping(1.0))).rhs(0.0, y)
         with pytest.raises(SingularMetricError):
             sg.geodesic_rhs(base).rhs(0.0, y[[0, 1, 4, 5]])
-
-
-def _rejetted(chart):
-    # the same jet behind a plain function, which takes the general route
-    jet = chart.jet
-    return replace(chart, jet=lambda X, order: jet(X, order))
 
 
 CONFORMAL_CHARTS = {f"{b.__name__}({d})": (b, d) for b, dims in ((sg.hyperbolic, (2, 3, 4)), (sg.sphere, (2, 3)))
@@ -639,12 +654,12 @@ def _random_states(rng, charts, count=50):
 
 class TestConformalClosedForm:
     # The built-in conformal charts take v' = |v|^2 d phi - 2 (d phi . v) v;
-    # the same jet behind a plain function takes _spray and a solve.
+    # the same chart undeclared (conformal=None) takes _spray and a solve.
     @pytest.mark.parametrize("name", CONFORMAL_CHARTS)
     def test_geodesic_rhs_matches_general_route(self, name):
         builder, d = CONFORMAL_CHARTS[name]
         chart = builder(d)
-        fast, general = sg.geodesic_rhs(chart).rhs, sg.geodesic_rhs(_rejetted(chart)).rhs
+        fast, general = sg.geodesic_rhs(chart).rhs, sg.geodesic_rhs(replace(chart, conformal=None)).rhs
         for y in _random_states(np.random.default_rng(22), [chart]):
             got, want = fast(0.0, y), general(0.0, y)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -662,31 +677,42 @@ class TestConformalClosedForm:
             spec = sg.plain_product(b, fib) if kind == "plain" else sg.warped_product(b, fib, warping)
             return sg.warped_geodesic_rhs(spec).rhs
 
-        fast, general = system(base), system(_rejetted(base))
+        fast, general = system(base), system(replace(base, conformal=None))
         for y in _random_states(np.random.default_rng(23), [base, fib]):
             got, want = fast(0.0, y), general(0.0, y)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_only_the_conformal_jet_takes_the_closed_form(self, monkeypatch):
-        calls = []
-
-        def counted(chart, X, order):
-            calls.append(chart.name)
-            return metric_jet(chart, X, order)
-
-        metric_jet = geo._metric_jet
-        monkeypatch.setattr(geo, "_metric_jet", counted)
+        calls = _count_metric_jet(monkeypatch)
         hyp = sg.hyperbolic(2)
         y = np.array([0.1, 1.2, 0.3, -0.4])
         want = sg.geodesic_rhs(hyp).rhs(0.0, y)
-        assert calls == []
-        for chart in (sg.negate(hyp), replace(hyp, jet=None), _rejetted(hyp)):
+        # negate flips eta and keeps the declaration, and with it the closed form
+        for chart in (sg.negate(hyp), replace(hyp, conformal=None)):
             got = sg.geodesic_rhs(chart).rhs(0.0, y)
-            assert calls.pop() == chart.name and calls == []
+            assert calls == ([] if chart.conformal else [chart.name])
+            calls.clear()
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         spec = sg.incompleteness_space(2, 2, 1.0)
         sg.warped_geodesic_rhs(spec).rhs(0.0, np.array([0.1, 1.2, 0.3, 0.4, 0.2, 0.5, 0.6, -0.1]))
         assert calls == []
+
+    def test_traced_charts_keep_the_closed_form(self, monkeypatch):
+        # A tracer rebuilds charts with replace(chart, metric_at=wrapper) and
+        # systems with replace(system, rhs=wrapper): the declaration is a
+        # field, so both builders still take the closed form, bit for bit.
+        calls = _count_metric_jet(monkeypatch)
+
+        def traced(chart):
+            return replace(chart, metric_at=lambda x, m=chart.metric_at: calls.append("metric_at") or m(x))
+
+        y2, y4 = [0.1, 1.2, 0.3, -0.4], [0.1, 1.2, 0.3, 0.4, 0.2, 0.5, 0.6, -0.1]
+        for build, y in ((lambda h, t: sg.geodesic_rhs(h), y2),
+                         (lambda h, t: sg.warped_geodesic_rhs(sg.warped_product(h, t, sg.busemann_warping(1.0))), y4)):
+            want = sg.integrate(build(sg.hyperbolic(2), sg.flat_torus(2)), y, (0.0, 0.5))
+            system = build(traced(sg.hyperbolic(2)), traced(sg.flat_torus(2)))
+            got = sg.integrate(replace(system, rhs=lambda t, y, f=system.rhs: f(t, y)), y, (0.0, 0.5))
+            assert np.array_equal(got.states, want.states) and calls == []
 
     @pytest.mark.parametrize("warped", [False, True])
     def test_closed_form_leaves_the_domain(self, warped):
@@ -735,7 +761,7 @@ def _busemann_jets(scale):
 
 FLOAT_ROUTE_SYSTEMS = {
     **{f"geodesic-{name}": (lambda b=b, d=d: (sg.geodesic_rhs(b(d)), [b(d)])) for name, (b, d) in CONFORMAL_CHARTS.items()},
-    "geodesic-rejetted": lambda: (sg.geodesic_rhs(_rejetted(sg.sphere(3))), [sg.sphere(3)]),
+    "geodesic-rejetted": lambda: (sg.geodesic_rhs(replace(sg.sphere(3), conformal=None)), [sg.sphere(3)]),
     **{f"warped-{name}": (lambda make=make: (sg.warped_geodesic_rhs(make()), [make().base, make().fiber]))
        for name, make in WARPED_RHS_SPECS.items()},
 }
@@ -766,7 +792,7 @@ class TestFloatRoute:
     @pytest.mark.parametrize("warping", ["ndarray-jet", "tuple-jet", "value-only"])
     def test_user_warping_matches_reference_formula(self, warping, base):
         hyp = sg.hyperbolic(2)
-        spec = sg.warped_product(hyp if base == "conformal" else replace(hyp, jet=None), sg.flat_torus(2),
+        spec = sg.warped_product(hyp if base == "conformal" else replace(hyp, conformal=None), sg.flat_torus(2),
                                  _busemann_jets(0.7)[warping])
         rhs = sg.warped_geodesic_rhs(spec).rhs
         for y in _random_states(np.random.default_rng(25), [spec.base, spec.fiber]):

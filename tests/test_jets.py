@@ -1,7 +1,8 @@
 """Metric jets and curvature against a symbolic oracle (sympy, test-only).
 
-Each chart's metric jet (``charts._metric_jet``: its own ``jet``, or the
-Taylor jet of ``metric_at`` for the jet-less product and fiber charts) is
+Each chart's metric jet (``charts._metric_jet``: the conformal closed form of
+a declared atom, or the Taylor jet of ``metric_at`` for the undeclared product
+and fiber charts) is
 compared with sympy derivatives of the same metric written out by hand, and ``riemann`` with the symbolic Riemann tensor in the
 ``charts`` convention R^i_{jkl} = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj
 - G^i_lm G^m_kj, and ``riemann_lowered`` with the symbolic g_im R^m_{jkl}.
@@ -129,9 +130,9 @@ def test_taylor_operations_match_symbolic_derivatives():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_taylor_jet_matches_symbolic_derivatives(name):
-    # the same chart without its jet: the Taylor jet of metric_at
+    # the same chart undeclared: the Taylor jet of metric_at
     chart, metric = CASES[name]
-    chart = dataclasses.replace(chart, jet=None)
+    chart = dataclasses.replace(chart, conformal=None)
     exact = _symbolic_jet(metric, chart.dim)
     pts = _points(chart)
     scale, *parts = charts._metric_jet(chart, pts, 2)

@@ -57,19 +57,52 @@ class TestBuilders:
 
 
 class TestPhiPoint:
-    # Each conformal atom's one-point float closed form against its batch jet
-    # at order 1.  The sphere's phi = log 2 - log1p(|x|^2) cancels near
-    # |x| = 1, so phi is compared relative to max(1, |phi|).
+    # Each conformal atom's one-point float closed form against the Taylor
+    # jet of its declared phi.  The sphere's phi = log 2 - log1p(|x|^2)
+    # cancels near |x| = 1, so phi is compared relative to max(1, |phi|).
     @pytest.mark.parametrize("dim", range(2, MAX_ATOM_DIM + 1))
     @pytest.mark.parametrize("builder", [sg.hyperbolic, sg.sphere])
     def test_matches_phi_jet(self, builder, dim):
-        chart = builder(dim)
-        X = np.random.default_rng(dim).uniform(*chart.sample_box, (50, dim))
-        for x, want_p, want_dp in zip(X, *chart.jet.phi_jet(X, 1)):
-            p, dp = chart.jet.phi_point(x.tolist())
+        conformal = builder(dim).conformal
+        X = np.random.default_rng(dim).uniform(*builder(dim).sample_box, (50, dim))
+        for x, want_p, want_dp, _ in zip(X, *charts._taylor(conformal.phi, X, "phi")):
+            p, dp = conformal.phi_point(x.tolist())
             assert type(p) is float and len(dp) == dim and all(type(c) is float for c in dp)
             assert abs(p - want_p) <= 1e-15 * max(1.0, abs(want_p))
             assert np.abs(np.array(dp) - want_dp).max() <= 1e-15 * np.abs(want_dp).max()
+
+
+ATOMS = {
+    "hyperbolic": sg.hyperbolic,
+    "sphere": sg.sphere,
+    "flat_torus": sg.flat_torus,
+    "euclidean": sg.euclidean,
+    "minkowski": lambda d: sg.minkowski(1, d - 1),
+}
+
+
+class TestConformalDeclaration:
+    # Every atom is declared conformal, g = e^{2 phi} diag(eta); minkowski
+    # and the negated charts have eta != I.  The declared closed forms (the
+    # order-2 jet from the Taylor jet of phi, the float spray from
+    # phi_point) against the same chart undeclared: the Taylor jet of
+    # metric_at, and _spray with a solve.
+    @pytest.mark.parametrize("negated", [False, True], ids=["atom", "negate"])
+    @pytest.mark.parametrize("dim", range(2, MAX_ATOM_DIM + 1))
+    @pytest.mark.parametrize("name", sorted(ATOMS))
+    def test_matches_the_undeclared_route(self, name, dim, negated):
+        chart = sg.negate(ATOMS[name](dim)) if negated else ATOMS[name](dim)
+        eta = chart.conformal.eta
+        assert chart.signature == (sum(e > 0 for e in eta), sum(e < 0 for e in eta))
+        undeclared = replace(chart, conformal=None)
+        X = np.random.default_rng(dim).uniform(*chart.sample_box, (16, dim))
+        for got, want in zip(charts._curvature(chart, X), charts._curvature(undeclared, X)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        fast, general = sg.geodesic_rhs(chart).rhs, sg.geodesic_rhs(undeclared).rhs
+        velocities = np.random.default_rng(dim + 1).standard_normal((len(X), dim))
+        for y in np.hstack([X, velocities]):
+            got, want = fast(0.0, y), general(0.0, y)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestBusemann:
@@ -125,7 +158,7 @@ class TestAssembledStructure:
         warp = sg.Warping(value=lambda b, f: 0.1 * math.sin(f[0]) * b[-1], description="twist")
         spec = sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), warp)
         chart = sg.assemble(spec)
-        assert chart.jet is None
+        assert chart.conformal is None
         sg.verify_chart(chart, n_points=10, seed=2)
 
     @pytest.mark.parametrize(
@@ -145,7 +178,7 @@ class TestAssembledStructure:
         import dataclasses
 
         chart = sg.assemble(spec)
-        taylor_chart = dataclasses.replace(chart, jet=None)
+        taylor_chart = dataclasses.replace(chart, conformal=None)
         rng = np.random.default_rng(7)
         lo, hi = chart.sample_box
         for _ in range(10):
@@ -176,8 +209,8 @@ def _scaled(alpha, jet):
 
 
 def _reference_jet(spec, X, order):
-    # An independent route to the product chart's jet: the factors' own jets
-    # zero-padded to (n, d, ..., d) with their scales folded in, the fiber's
+    # An independent route to the product chart's jet: the factors' declared
+    # conformal jets zero-padded to (n, d, ..., d) with their scales folded in, the fiber's
     # scaled by e^{2 alpha} over all d coordinates by the product rule (alpha
     # and its partials from Taylor arithmetic on the warping value alone),
     # then w * p - q.
@@ -196,8 +229,8 @@ def _reference_jet(spec, X, order):
     b, f = X[:, :db], X[:, db:]
     value = spec.warping.value
     alpha = charts._taylor(lambda x: value(x[:db], x[db:]), X, "warping value")
-    _, *base_parts = embed(spec.base.jet(b, 2), 0)
-    w, *fiber_parts = _scaled(alpha, embed(spec.fiber.jet(f, 2), db))
+    _, *base_parts = embed(charts._metric_jet(spec.base, b, 2), 0)
+    w, *fiber_parts = _scaled(alpha, embed(charts._metric_jet(spec.fiber, f, 2), db))
     parts = tuple(w.reshape((-1,) + (1,) * (p.ndim - 1)) * p - q for p, q in zip(fiber_parts, base_parts))
     return (np.ones(len(X)),) + parts[: order + 1]
 
@@ -218,14 +251,14 @@ def _jet_points(chart, n=64, seed=0):
 
 
 class TestAssembledJet:
-    # The product and fiber charts have no jet of their own: their Taylor
-    # jet against the product-rule assembly of the factor jets.
+    # The product and fiber charts are undeclared: their Taylor jet against
+    # the product-rule assembly of the factor jets.
     @pytest.mark.parametrize("name", list(JET_SPECS))
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_dense_reference(self, name, order):
         spec = JET_SPECS[name]
         chart = sg.assemble(spec)
-        assert chart.jet is None
+        assert chart.conformal is None
         X = _jet_points(chart)
         want = _reference_jet(spec, X, order)
         for sign, c in ((1.0, chart), (-1.0, sg.negate(chart))):
@@ -243,7 +276,7 @@ class TestAssembledJet:
         for x in X:
             F = np.broadcast_to(x[db:], (3, spec.fiber.dim)) + np.arange(3)[:, None] * 0.25
             fiber = sg.fiber_chart_at(spec, x[:db])
-            assert fiber.jet is None
+            assert fiber.conformal is None
             scale, *parts = charts._metric_jet(fiber, F, order)
             _, *want = _reference_jet(spec, np.hstack([np.broadcast_to(x[:db], (3, db)), F]), order)
             for rank, (part, full) in enumerate(zip(parts, want, strict=True)):
@@ -288,7 +321,7 @@ class TestJetContract:
             _, g, _ = charts._metric_jet(chart, X, 1)
             report = sg.check_r_ge_k(chart, 1.0, 20, seed=0)
         assert not np.all(np.isfinite(g[:, 2:, 2:]))
-        assert np.array_equal(g[:, :2, :2], -sg.hyperbolic(2).jet(X[:, :2], 1)[0][:, None, None] * np.eye(2))
+        assert np.array_equal(g[:, :2, :2], -charts._metric_jet(sg.hyperbolic(2), X[:, :2], 1)[0][:, None, None] * np.eye(2))
         assert not report.passed
         assert not np.isfinite(report.min_margin)
         assert report.witness is not None
