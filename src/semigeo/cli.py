@@ -21,6 +21,12 @@ Space grammar for --space:
     product:<base>*<fiber>
     warped:<base>*<fiber>:alpha=<busemann | sqrtk*busemann | const>
 
+Each handler imports the semigeo modules it uses when it runs:
+``curvature-check`` loads charts and spaces, ``su21`` and ``scan`` load su21
+and charts, ``geodesic`` loads all four.  Importing this module, ``--help``
+and a usage error load none of them.  ``python -m semigeo`` runs the same
+command line as the console script.
+
 Every float flag must be finite: nan or inf exits 1 before any numerics
 run.  A failing su21 exact check adds an ``exact_check_witness`` object
 naming its first failing basis pair, triple or pair index.  Every sampling
@@ -38,21 +44,15 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import su21 as alg
-from .charts import CurvatureReport, check_r_ge_k, reduce_margins
 from .errors import SemigeoError, UnsupportedSpaceError
-from .geodesics import (
-    IntegratorConfig,
-    Trajectory,
-    breakdown_run,
-    euler_arnold_integrate,
-    incompleteness_space,
-    riccati_experiment,
-)
-from .spaces import build_space, parse_space
+
+if TYPE_CHECKING:
+    from .charts import CurvatureReport
+    from .geodesics import IntegratorConfig, Trajectory
 
 
 class _UsageError(Exception):
@@ -157,6 +157,9 @@ def _validate_common(args) -> None:
 
 
 def cmd_curvature_check(args) -> int:
+    from .charts import check_r_ge_k
+    from .spaces import build_space, parse_space
+
     _validate_common(args)
     try:
         space = parse_space(args.space, k=args.k)
@@ -198,11 +201,13 @@ def _exact_draws(count: int, seed: int):
 
 def _exact_pairs(count: int, seed: int):
     """Seeded rational pairs: pair i is row i of _exact_draws, coordinate n/d."""
+    from .su21 import AlgebraElement
+
     nums, dens = _exact_draws(count, seed)
     table = [Fraction(n, d) for n in range(-9, 10) for d in range(1, 10)]  # the 171 possible coordinates
     for row in ((nums + 9) * 9 + dens - 1).tolist():
         coords = tuple(map(table.__getitem__, row))
-        yield alg.AlgebraElement(coords[:8]), alg.AlgebraElement(coords[8:])
+        yield AlgebraElement(coords[:8]), AlgebraElement(coords[8:])
 
 
 def _exact_rows(count: int, seed: int):
@@ -228,6 +233,8 @@ def _su21_exact_checks(n_pairs: int, seed: int) -> dict:
     numerators over EXACT_DEN, and every residual is homogeneous of degree
     (2, 2), so it is zero exactly when the residual of the rational pair is.
     """
+    from . import su21 as alg
+
     failures = alg.basis_identity_witnesses()
     failures["determinant_identity"] = _first_nonzero(alg.det_residuals(*_exact_rows(n_pairs, seed)))
     params = alg.ModelParams(Fraction(-1, 2), Fraction(1, 10))
@@ -237,6 +244,9 @@ def _su21_exact_checks(n_pairs: int, seed: int) -> dict:
 
 
 def cmd_su21(args) -> int:
+    from . import su21 as alg
+    from .charts import reduce_margins
+
     _validate_common(args)
     params = alg.ModelParams(args.t, args.k)  # DomainError -> exit 1
     failures = _su21_exact_checks(min(args.samples, 1000), args.seed)
@@ -280,6 +290,8 @@ def _grid_count(lo: Fraction, hi: Fraction, step: Fraction) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .su21 import scan_region
+
     _validate_common(args)
     n_t = _grid_count(args.t_min, args.t_max, args.t_step)
     n_k = _grid_count(args.k_min, args.k_max, args.k_step)
@@ -295,7 +307,7 @@ def cmd_scan(args) -> int:
     t_values = [t for t in t_values if t > -1]
     if not t_values or not k_values:
         raise _UsageError("empty scan grid")
-    grid = alg.scan_region(t_values, k_values, sample_count=args.samples, seed=args.seed)
+    grid = scan_region(t_values, k_values, sample_count=args.samples, seed=args.seed)
     _emit(grid.to_csv(), args.out)
     feas_t = grid.feasible_t_values()
     if feas_t:
@@ -310,10 +322,15 @@ def cmd_scan(args) -> int:
 
 
 def _geo_config(args) -> IntegratorConfig:
+    from .geodesics import IntegratorConfig
+
     return IntegratorConfig(rtol=args.rtol, atol=args.atol)
 
 
 def cmd_geodesic(args) -> int:
+    from . import su21 as alg
+    from .geodesics import breakdown_run, euler_arnold_integrate, incompleteness_space, riccati_experiment
+
     _validate_common(args)
     config = _geo_config(args)  # non-finite tolerances -> DomainError, exit 1
     if args.mode in ("warped-lightlike", "warped-timelike"):

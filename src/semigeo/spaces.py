@@ -79,6 +79,11 @@ def _last(x: np.ndarray):
     return x[-1] if x.ndim == 1 else x[..., -1]
 
 
+def _norm_sq(x: np.ndarray):
+    """|x|^2 over the last axis; for one point a float (as in _last)."""
+    return float(x @ x) if x.ndim == 1 else (x * x).sum(-1)
+
+
 def _dot(a, b) -> float:
     """sum_i a_i b_i over two float sequences, left to right."""
     return sum(map(mul, a, b))
@@ -145,7 +150,7 @@ def sphere(m: int) -> ChartMetric:
 
     box = (np.full(m, -2.0), np.full(m, 2.0))
     return _conformal_chart((1.0,) * m, box, f"sphere({m})", lambda x: math.log(2.0) - np.log1p(x @ x), phi_point,
-                            lambda x: (x * x).sum(-1) < 100.0)
+                            lambda x: _norm_sq(x) < 100.0)
 
 
 def flat_torus(m: int) -> ChartMetric:

@@ -8,11 +8,12 @@ and the degree-4 curvature form are evaluated exactly in rational arithmetic
 whenever the inputs are rational (floats are accepted and simply degrade to
 float arithmetic).  One sparse list of the 54 nonzero structure constants,
 all integers, drives the exact bracket, the exact pair kernel and the float
-margin forms.  The exact paths work on integer numerators over a common
-denominator: the pair kernel makes one pass for [X, Y], [X1, Y1] and
-[X2, Y2]_1, and both quartic forms and the determinant identity, homogeneous
-of degree (2, 2), are each one integer polynomial (det_residuals,
-quartic_numerators).  The coordinates may be 8 numbers (one pair; the
+margin forms; it and the diagonal of B are computed once per process from
+the integer basis matrices (int64 arithmetic, checked exactly).  The exact
+paths work on integer numerators over a common denominator: the pair kernel
+makes one pass for [X, Y], [X1, Y1] and [X2, Y2]_1, and both quartic forms
+and the determinant identity, homogeneous of degree (2, 2), are each one
+integer polynomial (det_residuals, quartic_numerators).  The coordinates may be 8 numbers (one pair; the
 scalar functions divide once into a Fraction) or 8 rows of Python ints (a
 batch of pairs in one array pass, as the CLI's seeded pair checks use).
 feasible() is four integer sign tests, which scan_region applies to integers
@@ -63,22 +64,25 @@ def block_of(index: int) -> int:
 
 _F0, _F1 = Fraction(0), Fraction(1)
 
+# Matrix realization: basis element i is _BASIS[i, 0] + sqrt(-1) _BASIS[i, 1].
+_BASIS = np.array([
+    [[[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, -2]]],  # e1
+    [[[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, -1, 0], [0, 0, 0]]],  # e2
+    [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],  # e3
+    [[[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]]],  # e4
+    [[[0, 0, 1], [0, 0, 0], [1, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],  # f1
+    [[[0, 0, 0], [0, 0, 1], [0, 1, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],  # f2
+    [[[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]],  # f3
+    [[[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, -1, 0]]],  # f4
+], dtype=np.int64)
 
-def _fmat(rows) -> np.ndarray:
-    return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
 
-
-# Matrix realization: each basis element as (real part, imaginary part).
-_BASIS_RE_IM: tuple[tuple[np.ndarray, np.ndarray], ...] = (
-    (_fmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), _fmat([[1, 0, 0], [0, 1, 0], [0, 0, -2]])),  # e1
-    (_fmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), _fmat([[1, 0, 0], [0, -1, 0], [0, 0, 0]])),  # e2
-    (_fmat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), _fmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])),  # e3
-    (_fmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), _fmat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])),  # e4
-    (_fmat([[0, 0, 1], [0, 0, 0], [1, 0, 0]]), _fmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])),  # f1
-    (_fmat([[0, 0, 0], [0, 0, 1], [0, 1, 0]]), _fmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])),  # f2
-    (_fmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), _fmat([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])),  # f3
-    (_fmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), _fmat([[0, 0, 0], [0, 0, 1], [0, -1, 0]])),  # f4
-)
+def _coordinates(re, im, half) -> tuple:
+    """The basis coordinates of the matrix re + sqrt(-1) im, read off its
+    entries; ``half`` divides by 2 (only the e1 and e2 coordinates need it).
+    Trailing axes after the two matrix axes are a batch."""
+    a1 = half(-im[2][2])
+    return a1, im[0][0] - a1, re[0][1], im[0][1], re[0][2], re[1][2], im[0][2], im[1][2]
 
 
 @dataclass(frozen=True)
@@ -112,12 +116,8 @@ class AlgebraElement:
 
     def to_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """The 3x3 matrix realization as (real part, imaginary part)."""
-        re = np.zeros((3, 3), dtype=object)
-        im = np.zeros((3, 3), dtype=object)
-        for c, (bre, bim) in zip(self.coords, _BASIS_RE_IM):
-            if c != 0:
-                re = re + c * bre
-                im = im + c * bim
+        coords = np.array([c * _F1 for c in self.coords], dtype=object)  # ints become Fractions
+        re, im = np.tensordot(coords, _BASIS.astype(object), 1)
         return re, im
 
 
@@ -144,13 +144,7 @@ def from_matrix(re: np.ndarray, im: np.ndarray) -> AlgebraElement:
     reconstruction reproduces the input exactly; anything else raises
     BasisDecompositionError.
     """
-    a1 = -im[2][2] / 2
-    a2 = im[0][0] - a1
-    a3 = re[0][1]
-    a4 = im[0][1]
-    b1, b3 = re[0][2], im[0][2]
-    b2, b4 = re[1][2], im[1][2]
-    elem = AlgebraElement((a1, a2, a3, a4, b1, b2, b3, b4))
+    elem = AlgebraElement(_coordinates(re, im, lambda v: v / 2))
     back_re, back_im = elem.to_matrix()
     if not (np.array_equal(back_re, re) and np.array_equal(back_im, im)):
         raise BasisDecompositionError("matrix is not in the span of the fixed basis")
@@ -167,54 +161,33 @@ def matrix_commutator(x: AlgebraElement, y: AlgebraElement) -> tuple[np.ndarray,
 
 
 @lru_cache(maxsize=1)
-def _bracket_table() -> tuple:
-    """Structure constants: table[i][j] = coordinates of [basis_i, basis_j].
-
-    Built once from exact matrix commutators and exact decomposition.
-    """
-    table = []
-    for i in range(8):
-        row = []
-        for j in range(8):
-            re, im = matrix_commutator(basis_element(i), basis_element(j))
-            row.append(from_matrix(re, im).coords)
-        table.append(tuple(row))
-    return tuple(table)
-
-
-@lru_cache(maxsize=1)
 def _bracket_terms() -> tuple:
     """The 54 nonzero structure constants as (i, j, k, c): [basis_i, basis_j]
     has coordinate c on basis_k.  Every c is an integer (in +-{1, 2, 3}), so
     brackets of integer numerators stay integers.
+
+    Built once from the 64 integer matrix commutators, decomposed by
+    ``from_matrix``'s functionals and checked by exact reconstruction.
     """
-    terms = []
-    for i, row in enumerate(_bracket_table()):
-        for j, cell in enumerate(row):
-            for k, c in enumerate(cell):
-                if c.denominator != 1:
-                    raise SemigeoError("structure constant is not an integer")
-                if c:
-                    terms.append((i, j, k, c.numerator))
-    return tuple(terms)
+    re, im = _BASIS[:, 0], _BASIS[:, 1]
+    prod_re = np.einsum("iab,jbc->acij", re, re) - np.einsum("iab,jbc->acij", im, im)  # (X_i X_j)[a, c]
+    prod_im = np.einsum("iab,jbc->acij", re, im) + np.einsum("iab,jbc->acij", im, re)
+    comm = np.stack((prod_re - prod_re.transpose(0, 1, 3, 2), prod_im - prod_im.transpose(0, 1, 3, 2)))
+    table = np.stack(_coordinates(*comm, lambda v: v // 2), axis=-1)  # table[i, j, k]
+    if not np.array_equal(np.einsum("ijk,kpab->pabij", table, _BASIS), comm):
+        raise SemigeoError("a basis bracket is not an integer combination of the basis")
+    i, j, k = np.nonzero(table)
+    return tuple(zip(i.tolist(), j.tolist(), k.tolist(), table[i, j, k].tolist()))
 
 
 @lru_cache(maxsize=1)
 def _b_diagonal() -> tuple:
-    """Diagonal of the Gram matrix of B over the basis as ints, via exact
-    matrix traces; the matrix must be diagonal with integer entries."""
-    diag = []
-    for i in range(8):
-        for j in range(8):
-            xr, xi = basis_element(i).to_matrix()
-            yr, yi = basis_element(j).to_matrix()
-            prod_re = xr.dot(yr) - xi.dot(yi)
-            entry = -sum(prod_re[d][d] for d in range(3))
-            if (i != j and entry != 0) or entry.denominator != 1:
-                raise SemigeoError("B Gram matrix is not diagonal and integral")
-            if i == j:
-                diag.append(entry.numerator)
-    return tuple(diag)
+    """Diagonal of the Gram matrix of B(X, Y) = -Re tr(XY) over the basis as
+    ints, from one trace contraction; the matrix must be diagonal."""
+    gram = -np.einsum("ipab,jpba,p->ij", _BASIS, _BASIS, np.array([1, -1]))
+    if np.count_nonzero(gram - np.diag(np.diag(gram))):
+        raise SemigeoError("B Gram matrix is not diagonal")
+    return tuple(np.diag(gram).tolist())
 
 
 def _numerators(x: AlgebraElement) -> tuple:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import semigeo as sg
-from semigeo import cli, su21
+from semigeo import cli, geodesics, su21
 from semigeo.cli import MAX_SAMPLES, _exact_pairs, _grid_count, main
 from semigeo.spaces import MAX_ATOM_DIM
 
@@ -564,7 +564,7 @@ class TestGeodesicCommand:
         def refuse(*_args, **_kwargs):
             raise AssertionError("an integration was started")
 
-        monkeypatch.setattr(cli, "riccati_experiment", refuse)
+        monkeypatch.setattr(geodesics, "riccati_experiment", refuse)
         out = tmp_path / "r.csv"
         assert run(["geodesic", "riccati", "--k", k, "--t-max", t_max, "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -666,3 +666,92 @@ class TestColdStart:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                               timeout=120, check=True)
         assert done.stdout.strip() == "[]"
+
+    NUMERICAL = ("semigeo.charts", "semigeo.spaces", "semigeo.su21", "semigeo.geodesics")
+    # The package's public names, frozen: lazy loading must keep every one.
+    EXPORTS = (
+        "AlgebraElement AlgebraFlowReport BLOWUP BasisDecompositionError BreakdownRun BusemannField COMPLETED "
+        "ChartMetric Conformal CurvatureReport DegeneratePlaneError DomainError EmptySampleError FeasibilityGrid "
+        "FeasibilityResult GridCell IncompletenessReport IntegrationStats IntegratorConfig ModelParams "
+        "NonTangentError ODESystem RhsDomainError RiccatiReport RiccatiRun STEP_UNDERFLOW SemigeoError "
+        "SingularMetricError StepBudgetError TangentPair TangentSampler Trajectory TrajectoryStatus "
+        "UnsupportedSpaceError VerticalPair WarpedProductSpec Warping XYZ area_form assemble "
+        "base_curvature_bound_check basis_element bracket breakdown_run build_space busemann_field "
+        "busemann_warping check_r_ge_k christoffel conformal_scalar_torus constant_warping curvature_quadform "
+        "curvature_quartic curvature_quartic_first_form det_identity_check eta euclidean euler_arnold_integrate "
+        "euler_arnold_rhs feasible feasible_k_interval fiber_chart_at flat_torus form_B from_coords from_matrix "
+        "geodesic_rhs horizontality_check hyperbolic incompleteness_demo incompleteness_space ineq4_lhs "
+        "integrate lightlike_s lightlike_singular_time lower_bound_coefficients make_curve matrix_commutator "
+        "metric_t minkowski negate nonintegrability_witness oneill_T oneill_relation_check parallel_transport "
+        "parse_element parse_space plain_product project riccati_experiment riemann riemann_lowered "
+        "s_ode_residual sample_margins sample_tangent_pairs scalar_curvature scan_region sectional "
+        "serialize_element sphere timelike_s timelike_singular_time twisted_product velocity_norm_sq "
+        "verify_chart warped_geodesic_rhs warped_product xyz_and_gram zero_element"
+    ).split()
+
+    @staticmethod
+    def _fresh(code, args=()):
+        """Runs ``code`` with ``args`` in a fresh interpreter; returns the exit
+        code, stdout, the stderr lines and the numerical semigeo modules
+        loaded at exit."""
+        src = str(Path(sg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        report = ("import atexit, sys; atexit.register(lambda: sys.stderr.write('loaded: ' + ' '.join("
+                  f"m for m in {TestColdStart.NUMERICAL!r} if m in sys.modules) + '\\n'))\n")
+        done = subprocess.run([sys.executable, "-c", report + code, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+        *errors, loaded = done.stderr.splitlines()
+        return done.returncode, done.stdout, errors, loaded.removeprefix("loaded:").split()
+
+    @classmethod
+    def _cli(cls, args):
+        # as python -m semigeo does
+        return cls._fresh("import runpy; runpy.run_module('semigeo', run_name='__main__', alter_sys=True)", args)
+
+    def test_cli_import_loads_no_numerical_module(self):
+        assert self._fresh("import semigeo.cli") == (0, "", [], [])
+
+    @pytest.mark.parametrize("args, loaded", [
+        (["curvature-check", "--space", "product:hyperbolic(2)*sphere(2)", "--k", "1", "--samples", "100"],
+         ["semigeo.charts", "semigeo.spaces"]),
+        (["scan", "--t-min", "-0.9", "--t-max", "-0.5", "--t-step", "0.1",
+          "--k-min", "0.1", "--k-max", "0.3", "--k-step", "0.1"], ["semigeo.charts", "semigeo.su21"]),
+    ])
+    def test_subcommand_loads_only_its_modules(self, tmp_path, args, loaded):
+        rc, _, _, imported = self._cli([*args, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert imported == loaded
+
+    @pytest.mark.parametrize("args, code", [(["--help"], 0), (["su21", "--t", "nan", "--k", "0.1"], 1)])
+    def test_help_and_usage_error_load_no_numerical_module(self, args, code):
+        rc, out, errors, imported = self._cli(args)
+        assert (rc, imported) == (code, [])
+        if code:
+            assert out == "" and errors == ["semigeo: error: expected a rational number, got 'nan'"]
+        else:
+            assert out.startswith("usage: semigeo") and errors == []
+
+    def test_public_names_resolve_lazily(self):
+        # Each frozen name resolves both ways from a fresh interpreter, is
+        # listed by dir(), and is read from its submodule on every access,
+        # never stored in the package globals.
+        code = "\n".join([
+            "import sys, semigeo",
+            f"names = {self.EXPORTS!r}",
+            f"assert not set({self.NUMERICAL!r}) & set(sys.modules)",
+            "assert sorted(semigeo.__all__) == sorted(names)",
+            "for name in names:",
+            "    value = getattr(semigeo, name)",
+            "    namespace = {}",
+            "    exec(f'from semigeo import {name}', namespace)",
+            "    assert namespace[name] is value, name",
+            "    assert value is getattr(sys.modules[f'semigeo.{semigeo._MODULE_OF[name]}'], name), name",
+            "    assert name in dir(semigeo) and name not in vars(semigeo), name",
+            "try:",
+            "    semigeo.no_such_name",
+            "except AttributeError as exc:",
+            "    assert 'no_such_name' in str(exc)",
+            "else:",
+            "    raise AssertionError('no AttributeError')",
+        ])
+        assert self._fresh(code) == (0, "", [], list(self.NUMERICAL))

@@ -1120,9 +1120,11 @@ class TestReducedFlowIntegration:
 def _reference_flow_rhs(y0, t):
     # Reference reduced-flow right-hand side: an einsum over the dense
     # bracket table, restricted to [h1, h2] -> h2.
-    from semigeo.su21 import _bracket_table
+    from semigeo.su21 import _bracket_terms
 
-    dense = np.array([[[float(c) for c in cell] for cell in row] for row in _bracket_table()])
+    dense = np.zeros((8, 8, 8))
+    for i, j, k, c in _bracket_terms():
+        dense[i, j, k] = c
     sub = dense[1:4, 4:8, 4:8]
 
     def rhs(u, y):

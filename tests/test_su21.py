@@ -151,14 +151,72 @@ class TestBracket:
             assert all(abs(F(g) - c) <= F(1e-15) * scale for g, c in zip(got.coords, exact.coords))
 
     def test_sparse_terms_rebuild_structure_tensor(self):
+        # The 54 terms against the exact matrix-commutator oracle, basis pair
+        # by basis pair.
         from semigeo.su21 import _bracket_terms
 
-        dense = np.zeros((8, 8, 8))
+        dense = np.zeros((8, 8, 8), dtype=object)
         for i, j, k, c in _bracket_terms():
             assert type(c) is int and c != 0
             dense[i, j, k] = c
         assert len(_bracket_terms()) == 54
-        assert np.array_equal(dense, _dense_structure_tensor())
+        for i in range(8):
+            for j in range(8):
+                commutator = sg.matrix_commutator(sg.basis_element(i), sg.basis_element(j))
+                assert tuple(dense[i, j]) == sg.from_matrix(*commutator).coords
+
+    def test_integer_tables_equal_literal_fraction_matrices(self):
+        # Both tables rebuilt from the basis written here as Fraction
+        # matrices (X = re + i im), with Fraction matrix products: the 54
+        # terms in (i, j, k) order and the diagonal of B(X, Y) = -Re tr(XY).
+        from semigeo.su21 import _b_diagonal, _bracket_terms
+
+        def mat(*rows):
+            return [[F(v) for v in row] for row in rows]
+
+        zero = mat((0, 0, 0), (0, 0, 0), (0, 0, 0))
+        basis = [
+            (zero, mat((1, 0, 0), (0, 1, 0), (0, 0, -2))),  # e1
+            (zero, mat((1, 0, 0), (0, -1, 0), (0, 0, 0))),  # e2
+            (mat((0, 1, 0), (-1, 0, 0), (0, 0, 0)), zero),  # e3
+            (zero, mat((0, 1, 0), (1, 0, 0), (0, 0, 0))),  # e4
+            (mat((0, 0, 1), (0, 0, 0), (1, 0, 0)), zero),  # f1
+            (mat((0, 0, 0), (0, 0, 1), (0, 1, 0)), zero),  # f2
+            (zero, mat((0, 0, 1), (0, 0, 0), (-1, 0, 0))),  # f3
+            (zero, mat((0, 0, 0), (0, 0, 1), (0, -1, 0))),  # f4
+        ]
+
+        def entries(f):
+            return [[f(a, c) for c in range(3)] for a in range(3)]
+
+        def mul(x, y):
+            (xr, xi), (yr, yi) = x, y
+            re = entries(lambda a, c: sum(xr[a][b] * yr[b][c] - xi[a][b] * yi[b][c] for b in range(3)))
+            im = entries(lambda a, c: sum(xr[a][b] * yi[b][c] + xi[a][b] * yr[b][c] for b in range(3)))
+            return re, im
+
+        def decompose(m):
+            # The basis is linearly independent, so coordinates that rebuild
+            # m exactly are its coordinates.
+            re, im = m
+            a1 = -im[2][2] / 2
+            coords = [a1, im[0][0] - a1, re[0][1], im[0][1], re[0][2], re[1][2], im[0][2], im[1][2]]
+            for part in (0, 1):
+                assert entries(lambda a, c: sum(x * b[part][a][c] for x, b in zip(coords, basis))) == m[part]
+            return coords
+
+        terms = []
+        for i in range(8):
+            for j in range(8):
+                (pr, pi), (qr, qi) = mul(basis[i], basis[j]), mul(basis[j], basis[i])
+                comm = (entries(lambda a, c: pr[a][c] - qr[a][c]), entries(lambda a, c: pi[a][c] - qi[a][c]))
+                terms += [(i, j, k, c) for k, c in enumerate(decompose(comm)) if c != 0]
+        assert all(c.denominator == 1 for *_, c in terms)
+        assert _bracket_terms() == tuple((i, j, k, int(c)) for i, j, k, c in terms)
+
+        gram = [[-sum(mul(x, y)[0][d][d] for d in range(3)) for y in basis] for x in basis]
+        assert all(gram[i][j] == 0 for i in range(8) for j in range(8) if i != j)
+        assert _b_diagonal() == tuple(int(gram[i][i]) for i in range(8))
 
     def test_jacobi_all_basis_triples(self):
         for i in range(8):
@@ -559,10 +617,13 @@ def _xyz_sq(x, y):
 
 
 def _dense_structure_tensor():
-    # The exact bracket table as a float array C[i, j, k].
-    from semigeo.su21 import _bracket_table
+    # The sparse structure constants as a float array C[i, j, k].
+    from semigeo.su21 import _bracket_terms
 
-    return np.array([[[float(c) for c in cell] for cell in row] for row in _bracket_table()])
+    dense = np.zeros((8, 8, 8))
+    for i, j, k, c in _bracket_terms():
+        dense[i, j, k] = c
+    return dense
 
 
 def _dense_batch_quartic(x, y, t):
