@@ -93,19 +93,30 @@ def _render_report(payload: dict, fmt: str) -> str:
     raise _UsageError(f"unknown format {fmt!r}")
 
 
+CSV_CHUNK_ROWS = 2048
+
+
 def _trajectory_csv(traj: Trajectory, header: dict) -> str:
     """The header, with the run's integration counts appended, then the rows.
 
-    Each row goes through tolist() on its own: converting the whole states
-    array at once would hold every row as Python floats at the same time.
+    The rows are formatted a column at a time, with one str.format per row.
+    A column that holds the same float bit for bit over the whole run is
+    written once into the row template, as text.  The other columns go
+    through tolist() and repr in chunks of CSV_CHUNK_ROWS rows, so the run is
+    never held as Python floats all at once.
     """
     header = {**header, **dataclasses.asdict(traj.stats)}
-    lines = ["# " + json.dumps(header, separators=(",", ":"))]
     ncols = traj.states.shape[1]
-    lines.append("t," + ",".join(f"y{i}" for i in range(ncols)))
-    for t, row in zip(traj.times, traj.states):
-        lines.append(repr(float(t)) + "," + ",".join(map(repr, row.tolist())))
-    return "\n".join(lines) + "\n"
+    parts = ["# " + json.dumps(header, separators=(",", ":")), "t," + ",".join(f"y{i}" for i in range(ncols))]
+    columns = [traj.times, *traj.states.T]
+    # the time column is always formatted, so every row has a field
+    fixed = [False] + [(col.view(np.int64) == col.view(np.int64)[0]).all() for col in columns[1:]]
+    template = ",".join(repr(float(col[0])) if same else "{}" for col, same in zip(columns, fixed))
+    moving = [col for col, same in zip(columns, fixed) if not same]
+    for lo in range(0, len(traj.times), CSV_CHUNK_ROWS):
+        texts = [map(repr, col[lo : lo + CSV_CHUNK_ROWS].tolist()) for col in moving]
+        parts.append("\n".join(map(template.format, *texts)))
+    return "\n".join(parts) + "\n"
 
 
 def _witness_payload(report: CurvatureReport) -> dict:
@@ -211,10 +222,12 @@ def _exact_pairs(count: int, seed: int):
 
 
 def _exact_rows(count: int, seed: int):
-    """The pairs of _exact_pairs as (8, count) rows of x and y numerators over
-    EXACT_DEN, Python ints (|n * 2520 / d| <= 22680, so the int64 product is exact)."""
+    """The pairs of _exact_pairs as (8, count) int64 rows of x and y numerators
+    over EXACT_DEN.  Every |n * 2520 / d| <= 9 * 2520 = 22680, so su21's pair
+    kernels run their bracket pass in int64 (each bracket numerator is at
+    most 12 * 22680^2 < 2^33) and square on Python ints."""
     nums, dens = _exact_draws(count, seed)
-    rows = (nums * (EXACT_DEN // dens)).T.astype(object)
+    rows = np.ascontiguousarray((nums * (EXACT_DEN // dens)).T)
     return rows[:8], rows[8:]
 
 
@@ -289,6 +302,14 @@ def _grid_count(lo: Fraction, hi: Fraction, step: Fraction) -> int:
     return max(0, (hi - lo) // step + 1)
 
 
+def _grid_values(lo: Fraction, step: Fraction, count: int) -> list:
+    """The values lo + i * step for i < count, each built as one Fraction
+    (a + i b) / D over the lcm D of the two denominators."""
+    den = math.lcm(lo.denominator, step.denominator)
+    a, b = lo.numerator * (den // lo.denominator), step.numerator * (den // step.denominator)
+    return [Fraction(a + i * b, den) for i in range(count)]
+
+
 def cmd_scan(args) -> int:
     from .su21 import scan_region
 
@@ -297,8 +318,8 @@ def cmd_scan(args) -> int:
     n_k = _grid_count(args.k_min, args.k_max, args.k_step)
     if n_t * n_k > MAX_SCAN_CELLS:
         raise _UsageError(f"scan grid of {n_t} x {n_k} cells exceeds {MAX_SCAN_CELLS} cells")
-    t_values = [args.t_min + i * args.t_step for i in range(n_t)]
-    k_values = [args.k_min + i * args.k_step for i in range(n_k)]
+    t_values = _grid_values(args.t_min, args.t_step, n_t)
+    k_values = _grid_values(args.k_min, args.k_step, n_k)
     # A grid value lies between its range flags, so only its float can leave
     # the float range, by falling to 0.
     for name, values in (("t", t_values), ("k", k_values)):
@@ -328,7 +349,6 @@ def _geo_config(args) -> IntegratorConfig:
 
 
 def cmd_geodesic(args) -> int:
-    from . import su21 as alg
     from .geodesics import breakdown_run, euler_arnold_integrate, incompleteness_space, riccati_experiment
 
     _validate_common(args)
@@ -358,6 +378,8 @@ def cmd_geodesic(args) -> int:
         return 0 if ok else 2
 
     if args.mode == "euler-arnold":
+        from . import su21 as alg  # the other modes leave su21 unloaded
+
         params = alg.ModelParams(args.t, args.k)
         gamma0 = (
             alg.parse_element(args.gamma0)
@@ -420,64 +442,76 @@ def cmd_geodesic(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+COMMANDS = ("curvature-check", "su21", "scan", "geodesic")
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser with the arguments of ``command`` only, or of all four
+    subcommands when it is None (top-level help and usage errors).  Each
+    subcommand's handler is read when the parser is built."""
     parser = _Parser(prog="semigeo", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text):
+        return sub.add_parser(name, help=help_text) if command in (None, name) else None
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("curvature-check", help="sampled R >= k certification")
-    p.add_argument("--space", required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--tol", type=float, default=1e-9)
-    common(p)
-    p.set_defaults(func=cmd_curvature_check)
+    if (p := add("curvature-check", "sampled R >= k certification")) is not None:
+        p.add_argument("--space", required=True)
+        p.add_argument("--k", type=float, required=True)
+        p.add_argument("--samples", type=int, default=10000)
+        p.add_argument("--tol", type=float, default=1e-9)
+        common(p)
+        p.set_defaults(func=cmd_curvature_check)
 
-    p = sub.add_parser("su21", help="homogeneous-example suite at one (t, k)")
-    p.add_argument("--t", type=_frac, required=True)
-    p.add_argument("--k", type=_frac, required=True)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--tol", type=float, default=1e-9)
-    common(p)
-    p.set_defaults(func=cmd_su21)
+    if (p := add("su21", "homogeneous-example suite at one (t, k)")) is not None:
+        p.add_argument("--t", type=_frac, required=True)
+        p.add_argument("--k", type=_frac, required=True)
+        p.add_argument("--samples", type=int, default=10000)
+        p.add_argument("--tol", type=float, default=1e-9)
+        common(p)
+        p.set_defaults(func=cmd_su21)
 
-    p = sub.add_parser("scan", help="feasibility grid over (t, k)")
-    p.add_argument("--t-min", type=_frac, default=Fraction("-0.99"))
-    p.add_argument("--t-max", type=_frac, default=Fraction("-0.10"))
-    p.add_argument("--t-step", type=_frac, default=Fraction("0.01"))
-    p.add_argument("--k-min", type=_frac, default=Fraction("0.01"))
-    p.add_argument("--k-max", type=_frac, default=Fraction("0.50"))
-    p.add_argument("--k-step", type=_frac, default=Fraction("0.01"))
-    p.add_argument("--samples", type=int, default=0, help="curvature samples, one pair set shared by all cells")
-    common(p)
-    p.set_defaults(func=cmd_scan)
+    if (p := add("scan", "feasibility grid over (t, k)")) is not None:
+        p.add_argument("--t-min", type=_frac, default=Fraction("-0.99"))
+        p.add_argument("--t-max", type=_frac, default=Fraction("-0.10"))
+        p.add_argument("--t-step", type=_frac, default=Fraction("0.01"))
+        p.add_argument("--k-min", type=_frac, default=Fraction("0.01"))
+        p.add_argument("--k-max", type=_frac, default=Fraction("0.50"))
+        p.add_argument("--k-step", type=_frac, default=Fraction("0.01"))
+        p.add_argument("--samples", type=int, default=0, help="curvature samples, one pair set shared by all cells")
+        common(p)
+        p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("geodesic", help="trajectory runs with comparison metrics")
-    p.add_argument("mode", choices=("warped-lightlike", "warped-timelike", "euler-arnold", "riccati"))
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--t", type=_frac, default=Fraction("-0.8"))
-    p.add_argument("--l", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=0.0)
-    p.add_argument("--h0", type=float, default=0.0)
-    p.add_argument("--u-max", type=float, default=100.0)
-    p.add_argument("--t-max", type=float, default=50.0)
-    p.add_argument("--gamma0", default=None, help="8 comma-separated rationals")
-    p.add_argument("--rtol", type=float, default=1e-9)
-    p.add_argument("--atol", type=float, default=1e-12)
-    common(p)
-    p.set_defaults(func=cmd_geodesic)
+    if (p := add("geodesic", "trajectory runs with comparison metrics")) is not None:
+        p.add_argument("mode", choices=("warped-lightlike", "warped-timelike", "euler-arnold", "riccati"))
+        p.add_argument("--k", type=float, default=1.0)
+        p.add_argument("--t", type=_frac, default=Fraction("-0.8"))
+        p.add_argument("--l", type=int, default=2)
+        p.add_argument("--m", type=int, default=2)
+        p.add_argument("--c1", type=float, default=None)
+        p.add_argument("--c2", type=float, default=0.0)
+        p.add_argument("--h0", type=float, default=0.0)
+        p.add_argument("--u-max", type=float, default=100.0)
+        p.add_argument("--t-max", type=float, default=50.0)
+        p.add_argument("--gamma0", default=None, help="8 comma-separated rationals")
+        p.add_argument("--rtol", type=float, default=1e-9)
+        p.add_argument("--atol", type=float, default=1e-12)
+        common(p)
+        p.set_defaults(func=cmd_geodesic)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The first argument names the subcommand; anything else (--help, a
+    # misspelt or missing command) gets the parser of all four.
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

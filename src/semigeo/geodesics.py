@@ -63,7 +63,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -79,14 +79,9 @@ from .spaces import (
     plain_product,
     warped_product,
 )
-from .su21 import (
-    AlgebraElement,
-    H1,
-    H2,
-    ModelParams,
-    _bracket_terms,
-    b_weights_float,
-)
+
+if TYPE_CHECKING:
+    from .su21 import AlgebraElement, ModelParams
 
 COMPLETED = "completed"
 BLOWUP = "blowup"
@@ -503,6 +498,15 @@ def _outside(chart: ChartMetric, x: np.ndarray) -> DomainError:
     return DomainError(f"point {x.tolist()} outside domain of chart {chart.name!r}")
 
 
+def _finite_point(chart: ChartMetric, x: list) -> list:
+    """The float list x, or RhsDomainError if an entry is not finite: a
+    one-point ``phi_point`` may not read every coordinate, so a NaN there
+    would give a finite right-hand side."""
+    if not all(map(math.isfinite, x)):
+        raise RhsDomainError(f"non-finite point {x} on chart {chart.name!r}")
+    return x
+
+
 def geodesic_rhs(chart: ChartMetric) -> ODESystem:
     """State (x, v): x' = v, v'^i = -Gamma^i_{jk} v^j v^k.
 
@@ -515,8 +519,8 @@ def geodesic_rhs(chart: ChartMetric) -> ODESystem:
     The choice reads ``chart.conformal`` once per system.  The state is
     converted to floats once per call, and the result is one float64 array
     of shape (2n,).  A point outside the domain (the chart's in_domain on
-    the position slice) raises RhsDomainError, a singular metric
-    SingularMetricError."""
+    the position slice) raises RhsDomainError, as does a non-finite position
+    on the conformal route; a singular metric raises SingularMetricError."""
     n = chart.dim
     in_domain, conformal = chart.in_domain, chart.conformal
 
@@ -534,7 +538,7 @@ def geodesic_rhs(chart: ChartMetric) -> ODESystem:
         if conformal is None:
             acc = (-_raise_index(g[0], _spray(dg[0], y[n:]))).tolist()
         else:
-            acc = _conformal_spray(conformal.phi_point(s[:n])[1], v, conformal.eta)[0]
+            acc = _conformal_spray(conformal.phi_point(_finite_point(chart, s[:n]))[1], v, conformal.eta)[0]
         return np.array(v + acc)
 
     return ODESystem(2 * n, rhs, f"geodesic on {chart.name}")
@@ -567,9 +571,9 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
     choices read the factors' ``conformal`` once per system, and the array
     results of either general route are converted to floats once.  The
     result is one float64 array of shape (2n,).  Leaving either factor's
-    domain (its in_domain on the position slice) raises RhsDomainError; an
-    e^{2 alpha} that overflows gives inf, so integrate rejects the trial as
-    non-finite.
+    domain (its in_domain on the position slice), or a non-finite position
+    on a conformal factor, raises RhsDomainError; an e^{2 alpha} that
+    overflows gives inf, so integrate rejects the trial as non-finite.
     """
     if spec.kind not in ("plain", "warped"):
         raise DomainError("warped_geodesic_rhs needs a base-only warping")
@@ -605,7 +609,7 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
                 fiber_speed_sq = float(scale_f[0] * vf_array.dot(g_f[0]).dot(vf_array))
                 acc_f = [a - 2.0 * pull * u for a, u in zip(acc_f, vf)]
         else:
-            p_f, dp_f = conf_f.phi_point(s[db:n])
+            p_f, dp_f = conf_f.phi_point(_finite_point(fiber, s[db:n]))
             acc_f, vv_f = _conformal_spray(dp_f, vf, conf_f.eta, pull)
             fiber_speed_sq = _exp(2.0 * p_f) * vv_f
         if conf_b is None:
@@ -614,7 +618,7 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
                 force += _exp(2.0 * alpha) * fiber_speed_sq / float(scale_b[0]) * np.array(da)
             acc_b = (-_raise_index(g_b[0], force)).tolist()
         else:  # a Riemannian base: eta = +1
-            p, dp = conf_b.phi_point(s[:db])
+            p, dp = conf_b.phi_point(_finite_point(base, s[:db]))
             acc_b = _conformal_spray(dp, vb, conf_b.eta)[0]
             if warped:
                 w = _exp(2.0 * (alpha - p)) * fiber_speed_sq
@@ -1044,6 +1048,8 @@ def _flow_generator(y0: np.ndarray, t: float) -> np.ndarray:
     linear, with the [h1, h2] -> h2 structure constants contracted against
     G1(0) and scaled by t.
     """
+    from .su21 import H1, H2, _bracket_terms
+
     gen = np.zeros((8, 8))
     for i, j, k, c in _bracket_terms():
         if i in H1 and j in H2 and k in H2:
@@ -1066,6 +1072,8 @@ def euler_arnold_integrate(
     since ad_{v1} is skew on h2), and the report records the h1 drift, the
     drift of the B-norm magnitude of G2, and the worst closed-form deviation.
     """
+    from .su21 import H1, H2, b_weights_float
+
     if any(v1.coords[i] != 0 for i in (0, 4, 5, 6, 7)):
         raise NonTangentError("v1 must lie in h1")
     if any(v2.coords[i] != 0 for i in (0, 1, 2, 3)):

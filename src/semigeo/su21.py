@@ -13,9 +13,12 @@ the integer basis matrices (int64 arithmetic, checked exactly).  The exact
 paths work on integer numerators over a common denominator: the pair kernel
 makes one pass for [X, Y], [X1, Y1] and [X2, Y2]_1, and both quartic forms
 and the determinant identity, homogeneous of degree (2, 2), are each one
-integer polynomial (det_residuals, quartic_numerators).  The coordinates may be 8 numbers (one pair; the
-scalar functions divide once into a Fraction) or 8 rows of Python ints (a
-batch of pairs in one array pass, as the CLI's seeded pair checks use).
+integer polynomial (det_residuals, quartic_numerators).  The coordinates
+may be 8 numbers (one pair; the scalar functions divide once into a
+Fraction) or 8 rows of a batch of pairs in one array pass: Python-int rows,
+or int64 rows (as the CLI's seeded pair checks use), whose bracket pass runs
+in int64 after a checked magnitude bound and whose degree-(2, 2) step runs
+on Python ints.
 feasible() is four integer sign tests, which scan_region applies to integers
 reduced once per t and once per k.  The Jacobi, Ad-invariance and
 containment checks read one integer table of the 64 basis brackets.
@@ -347,12 +350,55 @@ def _pair_numerators(x: AlgebraElement, y: AlgebraElement):
     return xn, yn, dx * dy
 
 
+def _fixed_width(rows) -> bool:
+    return isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"
+
+
+def _max_abs(rows) -> int:
+    """The largest |v| over coordinate rows, as a Python int (0 when empty)."""
+    rows = np.asarray(rows)
+    return max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+
+
+def _check_int64_reach(xs, ys) -> None:
+    """Raises DomainError unless the rows xs, ys are int64 (or Python
+    numbers) and the bracket pass and the 2 x 2 minors x_i y_j - y_i x_j
+    stay below 2^63 in magnitude.
+
+    A bracket numerator is a sum of x_i y_j c into one coordinate k, so it is
+    at most w max|x| max|y|, w the largest sum of |c| over the terms into one
+    k (12 for the true constants); a minor is at most 2 max|x| max|y|.  Every
+    partial sum obeys the same bound, so nothing wraps below it.
+    """
+    if any(_fixed_width(rows) and rows.dtype != np.int64 for rows in (xs, ys)):
+        raise DomainError("integer coordinate rows must be int64 or Python ints")
+    weights = [0] * 8
+    for _, _, k, c in _bracket_terms():
+        weights[k] += abs(c)
+    reach = max(2, *weights) * _max_abs(xs) * _max_abs(ys)
+    if reach >= 2**63:
+        raise DomainError(f"int64 coordinate rows reach {reach}, past 2^63; pass Python-int rows")
+
+
+def _exact_ints(row):
+    """An int64 row as a row of Python ints; anything else unchanged.
+
+    Products of two bracket or minor numerators can pass 2^63, so the
+    degree-(2, 2) step works on Python ints."""
+    return row.astype(object) if _fixed_width(row) else row
+
+
 def _pair_brackets(xs, ys) -> tuple:
     """Numerators of [X, Y], [X1, Y1] and [X2, Y2]_1 from coordinate
-    numerators: 8 numbers, or 8 rows of a batch of pairs."""
+    numerators: 8 numbers, or 8 rows of a batch of pairs.
+
+    int64 rows take the bracket pass in int64 once _check_int64_reach holds,
+    and come back as rows of Python ints, ready for the degree-(2, 2) step."""
+    if _fixed_width(xs) or _fixed_width(ys):
+        _check_int64_reach(xs, ys)
     full, b11, b22_1 = [0] * 8, [0] * 8, [0] * 8
     _bracket_parts(xs, ys, full, b11, b22_1)
-    return full, b11, b22_1
+    return tuple([_exact_ints(row) for row in part] for part in (full, b11, b22_1))
 
 
 def _t_ratio(t) -> tuple:
@@ -365,8 +411,9 @@ def _t_ratio(t) -> tuple:
 def quartic_numerators(xs, ys, params: ModelParams) -> tuple:
     """4 q^2 den^2 times curvature_quartic and curvature_quartic_first_form,
     t = p/q, from coordinate numerators xs and ys over denominators whose
-    product is den: 8 numbers for one pair, or (8, N) rows for a batch
-    (Python-int rows keep the batch exact)."""
+    product is den: 8 numbers for one pair, or (8, N) rows for a batch of
+    Python ints or int64 (both exact: int64 rows take the bracket pass in
+    int64 under a checked bound, then the quadratic step on Python ints)."""
     p, q = _t_ratio(params.t)
     full, b11, b22_1 = _pair_brackets(xs, ys)
     quartic = (
@@ -475,9 +522,11 @@ def det_identity_check(x: AlgebraElement, y: AlgebraElement):
 def det_residuals(xs, ys):
     """den^2 times det_identity_check, from coordinate numerators xs and ys
     over denominators whose product is den: 8 numbers for one pair, or (8, N)
-    rows for a batch (Python-int rows keep the batch exact)."""
+    rows for a batch of Python ints or int64 (both exact: int64 rows take the
+    bracket pass and the minors x_i y_j - y_i x_j in int64 under a checked
+    bound, then squares and products on Python ints)."""
     full, b11, b22_1 = _pair_brackets(xs, ys)
-    z_sq = sum((xs[i] * ys[j] - ys[i] * xs[j]) ** 2 for i in H1 for j in H2)
+    z_sq = sum(_exact_ints(xs[i] * ys[j] - ys[i] * xs[j]) ** 2 for i in H1 for j in H2)
     return _b_num(full, full, H2) + 2 * z_sq - _b_num(b11, b22_1)
 
 

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, report formats, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,10 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semigeo as sg
 from semigeo import cli, geodesics, su21
-from semigeo.cli import MAX_SAMPLES, _exact_pairs, _grid_count, main
+from semigeo.cli import COMMANDS, CSV_CHUNK_ROWS, MAX_SAMPLES, _build_parser, _exact_pairs, _grid_count, _grid_values, main
 from semigeo.spaces import MAX_ATOM_DIM
 
 
@@ -433,6 +436,15 @@ class TestScanCommand:
             v += step
         assert _grid_count(lo, hi, step) == len(values)
 
+    @given(st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
+           st.fractions(min_value=0, max_value=10, max_denominator=10**6).filter(bool),
+           st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_values_equal_stepping(self, lo, step, count):
+        values = _grid_values(lo, step, count)
+        assert values == [lo + i * step for i in range(count)]
+        assert all(type(v) is Fraction for v in values)
+
     def test_default_grid_bytes(self, tmp_path, capsys):
         # The README grid, pinned by digest: the file holds exact booleans
         # and float reprs of t and k, so it does not depend on BLAS.
@@ -456,6 +468,29 @@ class TestScanCommand:
         row = out.read_text().strip().split("\n")[1].split(",")
         expect = sg.feasible(sg.ModelParams(F("-0.8"), F("0.1"))).overall
         assert row[6] == ("1" if expect else "0")
+
+
+def _row_by_row_csv(traj, header):
+    # the reference writer: every field through repr, one row at a time
+    header = {**header, **dataclasses.asdict(traj.stats)}
+    lines = ["# " + json.dumps(header, separators=(",", ":")), "t," + ",".join(f"y{i}" for i in range(traj.states.shape[1]))]
+    lines += [",".join(map(repr, [float(t), *row.tolist()])) for t, row in zip(traj.times, traj.states)]
+    return "\n".join(lines) + "\n"
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("rows", [1, 2, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 3])
+    def test_equals_row_by_row_repr(self, rows):
+        # Columns that are constant, constant but for the sign of a zero,
+        # constant NaN, or moving; the chunk edges fall inside the run.
+        times = np.arange(rows) / 7.0
+        states = np.empty((rows, 6))
+        states[:] = [0.0, 1 / 3, math.nan, -2.5e-300, 0.0, 1.0]
+        states[1::2, 4] = -0.0
+        states[:, 5] = np.sin(times) * 1e5
+        traj = sg.Trajectory(times, states, sg.TrajectoryStatus(sg.COMPLETED), sg.IntegrationStats(accepted_steps=rows))
+        header = {"command": "test", "x": 0.5}
+        assert cli._trajectory_csv(traj, header) == _row_by_row_csv(traj, header)
 
 
 class TestGeodesicCommand:
@@ -608,6 +643,34 @@ class TestGeodesicCommand:
         assert not out.exists()
 
 
+class TestParser:
+    @staticmethod
+    def _help(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_equals_full_parser(self, command, capsys):
+        # main builds only the named subcommand's arguments; its help text is
+        # that of the parser of all four.
+        full = self._help(_build_parser(None).parse_args, [command, "--help"], capsys)
+        assert full.startswith(f"usage: semigeo {command} ")
+        assert self._help(_build_parser(command).parse_args, [command, "--help"], capsys) == full
+        assert self._help(main, [command, "--help"], capsys) == full
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--help", "su21"]])
+    def test_top_level_help_lists_every_command(self, argv, capsys):
+        text = self._help(main, argv, capsys)
+        assert text == _build_parser(None).format_help()
+        assert "{" + ",".join(COMMANDS) + "}" in text
+
+    def test_subcommand_parser_knows_only_its_command(self):
+        with pytest.raises(cli._UsageError, match="invalid choice: 'scan'"):
+            _build_parser("su21").parse_args(["scan"])
+
+
 class TestBounds:
     # Just above each cap, or with an unknown option, the command exits 1
     # before any sample array exists: the samplers raise if reached.
@@ -710,6 +773,14 @@ class TestColdStart:
 
     def test_cli_import_loads_no_numerical_module(self):
         assert self._fresh("import semigeo.cli") == (0, "", [], [])
+
+    @pytest.mark.parametrize("mode, extra", [("riccati", ["--t-max", "1"]), ("warped-lightlike", []),
+                                             ("euler-arnold", ["--u-max", "1"])])
+    def test_geodesic_loads_su21_for_euler_arnold_only(self, tmp_path, mode, extra):
+        rc, _, _, imported = self._cli(["geodesic", mode, *extra, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert imported == ["semigeo.charts", "semigeo.spaces", *(["semigeo.su21"] if mode == "euler-arnold" else []),
+                            "semigeo.geodesics"]
 
     @pytest.mark.parametrize("args, loaded", [
         (["curvature-check", "--space", "product:hyperbolic(2)*sphere(2)", "--k", "1", "--samples", "100"],

@@ -810,6 +810,30 @@ class TestFloatRoute:
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("name", sorted(BUILTIN_FLOAT_STATES))
+    def test_nonfinite_position_raises(self, name, value):
+        # Every position coordinate, also one that phi_point does not read
+        # (x_0 of hyperbolic(2), the flat fiber of the warped space).
+        make, y = BUILTIN_FLOAT_STATES[name]
+        rhs, n = make().rhs, len(y) // 2
+        for i in range(n):
+            state = np.array(y)
+            state[i] = value
+            with pytest.raises(RhsDomainError):
+                rhs(0.0, state)
+
+    def test_nan_position_off_the_conformal_factor_reads(self):
+        with pytest.raises(RhsDomainError, match=r"non-finite point \[nan, 1.2\] on chart 'hyperbolic\(2\)'"):
+            sg.geodesic_rhs(sg.hyperbolic(2)).rhs(0, np.array([math.nan, 1.2, 0.3, -0.4]))
+        rhs = sg.warped_geodesic_rhs(sg.incompleteness_space(2, 2, 1.0)).rhs
+        y = [0.1, 1.2, 0.3, 0.4, 0.2, 0.5, 0.6, -0.1]
+        for i, chart in ((0, "hyperbolic\\(2\\)"), (2, "flat_torus\\(2\\)"), (3, "flat_torus\\(2\\)")):
+            state = np.array(y)
+            state[i] = math.nan
+            with pytest.raises(RhsDomainError, match=f"non-finite point .* on chart '{chart}'"):
+                rhs(0.0, state)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FLOAT_STATES))
     def test_nonfinite_velocity_gives_nonfinite_acceleration(self, name, value):
         make, y = BUILTIN_FLOAT_STATES[name]
         rhs, n = make().rhs, len(y) // 2

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import semigeo as sg
 from semigeo.errors import DomainError, NonTangentError
 from semigeo.charts import wedge
-from semigeo.cli import EXACT_DEN, _exact_pairs, _exact_rows, _su21_exact_checks
-from semigeo.su21 import H1, H2, _margin_forms, block_of, det_residuals, quartic_numerators
+from semigeo.cli import EXACT_DEN, _exact_draws, _exact_pairs, _exact_rows, _su21_exact_checks
+from semigeo.su21 import H1, H2, _bracket_terms, _margin_forms, block_of, det_residuals, quartic_numerators
 
 
 def e(i):
@@ -858,7 +858,8 @@ class TestBatchPairChecks:
         p = sg.ModelParams(F(-1, 2), F(1, 10))
         xs, ys = _exact_rows(300, seed)
         assert xs.shape == ys.shape == (8, 300)
-        assert all(type(v) is int for v in xs.flat) and all(type(v) is int for v in ys.flat)
+        assert xs.dtype == ys.dtype == np.int64
+        assert max(np.abs(xs).max(), np.abs(ys).max()) <= 9 * EXACT_DEN
         residuals = det_residuals(xs, ys)
         quartic, first_form = quartic_numerators(xs, ys, p)
         scale = 4 * 2**2 * EXACT_DEN**4  # 4 q^2 den^2 at t = -1/2
@@ -868,6 +869,55 @@ class TestBatchPairChecks:
             assert F(quartic[i], scale) == sg.curvature_quartic(x, y, p)
             assert F(first_form[i], scale) == sg.curvature_quartic_first_form(x, y, p)
         assert any(residuals) == corrupt
+
+    def test_int64_reach_below_2_62(self):
+        # The worst case of the seeded rows: numerators n * (EXACT_DEN // d)
+        # with n in [-9, 9] and d in [1, 9], as _exact_draws draws them, in a
+        # bracket numerator (the largest sum of |c| into one coordinate) or a
+        # 2 x 2 minor x_i y_j - y_i x_j.
+        nums, dens = _exact_draws(2000, 5)
+        assert (nums.min(), nums.max(), dens.min(), dens.max()) == (-9, 9, 1, 9)
+        top = max(abs(n) * (EXACT_DEN // d) for n in range(-9, 10) for d in range(1, 10))
+        weights = [0] * 8
+        for _, _, k, c in _bracket_terms():
+            weights[k] += abs(c)
+        assert (top, max(weights)) == (22680, 12)
+        assert max(max(weights), 2) * top * top < 2**62
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_int64_rows_equal_python_int_rows(self, seed):
+        xs, ys = _exact_rows(200, seed)
+        p = sg.ModelParams(F(-4, 5), F(1, 10))
+        wide = xs.astype(object), ys.astype(object)
+        assert det_residuals(xs, ys).tolist() == det_residuals(*wide).tolist()
+        for got, want in zip(quartic_numerators(xs, ys, p), quartic_numerators(*wide, p)):
+            assert all(type(v) is int for v in got) and got.tolist() == want.tolist()
+
+    def test_int64_rows_past_the_bound_raise(self):
+        # 12 * (2^30)^2 passes 2^63: int64 rows that large are refused, while
+        # the same values as Python ints stay exact.
+        p = sg.ModelParams(F(-1, 2), F(1, 10))
+        xs = np.full((8, 3), 2**30, dtype=np.int64)
+        xs[0] = 0
+        ys = xs * np.array([0, 1, -1, 2, 1, -3, 1, 1])[:, None]
+        with pytest.raises(DomainError, match="past 2\\^63"):
+            det_residuals(xs, ys)
+        with pytest.raises(DomainError, match="past 2\\^63"):
+            quartic_numerators(xs, ys, p)
+        x, y = sg.from_coords(xs[:, 0].tolist()), sg.from_coords(ys[:, 0].tolist())
+        quartic = quartic_numerators(xs.astype(object), ys.astype(object), p)[0]
+        assert quartic.tolist() == [quartic[0]] * 3 and F(quartic[0], 4 * 2**2) == sg.curvature_quartic(x, y, p)
+        assert det_residuals(xs.astype(object), ys.astype(object)).tolist() == [0] * 3
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64])
+    def test_other_integer_widths_refused(self, dtype):
+        # int32 arithmetic would wrap at 2^31, below the seeded rows' bracket
+        # numerators (up to 12 * 22680^2); only int64 rows carry the checked bound.
+        xs, ys = _exact_rows(5, 1)
+        with pytest.raises(DomainError, match="must be int64 or Python ints"):
+            det_residuals(np.abs(xs).astype(dtype), ys)
+        with pytest.raises(DomainError, match="must be int64 or Python ints"):
+            quartic_numerators(xs, np.abs(ys).astype(dtype), sg.ModelParams(F(-1, 2), F(1, 10)))
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_zero_and_one_pair(self, count):
