@@ -23,8 +23,9 @@ Space grammar for --space:
 
 Each handler imports the semigeo modules it uses when it runs:
 ``curvature-check`` loads charts and spaces, ``su21`` and ``scan`` load su21
-and charts, ``geodesic`` loads all four.  Importing this module, ``--help``
-and a usage error load none of them.  ``python -m semigeo`` runs the same
+and charts, ``geodesic`` loads charts, spaces and geodesics (and su21 for
+``euler-arnold`` only).  Importing this module, ``--help`` and a usage error
+load none of them.  ``python -m semigeo`` runs the same
 command line as the console script.
 
 Every float flag must be finite: nan or inf exits 1 before any numerics

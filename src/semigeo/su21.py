@@ -19,8 +19,10 @@ Fraction) or 8 rows of a batch of pairs in one array pass: Python-int rows,
 or int64 rows (as the CLI's seeded pair checks use), whose bracket pass runs
 in int64 after a checked magnitude bound and whose degree-(2, 2) step runs
 on Python ints.
-feasible() is four integer sign tests, which scan_region applies to integers
-reduced once per t and once per k.  The Jacobi, Ad-invariance and
+feasible() is four integer sign tests; scan_region reduces each t and each k
+to integers once and applies the same tests to the whole grid in one array
+pass, in int64 under a checked magnitude bound and on Python ints past it
+(a float t or k).  The Jacobi, Ad-invariance and
 containment checks read one integer table of the 64 basis brackets.
 
 The one-parameter family of metrics is (X, Y) = (1+t) B(X1, Y1) + B(X2, Y2)
@@ -42,6 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -714,30 +717,83 @@ class GridCell(NamedTuple):
     min_margin: float | None
 
 
+_FEASIBLE = 0b1111  # a cell's code when all four inequalities hold
+# Per cell code: its four inequalities and its feasible flag, as GridCell
+# fields and as the CSV text between the k and min_margin columns.
+_CODE_FLAGS = tuple((*(bool(code >> i & 1) for i in range(4)), code == _FEASIBLE) for code in range(16))
+_CODE_TEXTS = tuple("".join(f",{int(flag)}" for flag in flags) + "," for flags in _CODE_FLAGS)
+
+
 @dataclass(frozen=True)
 class FeasibilityGrid:
-    """Per-cell feasibility over a (t, k) grid, cells in t-major order."""
+    """Per-cell feasibility over a (t, k) grid, cells in t-major order.
+
+    codes holds one byte per cell, bit i set when inequality i + 1 holds;
+    margins is None for an exact-only grid, else the sampled min_margin of
+    each cell.  cells derives the GridCell tuple from them.
+    """
 
     t_values: tuple
     k_values: tuple
-    cells: tuple
+    codes: bytes
+    margins: tuple | None = None
+
+    @property
+    def cells(self) -> tuple:
+        margins = repeat(None) if self.margins is None else self.margins
+        return tuple(
+            GridCell(t, k, *_CODE_FLAGS[code], margin)
+            for (t, k), code, margin in zip(product(self.t_values, self.k_values), self.codes, margins)
+        )
 
     def feasible_t_values(self) -> tuple:
-        return tuple(sorted({c.t for c in self.cells if c.feasible}))
+        n_k = len(self.k_values)
+        rows = (self.codes[i * n_k : (i + 1) * n_k] for i in range(len(self.t_values)))
+        return tuple(sorted({t for t, row in zip(self.t_values, rows) if _FEASIBLE in row}))
 
     def to_csv(self) -> str:
+        t_texts = [repr(t) for t in self.t_values]
+        k_texts = [f",{k!r}" for k in self.k_values]
+        margins = repeat("") if self.margins is None else map(repr, self.margins)
         lines = ["t,k,ineq1,ineq2,ineq3,ineq4,feasible,min_margin"]
-        k_texts = [f",{k!r}," for k in self.k_values]
-        cells = iter(self.cells)
-        for t in self.t_values:
-            t_text = repr(t)
-            for k_text, c in zip(k_texts, cells):
-                margin = "" if c.min_margin is None else repr(c.min_margin)
-                lines.append(
-                    f"{t_text}{k_text}{int(c.ineq1)},{int(c.ineq2)},{int(c.ineq3)},"
-                    f"{int(c.ineq4)},{int(c.feasible)},{margin}"
-                )
+        lines += [
+            t_text + k_text + _CODE_TEXTS[code] + margin
+            for (t_text, k_text), code, margin in zip(product(t_texts, k_texts), self.codes, margins)
+        ]
         return "\n".join(lines) + "\n"
+
+
+def _grid_reach(t_terms: Sequence, k_ratios: Sequence) -> int:
+    """A bound on every magnitude _cell_flags forms over the grid of the
+    t-terms (b, s, u, w) and the k-ratios (c, d), both lists nonempty.
+
+    With M_t the largest |b|, |s|, |u| and M_k the largest |c|, |d|, the
+    factors of the fourth test are |b d - 2 c s| <= 3 M_t M_k and
+    |u d - 8 c b| <= 9 M_t M_k, so each partial product of its left side is
+    at most 108 M_t^4 M_k^2 (M_t, M_k >= 1), and the right side w d d is at
+    most max(w) M_k^2.  The first three tests stay below 9 M_t M_k.
+    """
+    m_t = max(max(abs(b), abs(s), abs(u)) for b, s, u, _ in t_terms)
+    m_k = max(max(abs(c), d) for c, d in k_ratios)
+    return max(108 * m_t**4, max(w for *_, w in t_terms)) * m_k**2
+
+
+def _grid_codes(t_terms: Sequence, k_ratios: Sequence) -> bytes:
+    """_cell_flags on every (t, k) cell in one array pass: the t-terms as
+    (n_t, 1) columns against the k-ratios as (1, n_k) rows.  Returns one
+    code byte per cell in t-major order (bit i: inequality i + 1 holds).
+
+    The pass runs in int64 while _grid_reach stays below 2^63, so no product
+    wraps; past it (a float t or k, whose exact ratio has a denominator near
+    2^55) the same expressions run on object arrays of Python ints.
+    """
+    if not t_terms or not k_ratios:
+        return b""
+    dtype = np.int64 if _grid_reach(t_terms, k_ratios) < 2**63 else object
+    terms = np.array(t_terms, dtype=dtype).T[:, :, None]
+    ratios = np.array(k_ratios, dtype=dtype).T[:, None, :]
+    flags = _cell_flags(tuple(terms), tuple(ratios))
+    return np.packbits(np.stack(flags, axis=-1), axis=-1, bitorder="little").tobytes()
 
 
 def scan_region(
@@ -750,8 +806,11 @@ def scan_region(
     grid, optionally adding a sampled minimum curvature margin per cell.
 
     Each t and each k is checked and reduced to integers once, in the order
-    a cell-by-cell loop reaches them (so a bad value raises the same
-    DomainError); each cell is then four integer sign tests.
+    a cell-by-cell loop reaches them: the first t, then every k, then the
+    other t's (so a bad value raises the same DomainError).  The whole grid
+    is then one array pass of the four integer sign tests feasible() uses
+    (_grid_codes): in int64 under a checked magnitude bound, on Python ints
+    past it.
 
     All cells share one pair set (common random numbers), so a cell's
     min_margin is sample_margins(t, k, sample_count, seed)[0].min().  A t-row
@@ -759,7 +818,7 @@ def scan_region(
     of at most 21 = C(7, 2) k-values, so no margin array outgrows the array w.
     """
     t_values, k_values = tuple(t_values), tuple(k_values)
-    margins = [None] * (len(t_values) * len(k_values))
+    margins = None
     if sample_count > 0:
         x, y = sample_tangent_pairs(sample_count, seed)
         w = wedge(x[:, 1:], y[:, 1:])
@@ -769,20 +828,18 @@ def scan_region(
             lhs, area = plane_values(w, *_margin_forms(float(t)))
             for lo in range(0, len(ks), w.shape[1]):
                 margins += (lhs - ks[lo : lo + w.shape[1]] * area).min(axis=1).tolist()
-    cells, n_k, columns = [], len(k_values), None
-    for i, t in enumerate(t_values if k_values else ()):
+        margins = tuple(margins)
+    t_terms, k_ratios = [], []
+    for t in t_values if k_values else ():
         ModelParams(t, k_values[0])  # checks t (and, in the first row, k_values[0] next)
-        terms = _t_terms(t)
-        if columns is None:
-            columns = [(_ratio(ModelParams(t, k).k), float(k)) for k in k_values]
-        t_float = float(t)
-        for (k_ratio, k_float), margin in zip(columns, margins[i * n_k : (i + 1) * n_k]):
-            flags = _cell_flags(terms, k_ratio)
-            cells.append(GridCell(t_float, k_float, *flags, all(flags), margin))
+        t_terms.append(_t_terms(t))
+        if not k_ratios:
+            k_ratios = [_ratio(ModelParams(t, k).k) for k in k_values]
     return FeasibilityGrid(
         t_values=tuple(float(t) for t in t_values),
         k_values=tuple(float(k) for k in k_values),
-        cells=tuple(cells),
+        codes=_grid_codes(t_terms, k_ratios),
+        margins=margins,
     )
 
 

@@ -7,7 +7,11 @@ exactly-decomposed structure-constant table, so agreement here ties the two
 together.  Everything tagged exact is asserted with ==, no tolerance.
 """
 
+import importlib.util
+import math
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,11 @@ import semigeo as sg
 from semigeo.errors import DomainError, NonTangentError
 from semigeo.charts import wedge
 from semigeo.cli import EXACT_DEN, _exact_draws, _exact_pairs, _exact_rows, _su21_exact_checks
+from semigeo import su21
 from semigeo.su21 import H1, H2, _bracket_terms, _margin_forms, block_of, det_residuals, quartic_numerators
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def e(i):
@@ -565,6 +573,173 @@ class TestScanRegion:
         lines = grid.to_csv().strip().split("\n")
         assert lines[0] == "t,k,ineq1,ineq2,ineq3,ineq4,feasible,min_margin"
         assert len(lines) == 2
+
+
+def cell_by_cell(ts, ks, margins=None):
+    """The grid decided one cell at a time through feasible()."""
+    cells = []
+    for t in ts:
+        for k in ks:
+            r = sg.feasible(sg.ModelParams(t, k))
+            margin = None if margins is None else margins[len(cells)]
+            cells.append(sg.GridCell(float(t), float(k), r.ineq1, r.ineq2, r.ineq3, r.ineq4, r.overall, margin))
+    return tuple(cells)
+
+
+def reference_csv(grid):
+    """The per-cell f-string writer the grid's CSV must match byte for byte."""
+    lines = ["t,k,ineq1,ineq2,ineq3,ineq4,feasible,min_margin"]
+    k_texts = [f",{k!r}," for k in grid.k_values]
+    cells = iter(grid.cells)
+    for t in grid.t_values:
+        t_text = repr(t)
+        for k_text, c in zip(k_texts, cells):
+            margin = "" if c.min_margin is None else repr(c.min_margin)
+            lines.append(
+                f"{t_text}{k_text}{int(c.ineq1)},{int(c.ineq2)},{int(c.ineq3)},"
+                f"{int(c.ineq4)},{int(c.feasible)},{margin}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def grid_route(monkeypatch, ts, ks):
+    """scan_region's grid and the dtype its one _cell_flags call ran on."""
+    dtypes, cell_flags = [], su21._cell_flags
+
+    def recording(terms, k):
+        dtypes.append(terms[0].dtype)
+        return cell_flags(terms, k)
+
+    monkeypatch.setattr(su21, "_cell_flags", recording)
+    grid = sg.scan_region(ts, ks)
+    monkeypatch.undo()
+    assert len(dtypes) == 1
+    return grid, dtypes[0]
+
+
+def terms_and_ratios(ts, ks):
+    return [su21._t_terms(t) for t in ts], [su21._ratio(k) for k in ks]
+
+
+class Reach:
+    """An upper bound on |value| that logs every magnitude an expression built
+    from it reaches, comparisons included."""
+
+    def __init__(self, bound, log):
+        self.bound, self.log = bound, log
+        log.append(bound)
+
+    def _combine(self, other, op):
+        other = other.bound if isinstance(other, Reach) else abs(other)
+        return Reach(op(self.bound, other), self.log)
+
+    def __mul__(self, other):
+        return self._combine(other, lambda a, b: a * b)
+
+    def __add__(self, other):
+        return self._combine(other, lambda a, b: a + b)
+
+    __rmul__, __radd__, __sub__, __rsub__ = __mul__, __add__, __add__, __add__
+
+    def __gt__(self, other):
+        self._combine(other, max)
+        return True
+
+    __lt__ = __gt__
+
+
+def readme_and_bench_grids():
+    from semigeo.cli import _grid_count, _grid_values
+
+    spec = importlib.util.spec_from_file_location("bench_commands", ROOT / "perfbench" / "commands.py")
+    commands = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = commands  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(commands)
+    finally:
+        del sys.modules[spec.name]
+    readme = ("-0.99", "-0.10", "0.01", "0.01", "0.50", "0.01")
+    for grid in (readme, commands.FULL.scan_grid):
+        t_min, t_max, t_step, k_min, k_max, k_step = map(F, grid)
+        yield (_grid_values(t_min, t_step, _grid_count(t_min, t_max, t_step)),
+               _grid_values(k_min, k_step, _grid_count(k_min, k_max, k_step)))
+
+
+grid_ts = st.one_of(
+    st.fractions(min_value=F(-99, 100), max_value=2, max_denominator=100),
+    st.fractions(min_value=F(-999, 1000), max_value=2, max_denominator=2**40),
+    st.floats(min_value=-0.999, max_value=2.0),
+)
+grid_ks = st.one_of(
+    st.fractions(min_value=F(1, 100), max_value=3, max_denominator=100),
+    st.fractions(min_value=F(1, 1000), max_value=3, max_denominator=2**40),
+    st.floats(min_value=1e-3, max_value=3.0),
+)
+
+
+class TestGridPass:
+    @given(st.lists(grid_ts, min_size=1, max_size=6), st.lists(grid_ks, min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_grid_equals_cell_by_cell(self, ts, ks):
+        # Small denominators take the int64 route, 2^40 ones and floats the
+        # Python-int route; either way each cell is feasible() at (t, k).
+        grid = sg.scan_region(ts, ks)
+        expected = cell_by_cell(ts, ks)
+        assert grid.cells == expected
+        assert grid.feasible_t_values() == tuple(sorted({c.t for c in expected if c.feasible}))
+
+    def test_bound_derived_from_cell_flags(self):
+        # Feed _cell_flags magnitude bounds instead of values: the largest
+        # magnitude any of its expressions reaches is exactly _grid_reach.
+        for ts, ks in [*readme_and_bench_grids(), ([F(-4, 5), 0.1], [F(1, 10**9), 0.25])]:
+            t_terms, k_ratios = terms_and_ratios(ts, ks)
+            m_t = max(abs(v) for terms in t_terms for v in terms[:3])
+            m_k = max(abs(v) for ratio in k_ratios for v in ratio)
+            log = []
+            su21._cell_flags(
+                (Reach(m_t, log), Reach(m_t, log), Reach(m_t, log), Reach(max(w for *_, w in t_terms), log)),
+                (Reach(m_k, log), Reach(m_k, log)),
+            )
+            assert max(log) == su21._grid_reach(t_terms, k_ratios)
+
+    def test_readme_and_bench_grids_take_int64(self, monkeypatch):
+        for ts, ks in readme_and_bench_grids():
+            assert (len(ts), len(ks)) in ((90, 50), (30, 10))
+            assert su21._grid_reach(*terms_and_ratios(ts, ks)) < 2**63
+            grid, dtype = grid_route(monkeypatch, ts, ks)
+            assert dtype == np.int64
+            assert grid.cells == cell_by_cell(ts, ks)
+
+    def test_just_past_the_bound_takes_python_ints(self, monkeypatch):
+        # t = -9/10 gives M_t = 37 (u = 10 + 27) and a k = c/d with c < d
+        # gives M_k = d, so the reach is 108 * 37^4 * d^2: d_max is the last
+        # denominator that keeps it below 2^63.
+        ts = [F(-4, 5), F(-9, 10)]
+        d_max = math.isqrt((2**63 - 1) // (108 * 37**4))
+        assert 108 * 37**4 * d_max**2 < 2**63 <= 108 * 37**4 * (d_max + 1) ** 2
+        for d, route in ((d_max, np.int64), (d_max + 1, object)):
+            # k just above 1/40 and 1/80 and near eta(-9/10), the first over d
+            ks = [F(next(c for c in range(d // 40 + 1, d) if math.gcd(c, d) == 1), d),
+                  F(d // 80 + 1, d), F(int(sg.eta(-0.9) * d), d), F(1, 10)]
+            assert ks[0].denominator == d and max(k.denominator for k in ks) == d
+            assert su21._grid_reach(*terms_and_ratios(ts, ks)) == 108 * 37**4 * d**2
+            grid, dtype = grid_route(monkeypatch, ts, ks)
+            assert dtype == route
+            assert grid.cells == cell_by_cell(ts, ks)
+            assert any(c.feasible for c in grid.cells) and not all(c.feasible for c in grid.cells)
+
+    @pytest.mark.parametrize("samples", [0, 300])
+    @pytest.mark.parametrize("ts, ks", [
+        ([F(-4, 5)], [F(n, 100) for n in range(1, 24)]),  # one row
+        ([F(n, 100) for n in range(-99, 0, 7)], [F(1, 10)]),  # one column
+        ([F(-4, 5), F(-1, 2)], [F(n, 100) for n in range(1, 24)]),  # two 21-value margin blocks
+        ([F(-4, 5), 0.1], [0.1, F(1, 40)]),  # floats: the Python-int route
+        ([], [F(1, 10)]),
+    ])
+    def test_csv_equals_reference_writer(self, ts, ks, samples):
+        grid = sg.scan_region(ts, ks, sample_count=samples, seed=5)
+        assert all((c.min_margin is None) == (samples == 0) for c in grid.cells)
+        assert grid.to_csv() == reference_csv(grid)
 
 
 class TestLowerBoundChain:
