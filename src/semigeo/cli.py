@@ -33,8 +33,9 @@ run.  A failing su21 exact check adds an ``exact_check_witness`` object
 naming its first failing basis pair, triple or pair index.  Every sampling
 loop is bounded: grids of more than 10^6 cells, --samples above 10^6 (per
 run) and atom dimensions above 7 exit 1 before any sample array exists.
-So is the riccati span, whose work grows with sqrt(k) * t_max: above 10^4
-it exits 1 before any step is taken.
+The geodesic spans the work grows with are bounded too: sqrt(k) * t_max
+(riccati) and |t| |gamma1| u_max (euler-arnold, gamma1 the h1 part of
+gamma0) above 10^4, or not finite, exit 1 before any step is taken.
 """
 
 from __future__ import annotations
@@ -153,6 +154,7 @@ def _refuse_underflow(value: Fraction, name: str) -> None:
 MAX_SCAN_CELLS = 10**6
 MAX_SAMPLES = 10**6  # per run; scan's cells share one pair set
 MAX_RICCATI_SPAN = 1e4  # sqrt(k) * t_max; a riccati run takes about 700 steps per 10^3 of it
+MAX_EULER_ARNOLD_SPAN = 1e4  # |t| |gamma1| u_max; an euler-arnold run takes about 19 500 steps per 10^3 of it
 
 
 def _validate_common(args) -> None:
@@ -393,6 +395,9 @@ def cmd_geodesic(args) -> int:
             raise _UsageError("gamma0 must have zero e1 coordinate")
         v1 = alg.project(gamma0, 1)
         v2 = alg.project(gamma0, 2)
+        span = abs(float(params.t)) * math.hypot(*map(float, v1.coords)) * args.u_max
+        if not span <= MAX_EULER_ARNOLD_SPAN:  # a NaN span too
+            raise _UsageError(f"|--t| * |gamma1| * --u-max must be at most {MAX_EULER_ARNOLD_SPAN:g}, got {span:g}")
         traj, rep = euler_arnold_integrate(v1, v2, params, args.u_max, config)
         header = {
             "command": "geodesic euler-arnold",

@@ -41,7 +41,9 @@ evaluate one point per call: on charts declared conformally flat
 (``ChartMetric.conformal``) they convert the state to Python floats once
 and take the closed-form spray there from ``phi_point``, since numpy's
 per-call cost dominates arrays of two to eight entries; every right-hand
-side returns one float64 array.  A run that uses up
+side returns one float64 array.  A warped product takes that closed form
+when both its factors are declared, and is geodesic_rhs on its assembled
+chart otherwise.  A run that uses up
 ``max_steps`` trials raises StepBudgetError.  Every Trajectory carries
 IntegrationStats: accepted steps, rejections by cause, right-hand-side
 evaluations and the range of accepted step sizes, all deterministic.  The
@@ -73,6 +75,7 @@ from .spaces import (
     WarpedProductSpec,
     _dot,
     _exp,
+    assemble,
     busemann_warping,
     flat_torus,
     hyperbolic,
@@ -545,84 +548,55 @@ def geodesic_rhs(chart: ChartMetric) -> ODESystem:
 
 
 def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
-    """The two warped-product geodesic equations, integrated directly:
+    """The warped-product geodesic equations (O'Neill, Semi-Riemannian
+    Geometry, ch. 7):
 
         base:  (grad_t b')^a = -e^{2 alpha} g_F(f', f') (grad_B alpha)^a
         fiber: (grad_t f')^u = -2 (d alpha / dt) f'^u
 
-    Solutions match geodesic_rhs on the assembled block metric; this route
-    never touches the assembled chart, so the two are independent.  Each
-    call converts the state to Python floats once and takes one warping jet
-    (alpha with its base partials, any float sequence).  A factor declared
-    conformally flat, g = e^{2 phi} diag(eta), takes phi and d phi from its
-    one-point ``phi_point`` and the closed forms (_conformal_spray) on
-    floats, with no metric jet and no solve; both factors are Riemannian,
-    so eta = +1 and
+    With both factors declared conformally flat, g = e^{2 phi} diag(eta) with
+    eta = +1 (both are Riemannian), they take the closed form: per call, the
+    state converted to Python floats once, one warping jet (alpha and its
+    base partials, any float sequence) and each factor's ``phi_point``, with
+    no metric jet and no solve (_conformal_spray):
 
         b'' = |v_b|^2 d phi_B - 2 (d phi_B . v_b) v_b - e^{2 alpha - 2 phi_B} g_F(v_f, v_f) d alpha,
         f'' = |v_f|^2 d phi_F - 2 (d phi_F . v_f + d alpha / dt) v_f,
         g_F(v_f, v_f) = e^{2 phi_F} |v_f|^2.
 
-    A flat fiber is the case phi = 0: its Christoffel term is zero and no
-    ``metric_at`` is called.  Any other factor takes one first-order metric
-    jet per call, contracts it with the velocity (_spray) and raises the
-    index with one solve; for the base the force is
-    Gamma_B(v_b, v_b) + e^{2 alpha} g_F(v_f, v_f) d alpha / scale.  Both
-    choices read the factors' ``conformal`` once per system, and the array
-    results of either general route are converted to floats once.  The
-    result is one float64 array of shape (2n,).  Leaving either factor's
-    domain (its in_domain on the position slice), or a non-finite position
-    on a conformal factor, raises RhsDomainError; an e^{2 alpha} that
-    overflows gives inf, so integrate rejects the trial as non-finite.
+    A plain product is alpha = 0, whose jet is exact zeros, and a flat factor
+    phi = 0.  The result is one float64 array of shape (2n,).  Leaving either
+    factor's domain (its in_domain on the position slice), or a non-finite
+    position, raises RhsDomainError; an e^{2 alpha} that overflows gives
+    inf, so integrate rejects the trial as non-finite.  A product with an
+    undeclared factor returns geodesic_rhs(assemble(spec)), whose solutions
+    are the same curves; the choice reads ``conformal`` once per system.
     """
     if spec.kind not in ("plain", "warped"):
         raise DomainError("warped_geodesic_rhs needs a base-only warping")
     base, fiber = spec.base, spec.fiber
-    db, df = base.dim, fiber.dim
-    n = db + df
-    warped = spec.kind == "warped"
     conf_b, conf_f = base.conformal, fiber.conformal
+    if conf_b is None or conf_f is None:
+        return geodesic_rhs(assemble(spec))
+    db = base.dim
+    n = db + fiber.dim
 
     def rhs(t, y):
         b, f = y[:db], y[db:n]
-        try:
-            if conf_b is None:
-                scale_b, g_b, dg_b = _metric_jet(base, b[None], 1)
-            elif not base.in_domain(b):
-                raise _outside(base, b)
-            if conf_f is None:
-                scale_f, g_f, dg_f = _metric_jet(fiber, f[None], 1)
-            elif not fiber.in_domain(f):
-                raise _outside(fiber, f)
-        except DomainError as exc:
-            raise RhsDomainError(f"warped geodesic left the domain: {exc}") from exc
+        if not base.in_domain(b):
+            raise RhsDomainError(f"warped geodesic left the domain: {_outside(base, b)}")
+        if not fiber.in_domain(f):
+            raise RhsDomainError(f"warped geodesic left the domain: {_outside(fiber, f)}")
         s = y.tolist()
         vb, vf = s[n : n + db], s[n + db :]
-        pull = 0.0
-        if warped:
-            alpha, da = spec.alpha_base_jet(b, f)
-            pull = _dot(da, vb)  # d alpha / dt
-        if conf_f is None:
-            vf_array = y[n + db :]
-            acc_f = (-_raise_index(g_f[0], _spray(dg_f[0], vf_array))).tolist()
-            if warped:
-                fiber_speed_sq = float(scale_f[0] * vf_array.dot(g_f[0]).dot(vf_array))
-                acc_f = [a - 2.0 * pull * u for a, u in zip(acc_f, vf)]
-        else:
-            p_f, dp_f = conf_f.phi_point(_finite_point(fiber, s[db:n]))
-            acc_f, vv_f = _conformal_spray(dp_f, vf, conf_f.eta, pull)
-            fiber_speed_sq = _exp(2.0 * p_f) * vv_f
-        if conf_b is None:
-            force = _spray(dg_b[0], y[n : n + db])
-            if warped:
-                force += _exp(2.0 * alpha) * fiber_speed_sq / float(scale_b[0]) * np.array(da)
-            acc_b = (-_raise_index(g_b[0], force)).tolist()
-        else:  # a Riemannian base: eta = +1
-            p, dp = conf_b.phi_point(_finite_point(base, s[:db]))
-            acc_b = _conformal_spray(dp, vb, conf_b.eta)[0]
-            if warped:
-                w = _exp(2.0 * (alpha - p)) * fiber_speed_sq
-                acc_b = [a - w * d for a, d in zip(acc_b, da)]
+        alpha, da = spec.alpha_base_jet(b, f)
+        pull = _dot(da, vb)  # d alpha / dt
+        p_f, dp_f = conf_f.phi_point(_finite_point(fiber, s[db:n]))
+        acc_f, vv_f = _conformal_spray(dp_f, vf, conf_f.eta, pull)
+        fiber_speed_sq = _exp(2.0 * p_f) * vv_f
+        p, dp = conf_b.phi_point(_finite_point(base, s[:db]))
+        w = _exp(2.0 * (alpha - p)) * fiber_speed_sq
+        acc_b = [a - w * d for a, d in zip(_conformal_spray(dp, vb, conf_b.eta)[0], da)]
         return np.array(s[n:] + acc_b + acc_f)
 
     return ODESystem(2 * n, rhs, f"warped geodesic on {spec.base.name}x{spec.fiber.name}")
@@ -755,6 +729,23 @@ def _reversed_system(system: ODESystem) -> ODESystem:
     return ODESystem(system.dim, lambda t, y: -rhs(-t, y), f"time-reversed {system.description}")
 
 
+def _launch(spec: WarpedProductSpec, kind: str, c1: float) -> tuple[ODESystem, np.ndarray]:
+    """(system, initial state) of the ``kind`` breakdown run with constant C1.
+    Lightlike runs use s'(0) = -1/C1 (breakdown at negative parameter, so the
+    system runs in reversed time); timelike runs need 0 < C1 < 1, giving
+    s'(0) = (1+C1)/(1-C1) > 1 and a positive breakdown."""
+    system = warped_geodesic_rhs(spec)
+    if kind == "lightlike":
+        if c1 <= 0:
+            raise DomainError("lightlike demo needs C1 > 0")
+        return _reversed_system(system), _launch_state(spec, 1.0 / c1, downward=False, causal=kind)
+    if kind == "timelike":
+        if not 0.0 < c1 < 1.0:
+            raise DomainError("timelike demo needs 0 < C1 < 1 so that s'(0) > 1")
+        return system, _launch_state(spec, (1.0 + c1) / (1.0 - c1), downward=True, causal=kind)
+    raise ValueError(f"unknown breakdown kind {kind!r}")
+
+
 def breakdown_run(
     spec: WarpedProductSpec,
     kind: str,
@@ -763,33 +754,16 @@ def breakdown_run(
     c2: float = 0.0,
     config: IntegratorConfig | None = None,
 ) -> BreakdownRun:
-    """Launch the reparametrized geodesic of the given causal kind and record
-    where the integration breaks down, against the closed-form singular time.
-
-    Lightlike runs use s'(0) = -1/C1 (breakdown at negative parameter, so the
-    integration is carried out in reversed time); timelike runs need
-    0 < C1 < 1, giving s'(0) = (1+C1)/(1-C1) > 1 and a positive breakdown.
-    """
-    system = warped_geodesic_rhs(spec)
-    if kind == "lightlike":
-        if c1 <= 0:
-            raise DomainError("lightlike demo needs C1 > 0")
-        predicted = lightlike_singular_time(k, c1)  # negative
-        y0 = _launch_state(spec, base_speed=1.0 / c1, downward=False, causal="lightlike")
-        span = (0.0, 2.0 * abs(predicted) + 1.0)
-        traj = integrate(_reversed_system(system), y0, span, config)
-        observed = None if traj.status.kind == COMPLETED else -traj.breakdown_estimate()
-    elif kind == "timelike":
-        if not 0.0 < c1 < 1.0:
-            raise DomainError("timelike demo needs 0 < C1 < 1 so that s'(0) > 1")
-        predicted = timelike_singular_time(k, c1)  # positive
-        s_prime0 = (1.0 + c1) / (1.0 - c1)
-        y0 = _launch_state(spec, base_speed=s_prime0, downward=True, causal="timelike")
-        span = (0.0, 2.0 * predicted + 1.0)
-        traj = integrate(system, y0, span, config)
-        observed = None if traj.status.kind == COMPLETED else traj.breakdown_estimate()
+    """Launch the reparametrized geodesic of the given causal kind (_launch)
+    and record where the integration breaks down, against the closed-form
+    singular time, both in the signed affine parameter."""
+    system, y0 = _launch(spec, kind, c1)
+    if kind == "lightlike":  # the breakdown is at negative parameter, reached in reversed time
+        predicted, sign = lightlike_singular_time(k, c1), -1.0
     else:
-        raise ValueError(f"unknown breakdown kind {kind!r}")
+        predicted, sign = timelike_singular_time(k, c1), 1.0
+    traj = integrate(system, y0, (0.0, 2.0 * abs(predicted) + 1.0), config)
+    observed = None if traj.status.kind == COMPLETED else sign * traj.breakdown_estimate()
 
     rel = None
     if observed is not None:
@@ -824,12 +798,8 @@ def incompleteness_demo(
     time_run = breakdown_run(spec, "timelike", k, timelike_c1, c2, config)
 
     control = plain_product(hyperbolic(l), flat_torus(m))
-    ctrl_sys = warped_geodesic_rhs(control)
-    y_light = _launch_state(control, base_speed=1.0 / lightlike_c1, downward=False, causal="lightlike")
-    ctrl_light = integrate(_reversed_system(ctrl_sys), y_light, (0.0, 100.0), config)
-    s_prime0 = (1.0 + timelike_c1) / (1.0 - timelike_c1)
-    y_time = _launch_state(control, base_speed=s_prime0, downward=True, causal="timelike")
-    ctrl_time = integrate(ctrl_sys, y_time, (0.0, 100.0), config)
+    ctrl_light = integrate(*_launch(control, "lightlike", lightlike_c1), (0.0, 100.0), config)
+    ctrl_time = integrate(*_launch(control, "timelike", timelike_c1), (0.0, 100.0), config)
 
     return IncompletenessReport(
         l=l,

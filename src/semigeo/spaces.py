@@ -220,9 +220,9 @@ class Warping:
     ``ChartMetric``.  ``jet(b, f)``, when given, takes the base and fiber
     coordinates of one point as float arrays and returns alpha and
     d alpha / d b there, the latter as any length-``db`` sequence of floats
-    (a list or an array): the warped geodesic right-hand side calls it once
-    per evaluation (``WarpedProductSpec.alpha_base_jet``), and without it
-    takes the Taylor jet of ``value`` there instead.
+    (a list or an array): the closed-form warped geodesic right-hand side
+    (both factors declared) calls it once per evaluation (``alpha_base_jet``),
+    and without it takes the Taylor jet of ``value`` there instead.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]

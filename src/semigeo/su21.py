@@ -848,12 +848,12 @@ def scan_region(
 # ---------------------------------------------------------------------------
 
 
-def euler_arnold_rhs(gamma: AlgebraElement, params: ModelParams, cross_check: bool = True) -> AlgebraElement:
+def euler_arnold_rhs(gamma: AlgebraElement, params: ModelParams) -> AlgebraElement:
     """Right side of the reduced flow: G1' = 0 and G2' = t [G1, G2].
 
-    When ``cross_check`` is set, also evaluates phi(G') and [phi(G), G] with
-    phi scaling h1 by (1+t), and verifies the two agree (exactly for rational
-    inputs, to 1e-9 relative for floats).
+    Also evaluates phi(G') and [phi(G), G] with phi scaling h1 by (1+t), and
+    verifies the two agree (exactly for rational inputs, to 1e-9 relative
+    for floats).
     """
     _require_tangent(gamma)
     t = params.t
@@ -862,20 +862,17 @@ def euler_arnold_rhs(gamma: AlgebraElement, params: ModelParams, cross_check: bo
     rhs = bracket(g1, g2).scale(t)
     if any(rhs.coords[i] != 0 for i in (0, 1, 2, 3)):
         raise SemigeoError("bracket [h1, h2] left h2; structure table corrupt")
-    if cross_check:
-        phi_gamma = g1.scale(1 + t) + g2
-        alt = bracket(phi_gamma, gamma)
-        # phi fixes h2, so phi(G') = G' and agreement means alt == rhs.
-        exact = all(isinstance(c, (int, Fraction)) for c in gamma.coords) and isinstance(
-            t, (int, Fraction)
-        )
-        if exact:
-            if alt.coords != rhs.coords:
-                raise SemigeoError("reduced-flow forms disagree in exact arithmetic")
-        else:
-            scale = 1.0 + max(abs(float(c)) for c in rhs.coords)
-            if any(abs(float(a - b)) > 1e-9 * scale for a, b in zip(alt.coords, rhs.coords)):
-                raise SemigeoError("reduced-flow forms disagree beyond float tolerance")
+    phi_gamma = g1.scale(1 + t) + g2
+    alt = bracket(phi_gamma, gamma)
+    # phi fixes h2, so phi(G') = G' and agreement means alt == rhs.
+    exact = all(isinstance(c, (int, Fraction)) for c in gamma.coords) and isinstance(t, (int, Fraction))
+    if exact:
+        if alt.coords != rhs.coords:
+            raise SemigeoError("reduced-flow forms disagree in exact arithmetic")
+    else:
+        scale = 1.0 + max(abs(float(c)) for c in rhs.coords)
+        if any(abs(float(a - b)) > 1e-9 * scale for a, b in zip(alt.coords, rhs.coords)):
+            raise SemigeoError("reduced-flow forms disagree beyond float tolerance")
     return rhs
 
 

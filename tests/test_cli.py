@@ -611,6 +611,41 @@ class TestGeodesicCommand:
         # the README run and the benchmark's range of k, at t-max 50
         assert run(["geodesic", "riccati", "--k", k, "--h0", "0", "--t-max", "50", "--out", str(tmp_path / "r.csv")]) == 0
 
+    @pytest.mark.parametrize("t, gamma0, u_max", [
+        ("-0.8", None, "12501"), ("-0.8", None, "1e300"), ("-0.8", "0,100,0,0,1,0,0,0", "1000"),
+        ("1e300", None, "1e300"),  # an infinite span
+        ("0", "0,1.5e308,1.5e308,0,1,0,0,0", "1"),  # 0 * inf: a NaN span
+    ])
+    def test_euler_arnold_span_bound_exit_one(self, tmp_path, monkeypatch, capsys, t, gamma0, u_max):
+        # The work grows with |t| |gamma1| u_max: above 1e4, or not finite,
+        # one error line and exit 1 before any integration starts.
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an integration was started")
+
+        monkeypatch.setattr(geodesics, "euler_arnold_integrate", refuse)
+        out = tmp_path / "ea.csv"
+        argv = ["geodesic", "euler-arnold", "--t", t, "--u-max", u_max, "--out", str(out)]
+        assert run(argv + (["--gamma0", gamma0] if gamma0 else [])) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("semigeo: error: |--t| * |gamma1| * --u-max must be at most 10000")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma0", [None, "0,-1,0,0,0,1,0,0", "0,0,0,1,0,0,0,-1"])
+    def test_euler_arnold_span_bound_keeps_the_documented_runs(self, tmp_path, monkeypatch, gamma0):
+        # the README run and the benchmark's unit gamma0 = +-e_i +- f_j, at
+        # t = -0.8 and u-max 1000 (span 800): the integration starts
+        started = []
+
+        def record(*args, **_kwargs):
+            started.append(args)
+            raise sg.DomainError("stopped after the span check")
+
+        monkeypatch.setattr(geodesics, "euler_arnold_integrate", record)
+        argv = ["geodesic", "euler-arnold", "--t", "-0.8", "--u-max", "1000", "--out", str(tmp_path / "ea.csv")]
+        run(argv + (["--gamma0", gamma0] if gamma0 else []))
+        assert len(started) == 1
+
     @pytest.mark.parametrize("mode", ["warped-lightlike", "warped-timelike"])
     def test_warped_huge_k_ends_in_a_status(self, tmp_path, mode, capsys):
         # e^{2 alpha} overflows near the singularity: the trial is rejected

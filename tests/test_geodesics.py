@@ -566,6 +566,25 @@ class TestWarpedRhsReference:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+UNDECLARED_WARPED_SPECS = sorted(name for name, make in WARPED_RHS_SPECS.items()
+                                 if None in (make().base.conformal, make().fiber.conformal))
+
+
+class TestWarpedRoute:
+    # Both factors declared: the closed form.  Any other product: the
+    # general route of geodesic_rhs on its assembled chart.
+    def test_undeclared_specs(self):
+        assert UNDECLARED_WARPED_SPECS == ["fd-fiber", "varying-base"]
+
+    @pytest.mark.parametrize("name", UNDECLARED_WARPED_SPECS)
+    def test_undeclared_factor_takes_the_assembled_chart(self, name):
+        spec = WARPED_RHS_SPECS[name]()
+        system, assembled = sg.warped_geodesic_rhs(spec), sg.geodesic_rhs(sg.assemble(spec))
+        assert system.dim == assembled.dim
+        for y in _random_states(np.random.default_rng(30), [spec.base, spec.fiber]):
+            assert system.rhs(0.0, y).tobytes() == assembled.rhs(0.0, y).tobytes()
+
+
 def _count_metric_jet(monkeypatch):
     # the names of the charts whose metric jet the right-hand sides take
     calls, metric_jet = [], geo._metric_jet
@@ -597,17 +616,19 @@ class TestConstantFiber:
     def test_other_charts_are_evaluated_per_call(self, chart, monkeypatch):
         # sphere(2) has d phi = 0 at the middle of its box and the undeclared
         # torus is flat: the route follows the declaration, not the values.
-        # A declared fiber takes phi_point per call, any other its metric jet.
+        # A declared fiber takes phi_point per call; with any other the
+        # product takes the metric jet of its assembled chart.
         calls = _count_metric_jet(monkeypatch)
         if chart.conformal is not None:
             point = chart.conformal.phi_point
             chart = replace(chart, conformal=replace(chart.conformal,
                                                      phi_point=lambda x: calls.append("phi_point") or point(x)))
-        rhs = sg.warped_geodesic_rhs(sg.warped_product(sg.hyperbolic(2), chart, sg.busemann_warping(1.0))).rhs
+        spec = sg.warped_product(sg.hyperbolic(2), chart, sg.busemann_warping(1.0))
+        rhs = sg.warped_geodesic_rhs(spec).rhs
         y = np.concatenate([[0.1, 1.2], 0.5 * sum(chart.sample_box), [0.3, 0.4, 0.5, -0.1]])
         for _ in range(3):
             rhs(0.0, y)
-        assert calls == ["phi_point" if chart.conformal else chart.name] * 3
+        assert calls == ["phi_point" if chart.conformal else sg.assemble(spec).name] * 3
 
     def test_constant_fiber_is_evaluated_once(self, monkeypatch):
         # its declaration is read once per system; metric_at and the metric
@@ -914,6 +935,15 @@ class TestIncompleteness:
     def test_demo_rejects_low_dims(self):
         with pytest.raises(DomainError):
             sg.incompleteness_demo(1, 2, 1.0)
+
+    @pytest.mark.parametrize("kind, c1, error, message", [
+        ("lightlike", 0.0, DomainError, "lightlike demo needs C1 > 0"),
+        ("timelike", 1.0, DomainError, "timelike demo needs 0 < C1 < 1 so that s'\\(0\\) > 1"),
+        ("spacelike", 0.5, ValueError, "unknown breakdown kind 'spacelike'"),
+    ])
+    def test_launch_refusals(self, kind, c1, error, message):
+        with pytest.raises(error, match=message):
+            sg.breakdown_run(sg.incompleteness_space(2, 2, 1.0), kind, 1.0, c1)
 
 
 class TestParallelTransport:

