@@ -25,8 +25,8 @@ from importlib import import_module as _import_module
 
 _EXPORTS = {  # submodule -> the public names it defines
     "charts": (
-        "ChartMetric", "Conformal", "CurvatureReport", "TangentPair", "TangentSampler", "area_form",
-        "check_r_ge_k", "christoffel", "curvature_quadform", "negate", "riemann", "riemann_lowered",
+        "ChartMetric", "Conformal", "CurvatureReport", "TangentPair", "area_form", "check_r_ge_k",
+        "christoffel", "curvature_quadform", "negate", "riemann", "riemann_lowered", "sample_block",
         "scalar_curvature", "sectional", "verify_chart",
     ),
     "errors": (
@@ -55,7 +55,7 @@ _EXPORTS = {  # submodule -> the public names it defines
         "det_identity_check", "eta", "euler_arnold_rhs", "feasible", "feasible_k_interval", "form_B",
         "from_coords", "from_matrix", "ineq4_lhs", "lower_bound_coefficients", "matrix_commutator",
         "metric_t", "nonintegrability_witness", "parse_element", "project", "sample_margins",
-        "sample_tangent_pairs", "scan_region", "serialize_element", "xyz_and_gram", "zero_element",
+        "scan_region", "serialize_element", "xyz_and_gram", "zero_element",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -29,6 +29,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,8 +43,8 @@ from .errors import (
 )
 
 # Samples per RNG block.  Block i of a run with master seed s is generated by
-# numpy's default_rng(s + i), so the sample stream is a function of the seed
-# alone and repeated runs give bit-identical reports.
+# numpy's default_rng((s, i)) (sample_block), so the sample stream is a
+# function of the seed alone and two seeds below 2^32 share no block.
 SAMPLE_BLOCK = 256
 
 _DET_FLOOR = 1e-10
@@ -280,7 +281,7 @@ def _plane_forms(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     R_{I_p J_p I_q J_q}, area[n, p, q] = g_{I_p I_q} g_{J_p J_q} - g_{I_p J_q} g_{J_p I_q}."""
     scale, g, _, a = _curvature_jet(chart, X)
     g = scale[:, None, None] * g
-    I, J = np.triu_indices(chart.dim, 1)
+    I, J = _index_pairs(chart.dim)
     P, Q = I[:, None], J[:, None]
     curv = scale[:, None, None] * (a(P, Q, I, J) - a(P, Q, J, I))
     return curv, g[:, P, I] * g[:, Q, J] - g[:, P, J] * g[:, Q, I]
@@ -342,39 +343,34 @@ def negate(chart: ChartMetric) -> ChartMetric:
     )
 
 
-@dataclass(frozen=True)
-class TangentSampler:
-    """Uniform base points in a box, i.i.d. standard-normal tangent components.
-
-    ``block(seed, index, count)`` is a pure function of its arguments, so the
-    sample stream is fixed by the seed and the block sizes.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def block(self, seed: int, index: int, count: int):
-        rng = np.random.default_rng(seed + index)
-        dim = len(self.lo)
-        pts = rng.uniform(self.lo, self.hi, size=(count, dim))
-        us = rng.standard_normal((count, dim))
-        vs = rng.standard_normal((count, dim))
-        return pts, us, vs
+def sample_block(seed: int, index: int, count: int, dim: int, box=None):
+    """Block ``index`` of the run with seed ``seed``, from default_rng((seed,
+    index)): ``count`` points uniform in ``box`` = (lo, hi) (none if it is
+    None), then two (count, dim) arrays of standard-normal tangent components."""
+    rng = np.random.default_rng((seed, index))
+    pts = np.empty((count, 0)) if box is None else rng.uniform(*box, size=(count, dim))
+    return pts, rng.standard_normal((count, dim)), rng.standard_normal((count, dim))
 
 
-def default_sampler(chart: ChartMetric) -> TangentSampler:
+def _sample_box(chart: ChartMetric):
     if chart.sample_box is None:
         raise DomainError(f"chart {chart.name!r} has no sample box")
-    lo, hi = chart.sample_box
-    return TangentSampler(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    return chart.sample_box
+
+
+@lru_cache(maxsize=None)
+def _index_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs I < J of Λ², in ``itertools.combinations`` order."""
+    I, J = np.triu_indices(dim, 1)
+    I.flags.writeable = J.flags.writeable = False
+    return I, J
 
 
 def wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Plücker coordinates u_i v_j - u_j v_i of u ^ v over the last axis,
-    for i < j in ``itertools.combinations`` order; built row i at a time,
-    so the temporaries stay near the size of the result."""
-    rows = [u[..., i, None] * v[..., i + 1 :] - v[..., i, None] * u[..., i + 1 :] for i in range(u.shape[-1])]
-    return np.concatenate(rows, axis=-1)
+    """Plücker coordinates u_i v_j - v_i u_j of u ^ v over the last axis, i < j,
+    C-ordered (the contractions' last bits depend on the layout)."""
+    I, J = _index_pairs(u.shape[-1])
+    return np.ascontiguousarray(u[..., I] * v[..., J] - v[..., I] * u[..., J])
 
 
 def plane_values(w: np.ndarray, curv: np.ndarray, area: np.ndarray):
@@ -390,21 +386,6 @@ def plane_margins(w: np.ndarray, curv: np.ndarray, area: np.ndarray, k: float):
     return lhs - karea, np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(karea)))
 
 
-def _eval_block(chart, sampler, k, tol, seed, block_index, count):
-    """One block reduced by ``reduce_margins`` over its pairs in sample order
-    (each point's random pair, then its C(d, 2) coordinate-basis pairs): the
-    witness margin, a copy of the witness pair, the verdict and the pair count."""
-    pts, us, vs = sampler.block(seed, block_index, count)
-    I, J = np.triu_indices(chart.dim, 1)
-    basis = np.broadcast_to(np.eye(chart.dim), (count, chart.dim, chart.dim))
-    pu = np.concatenate([us[:, None], basis[:, I]], axis=1)  # (point, pair, dim)
-    pv = np.concatenate([vs[:, None], basis[:, J]], axis=1)
-    margins, scales = plane_margins(wedge(pu, pv), *_plane_forms(chart, pts), k)
-    w, passed = reduce_margins(margins.ravel(), scales.ravel(), tol)
-    n, p = divmod(w, pu.shape[1])
-    return margins[n, p], TangentPair(pts[n].copy(), pu[n, p].copy(), pv[n, p].copy()), passed, margins.size
-
-
 def reduce_margins(margins: np.ndarray, scales: np.ndarray, tol: float) -> tuple[int, bool]:
     """Witness index and verdict for sampled margins with per-pair scales.
 
@@ -414,6 +395,32 @@ def reduce_margins(margins: np.ndarray, scales: np.ndarray, tol: float) -> tuple
     bad = np.flatnonzero(~np.isfinite(margins))
     index = int(bad[0]) if bad.size else int(np.argmin(margins))
     return index, bool(np.all(margins >= -tol * scales))
+
+
+def sampled_check(evaluate, n_samples: int, tol: float, seed: int, dim: int, box=None):
+    """The loop of every sampled check: (min_margin, witness, passed, pairs).
+
+    ``evaluate(pts, us, vs)`` maps block i of the run (sample_block; SAMPLE_BLOCK
+    samples, the last block the rest) to its margins and scales, (count, P),
+    and pairs pu, pv, (count, P, dim).  Each block is reduced by
+    ``reduce_margins`` as it is evaluated and the block witnesses once more,
+    which equals one reduction of the concatenated blocks."""
+    if n_samples < 1:
+        raise EmptySampleError("a sampled check needs n_samples >= 1")
+
+    def block(index, count):
+        pts, us, vs = sample_block(seed, index, count, dim, box)
+        margins, scales, pu, pv = evaluate(pts, us, vs)
+        w, passed = reduce_margins(margins.ravel(), scales.ravel(), tol)
+        n, p = divmod(w, margins.shape[1])
+        return margins[n, p], TangentPair(pts[n].copy(), pu[n, p].copy(), pv[n, p].copy()), passed, margins.size
+
+    margins, witnesses, verdicts, counts = zip(*(
+        block(index, min(SAMPLE_BLOCK, n_samples - start))
+        for index, start in enumerate(range(0, n_samples, SAMPLE_BLOCK))
+    ))
+    w, _ = reduce_margins(np.array(margins), np.ones(len(margins)), tol)
+    return float(margins[w]), witnesses[w], all(verdicts), sum(counts)
 
 
 def check_r_ge_k(
@@ -429,28 +436,27 @@ def check_r_ge_k(
     pseudorandom tangent pairs plus, at each sampled point, all coordinate
     basis pairs; ``samples`` in the report counts both.  Margins are
     evaluated directly, with no division by the area form, so lightlike-plane
-    pairs are covered.  Blocks of ``SAMPLE_BLOCK`` samples are evaluated in
-    order, each reduced by ``reduce_margins`` as it is evaluated, and the
-    block witnesses once more: the witness is the first non-finite margin,
-    else the first minimum, so a NaN or inf margin fails the check.
+    pairs are covered.  ``sampled_check`` reduces the blocks: the witness is
+    the first non-finite margin, else the first minimum, so NaN or inf fails.
     """
-    if n_samples < 1:
-        raise EmptySampleError("check_r_ge_k needs n_samples >= 1")
     if not np.isfinite(k):
         raise DomainError("k must be finite")
-    sampler = default_sampler(chart)
-    margins, witnesses, verdicts, counts = zip(*(
-        _eval_block(chart, sampler, k, tol, seed, index, min(SAMPLE_BLOCK, n_samples - start))
-        for index, start in enumerate(range(0, n_samples, SAMPLE_BLOCK))
-    ))
-    w, _ = reduce_margins(np.array(margins), np.ones(len(margins)), tol)
+    d = chart.dim
+    bu, bv = (np.eye(d)[index] for index in _index_pairs(d))
+
+    def evaluate(pts, us, vs):  # each point's random pair, then its C(d, 2) basis pairs
+        pu, pv = (np.concatenate([r[:, None], np.broadcast_to(b, (len(r),) + b.shape)], axis=1)
+                  for r, b in ((us, bu), (vs, bv)))
+        return (*plane_margins(wedge(pu, pv), *_plane_forms(chart, pts), k), pu, pv)
+
+    min_margin, witness, passed, samples = sampled_check(evaluate, n_samples, tol, seed, d, _sample_box(chart))
     return CurvatureReport(
         k=float(k),
-        samples=sum(counts),
-        min_margin=float(margins[w]),
-        witness=witnesses[w],
+        samples=samples,
+        min_margin=min_margin,
+        witness=witness,
         tol=float(tol),
-        passed=all(verdicts),
+        passed=passed,
         seed=int(seed),
     )
 
@@ -463,8 +469,7 @@ def verify_chart(chart: ChartMetric, n_points: int = 100, seed: int = 0) -> None
     points equals its per-row results (a chart that indexes ``x[i]`` instead
     of ``x[..., i]`` fails here).  Raises on violation.
     """
-    sampler = default_sampler(chart)
-    pts, _, _ = sampler.block(seed, 0, n_points)
+    pts, _, _ = sample_block(seed, 0, n_points, chart.dim, _sample_box(chart))
     rows = [bool(chart.in_domain(x)) for x in pts]
     try:
         block = np.broadcast_to(chart.in_domain(pts), len(pts))

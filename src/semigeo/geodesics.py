@@ -20,8 +20,9 @@ does the step control; a trial is computed in one of two ways:
   (_power_stack, _dp54_linear_step).
 
 The two ways sum in different orders, so they differ in the last bits.  A
-non-finite initial state or initial right-hand side raises DomainError.  A
-run ends with one of three termination statuses:
+non-finite initial state or initial right-hand side raises DomainError, as
+does an initial state norm not below ``blowup_threshold``.  A run ends with
+one of three termination statuses:
 
 * ``completed`` - reached the end of the time span;
 * ``blowup`` - the state norm crossed ``blowup_threshold`` (last accepted
@@ -329,7 +330,8 @@ def integrate(
     Deterministic for a fixed configuration.  The first right-hand-side
     evaluation happens outside the retry loop, and a non-finite initial
     state or initial right-hand side raises DomainError, so genuinely bad
-    initial data raises instead of producing a bogus underflow status.
+    initial data raises instead of producing a bogus underflow status (an
+    initial norm not below ``blowup_threshold`` too, not a bogus blowup).
     More than ``max_steps`` trials raise StepBudgetError.
     """
     cfg = config or IntegratorConfig()
@@ -342,6 +344,10 @@ def integrate(
         raise DomainError(f"state dimension {y.shape} != system dim {n}")
     if not np.all(np.isfinite(y)):
         raise DomainError(f"non-finite initial state {y} for {system.description!r}")
+    norm = math.hypot(*y.tolist())  # no overflow below the float range
+    if not norm < cfg.blowup_threshold:
+        raise DomainError(f"initial state norm {norm:.6g} is not below the blowup threshold "
+                          f"{cfg.blowup_threshold:g} for {system.description!r}")
     rhs = system.rhs
     k1 = np.asarray(rhs(t0, y), dtype=float)
     if not np.all(np.isfinite(k1)):
@@ -695,31 +701,6 @@ class IncompletenessReport:
     control_timelike_status: str
 
 
-def _launch_state(spec: WarpedProductSpec, base_speed: float, downward: bool, causal: str) -> np.ndarray:
-    """Initial (position, velocity) at base point x_l = 1, fiber origin.
-
-    The base velocity has hyperbolic speed |base_speed| along -grad b
-    (downward) or +grad b; the fiber speed solves the causal condition
-    exactly: g = 0 (lightlike) or g = -1 (timelike).
-    """
-    db, df = spec.base.dim, spec.fiber.dim
-    pos = np.zeros(db + df)
-    pos[db - 1] = 1.0  # alpha = 0 there for the Busemann warpings used here
-    vel = np.zeros(db + df)
-    vel[db - 1] = -abs(base_speed) if downward else abs(base_speed)
-    speed_sq = base_speed * base_speed
-    if causal == "lightlike":
-        fiber_speed_sq = speed_sq
-    elif causal == "timelike":
-        fiber_speed_sq = speed_sq - 1.0
-        if fiber_speed_sq <= 0:
-            raise DomainError("timelike launch needs base speed above 1")
-    else:
-        raise ValueError(causal)
-    vel[db] = math.sqrt(fiber_speed_sq)  # flat-torus fiber, e^{2 alpha} = 1 at start
-    return np.concatenate([pos, vel])
-
-
 def _reversed_system(system: ODESystem) -> ODESystem:
     """y' = -rhs(-t, y), the system run backwards in time.  Its callers, all
     in this module, pass right-hand sides that return float64 arrays (the
@@ -730,20 +711,31 @@ def _reversed_system(system: ODESystem) -> ODESystem:
 
 
 def _launch(spec: WarpedProductSpec, kind: str, c1: float) -> tuple[ODESystem, np.ndarray]:
-    """(system, initial state) of the ``kind`` breakdown run with constant C1.
-    Lightlike runs use s'(0) = -1/C1 (breakdown at negative parameter, so the
-    system runs in reversed time); timelike runs need 0 < C1 < 1, giving
-    s'(0) = (1+C1)/(1-C1) > 1 and a positive breakdown."""
+    """(system, initial state) of the ``kind`` breakdown run with constant C1,
+    at base point x_l = 1 (alpha = 0 there), fiber origin, s(0) = 0.
+    Lightlike runs use s'(0) = -1/C1: base speed 1/C1 up, and the breakdown
+    at negative parameter, so the system runs in reversed time.  Timelike
+    runs need 0 < C1 < 1: base speed s'(0) = (1+C1)/(1-C1) > 1 down.  The flat
+    fiber's speed makes g = 0 (lightlike) or g = -1 (timelike) exactly."""
     system = warped_geodesic_rhs(spec)
     if kind == "lightlike":
         if c1 <= 0:
             raise DomainError("lightlike demo needs C1 > 0")
-        return _reversed_system(system), _launch_state(spec, 1.0 / c1, downward=False, causal=kind)
-    if kind == "timelike":
+        base_speed = 1.0 / c1
+        system, fiber_speed_sq = _reversed_system(system), base_speed * base_speed
+    elif kind == "timelike":
         if not 0.0 < c1 < 1.0:
             raise DomainError("timelike demo needs 0 < C1 < 1 so that s'(0) > 1")
-        return system, _launch_state(spec, (1.0 + c1) / (1.0 - c1), downward=True, causal=kind)
-    raise ValueError(f"unknown breakdown kind {kind!r}")
+        base_speed = -(1.0 + c1) / (1.0 - c1)
+        fiber_speed_sq = base_speed * base_speed - 1.0
+    else:
+        raise ValueError(f"unknown breakdown kind {kind!r}")
+    db, df = spec.base.dim, spec.fiber.dim
+    y0 = np.zeros(2 * (db + df))
+    y0[db - 1] = 1.0
+    y0[db + df + db - 1] = base_speed
+    y0[db + df + db] = math.sqrt(fiber_speed_sq)  # flat-torus fiber, e^{2 alpha} = 1 at start
+    return system, y0
 
 
 def breakdown_run(
@@ -751,12 +743,13 @@ def breakdown_run(
     kind: str,
     k: float,
     c1: float,
-    c2: float = 0.0,
     config: IntegratorConfig | None = None,
 ) -> BreakdownRun:
     """Launch the reparametrized geodesic of the given causal kind (_launch)
     and record where the integration breaks down, against the closed-form
-    singular time, both in the signed affine parameter."""
+    singular time, both in the signed affine parameter.  ``c2`` in the
+    result is the C2 of the closed-form s(t) that the launch follows: s(0) = 0
+    gives ln(C1) / sqrt(k) (lightlike) or ln(1 - C1) / sqrt(k) (timelike)."""
     system, y0 = _launch(spec, kind, c1)
     if kind == "lightlike":  # the breakdown is at negative parameter, reached in reversed time
         predicted, sign = lightlike_singular_time(k, c1), -1.0
@@ -771,7 +764,7 @@ def breakdown_run(
     return BreakdownRun(
         kind=kind,
         c1=float(c1),
-        c2=float(c2),
+        c2=math.log(c1 if kind == "lightlike" else 1.0 - c1) / math.sqrt(k),
         predicted_breakdown=float(predicted),
         observed_breakdown=observed,
         relative_error=rel,
@@ -786,7 +779,6 @@ def incompleteness_demo(
     k: float,
     lightlike_c1: float = 1.0,
     timelike_c1: float = 0.5,
-    c2: float = 0.0,
     config: IntegratorConfig | None = None,
 ) -> IncompletenessReport:
     """Run the lightlike and timelike breakdown constructions plus the plain
@@ -794,8 +786,8 @@ def incompleteness_demo(
     if l < 2 or m < 2:
         raise DomainError("incompleteness demo needs l, m >= 2")
     spec = incompleteness_space(l, m, k)
-    light = breakdown_run(spec, "lightlike", k, lightlike_c1, c2, config)
-    time_run = breakdown_run(spec, "timelike", k, timelike_c1, c2, config)
+    light = breakdown_run(spec, "lightlike", k, lightlike_c1, config)
+    time_run = breakdown_run(spec, "timelike", k, timelike_c1, config)
 
     control = plain_product(hyperbolic(l), flat_torus(m))
     ctrl_light = integrate(*_launch(control, "lightlike", lightlike_c1), (0.0, 100.0), config)

@@ -16,14 +16,13 @@ and the determinant identity, homogeneous of degree (2, 2), are each one
 integer polynomial (det_residuals, quartic_numerators).  The coordinates
 may be 8 numbers (one pair; the scalar functions divide once into a
 Fraction) or 8 rows of a batch of pairs in one array pass: Python-int rows,
-or int64 rows (as the CLI's seeded pair checks use), whose bracket pass runs
-in int64 after a checked magnitude bound and whose degree-(2, 2) step runs
-on Python ints.
-feasible() is four integer sign tests; scan_region reduces each t and each k
-to integers once and applies the same tests to the whole grid in one array
-pass, in int64 under a checked magnitude bound and on Python ints past it
-(a float t or k).  The Jacobi, Ad-invariance and
-containment checks read one integer table of the 64 basis brackets.
+or integer rows of any numpy width, whose degree-(2, 2) step runs on Python
+ints.  feasible() is four integer sign tests; scan_region reduces each t and
+each k to integers once and applies them to the whole grid in one array
+pass.  Both array passes run in int64 while a derived bound keeps every
+magnitude below 2^63 and on Python ints past it (_exact_array), so neither
+wraps.  The Jacobi, Ad-invariance and containment checks read one integer
+table of the 64 basis brackets.
 
 The one-parameter family of metrics is (X, Y) = (1+t) B(X1, Y1) + B(X2, Y2)
 on h1 + h2, t > -1.  The curvature quadratic form, the Gram determinant in
@@ -32,10 +31,11 @@ the reduced geodesic-flow equations
 
     (1+t) G1' = 0,          G2' = t [G1, G2]
 
-are all provided, together with vectorized float samplers used by the
-region scans and certification runs.  Brackets are linear in X ^ Y, so the
-sampled margin quartic - k * gram is a quadratic form on the 21 Plücker
-coordinates of the pair, evaluated by ``charts.plane_values``.
+are all provided.  Brackets are linear in X ^ Y, so the sampled margin
+quartic - k * gram is a quadratic form on the 21 Plücker coordinates of a
+pair (7 tangent coordinates of a ``charts.sample_block`` block), evaluated by
+``charts.plane_values`` and reduced by ``charts.sampled_check`` block by
+block; scan_region walks the same blocks, so memory stays flat in samples.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .charts import plane_margins, plane_values, wedge
+from .charts import SAMPLE_BLOCK, plane_margins, plane_values, sample_block, sampled_check, wedge
 from .errors import (
     BasisDecompositionError,
     DomainError,
@@ -358,50 +358,42 @@ def _fixed_width(rows) -> bool:
 
 
 def _max_abs(rows) -> int:
-    """The largest |v| over coordinate rows, as a Python int (0 when empty)."""
+    """The largest |v| over coordinate rows, as a Python int, at least 1."""
     rows = np.asarray(rows)
-    return max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    return max(1, int(rows.max(initial=0)), -int(rows.min(initial=0)))
 
 
-def _check_int64_reach(xs, ys) -> None:
-    """Raises DomainError unless the rows xs, ys are int64 (or Python
-    numbers) and the bracket pass and the 2 x 2 minors x_i y_j - y_i x_j
-    stay below 2^63 in magnitude.
-
-    A bracket numerator is a sum of x_i y_j c into one coordinate k, so it is
-    at most w max|x| max|y|, w the largest sum of |c| over the terms into one
-    k (12 for the true constants); a minor is at most 2 max|x| max|y|.  Every
-    partial sum obeys the same bound, so nothing wraps below it.
-    """
-    if any(_fixed_width(rows) and rows.dtype != np.int64 for rows in (xs, ys)):
-        raise DomainError("integer coordinate rows must be int64 or Python ints")
-    weights = [0] * 8
-    for _, _, k, c in _bracket_terms():
-        weights[k] += abs(c)
-    reach = max(2, *weights) * _max_abs(xs) * _max_abs(ys)
-    if reach >= 2**63:
-        raise DomainError(f"int64 coordinate rows reach {reach}, past 2^63; pass Python-int rows")
+def _exact_array(values, reach: int) -> np.ndarray:
+    """Integer ``values`` as int64 when ``reach`` bounds every magnitude the
+    caller's pass forms (the values included) below 2^63, else as Python
+    ints: the one rule that keeps the exact array passes (the pair kernels,
+    the grid) from wrapping."""
+    return np.array(values, dtype=np.int64 if reach < 2**63 else object)
 
 
-def _exact_ints(row):
-    """An int64 row as a row of Python ints; anything else unchanged.
-
-    Products of two bracket or minor numerators can pass 2^63, so the
-    degree-(2, 2) step works on Python ints."""
+def _python_ints(row):
+    """An int64 row as Python ints (products of two bracket or minor
+    numerators can pass 2^63); anything else unchanged."""
     return row.astype(object) if _fixed_width(row) else row
 
 
 def _pair_brackets(xs, ys) -> tuple:
-    """Numerators of [X, Y], [X1, Y1] and [X2, Y2]_1 from coordinate
-    numerators: 8 numbers, or 8 rows of a batch of pairs.
+    """(xs, ys, [X, Y], [X1, Y1], [X2, Y2]_1) from coordinate numerators: 8
+    numbers, or 8 rows of a batch of pairs, the brackets as Python ints.
 
-    int64 rows take the bracket pass in int64 once _check_int64_reach holds,
-    and come back as rows of Python ints, ready for the degree-(2, 2) step."""
+    Integer rows of any width become _exact_array rows.  A bracket numerator
+    sums x_i y_j c into one coordinate k, so it is at most w max|x| max|y|, w
+    the largest sum of |c| into one k (12 for the true constants); a minor
+    x_i y_j - y_i x_j is at most 2 max|x| max|y|, and so is every partial sum."""
     if _fixed_width(xs) or _fixed_width(ys):
-        _check_int64_reach(xs, ys)
-    full, b11, b22_1 = [0] * 8, [0] * 8, [0] * 8
-    _bracket_parts(xs, ys, full, b11, b22_1)
-    return tuple([_exact_ints(row) for row in part] for part in (full, b11, b22_1))
+        weights = [0] * 8
+        for _, _, k, c in _bracket_terms():
+            weights[k] += abs(c)
+        reach = max(2, *weights) * _max_abs(xs) * _max_abs(ys)
+        xs, ys = _exact_array(xs, reach), _exact_array(ys, reach)
+    parts = [0] * 8, [0] * 8, [0] * 8
+    _bracket_parts(xs, ys, *parts)
+    return xs, ys, *([_python_ints(row) for row in part] for part in parts)
 
 
 def _t_ratio(t) -> tuple:
@@ -415,10 +407,11 @@ def quartic_numerators(xs, ys, params: ModelParams) -> tuple:
     """4 q^2 den^2 times curvature_quartic and curvature_quartic_first_form,
     t = p/q, from coordinate numerators xs and ys over denominators whose
     product is den: 8 numbers for one pair, or (8, N) rows for a batch of
-    Python ints or int64 (both exact: int64 rows take the bracket pass in
-    int64 under a checked bound, then the quadratic step on Python ints)."""
+    integers of any numpy width or Python ints (all exact: the bracket pass
+    runs in int64 under a checked bound, on Python ints past it, and the
+    quadratic step on Python ints)."""
     p, q = _t_ratio(params.t)
-    full, b11, b22_1 = _pair_brackets(xs, ys)
+    _, _, full, b11, b22_1 = _pair_brackets(xs, ys)
     quartic = (
         q * (q + p) * _b_num(b11, b11)
         + q * (q - 3 * p) * _b_num(b22_1, b22_1)
@@ -525,11 +518,12 @@ def det_identity_check(x: AlgebraElement, y: AlgebraElement):
 def det_residuals(xs, ys):
     """den^2 times det_identity_check, from coordinate numerators xs and ys
     over denominators whose product is den: 8 numbers for one pair, or (8, N)
-    rows for a batch of Python ints or int64 (both exact: int64 rows take the
-    bracket pass and the minors x_i y_j - y_i x_j in int64 under a checked
-    bound, then squares and products on Python ints)."""
-    full, b11, b22_1 = _pair_brackets(xs, ys)
-    z_sq = sum(_exact_ints(xs[i] * ys[j] - ys[i] * xs[j]) ** 2 for i in H1 for j in H2)
+    rows for a batch of integers of any numpy width or Python ints (all
+    exact: the bracket pass and the minors x_i y_j - y_i x_j run in int64
+    under a checked bound, on Python ints past it, and the squares and
+    products on Python ints)."""
+    xs, ys, full, b11, b22_1 = _pair_brackets(xs, ys)
+    z_sq = sum(_python_ints(xs[i] * ys[j] - ys[i] * xs[j]) ** 2 for i in H1 for j in H2)
     return _b_num(full, full, H2) + 2 * z_sq - _b_num(b11, b22_1)
 
 
@@ -643,7 +637,7 @@ def lower_bound_coefficients(t, k) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized float paths (sampling, scans, the reduced geodesic flow)
+# Float paths (the sampled margins, the reduced geodesic flow's weights)
 # ---------------------------------------------------------------------------
 
 
@@ -653,25 +647,11 @@ def b_weights_float() -> np.ndarray:
     return np.array(_b_diagonal(), dtype=float)
 
 
-def sample_tangent_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """n pseudorandom coordinate pairs in h1 + h2 (e1 coordinate zero)."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 8))
-    y = rng.standard_normal((n, 8))
-    x[:, 0] = 0.0
-    y[:, 0] = 0.0
-    return x, y
-
-
-@lru_cache(maxsize=64)
-def _margin_forms(t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q(t) and G(t): read-only 21 x 21 matrices of the quartic and the Gram
-    value on the Plücker coordinates ``wedge(x[:, 1:], y[:, 1:])``.
-
-    A bracket pass over the unit bivectors e_i ^ e_j (1 <= i < j) gives the
-    maps X ^ Y -> [X, Y], [X1, Y1], [X2, Y2]_1 that curvature_quartic's five
-    terms combine; G is diagonal, 4 (1+t)^2 / 4 / -4 (1+t) on h1^h1 / h2^h2 / h1^h2.
-    """
+@lru_cache(maxsize=1)
+def _margin_terms() -> tuple:
+    """The t-free parts of _margin_forms: the five 21 x 21 forms that
+    curvature_quartic's terms weight, from a bracket pass over the unit
+    bivectors e_i ^ e_j (1 <= i < j), and masks of the h1^h2 and h1^h1 rows."""
     i, j = np.triu_indices(7, 1)
     full, b11, b22_1 = np.zeros((3, 8, len(i)))
     _bracket_parts(np.eye(8)[:, i + 1], np.eye(8)[:, j + 1], full, b11, b22_1)
@@ -681,24 +661,35 @@ def _margin_forms(t: float) -> tuple[np.ndarray, np.ndarray]:
         m = a.T @ (b_weights_float()[:, None] * b)
         return (m + m.T) / 2
 
-    quartic = (
-        (1 + t) / 4 * form(b11, b11)
-        + (1 - 3 * t) / 4 * form(b22_1, b22_1)
-        + (1 - t - 2 * t * t) / 2 * form(b11, b22_1)
-        + (1 + t) ** 2 / 4 * form(f2, f2)
-        + form(f0, f0)
-    )
     bi, bj = np.take(_BLOCK_OF, i + 1), np.take(_BLOCK_OF, j + 1)
-    gram = np.diag(np.where(bi != bj, -4 * (1 + t), np.where(bi == 1, 4 * (1 + t) ** 2, 4.0)))
-    quartic.flags.writeable = gram.flags.writeable = False
-    return quartic, gram
+    return form(b11, b11), form(b22_1, b22_1), form(b11, b22_1), form(f2, f2), form(f0, f0), bi != bj, bi == 1
 
 
-def sample_margins(t: float, k: float, n: int, seed: int):
-    """Margins quartic - k*gram and per-sample scales for n random pairs."""
-    x, y = sample_tangent_pairs(n, seed)
-    quartic, gram = _margin_forms(float(t))
-    return plane_margins(wedge(x[:, 1:], y[:, 1:]), quartic, gram, float(k))
+def _margin_forms(ts) -> tuple[np.ndarray, np.ndarray]:
+    """Q(t) and G(t), the quartic and the Gram value on the Plücker
+    coordinates ``wedge(x[:, 1:], y[:, 1:])``, as (len(ts), 21, 21) stacks
+    over the t-values ``ts``, each t's the same in any stack.  G is diagonal,
+    4 (1+t)^2 / 4 / -4 (1+t) on h1^h1 / h2^h2 / h1^h2."""
+    t = np.asarray(ts, dtype=float)[:, None, None]
+    b11, b22, mixed, f2, f0, h1h2, h1h1 = _margin_terms()
+    quartic = (1 + t) / 4 * b11 + (1 - 3 * t) / 4 * b22 + (1 - t - 2 * t * t) / 2 * mixed + (1 + t) ** 2 / 4 * f2 + f0
+    return quartic, np.where(h1h2, -4 * (1 + t), np.where(h1h1, 4 * (1 + t) ** 2, 4.0)) * np.eye(21)
+
+
+def sample_margins(t: float, k: float, n: int, seed: int, tol: float = 1e-9) -> tuple[float, bool]:
+    """The sampled check of quartic - k * gram >= 0 on n pairs in h1 + h2,
+    their 7 tangent coordinates drawn and reduced block by block by
+    ``charts.sampled_check``: the witness margin (the first non-finite one,
+    else the first minimum) and whether every margin >= -tol * max(1,
+    |quartic|, |k * gram|)."""
+    forms = _margin_forms([t])
+
+    def evaluate(_, us, vs):
+        margins, scales = plane_margins(wedge(us, vs), *forms, float(k))
+        return margins.T, scales.T, us[:, None], vs[:, None]
+
+    min_margin, _, passed, _ = sampled_check(evaluate, n, tol, seed, 7)
+    return min_margin, passed
 
 
 # ---------------------------------------------------------------------------
@@ -781,19 +772,42 @@ def _grid_reach(t_terms: Sequence, k_ratios: Sequence) -> int:
 def _grid_codes(t_terms: Sequence, k_ratios: Sequence) -> bytes:
     """_cell_flags on every (t, k) cell in one array pass: the t-terms as
     (n_t, 1) columns against the k-ratios as (1, n_k) rows.  Returns one
-    code byte per cell in t-major order (bit i: inequality i + 1 holds).
-
-    The pass runs in int64 while _grid_reach stays below 2^63, so no product
-    wraps; past it (a float t or k, whose exact ratio has a denominator near
-    2^55) the same expressions run on object arrays of Python ints.
+    code byte per cell in t-major order (bit i: inequality i + 1 holds), in
+    int64 or on Python ints under _grid_reach (_exact_array); a float t or k
+    has an exact ratio with a denominator near 2^55.
     """
     if not t_terms or not k_ratios:
         return b""
-    dtype = np.int64 if _grid_reach(t_terms, k_ratios) < 2**63 else object
-    terms = np.array(t_terms, dtype=dtype).T[:, :, None]
-    ratios = np.array(k_ratios, dtype=dtype).T[:, None, :]
+    reach = _grid_reach(t_terms, k_ratios)
+    terms, ratios = _exact_array(t_terms, reach).T[:, :, None], _exact_array(k_ratios, reach).T[:, None, :]
     flags = _cell_flags(tuple(terms), tuple(ratios))
     return np.packbits(np.stack(flags, axis=-1), axis=-1, bitorder="little").tobytes()
+
+
+_SCAN_T_ROWS, _SCAN_K_COLUMNS = 32, 21  # a sampled scan's margin arrays hold at most 32 x 21 x SAMPLE_BLOCK
+
+
+def _scan_margins(t_values: Sequence, k_values: Sequence, sample_count: int, seed: int) -> np.ndarray:
+    """The (n_t, n_k) minima of quartic - k * gram over the pairs that
+    sample_margins(t, k, sample_count, seed) draws.  Each chunk of t-rows
+    builds its forms once and walks the blocks, keeping a running minimum
+    per cell; every margin array is a view of one buffer."""
+    ks = np.array(k_values, dtype=float)[:, None]
+    minima = np.full((len(t_values), len(ks)), np.inf)
+    buffer = np.empty(_SCAN_K_COLUMNS * _SCAN_T_ROWS * SAMPLE_BLOCK)
+    for t_lo in range(0, len(t_values), _SCAN_T_ROWS):
+        forms = _margin_forms(t_values[t_lo : t_lo + _SCAN_T_ROWS])
+        rows = minima[t_lo : t_lo + _SCAN_T_ROWS]
+        for index, start in enumerate(range(0, sample_count, SAMPLE_BLOCK)):
+            count = min(SAMPLE_BLOCK, sample_count - start)
+            _, us, vs = sample_block(seed, index, count, 7)
+            lhs, area = (v.ravel() for v in plane_values(wedge(us, vs), *forms))  # t-major rows
+            for k_lo in range(0, len(ks), _SCAN_K_COLUMNS):
+                k_chunk, cells = ks[k_lo : k_lo + _SCAN_K_COLUMNS], rows[:, k_lo : k_lo + _SCAN_K_COLUMNS]
+                margins = buffer[: len(k_chunk) * lhs.size].reshape(len(k_chunk), lhs.size)
+                np.subtract(lhs, np.multiply(k_chunk, area, out=margins), out=margins)
+                np.minimum(cells, margins.reshape(len(k_chunk), len(rows), count).min(axis=-1).T, out=cells)
+    return minima
 
 
 def scan_region(
@@ -812,35 +826,21 @@ def scan_region(
     (_grid_codes): in int64 under a checked magnitude bound, on Python ints
     past it.
 
-    All cells share one pair set (common random numbers), so a cell's
-    min_margin is sample_margins(t, k, sample_count, seed)[0].min().  A t-row
-    evaluates its forms once (``plane_values``), then lhs - k * area per block
-    of at most 21 = C(7, 2) k-values, so no margin array outgrows the array w.
+    A cell's min_margin is that of sample_margins(t, k, sample_count, seed),
+    bit for bit (_scan_margins); memory stays flat in ``sample_count``.
     """
     t_values, k_values = tuple(t_values), tuple(k_values)
-    margins = None
-    if sample_count > 0:
-        x, y = sample_tangent_pairs(sample_count, seed)
-        w = wedge(x[:, 1:], y[:, 1:])
-        ks = np.array(k_values, dtype=float)[:, None]
-        margins = []
-        for t in t_values:
-            lhs, area = plane_values(w, *_margin_forms(float(t)))
-            for lo in range(0, len(ks), w.shape[1]):
-                margins += (lhs - ks[lo : lo + w.shape[1]] * area).min(axis=1).tolist()
-        margins = tuple(margins)
     t_terms, k_ratios = [], []
     for t in t_values if k_values else ():
         ModelParams(t, k_values[0])  # checks t (and, in the first row, k_values[0] next)
         t_terms.append(_t_terms(t))
         if not k_ratios:
             k_ratios = [_ratio(ModelParams(t, k).k) for k in k_values]
-    return FeasibilityGrid(
-        t_values=tuple(float(t) for t in t_values),
-        k_values=tuple(float(k) for k in k_values),
-        codes=_grid_codes(t_terms, k_ratios),
-        margins=margins,
-    )
+    t_floats, k_floats = tuple(float(t) for t in t_values), tuple(float(k) for k in k_values)
+    margins = None
+    if sample_count > 0:
+        margins = tuple(_scan_margins(t_floats, k_floats, sample_count, seed).ravel().tolist())
+    return FeasibilityGrid(t_floats, k_floats, _grid_codes(t_terms, k_ratios), margins)
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,7 @@ def test_c02_feasibility_window():
 
 def test_c03_sampled_certification():
     start = time.monotonic()
-    margins, scales = sg.sample_margins(-0.8, 0.1, 100_000, seed=0)
-    sampled_ok = bool(np.all(margins >= -1e-9 * scales))
+    _, sampled_ok = sg.sample_margins(-0.8, 0.1, 100_000, seed=0, tol=1e-9)
 
     params = sg.ModelParams(F(-4, 5), F(1, 2))
     f1, f2 = sg.basis_element("f1"), sg.basis_element("f2")

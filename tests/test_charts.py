@@ -362,7 +362,7 @@ class TestCheckRGeK:
 def _block_pairs(chart, seed, index, count):
     # One sample block's points and its pairs, (point, pair, dim): each
     # point's random pair, then its coordinate-basis pairs.
-    pts, us, vs = charts.default_sampler(chart).block(seed, index, count)
+    pts, us, vs = charts.sample_block(seed, index, count, chart.dim, chart.sample_box)
     stress = list(itertools.combinations(range(chart.dim), 2))
     basis = np.eye(chart.dim)
     su = np.broadcast_to(basis[[i for i, _ in stress]], (count, len(stress), chart.dim))
@@ -457,6 +457,29 @@ class TestBlockReduction:
                 tracemalloc.stop()
 
         assert peak(10 * 1024) <= 1.5 * peak(1024)
+
+
+class TestSampleStreams:
+    def test_no_two_seeds_share_a_block(self):
+        # Block i of seed s comes from default_rng((s, i)): at 10^4 samples
+        # (40 blocks) seeds 0-7 draw 320 different blocks.  With
+        # default_rng(s + i), seeds 0 and 7 shared 33 of their 40.
+        chart = MARGIN_CHARTS["product"]
+        blocks = {
+            b"".join(a.tobytes() for a in charts.sample_block(seed, index, charts.SAMPLE_BLOCK, 4, chart.sample_box))
+            for seed in range(8)
+            for index in range(10_000 // charts.SAMPLE_BLOCK + 1)
+        }
+        assert len(blocks) == 8 * 40
+
+    def test_seeds_are_independent_runs(self):
+        # The README product fails just above its minimum at three seeds,
+        # each with its own witness.
+        chart = sg.build_space(sg.parse_space("product:hyperbolic(2)*sphere(2)", k=1 + 1e-6))
+        reports = [sg.check_r_ge_k(chart, 1 + 1e-6, 10_000, seed=seed) for seed in (0, 5, 7)]
+        assert not any(r.passed for r in reports)
+        assert len({r.min_margin for r in reports}) == 3
+        assert len({r.witness.base_point.tobytes() for r in reports}) == 3
 
 
 class TestChartInvariants:

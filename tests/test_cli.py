@@ -201,7 +201,7 @@ class TestSu21Command:
         code = run(["su21", "--t", "-0.8", "--k", "0.1", "--samples", "10000", "--seed", "0", "--out", str(out)])
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "06ba6fe6120282d9b5b284d18e2e3506671611de8e7c0f32cc423154cc01a47b"
+        assert digest == "4383d812d06850ce3d8a1a2243ec72329487e09a4ad6a49d9495594e1e48bfa7"
 
 
 def _loop_first_failure(name):
@@ -225,11 +225,11 @@ def _loop_first_failure(name):
 @pytest.fixture
 def su21_caches_cleared():
     # monkeypatch restores the patched functions with their own caches intact;
-    # the float B weights and the margin forms cache whatever the patched
+    # the float B weights and the margin-form terms cache whatever the patched
     # _b_diagonal and _bracket_terms returned.
     yield
     su21.b_weights_float.cache_clear()
-    su21._margin_forms.cache_clear()
+    su21._margin_terms.cache_clear()
 
 
 def _su21_report(tmp_path, samples=20):
@@ -522,6 +522,18 @@ class TestGeodesicCommand:
         assert header["status"] == "completed"
         assert header["gamma1_drift"] <= 1e-8
 
+    def test_euler_arnold_start_above_blowup_threshold_exit_one(self, tmp_path, capsys):
+        # The flow keeps G1 fixed and only rotates G2, so this start is a
+        # constant solution; its norm is past the integrator's 1e12
+        # blowup threshold, so it is refused before any step.
+        out = tmp_path / "ea.csv"
+        code = run(["geodesic", "euler-arnold", "--t", "0", "--gamma0", "0,1e300,0,0,1,0,0,0",
+                    "--u-max", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("semigeo: error: initial state norm 1e+300 is not below the blowup threshold 1e+12")
+        assert not out.exists()
+
     def test_euler_arnold_custom_gamma0(self, tmp_path):
         out = tmp_path / "ea.csv"
         code = run(
@@ -664,9 +676,11 @@ class TestGeodesicCommand:
         assert len(err) == 1 and err[0].startswith("semigeo: error: step budget of 100 trials exceeded")
         assert not out.exists()
 
-    def test_nan_c2_exit_one(self, tmp_path):
+    def test_nan_c2_exit_one(self, tmp_path, capsys):
+        # --c2 is gone: the launch fixes C2, which the header reports.
         out = tmp_path / "t.csv"
         assert run(["geodesic", "warped-lightlike", "--c2", "nan", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --c2 nan" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["warped-lightlike", "riccati"])
@@ -723,8 +737,8 @@ class TestBounds:
         def refuse(*_args, **_kwargs):
             raise AssertionError("a sampler was started")
 
-        monkeypatch.setattr(sg.charts.TangentSampler, "block", refuse)
-        monkeypatch.setattr(su21, "sample_tangent_pairs", refuse)
+        monkeypatch.setattr(sg.charts, "sample_block", refuse)
+        monkeypatch.setattr(su21, "sample_block", refuse)
         assert run(args) == 1
         assert message in capsys.readouterr().err
 
@@ -772,7 +786,7 @@ class TestColdStart:
         "ChartMetric Conformal CurvatureReport DegeneratePlaneError DomainError EmptySampleError FeasibilityGrid "
         "FeasibilityResult GridCell IncompletenessReport IntegrationStats IntegratorConfig ModelParams "
         "NonTangentError ODESystem RhsDomainError RiccatiReport RiccatiRun STEP_UNDERFLOW SemigeoError "
-        "SingularMetricError StepBudgetError TangentPair TangentSampler Trajectory TrajectoryStatus "
+        "SingularMetricError StepBudgetError TangentPair Trajectory TrajectoryStatus "
         "UnsupportedSpaceError VerticalPair WarpedProductSpec Warping XYZ area_form assemble "
         "base_curvature_bound_check basis_element bracket breakdown_run build_space busemann_field "
         "busemann_warping check_r_ge_k christoffel conformal_scalar_torus constant_warping curvature_quadform "
@@ -782,7 +796,7 @@ class TestColdStart:
         "integrate lightlike_s lightlike_singular_time lower_bound_coefficients make_curve matrix_commutator "
         "metric_t minkowski negate nonintegrability_witness oneill_T oneill_relation_check parallel_transport "
         "parse_element parse_space plain_product project riccati_experiment riemann riemann_lowered "
-        "s_ode_residual sample_margins sample_tangent_pairs scalar_curvature scan_region sectional "
+        "s_ode_residual sample_block sample_margins scalar_curvature scan_region sectional "
         "serialize_element sphere timelike_s timelike_singular_time twisted_product velocity_norm_sq "
         "verify_chart warped_geodesic_rhs warped_product xyz_and_gram zero_element"
     ).split()

@@ -73,6 +73,16 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             sg.integrate(decay, [bad], (0.0, 1.0))
 
+    @pytest.mark.parametrize("start", [1e8, -2e8, 1e300])
+    def test_start_at_or_above_blowup_threshold_raises(self, start):
+        # A constant solution above the threshold would report blowup after
+        # one step; the start is refused instead, just below it accepted.
+        rest = sg.ODESystem(2, lambda t, y: np.zeros(2), "rest")
+        cfg = sg.IntegratorConfig(blowup_threshold=1e8)
+        with pytest.raises(DomainError, match="not below the blowup threshold 1e\\+08"):
+            sg.integrate(rest, [0.0, start], (0.0, 1.0), cfg)
+        assert sg.integrate(rest, [0.0, 0.99e8], (0.0, 1.0), cfg).status.kind == sg.COMPLETED
+
     def test_nonfinite_initial_rhs_raises(self):
         system = sg.ODESystem(1, lambda t, y: np.array([math.nan]), "nan field")
         with pytest.raises(DomainError):
@@ -314,13 +324,12 @@ def _riccati_case(h0):
 
 
 def _warped_case(kind):
+    # The README launches: C1 = 1 (base speed 1, reversed time) and C1 = 0.5
+    # (base speed 3, downward).
     spec = sg.incompleteness_space(2, 2, 1.0)
-    system = sg.warped_geodesic_rhs(spec)
     if kind == "lightlike":
-        y0 = geo._launch_state(spec, 1.0, downward=False, causal="lightlike")
-        return geo._reversed_system(system), y0, (0.0, 3.0), sg.IntegratorConfig()
-    y0 = geo._launch_state(spec, 3.0, downward=True, causal="timelike")
-    return system, y0, (0.0, math.log(2.0) + 1.0), sg.IntegratorConfig()
+        return *geo._launch(spec, kind, 1.0), (0.0, 3.0), sg.IntegratorConfig()
+    return *geo._launch(spec, kind, 0.5), (0.0, math.log(2.0) + 1.0), sg.IntegratorConfig()
 
 
 def _domain_exit_case():
@@ -926,6 +935,21 @@ class TestIncompleteness:
         keep = traj.times <= 0.9
         heights = traj.states[keep, 1]
         assert np.abs(heights - (1.0 - traj.times[keep])).max() <= 1e-3
+
+    @pytest.mark.parametrize("kind, k, c1", [
+        ("lightlike", 1.0, 1.0), ("timelike", 1.0, 0.5), ("lightlike", 1.2, 0.8), ("timelike", 0.9, 0.4),
+    ])
+    def test_reported_c2_fits_the_run(self, kind, k, c1):
+        # The launch fixes s(0) = 0, so the base Busemann coordinate -log x_l
+        # follows the closed form with C2 = ln(C1) / sqrt(k) (lightlike) or
+        # ln(1 - C1) / sqrt(k) (timelike) over the first half of the run.
+        run = sg.breakdown_run(sg.incompleteness_space(2, 2, k), kind, k, c1)
+        s, sign = (sg.lightlike_s, -1.0) if kind == "lightlike" else (sg.timelike_s, 1.0)
+        assert run.c2 == math.log(c1 if kind == "lightlike" else 1.0 - c1) / math.sqrt(k)
+        traj = run.trajectory
+        keep = traj.times <= abs(run.predicted_breakdown) / 2
+        closed = [s(sign * t, k, c1, run.c2) for t in traj.times[keep]]
+        assert np.abs(-np.log(traj.states[keep, 1]) - closed).max() <= 1e-8
 
     def test_timelike_validates_c1(self):
         spec = sg.incompleteness_space(2, 2, 1.0)

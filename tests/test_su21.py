@@ -10,6 +10,7 @@ together.  Everything tagged exact is asserted with ==, no tolerance.
 import importlib.util
 import math
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import semigeo as sg
 from semigeo.errors import DomainError, NonTangentError
-from semigeo.charts import wedge
+from semigeo.charts import SAMPLE_BLOCK, plane_margins, reduce_margins, wedge
 from semigeo.cli import EXACT_DEN, _exact_draws, _exact_pairs, _exact_rows, _su21_exact_checks
 from semigeo import su21
 from semigeo.su21 import H1, H2, _bracket_terms, _margin_forms, block_of, det_residuals, quartic_numerators
@@ -514,7 +515,7 @@ class TestScanRegion:
         assert grid.cells[0].min_margin < 0
 
     def test_shared_pair_set_oracle(self):
-        # 23 k-values span two 21-value margin blocks.  Every cell shares the
+        # 23 k-values span two 21-value margin chunks.  Every cell shares the
         # run's pair set, so its minimum is the per-cell sample_margins one,
         # bit for bit, and sampling leaves the exact columns as they are.
         ts, ks = [F(-4, 5), F(-1, 2)], [F(n, 100) for n in range(1, 24)]
@@ -522,7 +523,7 @@ class TestScanRegion:
         plain = sg.scan_region(ts, ks)
         assert len(sampled.cells) == len(plain.cells) == 46
         for cell, exact in zip(sampled.cells, plain.cells):
-            oracle = float(sg.sample_margins(cell.t, cell.k, 300, 5)[0].min())
+            oracle = sg.sample_margins(cell.t, cell.k, 300, 5)[0]
             assert cell.min_margin.hex() == oracle.hex()
             assert cell._replace(min_margin=None) == exact
 
@@ -745,8 +746,7 @@ class TestGridPass:
 class TestLowerBoundChain:
     def test_sampled_chain(self):
         t, k = -0.8, 0.1
-        x, y = sg.sample_tangent_pairs(100_000, seed=1)
-        margins, _ = sg.sample_margins(t, k, 100_000, seed=1)
+        x, y, margins, _ = _sampled_pairs(t, k, 100_000, seed=1)
         xs, ys, zs = np.sqrt(_xyz_sq(x, y))
         cxx, cxy, cyy, czz = sg.lower_bound_coefficients(t, k)
         bound = cxx * xs**2 + cxy * xs * ys + cyy * ys**2 + czz * zs**2
@@ -769,7 +769,7 @@ class TestLowerBoundChain:
         rng = np.random.default_rng(6)
         t = -0.7
         p = sg.ModelParams(F(-7, 10), F(1, 10))
-        quartic, _ = _margin_forms(t)
+        (quartic,), _ = _margin_forms([t])
         for _ in range(10):
             coords = rng.standard_normal(16)
             coords[0] = 0.0
@@ -780,6 +780,19 @@ class TestLowerBoundChain:
             got = w @ quartic @ w
             want = float(sg.curvature_quartic(xe, ye, p))
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def _sampled_pairs(t, k, n, seed):
+    # The n pairs that sample_margins(t, k, n, seed) draws, as (n, 8) arrays
+    # with e1 coordinate 0, and their margins and scales, each block
+    # evaluated as sample_margins evaluates it, concatenated in block order.
+    parts = []
+    for index, start in enumerate(range(0, n, SAMPLE_BLOCK)):
+        _, us, vs = sg.sample_block(seed, index, min(SAMPLE_BLOCK, n - start), 7)
+        margins, scales = plane_margins(wedge(us, vs), *_margin_forms([t]), k)
+        parts.append((us, vs, margins[0], scales[0]))
+    us, vs, margins, scales = (np.concatenate(part) for part in zip(*parts))
+    return np.pad(us, ((0, 0), (1, 0))), np.pad(vs, ((0, 0), (1, 0))), margins, scales
 
 
 def _xyz_sq(x, y):
@@ -836,8 +849,7 @@ class TestMarginForms:
     def test_quartic_matches_dense_einsum(self, t):
         # At k = 0 the margins are the quartic form itself.
         for seed, n in ((0, 1000), (1, 10000), (2, 9)):
-            x, y = sg.sample_tangent_pairs(n, seed)
-            margins, scales = sg.sample_margins(t, 0.0, n, seed)
+            x, y, margins, scales = _sampled_pairs(t, 0.0, n, seed)
             assert np.all(np.abs(margins - _dense_batch_quartic(x, y, t)) <= 1e-12 * scales)
 
     @pytest.mark.parametrize("t", _ORACLE_T)
@@ -846,21 +858,65 @@ class TestMarginForms:
         # curvature_quartic - k * gram of those rationals to 1e-12 * scale.
         t, k = float(t), 0.3
         p = sg.ModelParams(F(t), F(k))
-        x, y = sg.sample_tangent_pairs(40, seed=9)
-        margins, scales = sg.sample_margins(t, k, 40, seed=9)
+        x, y, margins, scales = _sampled_pairs(t, k, 40, seed=9)
         for xr, yr, margin, scale in zip(x, y, margins, scales):
             xe, ye = sg.from_coords(tuple(map(F, xr))), sg.from_coords(tuple(map(F, yr)))
             exact = sg.curvature_quartic(xe, ye, p) - p.k * sg.xyz_and_gram(xe, ye, p)[1]
             assert abs(F(margin) - exact) <= F(1e-12) * F(scale)
 
     def test_xyz_blocks_match_exact(self):
-        x, y = sg.sample_tangent_pairs(20, seed=4)
+        x, y, _, _ = _sampled_pairs(0.0, 1.0, 20, seed=4)
         got = _xyz_sq(x, y)
         for n in range(20):
             xe, ye = sg.from_coords(tuple(map(F, x[n]))), sg.from_coords(tuple(map(F, y[n])))
             vals, _ = sg.xyz_and_gram(xe, ye, sg.ModelParams(F(0), F(1)))
             want = (vals.x_sq, vals.y_sq, vals.z_sq)
             assert all(abs(F(g) - w) <= F(1e-13) * (1 + w) for g, w in zip(got[:, n], want))
+
+
+class TestSampledCheck:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("t, k, n, verdict", [
+        (-0.8, 0.1, 2 * SAMPLE_BLOCK + 100, True),  # a feasible cell
+        (-0.8, 0.5, 2 * SAMPLE_BLOCK + 100, False),  # (f1, f2) gives -3/10
+        (-0.5, 0.3, 1, None),
+        (1e200, 0.1, SAMPLE_BLOCK + 7, False),  # (1 + t)^2 overflows: NaN margins
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_concatenate_then_reduce(self, t, k, n, verdict, seed):
+        # The blocked check reduces each block as it is evaluated, then the
+        # block witnesses: the witness margin and the verdict equal one
+        # reduction of every margin of the run, bit for bit.
+        *_, margins, scales = _sampled_pairs(t, k, n, seed)
+        w, passed = reduce_margins(margins, scales, 1e-9)
+        got_margin, got_passed = sg.sample_margins(t, k, n, seed)
+        assert np.float64(got_margin).tobytes() == margins[w].tobytes()
+        assert got_passed == passed
+        assert verdict is None or passed == verdict
+
+    def test_empty_run_refused(self):
+        with pytest.raises(sg.EmptySampleError):
+            sg.sample_margins(-0.8, 0.1, 0, 0)
+
+    @pytest.mark.parametrize("run", [
+        lambda n: sg.sample_margins(-0.8, 0.1, n, 0),
+        lambda n: sg.scan_region([F(n, 100) for n in range(-99, -9, 3)], [F(n, 100) for n in range(1, 51, 5)],
+                                 sample_count=n, seed=0),
+    ], ids=["su21", "scan"])
+    def test_memory_does_not_grow_with_samples(self, run):
+        # Only one block's pairs and margins are alive at a time, so ten
+        # times the samples must not raise the traced peak by half.
+        run(10)
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                run(n_samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10 * 1024) <= 1.5 * peak(1024)
 
 
 # The Fraction formulations of the pair checks and of feasible(), built on
@@ -944,7 +1000,7 @@ def corrupt_b_weights(monkeypatch):
     monkeypatch.setattr(su21, "_b_diagonal", lambda: tuple(weights))
     yield
     su21.b_weights_float.cache_clear()
-    su21._margin_forms.cache_clear()
+    su21._margin_terms.cache_clear()
 
 
 class TestExactKernelOracle:
@@ -1068,31 +1124,45 @@ class TestBatchPairChecks:
         for got, want in zip(quartic_numerators(xs, ys, p), quartic_numerators(*wide, p)):
             assert all(type(v) is int for v in got) and got.tolist() == want.tolist()
 
-    def test_int64_rows_past_the_bound_raise(self):
-        # 12 * (2^30)^2 passes 2^63: int64 rows that large are refused, while
-        # the same values as Python ints stay exact.
+    def test_int64_rows_past_the_bound_are_exact(self):
+        # 12 * (2^30)^2 passes 2^63: int64 rows that large take the bracket
+        # pass on Python ints, so they equal the same rows as Python ints.
         p = sg.ModelParams(F(-1, 2), F(1, 10))
         xs = np.full((8, 3), 2**30, dtype=np.int64)
         xs[0] = 0
         ys = xs * np.array([0, 1, -1, 2, 1, -3, 1, 1])[:, None]
-        with pytest.raises(DomainError, match="past 2\\^63"):
-            det_residuals(xs, ys)
-        with pytest.raises(DomainError, match="past 2\\^63"):
-            quartic_numerators(xs, ys, p)
+        wide = xs.astype(object), ys.astype(object)
+        assert det_residuals(xs, ys).tolist() == det_residuals(*wide).tolist() == [0] * 3
+        for got, want in zip(quartic_numerators(xs, ys, p), quartic_numerators(*wide, p)):
+            assert all(type(v) is int for v in got) and got.tolist() == want.tolist()
         x, y = sg.from_coords(xs[:, 0].tolist()), sg.from_coords(ys[:, 0].tolist())
-        quartic = quartic_numerators(xs.astype(object), ys.astype(object), p)[0]
+        quartic = quartic_numerators(xs, ys, p)[0]
         assert quartic.tolist() == [quartic[0]] * 3 and F(quartic[0], 4 * 2**2) == sg.curvature_quartic(x, y, p)
-        assert det_residuals(xs.astype(object), ys.astype(object)).tolist() == [0] * 3
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64])
-    def test_other_integer_widths_refused(self, dtype):
+    def test_other_integer_widths_are_exact(self, dtype):
         # int32 arithmetic would wrap at 2^31, below the seeded rows' bracket
-        # numerators (up to 12 * 22680^2); only int64 rows carry the checked bound.
+        # numerators (up to 12 * 22680^2): integer rows of any width take the
+        # pass in int64 under the bound, so they equal the Python-int rows.
         xs, ys = _exact_rows(5, 1)
-        with pytest.raises(DomainError, match="must be int64 or Python ints"):
-            det_residuals(np.abs(xs).astype(dtype), ys)
-        with pytest.raises(DomainError, match="must be int64 or Python ints"):
-            quartic_numerators(xs, np.abs(ys).astype(dtype), sg.ModelParams(F(-1, 2), F(1, 10)))
+        p = sg.ModelParams(F(-1, 2), F(1, 10))
+        narrow, wide = np.abs(xs).astype(dtype), np.abs(xs).astype(object)
+        assert det_residuals(narrow, ys).tolist() == det_residuals(wide, ys.astype(object)).tolist()
+        for got, want in zip(quartic_numerators(ys, narrow, p), quartic_numerators(ys.astype(object), wide, p)):
+            assert all(type(v) is int for v in got) and got.tolist() == want.tolist()
+        assert any(v != 0 for v in quartic_numerators(ys, narrow, p)[0].tolist())
+
+    def test_uint64_past_the_bound_is_exact(self):
+        # uint64 values past 2^63 have no int64 form; they go to Python ints.
+        p = sg.ModelParams(F(-1, 2), F(1, 10))
+        xs = np.zeros((8, 2), dtype=np.uint64)
+        xs[1:] = 2**63 + 5
+        ys = np.arange(16, dtype=np.uint64).reshape(8, 2)
+        ys[0] = 0
+        wide = np.array(xs.tolist(), dtype=object), np.array(ys.tolist(), dtype=object)
+        assert det_residuals(xs, ys).tolist() == det_residuals(*wide).tolist()
+        for got, want in zip(quartic_numerators(xs, ys, p), quartic_numerators(*wide, p)):
+            assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_zero_and_one_pair(self, count):
