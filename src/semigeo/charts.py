@@ -2,13 +2,14 @@
 
 A space is described by a single coordinate chart carrying a matrix-valued
 metric evaluator and, optionally, the declaration that the metric is
-conformally flat, g = e^{2 phi} diag(eta).  Christoffel symbols follow from
+conformally flat, g = e^{2 phi} diag(eta), or a warped product of two such
+Riemannian factors.  Christoffel symbols follow from
 the metric jet (the metric with its first and second partials) in closed
 form, and so does the lowered Riemann tensor, R_ijkl = A_ijkl - A_ijlk with
 A_ijkl = (d_k d_j g_il - d_k d_i g_jl) / 2 + Gamma_{m,li} Gamma^m_kj
 (O'Neill, Semi-Riemannian Geometry, ch. 3).  The jet is exact: second-order
 Taylor arithmetic on ``metric_at``, one evaluation per block of points, or
-for a declared chart on the scalar phi alone.  On top of these
+for a conformal chart on the scalar phi alone.  On top of these
 sit sectional curvatures and a sampled certification of the condition
 
     g(R(u, v)v, u) >= k * (g(u, u) g(v, v) - g(u, v)^2)
@@ -17,7 +18,9 @@ for all tangent pairs (u, v), including pairs spanning lightlike planes where
 the sectional curvature itself is undefined.  Both sides are quadratic forms
 in the Plücker coordinates w = u ^ v, with matrices M = R_{IJKL} and
 g_IK g_JL - g_IL g_JK over index pairs I = (i < j), K = (k < l), each
-contracted as (w @ M) . w.
+contracted as (w @ M) . w.  A declared chart takes both matrices in closed
+form from its scalar jets (Kulkarni-Nomizu for a conformal chart, O'Neill
+for a warped product); the route through the Christoffels is the oracle.
 
 Curvature sign convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, calibrated so that the unit round sphere has sectional
@@ -66,6 +69,18 @@ class Conformal:
 
 
 @dataclass(frozen=True)
+class Warped:
+    """The declaration g = -e^{2 phi_B} I (+) e^{2 alpha} e^{2 phi_F} I of a
+    product chart, base coordinates first: its Riemannian factors' declarations
+    and ``alpha``, a function of the chart coordinates that reads only the
+    base ones and follows the ``metric_at`` rules of ``ChartMetric``."""
+
+    base: Conformal
+    fiber: Conformal
+    alpha: Callable[[np.ndarray], object]
+
+
+@dataclass(frozen=True)
 class ChartMetric:
     """A semi-Riemannian metric in a single coordinate chart.
 
@@ -82,7 +97,9 @@ class ChartMetric:
     or branching on coordinates.  A chart with a ``conformal`` declaration
     gets them from the Taylor jet of its scalar ``phi`` in closed form, and
     the geodesic right-hand sides take its spray from ``phi_point``; its
-    ``metric_at`` must be e^{2 phi} diag(eta).
+    ``metric_at`` must be e^{2 phi} diag(eta).  A ``warped`` chart (from
+    ``spaces.assemble``) takes only its curvature forms in closed form, from
+    the scalar jets of its factors' phi and of alpha.
     """
 
     dim: int
@@ -92,6 +109,7 @@ class ChartMetric:
     conformal: Conformal | None = None
     sample_box: tuple[np.ndarray, np.ndarray] | None = None
     name: str = ""
+    warped: Warped | None = None
 
 
 @dataclass(frozen=True)
@@ -190,6 +208,14 @@ def _taylor(fn, X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.nd
     return tuple(np.stack(p, axis=-1).reshape(p[0].shape + out.shape) for p in zip(*parts))
 
 
+def _check_block(chart: ChartMetric, X: np.ndarray) -> None:
+    """One ``in_domain`` call on the rows of ``X``: a row outside the domain,
+    or with a non-finite coordinate, raises DomainError naming the first."""
+    ok = np.isfinite(X).all(axis=-1) & chart.in_domain(X)
+    if not ok.all():
+        raise DomainError(f"point {X[np.argmin(ok)].tolist()} outside domain of chart {chart.name!r}")
+
+
 def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """(scale, g, dg[, ddg]) at the rows of ``X``: the metric at ``X[n]`` is
     ``scale[n] * g[n]``, ``scale[n] * dg[n, k, i, j]`` is d_k g_ij and
@@ -199,12 +225,9 @@ def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarr
     ddg = (4 dp dp + 2 ddp) (x) eta, which stays finite where e^{2 p} times
     its derivatives overflows; any other chart takes the Taylor jet of
     ``metric_at`` with scale 1.  Christoffels and R^i_{jkl} do not depend on
-    the scale.  One ``in_domain`` call checks the block: a row outside the
-    domain, or with a non-finite coordinate, raises DomainError naming the
-    first such row (the geodesic right-hand sides' only check)."""
-    ok = np.isfinite(X).all(axis=-1) & chart.in_domain(X)
-    if not ok.all():
-        raise DomainError(f"point {X[np.argmin(ok)].tolist()} outside domain of chart {chart.name!r}")
+    the scale.  ``_check_block`` checks the block first (the geodesic
+    right-hand sides' only check)."""
+    _check_block(chart, X)
     conformal = chart.conformal
     if conformal is None:
         return (np.ones(len(X)),) + _taylor(chart.metric_at, X, f"metric_at of chart {chart.name!r}")[: order + 1]
@@ -278,13 +301,72 @@ def riemann_lowered(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
 def _plane_forms(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-point Λ² forms on index pairs I_p < J_p: g(R(u,v)v,u) = w.curv.w
     and the area form is w.area.w for w = wedge(u, v), with curv[n, p, q] =
-    R_{I_p J_p I_q J_q}, area[n, p, q] = g_{I_p I_q} g_{J_p J_q} - g_{I_p J_q} g_{J_p I_q}."""
-    scale, g, _, a = _curvature_jet(chart, X)
-    g = scale[:, None, None] * g
-    I, J = _index_pairs(chart.dim)
+    R_{I_p J_p I_q J_q}, area[n, p, q] = g_{I_p I_q} g_{J_p J_q} - g_{I_p J_q} g_{J_p I_q}.
+
+    A declared chart takes them in closed form from scalar Taylor jets
+    (_conformal_forms, _warped_forms); any other takes the Taylor jet of
+    ``metric_at`` through the Christoffels."""
+    conformal, warped = chart.conformal, chart.warped
+    if conformal is None and warped is None:
+        _, g, _, a = _curvature_jet(chart, X)  # scale 1
+        I, J = _index_pairs(chart.dim)
+        P, Q = I[:, None], J[:, None]
+        return a(P, Q, I, J) - a(P, Q, J, I), g[:, P, I] * g[:, Q, J] - g[:, P, J] * g[:, Q, I]
+    _check_block(chart, X)
+    if conformal is not None:
+        return _conformal_forms(*_taylor(conformal.phi, X, f"phi of chart {chart.name!r}"), conformal.eta)
+    return _warped_forms(warped, X, chart.name)
+
+
+def _diagonal_area(g: np.ndarray) -> np.ndarray:
+    """The area form of a diagonal metric with entries ``g`` (N, d): g_I g_J on the diagonal."""
+    I, J = _index_pairs(g.shape[1])
+    return (g[:, I] * g[:, J])[:, :, None] * np.eye(len(I))
+
+
+def _conformal_forms(p, dp, ddp, eta) -> tuple[np.ndarray, np.ndarray]:
+    """The forms of ``_plane_forms`` for g = e^{2 phi} diag(eta) from the jet
+    (p, dp, ddp) of phi (Besse, Einstein Manifolds, 1.159): curv = -e^{2 phi}
+    (eta (.) T), T = dd phi - d phi d phi + |d phi|^2_eta eta / 2, with the
+    Kulkarni-Nomizu product (h (.) k)_ijkl = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il."""
+    E, scale = np.diag(eta), np.exp(2.0 * p)
+    T = ddp - dp[:, :, None] * dp[:, None, :] + (0.5 * (dp * dp) @ E.diagonal())[:, None, None] * E
+    I, J = _index_pairs(len(eta))
     P, Q = I[:, None], J[:, None]
-    curv = scale[:, None, None] * (a(P, Q, I, J) - a(P, Q, J, I))
-    return curv, g[:, P, I] * g[:, Q, J] - g[:, P, J] * g[:, Q, I]
+    kn = E[P, I] * T[:, Q, J] + E[Q, J] * T[:, P, I] - E[P, J] * T[:, Q, I] - E[Q, I] * T[:, P, J]
+    return -scale[:, None, None] * kn, _diagonal_area(scale[:, None] * E.diagonal())
+
+
+def _warped_forms(warped: Warped, X: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The forms of ``_plane_forms`` for g = -e^{2 phi_B} I (+) e^{2 alpha}
+    e^{2 phi_F} I from the jets of phi_B, phi_F and alpha (O'Neill,
+    Semi-Riemannian Geometry, ch. 7, Prop. 42).  Base-base pairs take the
+    base's curv negated; base-fiber pairs ((a, i), (b, j)) take -e^{2 alpha}
+    g_F,ij (Hess alpha + d alpha d alpha)_ab, the Hessian on g_B; fiber-fiber
+    pairs take e^{2 alpha} (curv_F + e^{2 alpha - 2 phi_B} |d alpha|^2 area_F);
+    all other entries are 0.  A zero metric entry raises SingularMetricError."""
+    n, d = X.shape
+    db = len(warped.base.eta)
+    pb, dpb, ddpb = _taylor(warped.base.phi, X[:, :db], f"base phi of chart {name!r}")
+    pf, dpf, ddpf = _taylor(warped.fiber.phi, X[:, db:], f"fiber phi of chart {name!r}")
+    a, da, dda = _taylor(warped.alpha, X, f"alpha of chart {name!r}")
+    da, e2a = da[:, :db], np.exp(2.0 * a)
+    gf = e2a * np.exp(2.0 * pf)
+    g = np.concatenate([np.repeat(-np.exp(2.0 * pb)[:, None], db, 1), np.repeat(gf[:, None], d - db, 1)], 1)
+    if not g.all():  # an e^{2 alpha} that underflows, as the Taylor route's inverse finds
+        raise SingularMetricError(f"metric jet not invertible: a diagonal entry of chart {name!r} is 0")
+    mixed = dpb[:, :, None] * da[:, None, :] - 0.5 * da[:, :, None] * da[:, None, :]
+    hess = dda[:, :db, :db] - mixed - mixed.transpose(0, 2, 1) + ((dpb * da).sum(1))[:, None, None] * np.eye(db)
+    curv_f, area_f = _conformal_forms(pf, dpf, ddpf, warped.fiber.eta)
+    I, J = _index_pairs(d)
+    bb, bf, ff = (np.flatnonzero(m) for m in (J < db, (I < db) & (J >= db), I >= db))
+    curv = np.zeros((n, len(I), len(I)))
+    curv[:, bb[:, None], bb] = -_conformal_forms(pb, dpb, ddpb, warped.base.eta)[0]
+    curv[:, bf[:, None], bf] = (-gf[:, None, None, None, None] * hess[:, :, None, :, None]
+                                * np.eye(d - db)[:, None, :]).reshape(n, len(bf), len(bf))
+    pull = np.exp(2.0 * (a - pb)) * (da * da).sum(1)
+    curv[:, ff[:, None], ff] = e2a[:, None, None] * (curv_f + pull[:, None, None] * area_f)
+    return curv, _diagonal_area(g)
 
 
 def area_form(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -332,13 +414,15 @@ def scalar_curvature(chart: ChartMetric, x: np.ndarray) -> float:
 
 def negate(chart: ChartMetric) -> ChartMetric:
     """The chart with metric -g: same Christoffels, swapped signature; a
-    conformal declaration keeps phi and flips eta."""
+    conformal declaration keeps phi and flips eta, and a warped one is
+    dropped (the negated product takes the Taylor route of ``metric_at``)."""
     conformal = chart.conformal
     return replace(
         chart,
         signature=(chart.signature[1], chart.signature[0]),
         metric_at=lambda x, _m=chart.metric_at: -_m(x),
         conformal=None if conformal is None else replace(conformal, eta=tuple(-e for e in conformal.eta)),
+        warped=None,
         name=f"neg({chart.name})",
     )
 
@@ -346,7 +430,11 @@ def negate(chart: ChartMetric) -> ChartMetric:
 def sample_block(seed: int, index: int, count: int, dim: int, box=None):
     """Block ``index`` of the run with seed ``seed``, from default_rng((seed,
     index)): ``count`` points uniform in ``box`` = (lo, hi) (none if it is
-    None), then two (count, dim) arrays of standard-normal tangent components."""
+    None), then two (count, dim) arrays of standard-normal tangent components.
+    numpy reads each entry of (seed, index) as uint32 words, so a seed outside
+    [0, 2^32) would share blocks with smaller ones: it raises ValueError."""
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must be in [0, 2^32), got {seed}")
     rng = np.random.default_rng((seed, index))
     pts = np.empty((count, 0)) if box is None else rng.uniform(*box, size=(count, dim))
     return pts, rng.standard_normal((count, dim)), rng.standard_normal((count, dim))

@@ -49,6 +49,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -164,8 +165,8 @@ def _validate_common(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise _UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    if args.seed < 0:
-        raise _UsageError("--seed must be a nonnegative integer")
+    if not 0 <= args.seed < 2**32:  # as charts.sample_block: larger seeds alias smaller seeds' blocks
+        raise _UsageError(f"--seed must be in [0, 2^32), got {args.seed}")
     if getattr(args, "tol", 0.0) < 0:
         raise _UsageError("--tol must be nonnegative")
     low = 0 if args.command == "scan" else 1
@@ -452,10 +453,12 @@ def cmd_geodesic(args) -> int:
 COMMANDS = ("curvature-check", "su21", "scan", "geodesic")
 
 
+@lru_cache(maxsize=None)
 def _build_parser(command: str | None = None) -> _Parser:
     """The parser with the arguments of ``command`` only, or of all four
-    subcommands when it is None (top-level help and usage errors).  Each
-    subcommand's handler is read when the parser is built."""
+    subcommands when it is None (top-level help and usage errors), built once
+    per process: each parser is a reference cycle that only the cyclic
+    garbage collector would free."""
     parser = _Parser(prog="semigeo", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -473,7 +476,6 @@ def _build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--samples", type=int, default=10000)
         p.add_argument("--tol", type=float, default=1e-9)
         common(p)
-        p.set_defaults(func=cmd_curvature_check)
 
     if (p := add("su21", "homogeneous-example suite at one (t, k)")) is not None:
         p.add_argument("--t", type=_frac, required=True)
@@ -481,7 +483,6 @@ def _build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--samples", type=int, default=10000)
         p.add_argument("--tol", type=float, default=1e-9)
         common(p)
-        p.set_defaults(func=cmd_su21)
 
     if (p := add("scan", "feasibility grid over (t, k)")) is not None:
         p.add_argument("--t-min", type=_frac, default=Fraction("-0.99"))
@@ -492,7 +493,6 @@ def _build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--k-step", type=_frac, default=Fraction("0.01"))
         p.add_argument("--samples", type=int, default=0, help="curvature samples, one pair set shared by all cells")
         common(p)
-        p.set_defaults(func=cmd_scan)
 
     if (p := add("geodesic", "trajectory runs with comparison metrics")) is not None:
         p.add_argument("mode", choices=("warped-lightlike", "warped-timelike", "euler-arnold", "riccati"))
@@ -508,7 +508,6 @@ def _build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--rtol", type=float, default=1e-9)
         p.add_argument("--atol", type=float, default=1e-12)
         common(p)
-        p.set_defaults(func=cmd_geodesic)
 
     return parser
 
@@ -523,8 +522,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"semigeo: error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
+    try:  # the handler cmd_<command> is looked up when the command runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _UsageError as exc:
         print(f"semigeo: error: {exc}", file=sys.stderr)
         return 1

@@ -74,6 +74,7 @@ from .charts import ChartMetric, _metric_jet
 from .errors import DomainError, NonTangentError, RhsDomainError, SingularMetricError, StepBudgetError
 from .spaces import (
     WarpedProductSpec,
+    _declared_factors,
     _dot,
     _exp,
     assemble,
@@ -576,14 +577,16 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
     position, raises RhsDomainError; an e^{2 alpha} that overflows gives
     inf, so integrate rejects the trial as non-finite.  A product with an
     undeclared factor returns geodesic_rhs(assemble(spec)), whose solutions
-    are the same curves; the choice reads ``conformal`` once per system.
+    are the same curves; the choice (spaces._declared_factors) is read once
+    per system.
     """
-    if spec.kind not in ("plain", "warped"):
+    if spec.kind == "twisted":
         raise DomainError("warped_geodesic_rhs needs a base-only warping")
-    base, fiber = spec.base, spec.fiber
-    conf_b, conf_f = base.conformal, fiber.conformal
-    if conf_b is None or conf_f is None:
+    factors = _declared_factors(spec)
+    if factors is None:
         return geodesic_rhs(assemble(spec))
+    base, fiber = spec.base, spec.fiber
+    conf_b, conf_f = factors
     db = base.dim
     n = db + fiber.dim
 

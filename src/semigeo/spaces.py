@@ -45,6 +45,7 @@ from .charts import (
     ChartMetric,
     Conformal,
     CurvatureReport,
+    Warped,
     _taylor,
     check_r_ge_k,
     christoffel,
@@ -315,11 +316,21 @@ def twisted_product(base: ChartMetric, fiber: ChartMetric, warping: Warping) -> 
     return WarpedProductSpec(base, fiber, warping, "twisted")
 
 
+def _declared_factors(spec: WarpedProductSpec) -> tuple[Conformal, Conformal] | None:
+    """The factors' declarations if ``spec`` takes the closed forms (warped geodesic
+    right-hand side, curvature forms): plain or warped, both factors declared; else None."""
+    factors = spec.base.conformal, spec.fiber.conformal
+    return factors if spec.kind in ("plain", "warped") and None not in factors else None
+
+
 def assemble(spec: WarpedProductSpec) -> ChartMetric:
     """The block-diagonal chart diag(-g_B, e^{2 alpha} g_F), for plain,
     warped and twisted products alike.
 
-    The chart is undeclared: its derivatives are the Taylor jet of ``metric_at``
+    A product with ``_declared_factors`` is declared ``warped``: its curvature
+    forms come in closed form from its factors' phi and the warping's
+    ``value``, with no call of ``metric_at``.  Its other derivatives, and
+    all those of any other product, are the Taylor jet of ``metric_at``
     (``charts._metric_jet``), so the factors' ``metric_at`` and the warping's
     ``value`` must follow the ``metric_at`` rules of ``ChartMetric``.  The
     mixed base-fiber blocks are constant zeros and get exact zero derivatives.
@@ -336,6 +347,7 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
     def in_domain(xy):
         return base.in_domain(xy[..., :db]) & fiber.in_domain(xy[..., db:])
 
+    factors = _declared_factors(spec)
     lo = np.concatenate([base.sample_box[0], fiber.sample_box[0]])
     hi = np.concatenate([base.sample_box[1], fiber.sample_box[1]])
     tag = {"plain": "x", "warped": "x_w", "twisted": "x_t"}[spec.kind]
@@ -346,6 +358,7 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
         in_domain=in_domain,
         sample_box=(lo, hi),
         name=f"-{base.name} {tag} {fiber.name}",
+        warped=None if factors is None else Warped(*factors, lambda xy: spec.alpha(*spec.split(xy))),
     )
 
 
@@ -418,8 +431,8 @@ def oneill_T(spec: WarpedProductSpec, pair: VerticalPair, mode: str = "closed_fo
 def fiber_chart_at(spec: WarpedProductSpec, b: np.ndarray) -> ChartMetric:
     """The fiber through base point b with its induced metric e^{2 alpha} g_F.
 
-    Like ``assemble``, the chart is undeclared: its derivatives are the
-    Taylor jet of ``metric_at``.  A base point outside the base's domain raises
+    The chart is undeclared: its derivatives are the Taylor jet of
+    ``metric_at``.  A base point outside the base's domain raises
     DomainError."""
     fiber = spec.fiber
     b = np.asarray(b, dtype=float)

@@ -527,13 +527,25 @@ def det_residuals(xs, ys):
     return _b_num(full, full, H2) + 2 * z_sq - _b_num(b11, b22_1)
 
 
+MAX_FLOAT_T = 1e60  # below it 45 t^4 (eta) and (1 + t)^2 times sampled Plücker squares stay finite
+
+
+def _float_ts(ts) -> np.ndarray:
+    """A t or a sequence of t's as floats; one beyond MAX_FLOAT_T raises DomainError."""
+    t = np.asarray(ts, dtype=float)
+    bad = t[~(np.abs(t) <= MAX_FLOAT_T)]
+    if bad.size:
+        raise DomainError(f"|t| must be at most {MAX_FLOAT_T:g} for float evaluation, got {bad.flat[0]:g}")
+    return t
+
+
 def eta(t) -> float:
     """The smaller root in k of the product inequality's boundary:
 
         eta(t) = (-3 t^2 - 2 t + 5 - sqrt(45 t^4 + 12 t^3 - 50 t^2 + 12 t + 45))
                  / (16 (t + 1)).
     """
-    t = float(t)
+    t = float(_float_ts(t))
     if t <= -1.0:
         raise DomainError(f"eta needs t > -1, got {t}")
     disc = 45 * t**4 + 12 * t**3 - 50 * t**2 + 12 * t + 45
@@ -669,8 +681,8 @@ def _margin_forms(ts) -> tuple[np.ndarray, np.ndarray]:
     """Q(t) and G(t), the quartic and the Gram value on the Plücker
     coordinates ``wedge(x[:, 1:], y[:, 1:])``, as (len(ts), 21, 21) stacks
     over the t-values ``ts``, each t's the same in any stack.  G is diagonal,
-    4 (1+t)^2 / 4 / -4 (1+t) on h1^h1 / h2^h2 / h1^h2."""
-    t = np.asarray(ts, dtype=float)[:, None, None]
+    4 (1+t)^2 / 4 / -4 (1+t) on h1^h1 / h2^h2 / h1^h2 (for |t| <= MAX_FLOAT_T)."""
+    t = _float_ts(ts)[:, None, None]
     b11, b22, mixed, f2, f0, h1h2, h1h1 = _margin_terms()
     quartic = (1 + t) / 4 * b11 + (1 - 3 * t) / 4 * b22 + (1 - t - 2 * t * t) / 2 * mixed + (1 + t) ** 2 / 4 * f2 + f0
     return quartic, np.where(h1h2, -4 * (1 + t), np.where(h1h1, 4 * (1 + t) ** 2, 4.0)) * np.eye(21)

@@ -32,7 +32,7 @@ MARGIN_CHARTS = {
     "hyperbolic3": sg.hyperbolic(3),
     "minkowski12": sg.minkowski(1, 2),
     "twisted": sg.assemble(sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), _TWIST)),
-    "fd-warped": dataclasses.replace(sg.assemble(sg.incompleteness_space(2, 2, 1.0)), conformal=None),
+    "fd-warped": dataclasses.replace(sg.assemble(sg.incompleteness_space(2, 2, 1.0)), warped=None),
 }
 
 
@@ -472,6 +472,12 @@ class TestSampleStreams:
         }
         assert len(blocks) == 8 * 40
 
+    @pytest.mark.parametrize("seed", [-1, 2**32, 99999999999999999999999])
+    def test_seed_outside_uint32_raises(self, seed):
+        # default_rng((2**32, 0)) draws what default_rng((0, 1)) draws
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^32\)"):
+            charts.sample_block(seed, 0, 4, 2)
+
     def test_seeds_are_independent_runs(self):
         # The README product fails just above its minimum at three seeds,
         # each with its own witness.
@@ -480,6 +486,82 @@ class TestSampleStreams:
         assert not any(r.passed for r in reports)
         assert len({r.min_margin for r in reports}) == 3
         assert len({r.witness.base_point.tobytes() for r in reports}) == 3
+
+
+def _refuse_metric_at(chart):
+    # the chart with a metric_at that must not be called
+    def refuse(x):
+        raise AssertionError("metric_at was called")
+
+    return dataclasses.replace(chart, metric_at=refuse)
+
+
+# Declared charts: atoms and the README (c04, c05) products.
+DECLARED_CHARTS = {
+    "product": MARGIN_CHARTS["product"],
+    "warped": MARGIN_CHARTS["warped"],
+    "sphere2": sg.sphere(2),
+    "sphere3": sg.sphere(3),
+    "hyperbolic2": sg.hyperbolic(2),
+    "hyperbolic3": sg.hyperbolic(3),
+    "euclidean3": sg.euclidean(3),
+    "minkowski12": sg.minkowski(1, 2),
+    "neg-sphere2": sg.negate(sg.sphere(2)),
+    "neg-hyperbolic3": sg.negate(sg.hyperbolic(3)),
+}
+
+
+class TestClosedForms:
+    # A declared chart takes its curvature forms in closed form; the Taylor
+    # route of the same chart undeclared is the oracle.
+    @pytest.mark.parametrize("name", sorted(DECLARED_CHARTS))
+    def test_matches_taylor_route(self, name):
+        chart = DECLARED_CHARTS[name]
+        X = rand_points(chart, 300, seed=5)
+        curv, area = charts._plane_forms(_refuse_metric_at(chart), X)
+        want_curv, want_area = charts._plane_forms(dataclasses.replace(chart, conformal=None, warped=None), X)
+        assert np.abs(curv - want_curv).max() <= 1e-12 * np.abs(want_curv).max()
+        assert np.array_equal(area, want_area)
+
+    @pytest.mark.parametrize("space", [
+        "product:hyperbolic(2)*sphere(2)", "warped:hyperbolic(2)*torus(2):alpha=sqrtk*busemann",
+    ])
+    def test_bench_spaces_never_call_metric_at(self, space):
+        chart = sg.build_space(sg.parse_space(space, k=1.0))
+        assert chart.warped is not None
+        got, want = (sg.check_r_ge_k(c, 1.0, 300, seed=2) for c in (_refuse_metric_at(chart), chart))
+        assert (got.min_margin, got.passed, got.samples) == (want.min_margin, want.passed, want.samples)
+        assert got.witness.base_point.tobytes() == want.witness.base_point.tobytes()
+        assert got.passed
+
+    @pytest.mark.parametrize("name, column, bad", [
+        ("product", 3, math.nan), ("product", 1, -1.0), ("sphere3", 2, math.nan), ("sphere3", 2, -100.0),
+    ])
+    def test_block_check_is_shared(self, name, column, bad):
+        # A non-finite row, or one outside the domain (x_l <= 0 in the
+        # hyperbolic base, |x| >= 10 on the sphere), raises the Taylor
+        # route's DomainError.
+        chart = MARGIN_CHARTS[name]
+        X = rand_points(chart, 8, seed=1)
+        X[3, column] = bad
+        undeclared = dataclasses.replace(chart, conformal=None, warped=None)
+        messages = []
+        for route in (chart, undeclared):
+            with pytest.raises(DomainError) as exc:
+                charts._plane_forms(route, X)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] and "outside domain" in messages[0]
+
+    def test_negate_drops_the_product_declaration(self):
+        # -g has the same Christoffels: curv changes sign, area does not.
+        chart = MARGIN_CHARTS["product"]
+        neg = sg.negate(chart)
+        assert neg.warped is None and neg.signature == (2, 2)
+        X = rand_points(chart, 50, seed=4)
+        curv, area = charts._plane_forms(chart, X)
+        neg_curv, neg_area = charts._plane_forms(neg, X)
+        assert np.abs(neg_curv + curv).max() <= 1e-12 * np.abs(curv).max()
+        assert np.array_equal(neg_area, area)
 
 
 class TestChartInvariants:

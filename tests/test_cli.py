@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, report formats, determinism."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -86,6 +87,22 @@ class TestCurvatureCheck:
 
     def test_negative_seed_exit_one(self, capsys):
         assert run(["curvature-check", "--space", "sphere(2)", "--k", "1", "--seed", "-3"]) == 1
+
+    @pytest.mark.parametrize("seed", [str(2**32), "99999999999999999999999"])
+    @pytest.mark.parametrize("command", [["curvature-check", "--space", "sphere(2)", "--k", "1"],
+                                         ["su21", "--t", "-0.8", "--k", "0.1"], ["scan", "--samples", "10"]])
+    def test_seed_beyond_uint32_exit_one(self, command, seed, tmp_path, capsys):
+        # numpy reads seeds as uint32 words: 2^32 would alias seed 0's blocks
+        out = tmp_path / "out"
+        assert run(command + ["--seed", seed, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"semigeo: error: --seed must be in [0, 2^32), got {seed}\n")
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["curvature-check", "--space", "sphere(2)", "--k", "1", "--samples", "10",
+                    "--seed", str(2**32 - 1), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == 2**32 - 1
 
     def test_zero_samples_exit_one(self, capsys):
         assert run(["curvature-check", "--space", "sphere(2)", "--k", "1", "--samples", "0"]) == 1
@@ -180,6 +197,22 @@ class TestSu21Command:
 
     def test_domain_error_exit_one(self, capsys):
         assert run(["su21", "--t", "-1.0", "--k", "0.1"]) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["su21", "--t", "1e200", "--k", "0.1"],
+        ["scan", "--t-min", "1e200", "--t-max", "1e200", "--t-step", "1", "--k-min", "0.1", "--k-max", "0.1",
+         "--k-step", "0.1", "--samples", "10"],
+    ], ids=["su21", "sampled-scan"])
+    def test_t_beyond_float_paths_exit_one(self, args, tmp_path, capsys):
+        # 45 t^4 in eta, and (1 + t)^2 in the sampled forms, would overflow:
+        # one error line, no traceback and no numpy warning
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "semigeo: error: |t| must be at most 1e+60 for float evaluation, "
+                                           "got 1e+200\n")
+        assert not out.exists()
 
     def test_exact_pairs_are_the_seeded_rationals(self):
         # A failing pair index names a pair of this stream: row i of the two
@@ -330,6 +363,17 @@ class TestExactCheckMutations:
 
 
 class TestScanCommand:
+    def test_exact_scan_decides_any_rational_t(self, tmp_path):
+        # only the sampled margins are float paths; the inequalities stay exact
+        out = tmp_path / "grid.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["scan", "--t-min", "1e200", "--t-max", "1e200", "--t-step", "1", "--k-min", "0.1",
+                        "--k-max", "0.1", "--k-step", "0.1", "--out", str(out)]) == 0
+        flags = su21.feasible(su21.ModelParams(Fraction(10**200), Fraction(1, 10)))
+        assert (flags.ineq1, flags.ineq2, flags.ineq3, flags.ineq4) == (False,) * 4
+        assert out.read_text().splitlines()[1:] == ["1e+200,0.1,0,0,0,0,0,"]
+
     def test_window_detected(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         code = run(
@@ -714,6 +758,25 @@ class TestParser:
         text = self._help(main, argv, capsys)
         assert text == _build_parser(None).format_help()
         assert "{" + ",".join(COMMANDS) + "}" in text
+
+    def test_warm_command_leaves_no_parser_garbage(self, tmp_path):
+        # Each parser is built once per process: a warm command leaves no
+        # argparse object for the cyclic garbage collector.
+        commands = [["curvature-check", "--space", "sphere(2)", "--k", "1", "--samples", "10"],
+                    ["scan", "--t-min", "-0.9", "--t-max", "-0.8", "--k-min", "0.1", "--k-max", "0.2"]]
+        for command in commands:
+            assert run(command + ["--out", str(tmp_path / "warm")]) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for command in commands:
+                assert run(command + ["--out", str(tmp_path / "out")]) == 0
+            gc.collect()
+            leaked = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
     def test_subcommand_parser_knows_only_its_command(self):
         with pytest.raises(cli._UsageError, match="invalid choice: 'scan'"):

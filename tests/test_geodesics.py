@@ -594,6 +594,45 @@ class TestWarpedRoute:
             assert system.rhs(0.0, y).tobytes() == assembled.rhs(0.0, y).tobytes()
 
 
+DECLARED_WARPED_SPECS = sorted(set(WARPED_RHS_SPECS) - set(UNDECLARED_WARPED_SPECS))
+
+
+class TestWarpedCurvatureRoute:
+    # The rule that picks the closed-form right-hand side also declares the
+    # assembled chart, whose curvature forms then come in closed form; the
+    # Taylor route of the same chart (warped=None) is the oracle.
+    def test_route_per_spec(self):
+        assert DECLARED_WARPED_SPECS == ["incompleteness", "math-fiber", "plain", "sphere-fiber",
+                                         "value-only-warping"]
+        for name, make in WARPED_RHS_SPECS.items():
+            assert (sg.assemble(make()).warped is None) == (name in UNDECLARED_WARPED_SPECS), name
+        twisted = sg.twisted_product(sg.hyperbolic(2), sg.flat_torus(2), sg.constant_warping(0.5))
+        assert sg.assemble(twisted).warped is None
+
+    @pytest.mark.parametrize("name", DECLARED_WARPED_SPECS)
+    def test_matches_taylor_route(self, name):
+        spec = WARPED_RHS_SPECS[name]()
+        chart = sg.assemble(spec)
+        # the math fiber's metric_at is not Taylor-evaluable: its oracle is sphere(2)'s
+        oracle = sg.assemble(WARPED_RHS_SPECS["sphere-fiber" if name == "math-fiber" else name]())
+        X = np.random.default_rng(8).uniform(*chart.sample_box, (300, chart.dim))
+        curv, area = charts._plane_forms(chart, X)
+        want_curv, want_area = charts._plane_forms(replace(oracle, warped=None), X)
+        assert np.abs(curv - want_curv).max() <= 1e-12 * np.abs(want_curv).max()
+        assert np.array_equal(area, want_area)
+
+    def test_math_fiber_is_certified(self):
+        # Its Taylor route raises; the closed route gives the verdicts of the
+        # same metric with a Taylor-evaluable fiber.
+        chart = sg.assemble(WARPED_RHS_SPECS["math-fiber"]())
+        with pytest.raises(sg.UnsupportedSpaceError):
+            sg.check_r_ge_k(replace(chart, warped=None), 1.0, 10)
+        sphere_fiber = sg.assemble(WARPED_RHS_SPECS["sphere-fiber"]())
+        for k, verdict in ((1.0, True), (1.01, False)):
+            reports = [sg.check_r_ge_k(c, k, 2000, seed=0) for c in (chart, sphere_fiber)]
+            assert [r.passed for r in reports] == [verdict, verdict]
+
+
 def _count_metric_jet(monkeypatch):
     # the names of the charts whose metric jet the right-hand sides take
     calls, metric_jet = [], geo._metric_jet

@@ -5,7 +5,8 @@ a declared atom, or the Taylor jet of ``metric_at`` for the undeclared product
 and fiber charts) is
 compared with sympy derivatives of the same metric written out by hand, and ``riemann`` with the symbolic Riemann tensor in the
 ``charts`` convention R^i_{jkl} = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj
-- G^i_lm G^m_kj, and ``riemann_lowered`` with the symbolic g_im R^m_{jkl}.
+- G^i_lm G^m_kj, and ``riemann_lowered`` with the symbolic g_im R^m_{jkl},
+which also checks the closed-form curvature forms of declared products.
 """
 
 import dataclasses
@@ -188,3 +189,22 @@ def test_riemann_matches_symbolic(name):
         _assert_close(sg.riemann(chart, x), want)
         lowered = np.einsum("im,mjkl->ijkl", np.array(exact_metric(*x), dtype=float), want)
         _assert_close(sg.riemann_lowered(chart, x), lowered)
+
+
+@pytest.mark.parametrize("name", ["warped_busemann", "plain"])
+def test_closed_plane_forms_match_symbolic(name):
+    # A declared product's curvature forms come in closed form from the
+    # factors' phi and alpha, not from the metric: here against the symbolic
+    # R_{I_p J_p I_q J_q} and area g_{I_p I_q} g_{J_p J_q} - g_{I_p J_q} g_{J_p I_q}.
+    chart, metric = CASES[name]
+    assert chart.warped is not None
+    exact = _symbolic_riemann(metric, chart.dim)
+    exact_metric = sp.lambdify(_coords(chart.dim), metric(_coords(chart.dim)).tolist(), "numpy")
+    I, J = charts._index_pairs(chart.dim)
+    P, Q = I[:, None], J[:, None]
+    pts = _points(chart)
+    for x, curv, area in zip(pts, *charts._plane_forms(chart, pts)):
+        g = np.array(exact_metric(*x), dtype=float)
+        lowered = np.einsum("im,mjkl->ijkl", g, np.array(exact(*x), dtype=float))
+        _assert_close(curv, lowered[P, Q, I, J])
+        _assert_close(area, g[P, I] * g[Q, J] - g[P, J] * g[Q, I])

@@ -11,6 +11,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -880,7 +881,7 @@ class TestSampledCheck:
         (-0.8, 0.1, 2 * SAMPLE_BLOCK + 100, True),  # a feasible cell
         (-0.8, 0.5, 2 * SAMPLE_BLOCK + 100, False),  # (f1, f2) gives -3/10
         (-0.5, 0.3, 1, None),
-        (1e200, 0.1, SAMPLE_BLOCK + 7, False),  # (1 + t)^2 overflows: NaN margins
+        (-0.8, 1e308, SAMPLE_BLOCK + 7, False),  # k * gram overflows: infinite margins
     ])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_concatenate_then_reduce(self, t, k, n, verdict, seed):
@@ -897,6 +898,22 @@ class TestSampledCheck:
     def test_empty_run_refused(self):
         with pytest.raises(sg.EmptySampleError):
             sg.sample_margins(-0.8, 0.1, 0, 0)
+
+    @pytest.mark.parametrize("run", [
+        lambda t: sg.eta(t),
+        lambda t: sg.feasible_k_interval(t),
+        lambda t: sg.sample_margins(t, 0.1, 10, 0),
+        lambda t: sg.scan_region([F(-1, 2), t], [F(1, 10)], sample_count=10),
+    ], ids=["eta", "interval", "su21", "scan"])
+    def test_t_beyond_float_paths_refused(self, run):
+        # 45 t^4 and (1 + t)^2 stay finite up to MAX_FLOAT_T; past it the
+        # float paths refuse t before any float arithmetic on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(sg.eta(su21.MAX_FLOAT_T))
+            assert np.isfinite(sg.sample_margins(su21.MAX_FLOAT_T, 0.1, 10, 0)[0])
+            with pytest.raises(DomainError, match="must be at most 1e\\+60 for float evaluation, got 1e\\+200"):
+                run(F(10**200))
 
     @pytest.mark.parametrize("run", [
         lambda n: sg.sample_margins(-0.8, 0.1, n, 0),
