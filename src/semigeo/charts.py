@@ -71,13 +71,15 @@ class Conformal:
 @dataclass(frozen=True)
 class Warped:
     """The declaration g = -e^{2 phi_B} I (+) e^{2 alpha} e^{2 phi_F} I of a
-    product chart, base coordinates first: its Riemannian factors' declarations
-    and ``alpha``, a function of the chart coordinates that reads only the
-    base ones and follows the ``metric_at`` rules of ``ChartMetric``."""
+    product chart from ``spaces.assemble``, base coordinates first: its two
+    declared Riemannian factor charts, ``alpha`` on the chart coordinates
+    (reading only the base ones; the ``metric_at`` rules of ``ChartMetric``)
+    and ``alpha_point(b, f)``, alpha and d alpha / d b at one point."""
 
-    base: Conformal
-    fiber: Conformal
+    base: ChartMetric
+    fiber: ChartMetric
     alpha: Callable[[np.ndarray], object]
+    alpha_point: Callable[[np.ndarray, np.ndarray], tuple[float, Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,9 @@ class ChartMetric:
     gets them from the Taylor jet of its scalar ``phi`` in closed form, and
     the geodesic right-hand sides take its spray from ``phi_point``; its
     ``metric_at`` must be e^{2 phi} diag(eta).  A ``warped`` chart (from
-    ``spaces.assemble``) takes only its curvature forms in closed form, from
-    the scalar jets of its factors' phi and of alpha.
+    ``spaces.assemble``) takes its curvature forms and geodesic spray in
+    closed form from its factors' phi and alpha.  Every consumer picks its
+    route from these declarations alone.
     """
 
     dim: int
@@ -346,9 +349,10 @@ def _warped_forms(warped: Warped, X: np.ndarray, name: str) -> tuple[np.ndarray,
     pairs take e^{2 alpha} (curv_F + e^{2 alpha - 2 phi_B} |d alpha|^2 area_F);
     all other entries are 0.  A zero metric entry raises SingularMetricError."""
     n, d = X.shape
-    db = len(warped.base.eta)
-    pb, dpb, ddpb = _taylor(warped.base.phi, X[:, :db], f"base phi of chart {name!r}")
-    pf, dpf, ddpf = _taylor(warped.fiber.phi, X[:, db:], f"fiber phi of chart {name!r}")
+    base, fiber = warped.base.conformal, warped.fiber.conformal
+    db = len(base.eta)
+    pb, dpb, ddpb = _taylor(base.phi, X[:, :db], f"base phi of chart {name!r}")
+    pf, dpf, ddpf = _taylor(fiber.phi, X[:, db:], f"fiber phi of chart {name!r}")
     a, da, dda = _taylor(warped.alpha, X, f"alpha of chart {name!r}")
     da, e2a = da[:, :db], np.exp(2.0 * a)
     gf = e2a * np.exp(2.0 * pf)
@@ -357,11 +361,11 @@ def _warped_forms(warped: Warped, X: np.ndarray, name: str) -> tuple[np.ndarray,
         raise SingularMetricError(f"metric jet not invertible: a diagonal entry of chart {name!r} is 0")
     mixed = dpb[:, :, None] * da[:, None, :] - 0.5 * da[:, :, None] * da[:, None, :]
     hess = dda[:, :db, :db] - mixed - mixed.transpose(0, 2, 1) + ((dpb * da).sum(1))[:, None, None] * np.eye(db)
-    curv_f, area_f = _conformal_forms(pf, dpf, ddpf, warped.fiber.eta)
+    curv_f, area_f = _conformal_forms(pf, dpf, ddpf, fiber.eta)
     I, J = _index_pairs(d)
     bb, bf, ff = (np.flatnonzero(m) for m in (J < db, (I < db) & (J >= db), I >= db))
     curv = np.zeros((n, len(I), len(I)))
-    curv[:, bb[:, None], bb] = -_conformal_forms(pb, dpb, ddpb, warped.base.eta)[0]
+    curv[:, bb[:, None], bb] = -_conformal_forms(pb, dpb, ddpb, base.eta)[0]
     curv[:, bf[:, None], bf] = (-gf[:, None, None, None, None] * hess[:, :, None, :, None]
                                 * np.eye(d - db)[:, None, :]).reshape(n, len(bf), len(bf))
     pull = np.exp(2.0 * (a - pb)) * (da * da).sum(1)
@@ -440,6 +444,13 @@ def sample_block(seed: int, index: int, count: int, dim: int, box=None):
     return pts, rng.standard_normal((count, dim)), rng.standard_normal((count, dim))
 
 
+def sample_blocks(seed: int, n_samples: int, dim: int, box=None):
+    """The blocks of a run, one sample_block each: block i holds samples
+    [SAMPLE_BLOCK i, min(SAMPLE_BLOCK (i + 1), n_samples))."""
+    for index, start in enumerate(range(0, n_samples, SAMPLE_BLOCK)):
+        yield sample_block(seed, index, min(SAMPLE_BLOCK, n_samples - start), dim, box)
+
+
 def _sample_box(chart: ChartMetric):
     if chart.sample_box is None:
         raise DomainError(f"chart {chart.name!r} has no sample box")
@@ -488,25 +499,20 @@ def reduce_margins(margins: np.ndarray, scales: np.ndarray, tol: float) -> tuple
 def sampled_check(evaluate, n_samples: int, tol: float, seed: int, dim: int, box=None):
     """The loop of every sampled check: (min_margin, witness, passed, pairs).
 
-    ``evaluate(pts, us, vs)`` maps block i of the run (sample_block; SAMPLE_BLOCK
-    samples, the last block the rest) to its margins and scales, (count, P),
-    and pairs pu, pv, (count, P, dim).  Each block is reduced by
+    ``evaluate(pts, us, vs)`` maps each block of the run (sample_blocks) to its
+    margins and scales, (count, P), and pairs pu, pv, (count, P, dim).  Each block is reduced by
     ``reduce_margins`` as it is evaluated and the block witnesses once more,
     which equals one reduction of the concatenated blocks."""
     if n_samples < 1:
         raise EmptySampleError("a sampled check needs n_samples >= 1")
 
-    def block(index, count):
-        pts, us, vs = sample_block(seed, index, count, dim, box)
+    def block(pts, us, vs):
         margins, scales, pu, pv = evaluate(pts, us, vs)
         w, passed = reduce_margins(margins.ravel(), scales.ravel(), tol)
         n, p = divmod(w, margins.shape[1])
         return margins[n, p], TangentPair(pts[n].copy(), pu[n, p].copy(), pv[n, p].copy()), passed, margins.size
 
-    margins, witnesses, verdicts, counts = zip(*(
-        block(index, min(SAMPLE_BLOCK, n_samples - start))
-        for index, start in enumerate(range(0, n_samples, SAMPLE_BLOCK))
-    ))
+    margins, witnesses, verdicts, counts = zip(*(block(*b) for b in sample_blocks(seed, n_samples, dim, box)))
     w, _ = reduce_margins(np.array(margins), np.ones(len(margins)), tol)
     return float(margins[w]), witnesses[w], all(verdicts), sum(counts)
 

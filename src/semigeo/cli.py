@@ -82,7 +82,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _render_report(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         lines = ["key,value"]
 
@@ -92,7 +92,7 @@ def _render_report(payload: dict, fmt: str) -> str:
                     walk(f"{prefix}{key}." if isinstance(val, dict) else f"{prefix}{key}", val)
             else:
                 plain = isinstance(obj, (int, float, str)) and not isinstance(obj, bool)
-                lines.append(f"{prefix},{obj if plain else json.dumps(obj)}")
+                lines.append(f"{prefix},{obj if plain else json.dumps(obj, allow_nan=False)}")
 
         walk("", payload)
         return "\n".join(lines) + "\n"
@@ -123,6 +123,15 @@ def _trajectory_csv(traj: Trajectory, header: dict) -> str:
         texts = [map(repr, col[lo : lo + CSV_CHUNK_ROWS].tolist()) for col in moving]
         parts.append("\n".join(map(template.format, *texts)))
     return "\n".join(parts) + "\n"
+
+
+def _finite_or_null(name: str, value: float) -> float | None:
+    """A margin for the report, whose JSON has no Infinity or NaN: a
+    non-finite one is None (null), with one warning line."""
+    if math.isfinite(value):
+        return float(value)
+    print(f"semigeo: warning: {name} is not finite (overflow or invalid value)", file=sys.stderr)
+    return None
 
 
 def _witness_payload(report: CurvatureReport) -> dict:
@@ -186,8 +195,6 @@ def cmd_curvature_check(args) -> int:
         raise _UsageError(str(exc)) from exc
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite margin is reported below
         report = check_r_ge_k(chart, args.k, args.samples, tol=args.tol, seed=args.seed)
-    if not math.isfinite(report.min_margin):
-        print("semigeo: warning: min_margin is not finite (overflow or invalid value)", file=sys.stderr)
     payload = {
         "command": "curvature-check",
         "space": args.space,
@@ -196,7 +203,7 @@ def cmd_curvature_check(args) -> int:
         "evaluated_pairs": int(report.samples),
         "tol": float(report.tol),
         "seed": int(report.seed),
-        "min_margin": float(report.min_margin) if math.isfinite(report.min_margin) else None,
+        "min_margin": _finite_or_null("min_margin", report.min_margin),
         "passed": bool(report.passed),
         "witness": _witness_payload(report),
     }
@@ -271,7 +278,8 @@ def cmd_su21(args) -> int:
     failures = _su21_exact_checks(min(args.samples, 1000), args.seed)
     exact = {name: where is None for name, where in failures.items()}
     res = alg.feasible(params)
-    sampled_min, margin_ok = alg.sample_margins(float(args.t), float(args.k), args.samples, args.seed, args.tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite margin is reported below
+        sampled_min, margin_ok = alg.sample_margins(float(args.t), float(args.k), args.samples, args.seed, args.tol)
     interval = alg.feasible_k_interval(float(args.t))
     payload = {
         "command": "su21",
@@ -290,7 +298,7 @@ def cmd_su21(args) -> int:
         },
         "eta": alg.eta(float(args.t)),
         "feasible_k_interval": None if interval is None else list(interval),
-        "sampled_min_margin": sampled_min,
+        "sampled_min_margin": _finite_or_null("sampled_min_margin", sampled_min),
         "sampled_margin_passed": margin_ok,
     }
     if not all(exact.values()):

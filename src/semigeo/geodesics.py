@@ -42,9 +42,9 @@ evaluate one point per call: on charts declared conformally flat
 (``ChartMetric.conformal``) they convert the state to Python floats once
 and take the closed-form spray there from ``phi_point``, since numpy's
 per-call cost dominates arrays of two to eight entries; every right-hand
-side returns one float64 array.  A warped product takes that closed form
-when both its factors are declared, and is geodesic_rhs on its assembled
-chart otherwise.  A run that uses up
+side returns one float64 array.  The route is the chart's declaration: a
+product chart that ``spaces.assemble`` declares ``warped`` takes that closed
+form, whichever entry point built the system.  A run that uses up
 ``max_steps`` trials raises StepBudgetError.  Every Trajectory carries
 IntegrationStats: accepted steps, rejections by cause, right-hand-side
 evaluations and the range of accepted step sizes, all deterministic.  The
@@ -70,11 +70,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .charts import ChartMetric, _metric_jet
+from .charts import ChartMetric, Warped, _metric_jet
 from .errors import DomainError, NonTangentError, RhsDomainError, SingularMetricError, StepBudgetError
 from .spaces import (
     WarpedProductSpec,
-    _declared_factors,
     _dot,
     _exp,
     assemble,
@@ -520,17 +519,19 @@ def _finite_point(chart: ChartMetric, x: list) -> list:
 def geodesic_rhs(chart: ChartMetric) -> ODESystem:
     """State (x, v): x' = v, v'^i = -Gamma^i_{jk} v^j v^k.
 
-    A chart declared conformally flat, g = e^{2 phi} diag(eta), takes the
-    closed form v' = (v . eta v) eta d phi - 2 (d phi . v) v from its
-    one-point ``phi_point`` on Python floats (O'Neill, Semi-Riemannian
-    Geometry, ch. 7); a flat chart is the case phi = 0.  Any other chart
-    takes one first-order metric jet per call, contracts it with v into the
-    lowered form Gamma_l(v, v) (_spray) and raises the index with one solve.
-    The choice reads ``chart.conformal`` once per system.  The state is
-    converted to floats once per call, and the result is one float64 array
-    of shape (2n,).  A point outside the domain (the chart's in_domain on
-    the position slice) raises RhsDomainError, as does a non-finite position
-    on the conformal route; a singular metric raises SingularMetricError."""
+    The route is the chart's declaration, read once per system.  A
+    ``warped`` product chart takes _warped_rhs.  A chart declared conformally
+    flat, g = e^{2 phi} diag(eta), takes v' = (v . eta v) eta d phi - 2 (d phi . v) v
+    from its one-point ``phi_point`` on Python floats (O'Neill,
+    Semi-Riemannian Geometry, ch. 7); a flat chart is the case phi = 0.  Any
+    other chart takes one first-order metric jet per call, contracts it with
+    v into the lowered form Gamma_l(v, v) (_spray) and raises the index with
+    one solve.  The result is one float64 array of shape (2n,).  A point
+    outside the domain (the chart's in_domain on the position slice) raises
+    RhsDomainError, as does a non-finite position on the closed forms; a
+    singular metric raises SingularMetricError."""
+    if chart.warped is not None:
+        return _warped_rhs(chart.warped)
     n = chart.dim
     in_domain, conformal = chart.in_domain, chart.conformal
 
@@ -554,39 +555,22 @@ def geodesic_rhs(chart: ChartMetric) -> ODESystem:
     return ODESystem(2 * n, rhs, f"geodesic on {chart.name}")
 
 
-def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
+def _warped_rhs(warped: Warped) -> ODESystem:
     """The warped-product geodesic equations (O'Neill, Semi-Riemannian
-    Geometry, ch. 7):
-
-        base:  (grad_t b')^a = -e^{2 alpha} g_F(f', f') (grad_B alpha)^a
-        fiber: (grad_t f')^u = -2 (d alpha / dt) f'^u
-
-    With both factors declared conformally flat, g = e^{2 phi} diag(eta) with
-    eta = +1 (both are Riemannian), they take the closed form: per call, the
-    state converted to Python floats once, one warping jet (alpha and its
-    base partials, any float sequence) and each factor's ``phi_point``, with
-    no metric jet and no solve (_conformal_spray):
+    Geometry, ch. 7) in closed form on the declared Riemannian factors: per
+    call, one ``alpha_point`` (alpha and its base partials, any float
+    sequence) and each factor's ``phi_point``, with no metric jet and no solve:
 
         b'' = |v_b|^2 d phi_B - 2 (d phi_B . v_b) v_b - e^{2 alpha - 2 phi_B} g_F(v_f, v_f) d alpha,
         f'' = |v_f|^2 d phi_F - 2 (d phi_F . v_f + d alpha / dt) v_f,
         g_F(v_f, v_f) = e^{2 phi_F} |v_f|^2.
 
-    A plain product is alpha = 0, whose jet is exact zeros, and a flat factor
-    phi = 0.  The result is one float64 array of shape (2n,).  Leaving either
-    factor's domain (its in_domain on the position slice), or a non-finite
-    position, raises RhsDomainError; an e^{2 alpha} that overflows gives
-    inf, so integrate rejects the trial as non-finite.  A product with an
-    undeclared factor returns geodesic_rhs(assemble(spec)), whose solutions
-    are the same curves; the choice (spaces._declared_factors) is read once
-    per system.
+    A plain product is alpha = 0 and a flat factor phi = 0.  Leaving either
+    factor's domain, or a non-finite position, raises RhsDomainError; an
+    overflowing e^{2 alpha} gives inf, which integrate rejects as non-finite.
     """
-    if spec.kind == "twisted":
-        raise DomainError("warped_geodesic_rhs needs a base-only warping")
-    factors = _declared_factors(spec)
-    if factors is None:
-        return geodesic_rhs(assemble(spec))
-    base, fiber = spec.base, spec.fiber
-    conf_b, conf_f = factors
+    base, fiber, alpha_point = warped.base, warped.fiber, warped.alpha_point
+    conf_b, conf_f = base.conformal, fiber.conformal
     db = base.dim
     n = db + fiber.dim
 
@@ -598,7 +582,7 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
             raise RhsDomainError(f"warped geodesic left the domain: {_outside(fiber, f)}")
         s = y.tolist()
         vb, vf = s[n : n + db], s[n + db :]
-        alpha, da = spec.alpha_base_jet(b, f)
+        alpha, da = alpha_point(b, f)
         pull = _dot(da, vb)  # d alpha / dt
         p_f, dp_f = conf_f.phi_point(_finite_point(fiber, s[db:n]))
         acc_f, vv_f = _conformal_spray(dp_f, vf, conf_f.eta, pull)
@@ -608,7 +592,15 @@ def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
         acc_b = [a - w * d for a, d in zip(_conformal_spray(dp, vb, conf_b.eta)[0], da)]
         return np.array(s[n:] + acc_b + acc_f)
 
-    return ODESystem(2 * n, rhs, f"warped geodesic on {spec.base.name}x{spec.fiber.name}")
+    return ODESystem(2 * n, rhs, f"warped geodesic on {base.name}x{fiber.name}")
+
+
+def warped_geodesic_rhs(spec: WarpedProductSpec) -> ODESystem:
+    """geodesic_rhs(assemble(spec)) for a plain or warped product, whose
+    declaration picks the route; a twisted product raises DomainError."""
+    if spec.kind == "twisted":
+        raise DomainError("warped_geodesic_rhs needs a base-only warping")
+    return geodesic_rhs(assemble(spec))
 
 
 def velocity_norm_sq(chart: ChartMetric, state: np.ndarray) -> float:

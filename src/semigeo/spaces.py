@@ -221,9 +221,9 @@ class Warping:
     ``ChartMetric``.  ``jet(b, f)``, when given, takes the base and fiber
     coordinates of one point as float arrays and returns alpha and
     d alpha / d b there, the latter as any length-``db`` sequence of floats
-    (a list or an array): the closed-form warped geodesic right-hand side
-    (both factors declared) calls it once per evaluation (``alpha_base_jet``),
-    and without it takes the Taylor jet of ``value`` there instead.
+    (a list or an array): a declared product chart's geodesic right-hand side
+    calls it once per evaluation (``alpha_base_jet``), and without it takes
+    the Taylor jet of ``value`` there instead.
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]
@@ -316,24 +316,18 @@ def twisted_product(base: ChartMetric, fiber: ChartMetric, warping: Warping) -> 
     return WarpedProductSpec(base, fiber, warping, "twisted")
 
 
-def _declared_factors(spec: WarpedProductSpec) -> tuple[Conformal, Conformal] | None:
-    """The factors' declarations if ``spec`` takes the closed forms (warped geodesic
-    right-hand side, curvature forms): plain or warped, both factors declared; else None."""
-    factors = spec.base.conformal, spec.fiber.conformal
-    return factors if spec.kind in ("plain", "warped") and None not in factors else None
-
-
 def assemble(spec: WarpedProductSpec) -> ChartMetric:
     """The block-diagonal chart diag(-g_B, e^{2 alpha} g_F), for plain,
     warped and twisted products alike.
 
-    A product with ``_declared_factors`` is declared ``warped``: its curvature
-    forms come in closed form from its factors' phi and the warping's
-    ``value``, with no call of ``metric_at``.  Its other derivatives, and
-    all those of any other product, are the Taylor jet of ``metric_at``
-    (``charts._metric_jet``), so the factors' ``metric_at`` and the warping's
-    ``value`` must follow the ``metric_at`` rules of ``ChartMetric``.  The
-    mixed base-fiber blocks are constant zeros and get exact zero derivatives.
+    The one route rule of products: a plain or warped product with both
+    factors ``conformal`` is declared ``warped``, so its curvature forms and
+    geodesic right-hand side come in closed form, with no call of
+    ``metric_at``.  Its other derivatives, and all those of any other
+    product, are the Taylor jet of ``metric_at`` (``charts._metric_jet``), so
+    the factors' ``metric_at`` and the warping's ``value`` must follow the
+    ``metric_at`` rules of ``ChartMetric``.  The mixed base-fiber blocks are
+    constant zeros and get exact zero derivatives.
     """
     base, fiber = spec.base, spec.fiber
     db, df = base.dim, fiber.dim
@@ -347,7 +341,7 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
     def in_domain(xy):
         return base.in_domain(xy[..., :db]) & fiber.in_domain(xy[..., db:])
 
-    factors = _declared_factors(spec)
+    declared = spec.kind != "twisted" and base.conformal is not None and fiber.conformal is not None
     lo = np.concatenate([base.sample_box[0], fiber.sample_box[0]])
     hi = np.concatenate([base.sample_box[1], fiber.sample_box[1]])
     tag = {"plain": "x", "warped": "x_w", "twisted": "x_t"}[spec.kind]
@@ -358,7 +352,7 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
         in_domain=in_domain,
         sample_box=(lo, hi),
         name=f"-{base.name} {tag} {fiber.name}",
-        warped=None if factors is None else Warped(*factors, lambda xy: spec.alpha(*spec.split(xy))),
+        warped=Warped(base, fiber, lambda xy: spec.alpha(*spec.split(xy)), spec.alpha_base_jet) if declared else None,
     )
 
 

@@ -33,7 +33,7 @@ the reduced geodesic-flow equations
 
 are all provided.  Brackets are linear in X ^ Y, so the sampled margin
 quartic - k * gram is a quadratic form on the 21 Plücker coordinates of a
-pair (7 tangent coordinates of a ``charts.sample_block`` block), evaluated by
+pair (7 tangent coordinates of a ``charts.sample_blocks`` block), evaluated by
 ``charts.plane_values`` and reduced by ``charts.sampled_check`` block by
 block; scan_region walks the same blocks, so memory stays flat in samples.
 """
@@ -49,7 +49,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .charts import SAMPLE_BLOCK, plane_margins, plane_values, sample_block, sampled_check, wedge
+from .charts import SAMPLE_BLOCK, plane_margins, plane_values, sample_blocks, sampled_check, wedge
 from .errors import (
     BasisDecompositionError,
     DomainError,
@@ -810,15 +810,13 @@ def _scan_margins(t_values: Sequence, k_values: Sequence, sample_count: int, see
     for t_lo in range(0, len(t_values), _SCAN_T_ROWS):
         forms = _margin_forms(t_values[t_lo : t_lo + _SCAN_T_ROWS])
         rows = minima[t_lo : t_lo + _SCAN_T_ROWS]
-        for index, start in enumerate(range(0, sample_count, SAMPLE_BLOCK)):
-            count = min(SAMPLE_BLOCK, sample_count - start)
-            _, us, vs = sample_block(seed, index, count, 7)
+        for _, us, vs in sample_blocks(seed, sample_count, 7):
             lhs, area = (v.ravel() for v in plane_values(wedge(us, vs), *forms))  # t-major rows
             for k_lo in range(0, len(ks), _SCAN_K_COLUMNS):
                 k_chunk, cells = ks[k_lo : k_lo + _SCAN_K_COLUMNS], rows[:, k_lo : k_lo + _SCAN_K_COLUMNS]
                 margins = buffer[: len(k_chunk) * lhs.size].reshape(len(k_chunk), lhs.size)
                 np.subtract(lhs, np.multiply(k_chunk, area, out=margins), out=margins)
-                np.minimum(cells, margins.reshape(len(k_chunk), len(rows), count).min(axis=-1).T, out=cells)
+                np.minimum(cells, margins.reshape(len(k_chunk), len(rows), -1).min(axis=-1).T, out=cells)
     return minima
 
 

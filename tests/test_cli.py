@@ -214,6 +214,27 @@ class TestSu21Command:
                                            "got 1e+200\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nonfinite_margin_is_null(self, fmt, tmp_path, capsys):
+        # k * gram overflows: numpy's warnings are off, the margin is null
+        # with one warning line, and the JSON holds no Infinity or NaN
+        out = tmp_path / "s"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["su21", "--t", "-0.8", "--k", "1e308", "--samples", "300", "--format", fmt,
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "semigeo: warning: sampled_min_margin is not finite "
+                                           "(overflow or invalid value)\n")
+        text = out.read_text()
+        if fmt == "csv":
+            assert "sampled_min_margin,null" in text.splitlines()
+            return
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert json.loads(text, parse_constant=refuse)["sampled_min_margin"] is None
+
     def test_exact_pairs_are_the_seeded_rationals(self):
         # A failing pair index names a pair of this stream: row i of the two
         # (count, 16) draws, coordinate j = nums[i, j] / dens[i, j].
@@ -801,7 +822,7 @@ class TestBounds:
             raise AssertionError("a sampler was started")
 
         monkeypatch.setattr(sg.charts, "sample_block", refuse)
-        monkeypatch.setattr(su21, "sample_block", refuse)
+        monkeypatch.setattr(su21, "sample_blocks", refuse)
         assert run(args) == 1
         assert message in capsys.readouterr().err
 

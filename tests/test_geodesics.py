@@ -561,11 +561,19 @@ WARPED_RHS_SPECS = {
 }
 
 
+# Both entry points of a product's geodesic equations: one system.
+RHS_ENTRY_POINTS = {"warped_geodesic_rhs": lambda spec: sg.warped_geodesic_rhs(spec),
+                    "assembled": lambda spec: sg.geodesic_rhs(sg.assemble(spec))}
+
+
 class TestWarpedRhsReference:
-    @pytest.mark.parametrize("name", sorted(WARPED_RHS_SPECS))
-    def test_matches_reference_formula(self, name):
+    @pytest.mark.parametrize("name, entry", [
+        pytest.param(name, entry, id=name if entry == "warped_geodesic_rhs" else f"{name}-{entry}")
+        for entry in RHS_ENTRY_POINTS for name in sorted(WARPED_RHS_SPECS)
+    ])
+    def test_matches_reference_formula(self, name, entry):
         spec = WARPED_RHS_SPECS[name]()
-        rhs = sg.warped_geodesic_rhs(spec).rhs
+        rhs = RHS_ENTRY_POINTS[entry](spec).rhs
         rng = np.random.default_rng(21)
         (blo, bhi), (flo, fhi) = spec.base.sample_box, spec.fiber.sample_box
         n = spec.base.dim + spec.fiber.dim
@@ -620,6 +628,21 @@ class TestWarpedCurvatureRoute:
         want_curv, want_area = charts._plane_forms(replace(oracle, warped=None), X)
         assert np.abs(curv - want_curv).max() <= 1e-12 * np.abs(want_curv).max()
         assert np.array_equal(area, want_area)
+
+    @pytest.mark.parametrize("name", DECLARED_WARPED_SPECS)
+    def test_assembled_rhs_never_calls_metric_at(self, name):
+        # geodesic_rhs reads the assembled chart's declaration: the closed
+        # form, bit for bit that of warped_geodesic_rhs, with no metric_at.
+        spec = WARPED_RHS_SPECS[name]()
+
+        def refuse(x):
+            raise AssertionError("metric_at was called")
+
+        system = sg.geodesic_rhs(replace(sg.assemble(spec), metric_at=refuse))
+        want = sg.warped_geodesic_rhs(spec)
+        assert system.description == want.description == f"warped geodesic on {spec.base.name}x{spec.fiber.name}"
+        for y in _random_states(np.random.default_rng(31), [spec.base, spec.fiber]):
+            assert system.rhs(0.0, y).tobytes() == want.rhs(0.0, y).tobytes()
 
     def test_math_fiber_is_certified(self):
         # Its Taylor route raises; the closed route gives the verdicts of the
