@@ -3,37 +3,35 @@
 A space is described by a single coordinate chart carrying a matrix-valued
 metric evaluator and, optionally, the declaration that the metric is
 conformally flat, g = e^{2 phi} diag(eta), or a warped product of two such
-Riemannian factors.  Christoffel symbols follow from
-the metric jet (the metric with its first and second partials) in closed
-form, and so does the lowered Riemann tensor, R_ijkl = A_ijkl - A_ijlk with
+Riemannian factors.  Christoffel symbols follow from the metric jet (the
+metric with its first and second partials) in closed form.  The jet is
+exact: second-order Taylor arithmetic on ``metric_at``, one evaluation per
+block of points, or for a conformal chart on the scalar phi alone.
+
+Every curvature value (Riemann tensor, scalar and sectional curvature, the
+sampled certification of g(R(u, v)v, u) >= k * (g(u, u) g(v, v) - g(u, v)^2)
+over all tangent pairs, lightlike planes included) reads one pair of Λ²
+forms, ``_plane_forms``: both sides are quadratic forms in the Plücker
+coordinates w = u ^ v, with matrices M = R_{IJKL} and g_IK g_JL - g_IL g_JK
+over index pairs I = (i < j), K = (k < l), each contracted as (w @ M) . w.
+A declared chart takes both in closed form from its scalar jets
+(Kulkarni-Nomizu for a conformal chart, O'Neill for a warped product); any
+other takes them from the metric jet, R_ijkl = A_ijkl - A_ijlk with
 A_ijkl = (d_k d_j g_il - d_k d_i g_jl) / 2 + Gamma_{m,li} Gamma^m_kj
-(O'Neill, Semi-Riemannian Geometry, ch. 3).  The jet is exact: second-order
-Taylor arithmetic on ``metric_at``, one evaluation per block of points, or
-for a conformal chart on the scalar phi alone.  On top of these
-sit sectional curvatures and a sampled certification of the condition
-
-    g(R(u, v)v, u) >= k * (g(u, u) g(v, v) - g(u, v)^2)
-
-for all tangent pairs (u, v), including pairs spanning lightlike planes where
-the sectional curvature itself is undefined.  Both sides are quadratic forms
-in the Plücker coordinates w = u ^ v, with matrices M = R_{IJKL} and
-g_IK g_JL - g_IL g_JK over index pairs I = (i < j), K = (k < l), each
-contracted as (w @ M) . w.  A declared chart takes both matrices in closed
-form from its scalar jets (Kulkarni-Nomizu for a conformal chart, O'Neill
-for a warped product); the route through the Christoffels is the oracle.
+(O'Neill, Semi-Riemannian Geometry, ch. 3).  That route is the oracle.
 
 Curvature sign convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, calibrated so that the unit round sphere has sectional
 curvature +1.  Index layout: ``riemann(chart, x)[i, j, k, l]`` is the i-th
-component of R(e_k, e_l) e_j; antisymmetry in (k, l) holds exactly by
-construction.
+component of R(e_k, e_l) e_j; the lowered tensor is antisymmetric in (i, j)
+and in (k, l) exactly by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +42,9 @@ from .errors import (
     SingularMetricError,
     UnsupportedSpaceError,
 )
+
+if TYPE_CHECKING:
+    from .spaces import WarpedProductSpec
 
 # Samples per RNG block.  Block i of a run with master seed s is generated by
 # numpy's default_rng((s, i)) (sample_block), so the sample stream is a
@@ -69,20 +70,6 @@ class Conformal:
 
 
 @dataclass(frozen=True)
-class Warped:
-    """The declaration g = -e^{2 phi_B} I (+) e^{2 alpha} e^{2 phi_F} I of a
-    product chart from ``spaces.assemble``, base coordinates first: its two
-    declared Riemannian factor charts, ``alpha`` on the chart coordinates
-    (reading only the base ones; the ``metric_at`` rules of ``ChartMetric``)
-    and ``alpha_point(b, f)``, alpha and d alpha / d b at one point."""
-
-    base: ChartMetric
-    fiber: ChartMetric
-    alpha: Callable[[np.ndarray], object]
-    alpha_point: Callable[[np.ndarray, np.ndarray], tuple[float, Sequence[float]]]
-
-
-@dataclass(frozen=True)
 class ChartMetric:
     """A semi-Riemannian metric in a single coordinate chart.
 
@@ -99,10 +86,10 @@ class ChartMetric:
     or branching on coordinates.  A chart with a ``conformal`` declaration
     gets them from the Taylor jet of its scalar ``phi`` in closed form, and
     the geodesic right-hand sides take its spray from ``phi_point``; its
-    ``metric_at`` must be e^{2 phi} diag(eta).  A ``warped`` chart (from
-    ``spaces.assemble``) takes its curvature forms and geodesic spray in
-    closed form from its factors' phi and alpha.  Every consumer picks its
-    route from these declarations alone.
+    ``metric_at`` must be e^{2 phi} diag(eta).  ``warped`` is the
+    ``WarpedProductSpec`` of a chart from ``spaces.assemble``, whose curvature
+    forms and geodesic spray come in closed form from the factors' phi and
+    alpha.  Every consumer picks its route from these declarations alone.
     """
 
     dim: int
@@ -112,7 +99,7 @@ class ChartMetric:
     conformal: Conformal | None = None
     sample_box: tuple[np.ndarray, np.ndarray] | None = None
     name: str = ""
-    warped: Warped | None = None
+    warped: WarpedProductSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -245,7 +232,7 @@ def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarr
 
 
 def _christoffel_from_jet(g, dg):
-    """g^{-1}, Gamma^i_{jk} = g^{il} Gamma_{l,jk} and the lowered
+    """Gamma^i_{jk} = g^{il} Gamma_{l,jk} and the lowered
     Gamma_{l,jk} = (d_j g_lk + d_k g_lj - d_l g_jk) / 2."""
     try:
         ginv = np.linalg.inv(g)
@@ -253,7 +240,7 @@ def _christoffel_from_jet(g, dg):
         raise SingularMetricError(f"metric jet not invertible: {exc}") from exc
     t = dg.transpose(0, 2, 1, 3)  # t[n, l, j, k] = d_j g_lk
     lowered = 0.5 * (t + t.transpose(0, 1, 3, 2) - dg)
-    return ginv, np.einsum("nil,nljk->nijk", ginv, lowered), lowered
+    return np.einsum("nil,nljk->nijk", ginv, lowered), lowered
 
 
 def christoffel(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
@@ -261,44 +248,41 @@ def christoffel(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
     first metric jet."""
     x = np.asarray(x, dtype=float)
     _, g, dg = _metric_jet(chart, x[None], 1)
-    return _christoffel_from_jet(g, dg)[1][0]
+    return _christoffel_from_jet(g, dg)[0][0]
 
 
-def _curvature_jet(chart: ChartMetric, X: np.ndarray):
-    """``(scale, g, g^{-1}, a)`` at the rows of ``X``: the metric is
-    ``scale * g``, and ``a(i, j, k, l)`` gathers A_{ijkl} (module docstring)
-    at broadcast index arrays, so R_{ijkl} = scale (A_{ijkl} - A_{ijlk}).
-    Gamma_{m,li} = Gamma_{m,il}, so Gamma.Gamma is one (d^2, d) @ (d, d^2) product per point."""
-    scale, g, dg, ddg = _metric_jet(chart, X, 2)
-    ginv, gamma, lowered = _christoffel_from_jet(g, dg)
-    n, d = gamma.shape[:2]
-    gg = lowered.reshape(n, d, d * d).transpose(0, 2, 1) @ gamma.reshape(n, d, d * d)
-    gg = gg.reshape(ddg.shape)  # gg[n, l, i, k, j] = Gamma_{m,li} Gamma^m_kj
-
-    def a(i, j, k, l):
-        return 0.5 * (ddg[:, k, j, i, l] - ddg[:, k, i, j, l]) + gg[:, l, i, k, j]
-
-    return scale, g, ginv, a
+def _riemann_from_forms(curv: np.ndarray, d: int) -> np.ndarray:
+    """R_{ijkl} from the ``curv`` of ``_plane_forms``: +-curv on the four slots
+    of each (I_p J_p I_q J_q), so both antisymmetries hold exactly; 0 elsewhere."""
+    I, J = _index_pairs(d)
+    P, Q = I[:, None], J[:, None]
+    R = np.zeros((len(curv),) + (d,) * 4)
+    R[:, P, Q, I, J] = R[:, Q, P, J, I] = curv
+    R[:, Q, P, I, J] = R[:, P, Q, J, I] = -curv
+    return R
 
 
 def _curvature(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The metric and R^i_{jkl} = g^{im} (A_{mjkl} - A_{mjlk}) at the rows of ``X``."""
-    scale, g, ginv, a = _curvature_jet(chart, X)
-    n, d = g.shape[:2]
-    raised = (ginv @ a(*np.indices((d,) * 4)).reshape(n, d, d**3)).reshape((n,) + (d,) * 4)
-    return scale[:, None, None] * g, raised - raised.swapaxes(3, 4)
+    """The metric and R^i_{jkl} = g^{im} R_{mjkl} at the rows of ``X``: R_{mjkl}
+    from ``_plane_forms``, raised with ``metric_at`` in one solve."""
+    curv, _ = _plane_forms(chart, X)
+    n, d = X.shape
+    g = np.array([chart.metric_at(x) for x in X])
+    try:
+        raised = np.linalg.solve(g, _riemann_from_forms(curv, d).reshape(n, d, d**3))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError(f"metric of chart {chart.name!r} not invertible: {exc}") from exc
+    return g, raised.reshape((n,) + (d,) * 4)
 
 
 def riemann(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
-    """Riemann tensor R^i_{jkl} at ``x``; exactly antisymmetric in (k, l)."""
+    """Riemann tensor R^i_{jkl} at ``x``, ``riemann_lowered`` raised with ``metric_at``."""
     return _curvature(chart, np.asarray(x, dtype=float)[None])[1][0]
 
 
 def riemann_lowered(chart: ChartMetric, x: np.ndarray) -> np.ndarray:
-    """Fully lowered tensor R_{ijkl} = g_im R^m_{jkl}; exactly antisymmetric in (k, l)."""
-    scale, _, _, a = _curvature_jet(chart, np.asarray(x, dtype=float)[None])
-    lowered = a(*np.indices((chart.dim,) * 4))[0]
-    return scale[0] * (lowered - lowered.swapaxes(2, 3))
+    """Fully lowered tensor R_{ijkl} = g_im R^m_{jkl}, from ``_plane_forms``."""
+    return _riemann_from_forms(_plane_forms(chart, np.asarray(x, dtype=float)[None])[0], chart.dim)[0]
 
 
 def _plane_forms(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,12 +291,21 @@ def _plane_forms(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     R_{I_p J_p I_q J_q}, area[n, p, q] = g_{I_p I_q} g_{J_p J_q} - g_{I_p J_q} g_{J_p I_q}.
 
     A declared chart takes them in closed form from scalar Taylor jets
-    (_conformal_forms, _warped_forms); any other takes the Taylor jet of
-    ``metric_at`` through the Christoffels."""
+    (_conformal_forms, _warped_forms); any other gathers A_{ijkl} (module
+    docstring) from the Taylor jet of ``metric_at``.  Gamma_{m,li} =
+    Gamma_{m,il}, so Gamma.Gamma is one (d^2, d) @ (d, d^2) product per point."""
     conformal, warped = chart.conformal, chart.warped
     if conformal is None and warped is None:
-        _, g, _, a = _curvature_jet(chart, X)  # scale 1
-        I, J = _index_pairs(chart.dim)
+        _, g, dg, ddg = _metric_jet(chart, X, 2)  # scale 1
+        gamma, lowered = _christoffel_from_jet(g, dg)
+        n, d = gamma.shape[:2]
+        gg = lowered.reshape(n, d, d * d).transpose(0, 2, 1) @ gamma.reshape(n, d, d * d)
+        gg = gg.reshape(ddg.shape)  # gg[n, l, i, k, j] = Gamma_{m,li} Gamma^m_kj
+
+        def a(i, j, k, l):
+            return 0.5 * (ddg[:, k, j, i, l] - ddg[:, k, i, j, l]) + gg[:, l, i, k, j]
+
+        I, J = _index_pairs(d)
         P, Q = I[:, None], J[:, None]
         return a(P, Q, I, J) - a(P, Q, J, I), g[:, P, I] * g[:, Q, J] - g[:, P, J] * g[:, Q, I]
     _check_block(chart, X)
@@ -340,7 +333,7 @@ def _conformal_forms(p, dp, ddp, eta) -> tuple[np.ndarray, np.ndarray]:
     return -scale[:, None, None] * kn, _diagonal_area(scale[:, None] * E.diagonal())
 
 
-def _warped_forms(warped: Warped, X: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _warped_forms(spec: WarpedProductSpec, X: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """The forms of ``_plane_forms`` for g = -e^{2 phi_B} I (+) e^{2 alpha}
     e^{2 phi_F} I from the jets of phi_B, phi_F and alpha (O'Neill,
     Semi-Riemannian Geometry, ch. 7, Prop. 42).  Base-base pairs take the
@@ -349,11 +342,11 @@ def _warped_forms(warped: Warped, X: np.ndarray, name: str) -> tuple[np.ndarray,
     pairs take e^{2 alpha} (curv_F + e^{2 alpha - 2 phi_B} |d alpha|^2 area_F);
     all other entries are 0.  A zero metric entry raises SingularMetricError."""
     n, d = X.shape
-    base, fiber = warped.base.conformal, warped.fiber.conformal
+    base, fiber, value = spec.base.conformal, spec.fiber.conformal, spec.warping.value
     db = len(base.eta)
     pb, dpb, ddpb = _taylor(base.phi, X[:, :db], f"base phi of chart {name!r}")
     pf, dpf, ddpf = _taylor(fiber.phi, X[:, db:], f"fiber phi of chart {name!r}")
-    a, da, dda = _taylor(warped.alpha, X, f"alpha of chart {name!r}")
+    a, da, dda = _taylor(lambda x: value(x[:db], x[db:]), X, f"alpha of chart {name!r}")
     da, e2a = da[:, :db], np.exp(2.0 * a)
     gf = e2a * np.exp(2.0 * pf)
     g = np.concatenate([np.repeat(-np.exp(2.0 * pb)[:, None], db, 1), np.repeat(gf[:, None], d - db, 1)], 1)
@@ -383,26 +376,28 @@ def area_form(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ gu) * float(v @ gv) - float(u @ gv) ** 2
 
 
+def _point_plane_values(chart: ChartMetric, x, u, v) -> tuple[float, float]:
+    """``plane_values`` of the plane u ^ v at the point ``x``."""
+    curv, area = _plane_forms(chart, np.asarray(x, dtype=float)[None])
+    w = wedge(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    lhs, den = plane_values(w, curv[0], area[0])
+    return float(lhs), float(den)
+
+
 def curvature_quadform(chart: ChartMetric, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """The curvature quadratic form g(R(u, v)v, u) = w.curv.w, w = u ^ v."""
-    curv = _plane_forms(chart, np.asarray(x, dtype=float)[None])[0][0]
-    w = wedge(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    return float(w @ curv @ w)
+    return _point_plane_values(chart, x, u, v)[0]
 
 
 def sectional(chart: ChartMetric, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """Sectional curvature of span(u, v); undefined on lightlike planes."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g = chart.metric_at(x)
-    den = area_form(g, u, v)
+    """Sectional curvature of span(u, v), w.curv.w / w.area.w; undefined on lightlike planes."""
+    lhs, den = _point_plane_values(chart, x, u, v)
     scale4 = max(float(np.linalg.norm(u)), float(np.linalg.norm(v))) ** 4
     if abs(den) <= 1e-9 * max(scale4, 1e-300):
         raise DegeneratePlaneError(
             f"plane is numerically lightlike (area form {den:.3e})"
         )
-    return curvature_quadform(chart, x, u, v) / den
+    return lhs / den
 
 
 def scalar_curvature(chart: ChartMetric, x: np.ndarray) -> float:

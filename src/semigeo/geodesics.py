@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .charts import ChartMetric, Warped, _metric_jet
+from .charts import ChartMetric, _metric_jet
 from .errors import DomainError, NonTangentError, RhsDomainError, SingularMetricError, StepBudgetError
 from .spaces import (
     WarpedProductSpec,
@@ -555,10 +555,10 @@ def geodesic_rhs(chart: ChartMetric) -> ODESystem:
     return ODESystem(2 * n, rhs, f"geodesic on {chart.name}")
 
 
-def _warped_rhs(warped: Warped) -> ODESystem:
+def _warped_rhs(spec: WarpedProductSpec) -> ODESystem:
     """The warped-product geodesic equations (O'Neill, Semi-Riemannian
     Geometry, ch. 7) in closed form on the declared Riemannian factors: per
-    call, one ``alpha_point`` (alpha and its base partials, any float
+    call, one ``spec.alpha_base_jet`` (alpha and its base partials, any float
     sequence) and each factor's ``phi_point``, with no metric jet and no solve:
 
         b'' = |v_b|^2 d phi_B - 2 (d phi_B . v_b) v_b - e^{2 alpha - 2 phi_B} g_F(v_f, v_f) d alpha,
@@ -569,7 +569,7 @@ def _warped_rhs(warped: Warped) -> ODESystem:
     factor's domain, or a non-finite position, raises RhsDomainError; an
     overflowing e^{2 alpha} gives inf, which integrate rejects as non-finite.
     """
-    base, fiber, alpha_point = warped.base, warped.fiber, warped.alpha_point
+    base, fiber, alpha_point = spec.base, spec.fiber, spec.alpha_base_jet
     conf_b, conf_f = base.conformal, fiber.conformal
     db = base.dim
     n = db + fiber.dim

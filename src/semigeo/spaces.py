@@ -45,7 +45,6 @@ from .charts import (
     ChartMetric,
     Conformal,
     CurvatureReport,
-    Warped,
     _taylor,
     check_r_ge_k,
     christoffel,
@@ -321,11 +320,11 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
     warped and twisted products alike.
 
     The one route rule of products: a plain or warped product with both
-    factors ``conformal`` is declared ``warped``, so its curvature forms and
+    factors ``conformal`` gets ``warped=spec``, so its curvature forms and
     geodesic right-hand side come in closed form, with no call of
-    ``metric_at``.  Its other derivatives, and all those of any other
-    product, are the Taylor jet of ``metric_at`` (``charts._metric_jet``), so
-    the factors' ``metric_at`` and the warping's ``value`` must follow the
+    ``metric_at``.  Its metric jet, and all derivatives of other products,
+    are the Taylor jet of ``metric_at`` (``charts._metric_jet``), so the
+    factors' ``metric_at`` and the warping's ``value`` must follow the
     ``metric_at`` rules of ``ChartMetric``.  The mixed base-fiber blocks are
     constant zeros and get exact zero derivatives.
     """
@@ -352,7 +351,7 @@ def assemble(spec: WarpedProductSpec) -> ChartMetric:
         in_domain=in_domain,
         sample_box=(lo, hi),
         name=f"-{base.name} {tag} {fiber.name}",
-        warped=Warped(base, fiber, lambda xy: spec.alpha(*spec.split(xy)), spec.alpha_base_jet) if declared else None,
+        warped=spec if declared else None,
     )
 
 
@@ -465,8 +464,10 @@ def oneill_relation_check(
 ) -> float:
     """|residual| of the A = 0 sectional-curvature relation at ``point``.
 
-    horizontal: residual = K_hat(X, Y) - K_*(pi X, pi Y), with K_* evaluated
-    on (B, -g_B); vertical: residual of the T-corrected fiber relation.
+    horizontal: residual = K_hat(X, Y) - K_*(pi X, pi Y), K_hat from the
+    assembled metric's Christoffels (the declared forms take their base block
+    from the function K_* reads) and K_* on (B, -g_B); vertical: residual of
+    the T-corrected fiber relation.
     Returns the raw residual magnitude; callers compare it to their tolerance.
     An e^{2 alpha} that overflows gives a non-finite residual, with numpy's
     overflow and invalid-value warnings off.
@@ -481,7 +482,7 @@ def oneill_relation_check(
             rng.standard_normal(spec.base.dim),
             rng.standard_normal(spec.base.dim),
         )
-        k_hat = sectional(chart, point, _lift(spec, base_vec=xb), _lift(spec, base_vec=yb))
+        k_hat = sectional(replace(chart, warped=None), point, _lift(spec, base_vec=xb), _lift(spec, base_vec=yb))
         k_star = sectional(negate(spec.base), b, xb, yb)
         return abs(k_hat - k_star)
 

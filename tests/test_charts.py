@@ -126,6 +126,8 @@ class TestRiemann:
             for x in rand_points(chart, 3, seed=2):
                 for riem in (sg.riemann(chart, x), sg.riemann_lowered(chart, x)):
                     assert np.array_equal(riem, -np.swapaxes(riem, 2, 3))
+                lowered = sg.riemann_lowered(chart, x)
+                assert np.array_equal(lowered, -np.swapaxes(lowered, 0, 1))
 
     def test_sphere_lowered_equals_area(self):
         chart = sg.sphere(2)
@@ -522,6 +524,28 @@ class TestClosedForms:
         want_curv, want_area = charts._plane_forms(dataclasses.replace(chart, conformal=None, warped=None), X)
         assert np.abs(curv - want_curv).max() <= 1e-12 * np.abs(want_curv).max()
         assert np.array_equal(area, want_area)
+
+    @pytest.mark.parametrize("fn", [sg.riemann, sg.riemann_lowered, sg.scalar_curvature],
+                             ids=["riemann", "riemann_lowered", "scalar_curvature"])
+    @pytest.mark.parametrize("name", sorted(DECLARED_CHARTS))
+    def test_tensors_match_taylor_route(self, name, fn):
+        chart = DECLARED_CHARTS[name]
+        undeclared = dataclasses.replace(chart, conformal=None, warped=None)
+        for x in rand_points(chart, 5, seed=6):
+            got, want = np.asarray(fn(chart, x)), np.asarray(fn(undeclared, x))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", sorted(DECLARED_CHARTS))
+    def test_point_entries_never_call_metric_at(self, name):
+        # sectional, curvature_quadform and riemann_lowered read the declared
+        # forms alone, the same values as on the chart itself
+        chart = DECLARED_CHARTS[name]
+        refused = _refuse_metric_at(chart)
+        rng = np.random.default_rng(7)
+        for x in rand_points(chart, 5, seed=7):
+            u, v = rng.standard_normal((2, chart.dim))
+            for fn, args in ((sg.sectional, (u, v)), (sg.curvature_quadform, (u, v)), (sg.riemann_lowered, ())):
+                assert np.array_equal(fn(refused, x, *args), fn(chart, x, *args))
 
     @pytest.mark.parametrize("space", [
         "product:hyperbolic(2)*sphere(2)", "warped:hyperbolic(2)*torus(2):alpha=sqrtk*busemann",

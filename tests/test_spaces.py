@@ -411,6 +411,19 @@ class TestOneillRelations:
         for seed in range(5):
             assert sg.oneill_relation_check(self.WARPED, pt, kind, seed=seed) <= 1e-5
 
+    def test_horizontal_check_sees_a_planted_base_defect(self, monkeypatch):
+        # K_hat comes from the assembled metric's Christoffels, not from the
+        # closed forms K_* is read from: a wrong base curvature form shows
+        forms = charts._conformal_forms
+
+        def doubled(*args):
+            curv, area = forms(*args)
+            return 2.0 * curv, area
+
+        monkeypatch.setattr(charts, "_conformal_forms", doubled)
+        pt = np.array([0.3, 1.2, 1.0, 2.0])
+        assert sg.oneill_relation_check(self.WARPED, pt, "horizontal", seed=0) > 1e-5
+
     def test_overflowing_warping_vertical_residual_is_not_finite(self):
         spec = sg.warped_product(sg.hyperbolic(2), sg.sphere(2), sg.constant_warping(400.0))
         pt = np.array([0.3, 1.2, 0.4, -0.2])
