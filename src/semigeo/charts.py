@@ -6,7 +6,8 @@ conformally flat, g = e^{2 phi} diag(eta), or a warped product of two such
 Riemannian factors.  Christoffel symbols follow from the metric jet (the
 metric with its first and second partials) in closed form.  The jet is
 exact: second-order Taylor arithmetic on ``metric_at``, one evaluation per
-block of points, or for a conformal chart on the scalar phi alone.
+block of points, or for a conformal chart the scalar jet of phi alone, the
+declaration's closed-form block jet or else phi's Taylor jet.
 
 Every curvature value (Riemann tensor, scalar and sectional curvature, the
 sampled certification of g(R(u, v)v, u) >= k * (g(u, u) g(v, v) - g(u, v)^2)
@@ -61,12 +62,18 @@ class Conformal:
     ``phi`` follows the ``metric_at`` rules of ``ChartMetric``.
     ``phi_point(x)`` gives (phi, d phi) at one point as Python floats, for x
     a list of floats inside the domain, and must agree with ``phi`` to
-    rounding.  ``eta`` is a tuple of +-1.0.
+    rounding.  ``eta`` is a tuple of +-1.0.  ``block_jet(X)``, when given,
+    is phi's exact block jet: (phi, d phi, dd phi) at the rows of an (N, d)
+    array, shaped (N,), (N, d), (N, d, d), with an exactly symmetric Hessian,
+    agreeing with the Taylor jet of ``phi`` to rounding.  The metric jet and
+    curvature forms read it (``_scalar_jet``); without it they take the
+    Taylor jet of ``phi``.
     """
 
     phi: Callable[[np.ndarray], object]
     phi_point: Callable[[list], tuple[float, Sequence[float]]]
     eta: tuple[float, ...]
+    block_jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
 
 @dataclass(frozen=True)
@@ -84,12 +91,14 @@ class ChartMetric:
     ``metric_at`` on Taylor values, so it must use numpy arithmetic and the
     ufuncs exp, log, log1p, sqrt, sin, cos, with no ``math.*``, ``float()``
     or branching on coordinates.  A chart with a ``conformal`` declaration
-    gets them from the Taylor jet of its scalar ``phi`` in closed form, and
-    the geodesic right-hand sides take its spray from ``phi_point``; its
+    gets them in closed form from the jet of its scalar ``phi`` (its block
+    jet, or else the Taylor jet of ``phi``), and the geodesic right-hand
+    sides take its spray from ``phi_point``; its
     ``metric_at`` must be e^{2 phi} diag(eta).  ``warped`` is the
     ``WarpedProductSpec`` of a chart from ``spaces.assemble``, whose curvature
     forms and geodesic spray come in closed form from the factors' phi and
-    alpha.  Every consumer picks its route from these declarations alone.
+    alpha (block jets where declared, else Taylor jets).  Every consumer
+    picks its route from these declarations alone.
     """
 
     dim: int
@@ -198,6 +207,16 @@ def _taylor(fn, X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.nd
     return tuple(np.stack(p, axis=-1).reshape(p[0].shape + out.shape) for p in zip(*parts))
 
 
+def _scalar_jet(block_jet, fn, X: np.ndarray, what: str, cols: int | None = None):
+    """(f, d f, dd f) of a declared scalar at the rows of ``X``, over its first
+    ``cols`` coordinates (all of them if None): ``block_jet`` of those
+    columns, or else the ``_taylor`` jet of ``fn`` on all of ``X``, sliced."""
+    if block_jet is not None:
+        return block_jet(X[:, :cols])
+    f, df, ddf = _taylor(fn, X, what)
+    return f, df[:, :cols], ddf[:, :cols, :cols]
+
+
 def _check_block(chart: ChartMetric, X: np.ndarray) -> None:
     """One ``in_domain`` call on the rows of ``X``: a row outside the domain,
     or with a non-finite coordinate, raises DomainError naming the first."""
@@ -210,8 +229,9 @@ def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarr
     """(scale, g, dg[, ddg]) at the rows of ``X``: the metric at ``X[n]`` is
     ``scale[n] * g[n]``, ``scale[n] * dg[n, k, i, j]`` is d_k g_ij and
     ``scale[n] * ddg[n, k, l, i, j]`` is d_k d_l g_ij.  A declared chart
-    g = e^{2 phi} diag(eta) takes the scalar Taylor jet (p, dp, ddp) of phi
-    and the closed form scale = e^{2 p}, g = diag(eta), dg = 2 dp (x) eta and
+    g = e^{2 phi} diag(eta) takes the scalar jet (p, dp, ddp) of phi (its
+    block jet, or else phi's Taylor jet: ``_scalar_jet``) and the closed
+    form scale = e^{2 p}, g = diag(eta), dg = 2 dp (x) eta and
     ddg = (4 dp dp + 2 ddp) (x) eta, which stays finite where e^{2 p} times
     its derivatives overflows; any other chart takes the Taylor jet of
     ``metric_at`` with scale 1.  Christoffels and R^i_{jkl} do not depend on
@@ -221,7 +241,7 @@ def _metric_jet(chart: ChartMetric, X: np.ndarray, order: int) -> tuple[np.ndarr
     conformal = chart.conformal
     if conformal is None:
         return (np.ones(len(X)),) + _taylor(chart.metric_at, X, f"metric_at of chart {chart.name!r}")[: order + 1]
-    p, dp, ddp = _taylor(conformal.phi, X, f"phi of chart {chart.name!r}")
+    p, dp, ddp = _scalar_jet(conformal.block_jet, conformal.phi, X, f"phi of chart {chart.name!r}")
     eta = np.diag(conformal.eta)
     two_eta = 2.0 * eta
     out = (np.exp(2.0 * p), eta[None].repeat(len(X), 0), dp[:, :, None, None] * two_eta)
@@ -290,8 +310,10 @@ def _plane_forms(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     and the area form is w.area.w for w = wedge(u, v), with curv[n, p, q] =
     R_{I_p J_p I_q J_q}, area[n, p, q] = g_{I_p I_q} g_{J_p J_q} - g_{I_p J_q} g_{J_p I_q}.
 
-    A declared chart takes them in closed form from scalar Taylor jets
-    (_conformal_forms, _warped_forms); any other gathers A_{ijkl} (module
+    A declared chart takes them in closed form from the scalar jets of phi
+    and alpha (_conformal_forms, _warped_forms), each the declaration's
+    exact block jet or else the Taylor jet of ``phi`` or ``value``
+    (``_scalar_jet``); any other gathers A_{ijkl} (module
     docstring) from the Taylor jet of ``metric_at``.  Gamma_{m,li} =
     Gamma_{m,il}, so Gamma.Gamma is one (d^2, d) @ (d, d^2) product per point."""
     conformal, warped = chart.conformal, chart.warped
@@ -310,14 +332,18 @@ def _plane_forms(chart: ChartMetric, X: np.ndarray) -> tuple[np.ndarray, np.ndar
         return a(P, Q, I, J) - a(P, Q, J, I), g[:, P, I] * g[:, Q, J] - g[:, P, J] * g[:, Q, I]
     _check_block(chart, X)
     if conformal is not None:
-        return _conformal_forms(*_taylor(conformal.phi, X, f"phi of chart {chart.name!r}"), conformal.eta)
+        return _conformal_forms(*_scalar_jet(conformal.block_jet, conformal.phi, X, f"phi of chart {chart.name!r}"),
+                                conformal.eta)
     return _warped_forms(warped, X, chart.name)
 
 
 def _diagonal_area(g: np.ndarray) -> np.ndarray:
     """The area form of a diagonal metric with entries ``g`` (N, d): g_I g_J on the diagonal."""
     I, J = _index_pairs(g.shape[1])
-    return (g[:, I] * g[:, J])[:, :, None] * np.eye(len(I))
+    n, c = len(g), len(I)
+    area = np.zeros((n, c, c))
+    area.reshape(n, c * c)[:, :: c + 1] = g[:, I] * g[:, J]
+    return area
 
 
 def _conformal_forms(p, dp, ddp, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -335,25 +361,28 @@ def _conformal_forms(p, dp, ddp, eta) -> tuple[np.ndarray, np.ndarray]:
 
 def _warped_forms(spec: WarpedProductSpec, X: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """The forms of ``_plane_forms`` for g = -e^{2 phi_B} I (+) e^{2 alpha}
-    e^{2 phi_F} I from the jets of phi_B, phi_F and alpha (O'Neill,
-    Semi-Riemannian Geometry, ch. 7, Prop. 42).  Base-base pairs take the
-    base's curv negated; base-fiber pairs ((a, i), (b, j)) take -e^{2 alpha}
-    g_F,ij (Hess alpha + d alpha d alpha)_ab, the Hessian on g_B; fiber-fiber
-    pairs take e^{2 alpha} (curv_F + e^{2 alpha - 2 phi_B} |d alpha|^2 area_F);
-    all other entries are 0.  A zero metric entry raises SingularMetricError."""
+    e^{2 phi_F} I from the jets of phi_B, phi_F and the base-only alpha
+    (O'Neill, Semi-Riemannian Geometry, ch. 7, Prop. 42), each the block jet
+    its declaration carries or else a Taylor jet (``_scalar_jet``).
+    Base-base pairs take the base's curv negated; base-fiber pairs
+    ((a, i), (b, j)) take -e^{2 alpha} g_F,ij (Hess alpha + d alpha
+    d alpha)_ab, the Hessian on g_B; fiber-fiber pairs take e^{2 alpha}
+    (curv_F + e^{2 alpha - 2 phi_B} |d alpha|^2 area_F); all other entries
+    are 0.  A zero metric entry raises SingularMetricError."""
     n, d = X.shape
-    base, fiber, value = spec.base.conformal, spec.fiber.conformal, spec.warping.value
+    base, fiber, warping = spec.base.conformal, spec.fiber.conformal, spec.warping
     db = len(base.eta)
-    pb, dpb, ddpb = _taylor(base.phi, X[:, :db], f"base phi of chart {name!r}")
-    pf, dpf, ddpf = _taylor(fiber.phi, X[:, db:], f"fiber phi of chart {name!r}")
-    a, da, dda = _taylor(lambda x: value(x[:db], x[db:]), X, f"alpha of chart {name!r}")
-    da, e2a = da[:, :db], np.exp(2.0 * a)
+    pb, dpb, ddpb = _scalar_jet(base.block_jet, base.phi, X[:, :db], f"base phi of chart {name!r}")
+    pf, dpf, ddpf = _scalar_jet(fiber.block_jet, fiber.phi, X[:, db:], f"fiber phi of chart {name!r}")
+    a, da, dda = _scalar_jet(warping.block_jet, lambda x: warping.value(x[:db], x[db:]), X,
+                             f"alpha of chart {name!r}", db)
+    e2a = np.exp(2.0 * a)
     gf = e2a * np.exp(2.0 * pf)
     g = np.concatenate([np.repeat(-np.exp(2.0 * pb)[:, None], db, 1), np.repeat(gf[:, None], d - db, 1)], 1)
     if not g.all():  # an e^{2 alpha} that underflows, as the Taylor route's inverse finds
         raise SingularMetricError(f"metric jet not invertible: a diagonal entry of chart {name!r} is 0")
     mixed = dpb[:, :, None] * da[:, None, :] - 0.5 * da[:, :, None] * da[:, None, :]
-    hess = dda[:, :db, :db] - mixed - mixed.transpose(0, 2, 1) + ((dpb * da).sum(1))[:, None, None] * np.eye(db)
+    hess = dda - mixed - mixed.transpose(0, 2, 1) + ((dpb * da).sum(1))[:, None, None] * np.eye(db)
     curv_f, area_f = _conformal_forms(pf, dpf, ddpf, fiber.eta)
     I, J = _index_pairs(d)
     bb, bf, ff = (np.flatnonzero(m) for m in (J < db, (I < db) & (J >= db), I >= db))
@@ -532,11 +561,12 @@ def check_r_ge_k(
         raise DomainError("k must be finite")
     d = chart.dim
     bu, bv = (np.eye(d)[index] for index in _index_pairs(d))
+    bw = np.eye(len(bu))  # wedge(bu, bv), exactly
 
     def evaluate(pts, us, vs):  # each point's random pair, then its C(d, 2) basis pairs
-        pu, pv = (np.concatenate([r[:, None], np.broadcast_to(b, (len(r),) + b.shape)], axis=1)
-                  for r, b in ((us, bu), (vs, bv)))
-        return (*plane_margins(wedge(pu, pv), *_plane_forms(chart, pts), k), pu, pv)
+        pu, pv, w = (np.concatenate([r[:, None], np.broadcast_to(b, (len(r),) + b.shape)], axis=1)
+                     for r, b in ((us, bu), (vs, bv), (wedge(us, vs), bw)))
+        return (*plane_margins(w, *_plane_forms(chart, pts), k), pu, pv)
 
     min_margin, witness, passed, samples = sampled_check(evaluate, n_samples, tol, seed, d, _sample_box(chart))
     return CurvatureReport(

@@ -80,9 +80,25 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` for str-keyed dicts, lists
+    and JSON scalars, each scalar from json's C encoder: the pure-Python
+    encoder that ``indent`` selects leaves its closures as cyclic garbage."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        body = ",\n".join(f"{inner}{_encode(key)}: {_json(val, inner)}" for key, val in obj.items())
+        return f"{{\n{body}\n{indent}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[\n" + ",\n".join(inner + _json(val, inner) for val in obj) + f"\n{indent}]"
+    return _encode(obj)
+
+
 def _render_report(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        return _json(payload) + "\n"
     if fmt == "csv":
         lines = ["key,value"]
 

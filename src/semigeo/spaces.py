@@ -94,14 +94,34 @@ def _dot(a, b) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _conformal_chart(eta, box, name, phi=None, phi_point=None, in_domain=lambda x: True) -> ChartMetric:
+def _constant_jet(c: float):
+    """The block jet (``Conformal.block_jet``, ``Warping.block_jet``) of the constant c."""
+
+    def block_jet(X):
+        n, d = X.shape
+        return np.full(n, c), np.zeros((n, d)), np.zeros((n, d, d))
+
+    return block_jet
+
+
+def _log_last_jet(X: np.ndarray):
+    """The block jet of log x_l with the Taylor route's values: 1/y and -1/(y y) in the x_l slots."""
+    y = X[:, -1]
+    d1, d2 = np.zeros(X.shape), np.zeros(X.shape + X.shape[1:])
+    d1[:, -1] = 1.0 / y
+    d2[:, -1, -1] = -1.0 / (y * y)
+    return np.log(y), d1, d2
+
+
+def _conformal_chart(eta, box, name, phi=None, phi_point=None, in_domain=lambda x: True,
+                     block_jet=None) -> ChartMetric:
     """Chart declared conformally flat, g = e^{2 phi(x)} diag(eta), with phi = 0
     (the flat metric diag(eta)) when no phi is given; ``metric_at`` and the
     signature follow from the declaration."""
     dim, g0 = len(eta), np.diag(eta)
     if phi is None:
         zeros = (0.0,) * dim
-        phi, phi_point = (lambda x: 0.0), (lambda x: (0.0, zeros))
+        phi, phi_point, block_jet = (lambda x: 0.0), (lambda x: (0.0, zeros)), _constant_jet(0.0)
 
     def metric_at(x):
         return np.exp(2.0 * phi(x)) * g0
@@ -113,7 +133,7 @@ def _conformal_chart(eta, box, name, phi=None, phi_point=None, in_domain=lambda 
         signature=(pos, dim - pos),
         metric_at=metric_at,
         in_domain=in_domain,
-        conformal=Conformal(phi, phi_point, tuple(eta)),
+        conformal=Conformal(phi, phi_point, tuple(eta), block_jet),
         sample_box=(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
         name=name,
     )
@@ -129,11 +149,14 @@ def hyperbolic(l: int) -> ChartMetric:
         d[-1] = -1.0 / y
         return -math.log(y), d
 
+    def block_jet(X):  # phi = -log y, negated as the Taylor route negates
+        return tuple(-part for part in _log_last_jet(X))
+
     lo = np.full(l, -2.0)
     hi = np.full(l, 2.0)
     lo[-1], hi[-1] = 0.5, 3.0
     return _conformal_chart((1.0,) * l, (lo, hi), f"hyperbolic({l})", lambda x: -np.log(x[-1]), phi_point,
-                            lambda x: _last(x) > 0.0)
+                            lambda x: _last(x) > 0.0, block_jet)
 
 
 def sphere(m: int) -> ChartMetric:
@@ -148,9 +171,16 @@ def sphere(m: int) -> ChartMetric:
         q = 1.0 + r2
         return math.log(2.0) - math.log1p(r2), [-2.0 * c / q for c in x]
 
+    def block_jet(X):  # the Taylor route's operations, so its bits: phi = log 2 - log1p(r2)
+        r2 = (X * X).sum(1)
+        q, dr2 = 1.0 + r2, 2.0 * X
+        f1, f2 = 1.0 / q, -1.0 / (q * q)
+        hess = f1[:, None, None] * (2.0 * np.eye(m)) + f2[:, None, None] * (dr2[:, :, None] * dr2[:, None])
+        return math.log(2.0) - np.log1p(r2), -(f1[:, None] * dr2), -hess
+
     box = (np.full(m, -2.0), np.full(m, 2.0))
     return _conformal_chart((1.0,) * m, box, f"sphere({m})", lambda x: math.log(2.0) - np.log1p(x @ x), phi_point,
-                            lambda x: _norm_sq(x) < 100.0)
+                            lambda x: _norm_sq(x) < 100.0, block_jet)
 
 
 def flat_torus(m: int) -> ChartMetric:
@@ -222,16 +252,23 @@ class Warping:
     d alpha / d b there, the latter as any length-``db`` sequence of floats
     (a list or an array): a declared product chart's geodesic right-hand side
     calls it once per evaluation (``alpha_base_jet``), and without it takes
-    the Taylor jet of ``value`` there instead.
+    the Taylor jet of ``value`` there instead.  ``block_jet(B)``, when
+    given, is the exact block jet of a base-only alpha: (alpha, d alpha / d b,
+    d^2 alpha / d b^2) at the rows of the (N, db) base block ``B``, shaped
+    (N,), (N, db), (N, db, db), with an exactly symmetric Hessian; a declared
+    product's curvature forms read it, and without it the Taylor jet of
+    ``value`` (``charts._scalar_jet``).
     """
 
     value: Callable[[np.ndarray, np.ndarray], float]
     jet: Callable[[np.ndarray, np.ndarray], tuple[float, Sequence[float]]] | None = None
     description: str = ""
+    block_jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
 
 def constant_warping(c: float) -> Warping:
-    return Warping(value=lambda b, f: float(c), jet=lambda b, f: (float(c), [0.0] * len(b)), description=f"{c}")
+    return Warping(value=lambda b, f: float(c), jet=lambda b, f: (float(c), [0.0] * len(b)), description=f"{c}",
+                   block_jet=_constant_jet(float(c)))
 
 
 def busemann_warping(scale: float) -> Warping:
@@ -249,7 +286,10 @@ def busemann_warping(scale: float) -> Warping:
         d[-1] = scale / y
         return scale * math.log(y), d
 
-    return Warping(value=value, jet=jet, description=f"{scale}*busemann")
+    def block_jet(B):  # the Taylor route's operations: the jet of log y, times scale
+        return tuple(part * scale for part in _log_last_jet(B))
+
+    return Warping(value=value, jet=jet, description=f"{scale}*busemann", block_jet=block_jet)
 
 
 @dataclass(frozen=True)
@@ -425,7 +465,9 @@ def fiber_chart_at(spec: WarpedProductSpec, b: np.ndarray) -> ChartMetric:
     """The fiber through base point b with its induced metric e^{2 alpha} g_F.
 
     The chart is undeclared: its derivatives are the Taylor jet of
-    ``metric_at``.  A base point outside the base's domain raises
+    ``metric_at``, so the vertical ``oneill_relation_check`` compares the
+    declared product's forms (the fiber's block jet) with a route that does
+    not read them.  A base point outside the base's domain raises
     DomainError."""
     fiber = spec.fiber
     b = np.asarray(b, dtype=float)

@@ -588,6 +588,134 @@ class TestClosedForms:
         assert np.array_equal(neg_area, area)
 
 
+def _jet_gap(got, want):
+    # Worst relative gap of the jet got from want, after checking that got
+    # has shapes (N,), (N, d), (N, d, d) like want and an exactly symmetric
+    # Hessian; where want is 0, got must be 0 too.
+    n, d = want[1].shape
+    assert [p.shape for p in got] == [(n,), (n, d), (n, d, d)] == [p.shape for p in want]
+    assert np.array_equal(got[2], got[2].swapaxes(1, 2))
+    return max(float(np.max(np.abs(g - w) / np.where(w == 0.0, np.finfo(float).tiny, np.abs(w))))
+               for g, w in zip(got, want))
+
+
+def _block_jet_gap(block_jet, fn, X):
+    return _jet_gap(block_jet(X), charts._taylor(fn, X, "oracle"))
+
+
+def _box_rows(box, n, seed):
+    # n uniform rows of the box, then its 2^d corners
+    lo, hi = box
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    return np.concatenate([np.random.default_rng(seed).uniform(lo, hi, size=(n, len(lo))), corners])
+
+
+BLOCK_JET_ATOMS = {chart.name: chart for chart in (
+    *(sg.hyperbolic(l) for l in (2, 3, 7)), *(sg.sphere(m) for m in (2, 3, 7)),
+    sg.flat_torus(3), sg.euclidean(2), sg.minkowski(1, 2), sg.negate(sg.sphere(3)),
+)}
+BLOCK_JET_WARPINGS = {w.description: w for w in (
+    sg.busemann_warping(1.0), sg.busemann_warping(0.7), sg.constant_warping(0.0), sg.constant_warping(-1.5),
+)}
+
+
+class TestBlockJets:
+    # The built-in declarations carry exact block jets of phi and alpha; the
+    # Taylor jet of phi or value is their oracle.
+    @pytest.mark.parametrize("name", list(BLOCK_JET_ATOMS))
+    def test_atom_matches_taylor_jet(self, name):
+        chart = BLOCK_JET_ATOMS[name]
+        conformal = chart.conformal
+        assert conformal.block_jet is not None
+        assert _block_jet_gap(conformal.block_jet, conformal.phi, _box_rows(chart.sample_box, 200, seed=8)) <= 1e-15
+
+    @pytest.mark.parametrize("name", list(BLOCK_JET_WARPINGS))
+    def test_warping_matches_taylor_jet(self, name):
+        # alpha's block jet on the base block against the Taylor jet of
+        # value(b, f) on hyperbolic(3)'s box, the fiber coordinates anywhere
+        warping, db = BLOCK_JET_WARPINGS[name], 3
+        B = _box_rows(sg.hyperbolic(db).sample_box, 64, seed=9)
+        X = np.concatenate([B, np.random.default_rng(10).uniform(-1.0, 1.0, (len(B), 2))], axis=1)
+        want = charts._scalar_jet(None, lambda x: warping.value(x[:db], x[db:]), X, "alpha", db)
+        assert _jet_gap(warping.block_jet(B), want) <= 1e-15
+
+    def test_doubled_sphere_hessian_is_caught(self):
+        chart = sg.sphere(3)
+        jet = chart.conformal.block_jet
+
+        def doubled(X):
+            p, dp, ddp = jet(X)
+            return p, dp, 2.0 * ddp
+
+        assert _block_jet_gap(doubled, chart.conformal.phi, _box_rows(chart.sample_box, 20, seed=8)) > 0.5
+
+
+def _taylor_counter(monkeypatch, refuse=False):
+    # charts._taylor, counted, or made to raise
+    calls = []
+    taylor = charts._taylor
+
+    def counted(*args):
+        if refuse:
+            raise AssertionError("_taylor was called")
+        calls.append(args[2])
+        return taylor(*args)
+
+    monkeypatch.setattr(charts, "_taylor", counted)
+    return calls
+
+
+def _same_report(got, want):
+    return (np.float64(got.min_margin).tobytes() == np.float64(want.min_margin).tobytes()
+            and (got.passed, got.samples) == (want.passed, want.samples)
+            and all(a.tobytes() == b.tobytes() for a, b in zip(
+                (got.witness.base_point, got.witness.u, got.witness.v),
+                (want.witness.base_point, want.witness.u, want.witness.v))))
+
+
+class TestBlockJetRoute:
+    @pytest.mark.parametrize("name", ["product", "warped", "sphere3", "hyperbolic3"])
+    def test_certify_never_calls_taylor(self, name, monkeypatch):
+        chart = MARGIN_CHARTS[name]
+        k = -1.0 if name == "hyperbolic3" else 1.0
+        want = sg.check_r_ge_k(chart, k, 600, seed=3)
+        _taylor_counter(monkeypatch, refuse=True)
+        got = sg.check_r_ge_k(chart, k, 600, seed=3)
+        assert _same_report(got, want)
+        assert got.passed
+
+    @pytest.mark.parametrize("name", ["sphere3", "product", "warped"])
+    def test_without_block_jets_the_taylor_route_runs(self, name, monkeypatch):
+        # Dropping the block jets brings back the Taylor jets of phi and
+        # value; the block jets reproduce their bits, so the reports agree.
+        chart = MARGIN_CHARTS[name]
+        if chart.warped is None:
+            bare = dataclasses.replace(chart, conformal=dataclasses.replace(chart.conformal, block_jet=None))
+        else:
+            spec = chart.warped
+            bare = sg.assemble(dataclasses.replace(
+                spec, warping=dataclasses.replace(spec.warping, block_jet=None),
+                **{f: dataclasses.replace(c, conformal=dataclasses.replace(c.conformal, block_jet=None))
+                   for f, c in (("base", spec.base), ("fiber", spec.fiber))}))
+        want = sg.check_r_ge_k(chart, 1.0, 300, seed=4)
+        calls = _taylor_counter(monkeypatch)
+        got = sg.check_r_ge_k(bare, 1.0, 300, seed=4)
+        assert len(calls) == (2 if chart.warped is None else 6)  # one per block and scalar
+        assert _same_report(got, want)
+
+    @pytest.mark.parametrize("route", [
+        lambda c: dataclasses.replace(c, conformal=None),  # undeclared: metric_at's jet
+        lambda c: sg.assemble(sg.twisted_product(sg.hyperbolic(2), c, _TWIST)),
+        lambda c: sg.assemble(sg.plain_product(sg.hyperbolic(2), c)),  # the product's metric jet
+    ], ids=["undeclared", "twisted", "product-metric-jet"])
+    def test_taylor_routes_keep_their_route(self, route, monkeypatch):
+        chart = route(sg.sphere(2))
+        X = rand_points(chart, 4, seed=2)
+        calls = _taylor_counter(monkeypatch)
+        charts._metric_jet(chart, X, 2)
+        assert calls and all(what.startswith("metric_at") for what in calls)
+
+
 class TestChartInvariants:
     @pytest.mark.parametrize(
         "chart",

@@ -799,6 +799,34 @@ class TestParser:
             gc.garbage.clear()
         assert leaked == []
 
+    def test_warm_report_leaves_no_json_garbage(self, tmp_path):
+        # The JSON report is indented without json's pure-Python encoder,
+        # whose closures were left for the cyclic collector.
+        commands = [["curvature-check", "--space", "sphere(2)", "--k", "1", "--samples", "10"],
+                    ["su21", "--t", "-0.8", "--k", "0.1", "--samples", "100"]]
+        for command in commands:
+            assert run(command + ["--out", str(tmp_path / "warm")]) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for command in commands:
+                assert run(command + ["--out", str(tmp_path / "out")]) == 0
+            gc.collect()
+            leaked = [repr(obj)[:60] for obj in gc.garbage
+                      if str(getattr(obj, "__module__", None) or type(obj).__module__).startswith("json")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=12)))
+    def test_json_report_is_json_dumps_indent_2(self, payload):
+        assert cli._render_report(payload, "json") == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
     def test_subcommand_parser_knows_only_its_command(self):
         with pytest.raises(cli._UsageError, match="invalid choice: 'scan'"):
             _build_parser("su21").parse_args(["scan"])

@@ -424,6 +424,22 @@ class TestOneillRelations:
         pt = np.array([0.3, 1.2, 1.0, 2.0])
         assert sg.oneill_relation_check(self.WARPED, pt, "horizontal", seed=0) > 1e-5
 
+    def test_vertical_check_sees_a_planted_fiber_jet_defect(self):
+        # K_hat reads the fiber's block jet, K_perp the Taylor jet of the
+        # undeclared fiber_chart_at: a doubled Hessian in the sphere's block
+        # jet shows
+        fiber = self.PRODUCT.fiber
+        jet = fiber.conformal.block_jet
+
+        def doubled(X):
+            p, dp, ddp = jet(X)
+            return p, dp, 2.0 * ddp
+
+        planted = replace(self.PRODUCT, fiber=replace(fiber, conformal=replace(fiber.conformal, block_jet=doubled)))
+        pt = np.array([0.3, 1.2, 0.4, -0.2])
+        assert sg.oneill_relation_check(self.PRODUCT, pt, "vertical", seed=0) <= 1e-5
+        assert sg.oneill_relation_check(planted, pt, "vertical", seed=0) > 1e-5
+
     def test_overflowing_warping_vertical_residual_is_not_finite(self):
         spec = sg.warped_product(sg.hyperbolic(2), sg.sphere(2), sg.constant_warping(400.0))
         pt = np.array([0.3, 1.2, 0.4, -0.2])
